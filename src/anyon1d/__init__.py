@@ -13,9 +13,7 @@ from .core import (
     Grid,
     PhysicalParams,
     QuantumState,
-    SpectrumEntry,
     VerificationReport,
-    WaveSample,
     make_state,
     state_from_nu,
     validate_params,
@@ -28,9 +26,7 @@ __all__ = [
     "Grid",
     "PhysicalParams",
     "QuantumState",
-    "SpectrumEntry",
     "VerificationReport",
-    "WaveSample",
     "anyon",
     "duality",
     "make_state",

@@ -19,49 +19,33 @@ phase twist between the half lines.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NU_VALUES, PhysicalParams
-from .specfun import kummer_series, log_gamma, log_kummer_polynomial
-
-# Above this y the direct evaluation could overflow y**n before the
-# Gaussian-like tail pulls the product down, so log space takes over.
-_DIRECT_Y_MAX = 700.0
-_LOG_UNDERFLOW = -745.0
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+from .core import PhysicalParams, check_index, check_nu
+from .specfun import RECURRENCE_ARG_MAX, _scaled_recurrence, log_gamma
 
 
-def _check_nu(nu: float) -> None:
-    if nu not in NU_VALUES:
-        raise ValueError(f"nu must be 1/4 or 3/4, got {nu!r}")
-
-
-def _check_n(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"radial index n must be a nonnegative integer, got {n!r}")
-
-
-def potential(x: float, nu: float, p: PhysicalParams) -> float:
-    """V(x) = -alpha/x - hbar^2 nu(1-nu)/(2 m x^2) for x > 0.
+def potential(x, nu: float, p: PhysicalParams):
+    """V(x) = -alpha/x - hbar^2 nu(1-nu)/(2 m x^2) for x > 0 (scalar or array).
 
     Note nu(1-nu) = 3/16 for both allowed nu: the two towers live in the
     same potential and differ only through the boundary behavior at 0.
     """
-    _check_nu(nu)
+    check_nu(nu)
     alpha = p.require_alpha()
-    if not x > 0:
+    if not np.all(np.greater(x, 0)):
         raise ValueError(f"x must be positive, got {x}")
     return -alpha / x - p.hbar ** 2 * nu * (1.0 - nu) / (2.0 * p.mass * x * x)
 
 
 def energy(n: int, nu: float, p: PhysicalParams) -> float:
     """epsilon_n = -m alpha^2 / (2 hbar^2 (n + nu)^2)."""
-    _check_nu(nu)
-    _check_n(n)
+    check_nu(nu)
+    check_index(n, "radial index n")
     alpha = p.require_alpha()
     lam = n + nu
     return -p.mass * alpha * alpha / (2.0 * p.hbar ** 2 * lam * lam)
@@ -69,16 +53,16 @@ def energy(n: int, nu: float, p: PhysicalParams) -> float:
 
 def beta(n: int, nu: float, p: PhysicalParams) -> float:
     """Inverse length scale of state (n, nu): beta = 2 m alpha / (hbar^2 (n+nu))."""
-    _check_nu(nu)
-    _check_n(n)
+    check_nu(nu)
+    check_index(n, "radial index n")
     return 2.0 * p.mass * p.require_alpha() / (p.hbar ** 2 * (n + nu))
 
 
 def log_normalization(n: int, nu: float, p: PhysicalParams) -> float:
     """log of C_n = (sqrt(m alpha)/hbar) (n+nu)^-1 Gamma(2 nu)^-1
     sqrt(Gamma(n + 2 nu)/n!)."""
-    _check_nu(nu)
-    _check_n(n)
+    check_nu(nu)
+    check_index(n, "radial index n")
     alpha = p.require_alpha()
     return (0.5 * math.log(p.mass * alpha) - math.log(p.hbar)
             - math.log(n + nu) - log_gamma(2.0 * nu)
@@ -89,40 +73,53 @@ def normalization_constant(n: int, nu: float, p: PhysicalParams) -> float:
     return math.exp(log_normalization(n, nu, p))
 
 
-def _radial(log_c: float, n: int, nu: float, y: float) -> float:
-    """exp(log_c) y^nu e^(-y/2) F(-n, 2 nu, y) for y > 0, safe at huge y.
+@functools.lru_cache(maxsize=64)
+def _laguerre_coefficients(n: int, a: float) -> tuple:
+    """Steps of l_{k+1} = [(2k+1+a-y) l_k - sqrt(k(k+a)) l_{k-1}] / sqrt((k+1)(k+1+a)).
 
-    Far beyond the last polynomial oscillation the value drops below the
-    smallest subnormal and exactly 0.0 is returned; that underflow is
-    part of the contract, not an error.
+    Cached because quadrature evaluates one state at thousands of single
+    points.
     """
-    two_nu = 2.0 * nu
-    if y <= _DIRECT_Y_MAX:
-        return math.exp(log_c) * y ** nu * math.exp(-0.5 * y) * kummer_series(-float(n), two_nu, y)
-    log_f, sign = log_kummer_polynomial(n, two_nu, y)
-    exponent = log_c + nu * math.log(y) - 0.5 * y + log_f
-    if exponent < _LOG_UNDERFLOW or sign == 0.0:
-        return 0.0
-    return sign * math.exp(exponent)
+    steps = []
+    for k in range(n):
+        d = math.sqrt((k + 1.0) * (k + 1.0 + a))
+        steps.append(((2.0 * k + 1.0 + a) / d, -1.0 / d, math.sqrt(k * (k + a)) / d))
+    return tuple(steps)
+
+
+def _shape(n: int, nu: float, y, log_factor: float):
+    """exp(log_factor) sqrt(y) l_n(y) for 0 < y <= RECURRENCE_ARG_MAX.
+
+    l_k(y) = sqrt(k!/Gamma(k + 2 nu)) y^(nu - 1/2) e^(-y/2) L_k^(2nu-1)(y)
+    are the unit-norm Laguerre functions, so sqrt(y) l_n(y) is the
+    y^nu e^(-y/2) F(-n, 2 nu, y) shape with integral of y l_n^2 equal to
+    2 (n + nu).  Works on a float or an array y.
+    """
+    log_start = log_factor - 0.5 * log_gamma(2.0 * nu) + nu * np.log(y) - 0.5 * y
+    return _scaled_recurrence(_laguerre_coefficients(n, 2.0 * nu - 1.0), y, log_start)
 
 
 def wavefunction(n: int, nu: float, p: PhysicalParams, x):
-    """Normalized bound-state wavefunction Phi_n at x > 0 (scalar or array)."""
-    log_c = log_normalization(n, nu, p)  # validates n, nu, alpha
-    b = beta(n, nu, p)
-    if isinstance(x, np.ndarray):
-        flat = x.astype(float).ravel()
-        if flat.size and not np.all(flat > 0):
-            raise ValueError("x must be positive everywhere on the grid")
-        out = np.fromiter((_radial(log_c, n, nu, b * xi) for xi in flat),
-                          dtype=float, count=flat.size)
-        return out.reshape(x.shape)
-    if not x > 0:
-        raise ValueError(f"x must be positive, got {x}")
-    return _radial(log_c, n, nu, b * x)
+    """Normalized bound-state wavefunction Phi_n at x > 0 (scalar or array).
+
+    Phi_n(x) = sqrt(m alpha)/(hbar (n + nu)) sqrt(y) l_n(y) with y = beta x
+    (see _shape).  Defined for 0 < y <= 1e150; far in the tail the value
+    underflows to exactly 0.0, which is part of the contract.
+    """
+    b = beta(n, nu, p)  # validates n, nu, alpha
+    x_max = RECURRENCE_ARG_MAX / b
+    array = isinstance(x, np.ndarray)
+    x = x.astype(float) if array else float(x)
+    inside = np.all((x > 0) & (x <= x_max)) if array else 0 < x <= x_max
+    if not inside:
+        raise ValueError(f"x must lie in (0, {x_max:.6g}]")
+    log_factor = (0.5 * math.log(p.mass * p.require_alpha()) - math.log(p.hbar)
+                  - math.log(n + nu))
+    values = _shape(n, nu, b * x, log_factor)
+    return values if array else float(values)
 
 
-def extended_wavefunction(n: int, nu: float, p: PhysicalParams, y: float) -> complex:
+def extended_wavefunction(n: int, nu: float, p: PhysicalParams, y):
     """Parity-extended eigenfunction on the full y line (y = beta x).
 
     Built from the half-line shape phi(|y|) with a constant phase on the
@@ -134,18 +131,27 @@ def extended_wavefunction(n: int, nu: float, p: PhysicalParams, y: float) -> com
     where phi is normalized to unit L2 norm in the y variable, so the
     full-line norm is again 1.  The ratio Phi(-y)/Phi(y) is exactly the
     phase e^(i pi nu).  y = 0 is the singular point of the potential
-    and is rejected.
+    and is rejected, as is |y| > 1e150.  y may be a float (complex
+    result) or a real array (complex array).
     """
-    if isinstance(y, complex):
+    beta(n, nu, p)  # validates n, nu, alpha
+    array = isinstance(y, np.ndarray)
+    if isinstance(y, complex) or (array and np.iscomplexobj(y)):
         raise ValueError("y must be a real number")
-    if y == 0:
-        raise ValueError("y = 0 is the singular point; the extension is defined for y != 0")
-    # unit norm in y instead of x: divide out the sqrt(beta) Jacobian
-    log_c = log_normalization(n, nu, p) - 0.5 * math.log(beta(n, nu, p))
-    r = _INV_SQRT2 * _radial(log_c, n, nu, abs(y))
-    if y > 0:
-        return complex(r, 0.0)
-    return cmath.exp(1j * math.pi * nu) * r
+    y = y.astype(float) if array else float(y)
+    size = abs(y)
+    inside = (np.all((size > 0) & (size <= RECURRENCE_ARG_MAX)) if array
+              else 0 < size <= RECURRENCE_ARG_MAX)
+    if not inside:
+        raise ValueError(f"y must satisfy 0 < |y| <= {RECURRENCE_ARG_MAX:g}; "
+                         "y = 0 is the singular point")
+    # phi = sqrt(y) l_n(y) / sqrt(2 (n + nu)); with the 1/sqrt(2) that is
+    # a factor 1/(2 sqrt(n + nu))
+    r = _shape(n, nu, size, -0.5 * math.log(4.0 * (n + nu)))
+    twist = cmath.exp(1j * math.pi * nu)
+    if array:
+        return np.where(y > 0, r, twist * r)
+    return complex(r, 0.0) if y > 0 else twist * float(r)
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,7 @@ class BranchSelection:
 
 def boundary_selection_report(nu: float) -> BranchSelection:
     """Report which solution branch survives at the origin and why."""
-    _check_nu(nu)
+    check_nu(nu)
     if nu == 0.75:
         reason = "singular second solution"
         detail = (

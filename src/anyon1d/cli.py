@@ -15,10 +15,8 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, anyon, duality, oracle, oscillator, verification
-from .core import Grid, PhysicalParams, make_state
+from .core import Grid, PhysicalParams, make_state, state_from_nu
 
 _NU_BY_VALUE = {Fraction(1, 4): 0.25, Fraction(3, 4): 0.75}
 _S_BY_VALUE = {Fraction(0): 0.0, Fraction(1, 2): 0.5}
@@ -170,7 +168,7 @@ def _meta(ns, **extra) -> dict:
 
 def _state_flags(ns, default_s: float = 0.0):
     if getattr(ns, "nu", None) is not None:
-        return make_state(ns.n, ns.nu - 0.25)
+        return state_from_nu(ns.n, ns.nu)
     if getattr(ns, "s", None) is not None:
         return make_state(ns.n, ns.s)
     return make_state(ns.n, default_s)
@@ -214,12 +212,7 @@ def cmd_wavefunction(ns) -> int:
                   file=sys.stderr)
             return 2
         state = _state_flags(ns)
-        if ns.extended:
-            if np.any(xs == 0.0):
-                print("error: the extended grid must not sample y = 0 "
-                      "(the potential is singular there)", file=sys.stderr)
-                return 2
-        elif grid.x_min <= 0:
+        if not ns.extended and grid.x_min <= 0:
             print("error: the anyon grid must satisfy x_min > 0", file=sys.stderr)
             return 2
         alpha = ns.alpha if ns.alpha is not None else 1.0
@@ -229,10 +222,8 @@ def cmd_wavefunction(ns) -> int:
                      extended=ns.extended)
         if ns.extended:
             columns = ["y", "re", "im"]
-            rows = []
-            for y in xs.tolist():
-                value = anyon.extended_wavefunction(state.n, state.nu, p, y)
-                rows.append([y, value.real, value.imag])
+            values = anyon.extended_wavefunction(state.n, state.nu, p, xs)
+            rows = [[y, v.real, v.imag] for y, v in zip(xs.tolist(), values.tolist())]
         else:
             columns = ["x", "phi"]
             values = anyon.wavefunction(state.n, state.nu, p, xs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +22,25 @@ NU_VALUES = (0.25, 0.75)
 
 class ConvergenceError(RuntimeError):
     """An iterative numerical routine failed to reach its target."""
+
+
+def check_index(value, name: str) -> None:
+    """Raise ValueError naming the argument unless value is an int >= 0.
+
+    bool is rejected although it subclasses int.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def check_nu(nu) -> None:
+    if nu not in NU_VALUES:
+        raise ValueError(f"nu must be 1/4 or 3/4, got {nu!r}")
+
+
+def check_s(s) -> None:
+    if s not in S_VALUES:
+        raise ValueError(f"s must be 0 or 1/2, got {s!r}")
 
 
 def _positive_number(value, name: str) -> None:
@@ -95,10 +113,8 @@ class QuantumState:
     N: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise ValueError(f"radial index n must be a nonnegative integer, got {self.n!r}")
-        if self.s not in S_VALUES:
-            raise ValueError(f"s must be 0 or 1/2, got {self.s!r}")
+        check_index(self.n, "radial index n")
+        check_s(self.s)
         # 0.25 and 0.5 are exact in binary, so these hold with no roundoff
         object.__setattr__(self, "nu", self.s + 0.25)
         object.__setattr__(self, "N", 2 * self.n + int(2 * self.s))
@@ -113,8 +129,7 @@ def make_state(n: int, s: float) -> QuantumState:
 
 def state_from_nu(n: int, nu: float) -> QuantumState:
     """Same as make_state but keyed on the origin exponent nu = s + 1/4."""
-    if nu not in NU_VALUES:
-        raise ValueError(f"nu must be 1/4 or 3/4, got {nu!r}")
+    check_nu(nu)
     return make_state(n, nu - 0.25)
 
 
@@ -141,36 +156,6 @@ class Grid:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.count)
-
-
-class WaveSample(NamedTuple):
-    """One sampled wavefunction value; value may be real or complex."""
-
-    position: float
-    value: complex
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One spectrum row: level index, its energy, and where it came from.
-
-    source is "analytic" for closed-form values and "oracle" for
-    numerically computed ones; residual carries the deviation from the
-    analytic value for oracle rows and is None for analytic rows.
-    """
-
-    index: int
-    energy: float
-    source: str
-    residual: float | None = None
-
-    def __post_init__(self):
-        if self.source not in ("analytic", "oracle"):
-            raise ValueError(f"source must be 'analytic' or 'oracle', got {self.source!r}")
-        if self.index < 0:
-            raise ValueError(f"index must be nonnegative, got {self.index}")
-        if self.residual is not None and not self.residual >= 0:
-            raise ValueError(f"residual must be nonnegative, got {self.residual}")
 
 
 @dataclass(frozen=True)

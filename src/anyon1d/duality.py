@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import anyon, oracle, oscillator
-from .core import Grid, PhysicalParams, QuantumState, make_state
+from .core import Grid, PhysicalParams, QuantumState, make_state, state_from_nu
 from .specfun import log_gamma
 
 _LN2 = math.log(2.0)
@@ -50,14 +50,8 @@ def dual_frequency(n: int, nu: float, p: PhysicalParams) -> float:
     """Quantized oscillator frequency of anyon state (n, nu):
     omega_n = 2 alpha / (hbar (n + nu))."""
     alpha = p.require_alpha()
-    state = _state_from(n, nu)
+    state = state_from_nu(n, nu)
     return 2.0 * alpha / (p.hbar * (state.n + state.nu))
-
-
-def _state_from(n: int, nu: float) -> QuantumState:
-    if nu not in (0.25, 0.75):
-        raise ValueError(f"nu must be 1/4 or 3/4, got {nu!r}")
-    return make_state(n, nu - 0.25)
 
 
 def map_oscillator_to_anyon(n: int, s: float, p: PhysicalParams, x):
@@ -111,7 +105,7 @@ def constant_equality_residual(n: int, nu: float) -> float:
     the gamma duplication identity makes them equal.  The comparison is
     done in log space and is independent of m, alpha, hbar.
     """
-    state = _state_from(n, nu)
+    state = state_from_nu(n, nu)
     lam = state.n + state.nu
     log_tilde = (-(n - state.nu + 0.25) * _LN2
                  + 0.5 * log_gamma(2.0 * n + 2.0 * state.nu + 0.5)
@@ -142,9 +136,8 @@ def reduction_chain_residual(n: int, s: float, p: PhysicalParams, grid: Grid,
     phi = xs ** state.nu * psi_bar
     alpha, eps = to_anyon_params(energy, omega, p)
     dual = PhysicalParams(p.mass, p.hbar, alpha=alpha)
-    samples = list(zip(xs.tolist(), phi.tolist()))
     return oracle.ode_residual(
-        samples, lambda x: anyon.potential(x, state.nu, dual),
+        xs, phi, lambda x: anyon.potential(x, state.nu, dual),
         eps * energy_scale, p)
 
 
@@ -187,7 +180,7 @@ class DualityPair:
     @classmethod
     def from_anyon(cls, n: int, nu: float, p: PhysicalParams) -> DualityPair:
         """Pair determined by the anyon side (alpha set on p)."""
-        state = _state_from(n, nu)
+        state = state_from_nu(n, nu)
         alpha = p.require_alpha()
         eps = anyon.energy(state.n, state.nu, p)
         energy, omega = to_oscillator_params(alpha, eps, p)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, NU_VALUES, PhysicalParams
+from .core import ConvergenceError, PhysicalParams, check_index, check_nu
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1]; abscissas and
 # weights are the standard published values.
@@ -154,11 +154,12 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10, *,
     return _adaptive(f, a, b, tol, max_intervals)
 
 
-def ode_residual(samples, potential, epsilon: float, p: PhysicalParams) -> float:
+def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> float:
     """Normalized defect of Phi'' + (2m/hbar^2)(epsilon - V) Phi = 0.
 
-    samples is a uniformly spaced sequence of (position, value) pairs
-    (values may be complex).  The second derivative is the fourth-order
+    xs is a uniformly spaced, increasing array of positions and values
+    the samples of Phi there (real or complex); potential is called once
+    on the whole xs array.  The second derivative is the fourth-order
     central five-point stencil, and the returned number is
 
         max_i |Phi''_i + (2m/hbar^2)(epsilon - V_i) Phi_i|
@@ -168,14 +169,13 @@ def ode_residual(samples, potential, epsilon: float, p: PhysicalParams) -> float
     over interior points, so an eigenpair gives a small value and a 1
     percent energy error is clearly visible.
     """
-    xs = np.array([float(s[0]) for s in samples], dtype=float)
-    raw = [complex(s[1]) for s in samples]
+    xs = np.asarray(xs, dtype=float)
+    vs = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+    if xs.ndim != 1 or vs.shape != xs.shape:
+        raise ValueError(f"xs and values must be 1-d arrays of one length, "
+                         f"got shapes {xs.shape} and {vs.shape}")
     if xs.size < 7:
         raise ValueError(f"need at least 7 samples, got {xs.size}")
-    if any(v.imag for v in raw):
-        vs = np.array(raw, dtype=complex)
-    else:
-        vs = np.array([v.real for v in raw], dtype=float)
     steps = np.diff(xs)
     h = (xs[-1] - xs[0]) / (xs.size - 1)
     if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * abs(h):
@@ -183,8 +183,7 @@ def ode_residual(samples, potential, epsilon: float, p: PhysicalParams) -> float
     if not np.max(np.abs(vs)):
         raise ValueError("trivial function: all sampled values are zero")
     c2 = 2.0 * p.mass / p.hbar ** 2
-    v_pot = np.array([potential(float(x)) for x in xs], dtype=float)
-    drive = c2 * (epsilon - v_pot) * vs
+    drive = c2 * (epsilon - potential(xs)) * vs
     second = (-vs[:-4] + 16.0 * vs[1:-3] - 30.0 * vs[2:-2]
               + 16.0 * vs[3:-1] - vs[4:]) / (12.0 * h * h)
     defect = second + drive[2:-2]
@@ -275,8 +274,7 @@ class ShootingConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.nu not in NU_VALUES:
-            raise ValueError(f"nu must be 1/4 or 3/4, got {self.nu!r}")
+        check_nu(self.nu)
         if not 0.0 < self.x_start < self.x_match < self.x_end:
             raise ValueError(
                 "need 0 < x_start < x_match < x_end, got "
@@ -422,8 +420,7 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     ValueError when the bracket does not straddle a sign change, and
     ConvergenceError when the node count disagrees with n.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"node count n must be a nonnegative integer, got {n!r}")
+    check_index(n, "node count n")
     run = _ShootingRun(cfg, p)
     lo, hi = cfg.energy_bracket
     w_lo, _ = run.mismatch(lo)
@@ -485,8 +482,7 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int,
     shooting mismatch.  Needs no prior knowledge of the spectrum; the
     scan ratio keeps consecutive levels separated for n_max <= 20.
     """
-    if nu not in NU_VALUES:
-        raise ValueError(f"nu must be 1/4 or 3/4, got {nu!r}")
+    check_nu(nu)
     if not isinstance(n_max, int) or not 0 <= n_max <= 20:
         raise ValueError(f"n_max must be an integer in 0..20, got {n_max!r}")
     alpha = p.require_alpha()

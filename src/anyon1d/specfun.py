@@ -1,7 +1,8 @@
-"""Scalar special functions: log-gamma, the confluent hypergeometric
-function, and the classical orthogonal polynomials tied to it.
+"""Special functions: log-gamma, the confluent hypergeometric
+function, the classical orthogonal polynomials tied to it, and the
+log-scaled three-term recurrence behind both eigenfunctions.
 
-Everything is written against plain floats.  The confluent series is
+The confluent series is written against plain floats.  It is
 summed term by term with a recurrence on the term ratio; when the sum
 loses too many digits to cancellation (alternating series at negative
 argument) the same recurrence is re-run in 60-digit decimal arithmetic,
@@ -14,7 +15,9 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
-from .core import ConvergenceError
+import numpy as np
+
+from .core import ConvergenceError, check_index, check_s
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -30,6 +33,14 @@ _STAGNATION = 1e-17
 # sum by this factor, enough digits cancelled that the float result is
 # suspect and the decimal pass takes over.
 _ESCALATE_RATIO = 300.0
+
+# The scaled recurrence divides its terms by _BIG, a power of two so the
+# division is exact, whenever one exceeds it.  One step multiplies a term
+# by less than 1.5 x + 4, which stays below _BIG for arguments up to
+# RECURRENCE_ARG_MAX; every eigenfunction is exactly 0.0 long before.
+_BIG = 2.0 ** 500
+_LN_BIG = 500.0 * _LN2
+RECURRENCE_ARG_MAX = 1e150
 
 _EULER = 0.5772156649015328606065121
 # zeta(2) .. zeta(18), for the log-gamma series near its zeros
@@ -129,20 +140,6 @@ def _check_b(b: float) -> None:
         raise ValueError(f"lower parameter b must be finite, got {b!r}")
 
 
-@dataclass(frozen=True)
-class KummerParams:
-    """Validated (a, b, y) triple for the confluent hypergeometric series."""
-
-    a: float
-    b: float
-    y: float
-
-    def __post_init__(self):
-        _check_b(self.b)
-        if not (math.isfinite(self.a) and math.isfinite(self.y)):
-            raise ValueError("a and y must be finite")
-
-
 def kummer_series(a: float, b: float, y: float) -> float:
     """Confluent hypergeometric function F(a, b, y) by direct summation.
 
@@ -237,8 +234,7 @@ def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
     Terms are combined at the scale of the largest one, so the result
     stays finite even where y**n itself would overflow.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    check_index(n, "n")
     if not b > 0:
         raise ValueError("log_kummer_polynomial needs b > 0")
     if not y > 0:
@@ -367,8 +363,7 @@ def laguerre(n: int, alpha: float, y):
 
     Three-term recurrence; y may be a float or a numpy array.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"degree n must be a nonnegative integer, got {n!r}")
+    check_index(n, "degree n")
     if not alpha > -1.0:
         raise ValueError(f"laguerre parameter must exceed -1, got {alpha}")
     p_prev = 1.0 + 0.0 * y  # promotes to the dtype/shape of y
@@ -386,8 +381,7 @@ def hermite(N: int, z):
 
     Recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1}; z may be a numpy array.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-        raise ValueError(f"degree N must be a nonnegative integer, got {N!r}")
+    check_index(N, "degree N")
     h_prev = 1.0 + 0.0 * z
     if N == 0:
         return h_prev
@@ -397,18 +391,45 @@ def hermite(N: int, z):
     return h
 
 
+def _scaled_recurrence(coefficients, x, log_start):
+    """f_n(x) of f_{k+1} = (a_k + b_k x) f_k - c_k f_{k-1} with
+    f_0 = exp(log_start) and f_{-1} = 0, for 0 <= x <= RECURRENCE_ARG_MAX.
+
+    coefficients holds (a_k, b_k, c_k) for k = 0 .. n-1.  The terms run
+    as f_k / exp(scale), starting from 1 with scale = log_start; when a
+    term exceeds _BIG both live terms are divided by it and scale grows
+    by ln _BIG.  exp(scale) is applied last, in two halves so that a
+    large term meets a tiny factor without underflowing early: nothing
+    overflows, and the result underflows to 0.0 only where the true
+    value does.  x and log_start are floats or arrays of one shape, and the
+    same float operations run on either, so a point gives the same bits
+    alone or inside an array.
+    """
+    prev = 0.0
+    cur = 1.0
+    rescales = 0
+    for a, b, c in coefficients:
+        prev, cur = cur, (a + b * x) * cur - c * prev
+        big = abs(cur) > _BIG
+        # 1 + _BIG rounds to _BIG, so grow is exactly 1 or _BIG
+        grow = 1.0 + big * _BIG
+        prev = prev / grow
+        cur = cur / grow
+        rescales = rescales + big
+    half = np.exp(0.5 * (log_start + rescales * _LN_BIG))
+    return cur * half * half
+
+
 def hermite_kummer_residual(n: int, s: float, y: float) -> float:
     """Defect of the closed-form link between Hermite and confluent values.
 
     Evaluates |H_{2n+2s}(sqrt y) - (-1)^n ((2n+2s)!/n!) (2 sqrt y)^(2s)
     F(-n, 2s + 1/2, y)| at y > 0, where s is 0 or 1/2.
     """
-    if s not in (0.0, 0.5):
-        raise ValueError(f"s must be 0 or 1/2, got {s!r}")
+    check_s(s)
     if not y > 0:
         raise ValueError(f"y must be positive, got {y}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    check_index(n, "n")
     root = math.sqrt(y)
     big_n = 2 * n + int(2 * s)
     lhs = hermite(big_n, root)

@@ -13,10 +13,9 @@ import random
 import numpy as np
 
 from . import anyon, duality, oracle, oscillator, specfun
-from .core import Grid, PhysicalParams, VerificationReport, make_state
+from .core import NU_VALUES, S_VALUES, Grid, PhysicalParams, VerificationReport
 
 _UNIT = PhysicalParams(mass=1.0, hbar=1.0, alpha=1.0, omega=1.0)
-_NUS = (0.25, 0.75)
 
 
 def _report(name: str, residual: float, tolerance: float,
@@ -38,7 +37,7 @@ def suite_identities(tol: float | None = None) -> list[VerificationReport]:
     ys = np.linspace(0.25, 25.0, 100)
     worst = 0.0
     for n in range(11):
-        for s in (0.0, 0.5):
+        for s in S_VALUES:
             for y in ys:
                 scale = abs(specfun.hermite(2 * n + int(2 * s), math.sqrt(y)))
                 r = specfun.hermite_kummer_residual(n, s, float(y))
@@ -65,7 +64,7 @@ def suite_identities(tol: float | None = None) -> list[VerificationReport]:
 
     worst = 0.0
     for n in range(11):
-        for nu in _NUS:
+        for nu in NU_VALUES:
             for y in np.linspace(0.5, 20.0, 40):
                 f = specfun.kummer_series(-float(n), 2.0 * nu, float(y))
                 lag = specfun.laguerre(n, 2.0 * nu - 1.0, float(y))
@@ -77,7 +76,7 @@ def suite_identities(tol: float | None = None) -> list[VerificationReport]:
     out.append(_report("confluent polynomial vs Laguerre, n <= 10", worst, 1e-12, tol))
 
     worst = 0.0
-    for nu in _NUS:
+    for nu in NU_VALUES:
         for y in (0.5, 1.0, 2.5, 7.0):
             got = anyon.extended_wavefunction(3, nu, _UNIT, -y) \
                 / anyon.extended_wavefunction(3, nu, _UNIT, y)
@@ -93,7 +92,7 @@ def suite_normalization(tol: float | None = None) -> list[VerificationReport]:
     out = []
 
     worst = 0.0
-    for nu in _NUS:
+    for nu in NU_VALUES:
         for n in range(11):
             p = _UNIT.with_omega(duality.dual_frequency(n, nu, _UNIT))
             norm = oracle.quadrature(
@@ -120,7 +119,7 @@ def suite_normalization(tol: float | None = None) -> list[VerificationReport]:
     out.append(_report("oscillator <u^2> vs closed form", worst, 1e-9, tol))
 
     worst = 0.0
-    for nu in _NUS:
+    for nu in NU_VALUES:
         p = _UNIT.with_omega(duality.dual_frequency(2, nu, _UNIT))
         norm = oracle.quadrature(
             lambda y: abs(anyon.extended_wavefunction(2, nu, p, y)) ** 2,
@@ -136,7 +135,7 @@ def suite_duality(tol: float | None = None) -> list[VerificationReport]:
     out = []
 
     worst = 0.0
-    for nu in _NUS:
+    for nu in NU_VALUES:
         for n in range(21):
             eps = anyon.energy(n, nu, _UNIT)
             omega = duality.dual_frequency(n, nu, _UNIT)
@@ -146,13 +145,13 @@ def suite_duality(tol: float | None = None) -> list[VerificationReport]:
                        worst, 1e-14, tol))
 
     worst = max(duality.constant_equality_residual(n, nu)
-                for nu in _NUS for n in range(21))
+                for nu in NU_VALUES for n in range(21))
     out.append(_report("normalization constant equality, n <= 20", worst, 1e-11, tol))
 
     worst = 0.0
     xs = np.linspace(0.01, 15.0, 1500)
     for n in range(6):
-        for s in (0.0, 0.5):
+        for s in S_VALUES:
             nu = s + 0.25
             p = _UNIT.with_omega(duality.dual_frequency(n, nu, _UNIT))
             direct = anyon.wavefunction(n, nu, p, xs)
@@ -164,13 +163,13 @@ def suite_duality(tol: float | None = None) -> list[VerificationReport]:
 
     grid = Grid(0.05, 18.0, 7001)
     worst = max(duality.reduction_chain_residual(n, s, _UNIT, grid)
-                for n in (0, 2) for s in (0.0, 0.5))
+                for n in (0, 2) for s in S_VALUES)
     out.append(_report("variable-change chain solves the dual equation",
                        worst, 1e-5, tol))
 
     worst = 0.0
     for n in (0, 3):
-        for nu in _NUS:
+        for nu in NU_VALUES:
             alpha, eps = 1.0, anyon.energy(n, nu, _UNIT)
             e_osc, omega = duality.to_oscillator_params(alpha, eps, _UNIT)
             alpha2, eps2 = duality.to_anyon_params(e_osc, omega, _UNIT)
@@ -185,7 +184,7 @@ def suite_oracle(tol: float | None = None) -> list[VerificationReport]:
     out = []
 
     worst = 0.0
-    for nu in _NUS:
+    for nu in NU_VALUES:
         brackets = oracle.scan_level_brackets(nu, _UNIT, 3)
         for n, bracket in enumerate(brackets):
             cfg = oracle.shooting_config_for_level(nu, _UNIT, n, bracket)
@@ -209,7 +208,7 @@ def suite_oracle(tol: float | None = None) -> list[VerificationReport]:
                        abs(got - math.sqrt(math.pi)), 1e-10, tol))
 
     worst = 0.0
-    for nu in _NUS:
+    for nu in NU_VALUES:
         for n in (0, 1, 4, 8):
             two_nu = 2.0 * nu
             val = oracle.quadrature(
@@ -227,17 +226,15 @@ def suite_oracle(tol: float | None = None) -> list[VerificationReport]:
         p = _UNIT.with_omega(duality.dual_frequency(n, nu, _UNIT))
         xs = grid.points()
         phi = anyon.wavefunction(n, nu, p, xs)
-        samples = list(zip(xs.tolist(), phi.tolist()))
         eps = detune * anyon.energy(n, nu, p)
-        return oracle.ode_residual(samples, lambda x: anyon.potential(x, nu, p),
+        return oracle.ode_residual(xs, phi, lambda x: anyon.potential(x, nu, p),
                                    eps, p)
 
     def osc_residual(big_n, detune=1.0):
         us = Grid(0.1, 6.0, 5901).points()
         psi = oscillator.wavefunction(big_n, _UNIT, us)
-        samples = list(zip(us.tolist(), psi.tolist()))
         pot = lambda u: 0.5 * _UNIT.mass * _UNIT.require_omega() ** 2 * u * u
-        return oracle.ode_residual(samples, pot,
+        return oracle.ode_residual(us, psi, pot,
                                    detune * oscillator.energy(big_n, _UNIT),
                                    _UNIT)
 
@@ -246,7 +243,7 @@ def suite_oracle(tol: float | None = None) -> list[VerificationReport]:
     # 1e-3 keeps the fourth-order truncation error of the stencil well
     # below tolerance even at the steep x^(nu - 6) left edge.
     worst = 0.0
-    for nu in _NUS:
+    for nu in NU_VALUES:
         for n in (0, 1, 3, 5):
             worst = max(worst, anyon_residual(n, nu, Grid(0.05, 20.0, 19951)))
     for big_n in (0, 1, 5):
@@ -262,7 +259,7 @@ def suite_oracle(tol: float | None = None) -> list[VerificationReport]:
     perturbed_min = min(perturbed_min,
                         anyon_residual(0, 0.25, Grid(0.1, 10.0, 9901),
                                        detune=1.01))
-    for nu in _NUS:
+    for nu in NU_VALUES:
         for n in (0, 1, 3, 5):
             x_turn = 2.0 * (n + nu) ** 2 * _UNIT.hbar ** 2 / (
                 _UNIT.mass * _UNIT.require_alpha())

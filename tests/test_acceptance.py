@@ -146,8 +146,8 @@ def _anyon_residual(n, nu, grid, detune=1.0):
     xs = grid.points()
     phi = anyon.wavefunction(n, nu, p, xs)
     eps = detune * anyon.energy(n, nu, p)
-    return oracle.ode_residual(list(zip(xs.tolist(), phi.tolist())),
-                               lambda x: anyon.potential(x, nu, p), eps, p)
+    return oracle.ode_residual(xs, phi, lambda x: anyon.potential(x, nu, p),
+                               eps, p)
 
 
 def _osc_residual(big_n, detune=1.0):
@@ -155,7 +155,7 @@ def _osc_residual(big_n, detune=1.0):
     us = Grid(0.1, 6.0, 5901).points()
     psi = oscillator.wavefunction(big_n, unit, us)
     pot = lambda u: 0.5 * u * u
-    return oracle.ode_residual(list(zip(us.tolist(), psi.tolist())), pot,
+    return oracle.ode_residual(us, psi, pot,
                                detune * oscillator.energy(big_n, unit), unit)
 
 

@@ -123,16 +123,17 @@ def test_orthogonality_at_fixed_nu():
 
 
 def test_far_tail_underflows_to_exact_zero():
-    # Far enough out that even the log-space branch is below the
-    # smallest subnormal, the sampled value is exactly 0.0 by contract.
+    # Far enough out that the true value is below the smallest
+    # subnormal, the sampled value is exactly 0.0 by contract.
     b = anyon.beta(0, 0.25, UNIT)
     x = 1600.0 / b
     assert anyon.wavefunction(0, 0.25, UNIT, x) == 0.0
 
 
-def test_log_branch_joins_smoothly():
-    # Sample across the switch to log-space evaluation; both branches
-    # must agree with the analytic ground-state form C y^nu e^(-y/2).
+def test_deep_tail_matches_ground_state_form():
+    # Around y = 700, where e^(-y/2) alone nears the smallest normal
+    # float, the value must still follow the analytic ground-state form
+    # C y^nu e^(-y/2) to full relative precision.
     b = anyon.beta(0, 0.25, UNIT)
     log_c = anyon.log_normalization(0, 0.25, UNIT)
     xs = np.array([696.0, 698.0, 700.0, 702.0, 704.0]) / b

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from anyon1d.core import (
     Grid,
     PhysicalParams,
-    SpectrumEntry,
     VerificationReport,
-    WaveSample,
     make_state,
     state_from_nu,
     validate_params,
@@ -108,25 +106,6 @@ def test_grid_validation():
     # (the parity-extended function lives on the full line).
     Grid(0.0, 1.0, 3)
     Grid(-2.0, 2.0, 8)
-
-
-def test_wave_sample_is_position_value_pair():
-    sample = WaveSample(0.5, 1.0 + 2.0j)
-    assert sample.position == 0.5
-    assert sample.value == 1.0 + 2.0j
-
-
-def test_spectrum_entry_validation():
-    entry = SpectrumEntry(0, -8.0, "analytic")
-    assert entry.residual is None
-    entry = SpectrumEntry(1, -0.32, "oracle", residual=1e-9)
-    assert entry.residual == 1e-9
-    with pytest.raises(ValueError):
-        SpectrumEntry(0, -8.0, "guess")
-    with pytest.raises(ValueError):
-        SpectrumEntry(-1, -8.0, "analytic")
-    with pytest.raises(ValueError):
-        SpectrumEntry(0, -8.0, "oracle", residual=-1e-9)
 
 
 def test_verification_report_pass_is_derived():

@@ -2,7 +2,8 @@
 
 The sweep runs to N = 400 on u in [0, 45] and to n = 100 with y = beta x
 up to 5000, well past the classical turning points, so every state is
-followed from its oscillating region down to exact underflow.
+followed from its oscillating region deep into its tail, to exact
+underflow wherever the window reaches it.
 """
 
 import warnings
@@ -93,3 +94,19 @@ def test_extended_wavefunction_accepts_arrays(nu):
         assert np.all(np.isfinite(values))
         assert values.tolist() == [anyon.extended_wavefunction(n, nu, UNIT, y)
                                    for y in ys.tolist()]
+
+
+def test_domain_ends_underflow_and_beyond_them_raise():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x_max = 1e150 / anyon.beta(100, 0.75, UNIT)
+        assert anyon.wavefunction(100, 0.75, UNIT, np.array([x_max])).tolist() == [0.0]
+        assert oscillator.wavefunction(400, UNIT, 1e150) == 0.0
+        assert anyon.extended_wavefunction(100, 0.25, UNIT, -1e150) == 0.0
+    for bad in (np.nan, np.inf, 1e200):
+        with pytest.raises(ValueError, match="x must lie"):
+            anyon.wavefunction(3, 0.25, UNIT, bad)
+        with pytest.raises(ValueError, match="u must lie"):
+            oscillator.wavefunction(3, UNIT, np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            anyon.extended_wavefunction(3, 0.25, UNIT, np.array([1.0, -bad]))

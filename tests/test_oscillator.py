@@ -78,9 +78,7 @@ def test_schroedinger_residual_on_interior_window():
     us = Grid(0.1, 6.0, 5901).points()
     for big_n in (0, 3, 6):
         psi = oscillator.wavefunction(big_n, p, us)
-        samples = list(zip(us.tolist(), psi.tolist()))
-        res = oracle.ode_residual(samples,
-                                  lambda u: 0.5 * u * u,
+        res = oracle.ode_residual(us, psi, lambda u: 0.5 * u * u,
                                   oscillator.energy(big_n, p), p)
         assert res <= 1e-6
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from anyon1d import specfun
 from anyon1d.core import ConvergenceError
 from anyon1d.specfun import (
-    KummerParams,
     duplication_residual,
     hermite,
     hermite_kummer_residual,
@@ -74,16 +73,6 @@ def test_duplication_residual_examples():
                    allow_nan=False, allow_infinity=False))
 def test_duplication_residual_property(z):
     assert duplication_residual(z) < 1e-12
-
-
-def test_kummer_params_validation():
-    KummerParams(0.3, 0.8, 40.0)
-    with pytest.raises(ValueError):
-        KummerParams(0.3, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        KummerParams(0.3, -2.0, 1.0)
-    with pytest.raises(ValueError):
-        KummerParams(math.inf, 1.0, 1.0)
 
 
 def test_kummer_series_examples():
