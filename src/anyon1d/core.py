@@ -43,7 +43,12 @@ def check_s(s) -> None:
         raise ValueError(f"s must be 0 or 1/2, got {s!r}")
 
 
-def _positive_number(value, name: str) -> None:
+def check_positive(value, name: str) -> None:
+    """Raise ValueError naming the argument unless value is a finite
+    int or float > 0.
+
+    bool is rejected although it subclasses int.
+    """
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not ok or not math.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
@@ -89,12 +94,12 @@ def validate_params(p: PhysicalParams) -> None:
 
     Raises ValueError naming the offending field.
     """
-    _positive_number(p.mass, "mass")
-    _positive_number(p.hbar, "hbar")
+    check_positive(p.mass, "mass")
+    check_positive(p.hbar, "hbar")
     if p.alpha is not None:
-        _positive_number(p.alpha, "coupling alpha")
+        check_positive(p.alpha, "coupling alpha")
     if p.omega is not None:
-        _positive_number(p.omega, "frequency omega")
+        check_positive(p.omega, "frequency omega")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ It offers four ways to check them from first principles:
 * adaptive Gauss-Kronrod quadrature (norms, moments, overlaps),
 * a finite-difference residual of the governing second-order equation,
 * a Sturm-sequence bisection eigensolver for the oscillator on a box,
-* a shooting eigensolver for the attractive half-line problem.
+  whose levels share one record of Sturm counts,
+* a shooting eigensolver for the attractive half-line problem, whose
+  RK4 steps are 2x2 propagators multiplied pairwise with numpy.
 
 All routines are deterministic: fixed node tables, fixed refinement
 rules, fixed step-size policies.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, PhysicalParams, check_index, check_nu
+from .core import ConvergenceError, PhysicalParams, check_index, check_nu, check_positive
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1]; abscissas and
 # weights are the standard published values.
@@ -196,15 +198,13 @@ def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> fl
 def _sturm_count(diag: list, offsq: float, lam: float) -> int:
     """Number of eigenvalues of the tridiagonal matrix below lam."""
     count = 0
-    q = 1.0
-    first = True
+    q = math.inf                 # offsq / inf = 0 leaves the first pivot d - lam
     for d in diag:
-        q = d - lam if first else d - lam - offsq / q
-        first = False
-        if abs(q) < 1e-290:
-            q = -1e-290
-        if q < 0.0:
+        q = d - lam - offsq / q
+        if q < 1e-290:           # negative, or too small to divide by
             count += 1
+            if q > -1e-290:
+                q = -1e-290
     return count
 
 
@@ -213,21 +213,23 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     """Lowest eigenvalues of the oscillator on [-L, L] with walls.
 
     Three-point finite differences on a uniform grid of the given total
-    point count (walls included) give a symmetric tridiagonal matrix;
-    its eigenvalues are pinned one at a time by bisection on the Sturm
-    sign-change count.  The discretization error is O(h^2).
+    point count (walls included) give a symmetric tridiagonal matrix.
+    Every level is bisected on the Sturm sign-change count inside the
+    Gershgorin interval, and all levels share one record of the counts:
+    each bisection walks the same dyadic subdivision of that interval,
+    so a level reuses every midpoint an earlier level already counted
+    and gets exactly the value a bisection of its own would give.  The
+    discretization error is O(h^2).
     """
     omega = p.require_omega()
-    if not (isinstance(box_halfwidth, (int, float)) and box_halfwidth > 0
-            and math.isfinite(box_halfwidth)):
-        raise ValueError(f"box halfwidth must be positive, got {box_halfwidth!r}")
-    if not isinstance(points, int) or points < 100:
-        raise ValueError(f"point count must be an integer >= 100, got {points!r}")
-    if not isinstance(count, int) or not 1 <= count <= 20:
+    check_positive(box_halfwidth, "box halfwidth")
+    check_index(points, "point count")
+    if points < 100:
+        raise ValueError(f"point count must be >= 100, got {points!r}")
+    check_index(count, "eigenvalue count")
+    if not 1 <= count <= 20:
         raise ValueError(f"eigenvalue count must be in 1..20, got {count!r}")
     interior = points - 2
-    if count > interior:
-        raise ValueError(f"grid too small: {points} points for {count} eigenvalues")
     h = 2.0 * box_halfwidth / (points - 1)
     xs = np.linspace(-box_halfwidth + h, box_halfwidth - h, interior)
     kinetic = p.hbar ** 2 / (p.mass * h * h)
@@ -237,6 +239,7 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     diag = diag_arr.tolist()
     lo0 = float(diag_arr.min()) - 2.0 * abs(off)
     hi0 = float(diag_arr.max()) + 2.0 * abs(off)
+    counts: dict[float, int] = {}      # Sturm count at every probed midpoint
     out = []
     for k in range(1, count + 1):
         lo, hi = lo0, hi0
@@ -244,7 +247,10 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
             mid = 0.5 * (lo + hi)
             if hi - lo <= 1e-13 * max(1.0, abs(mid)):
                 break
-            if _sturm_count(diag, offsq, mid) >= k:
+            below = counts.get(mid)
+            if below is None:
+                below = counts[mid] = _sturm_count(diag, offsq, mid)
+            if below >= k:
                 hi = mid
             else:
                 lo = mid
@@ -289,14 +295,14 @@ class ShootingConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
-def _segments(p: PhysicalParams, cfg: ShootingConfig, lo_x: float, hi_x: float,
-              eps_floor: float) -> list[tuple[float, list, list]]:
-    """Constant-step runs covering [lo_x, hi_x] with precomputed potential.
+def _steps(p: PhysicalParams, cfg: ShootingConfig, lo_x: float, hi_x: float,
+           eps_floor: float) -> np.ndarray:
+    """RK4 steps covering [lo_x, hi_x], as the rows (h, v_start, v_mid, v_end).
 
     Step doubles per octave of x (anchored at x_start) and is capped so
-    h times the largest local wavenumber stays below 0.05.  Each entry
-    is (h, node_values, midpoint_values) of the epsilon-free part of
-    the coefficient g(x) = c2*(V(x) - eps) = vpart(x) - c2*eps.
+    h times the largest local wavenumber stays below 0.05.  v is the
+    epsilon-free part of the coefficient g(x) = c2*(V(x) - eps) =
+    vpart(x) - c2*eps at the start, midpoint and end of each step.
     """
     alpha = p.require_alpha()
     c2 = 2.0 * p.mass / p.hbar ** 2
@@ -306,7 +312,7 @@ def _segments(p: PhysicalParams, cfg: ShootingConfig, lo_x: float, hi_x: float,
     def vpart(x):
         return -c2 * alpha / x - vcoef / (x * x)
 
-    segs = []
+    steps, counts, starts, ends = [], [], [], []
     a = lo_x
     j = max(0, int(math.floor(math.log2(lo_x / cfg.x_start))))
     while a < hi_x:
@@ -319,73 +325,70 @@ def _segments(p: PhysicalParams, cfg: ShootingConfig, lo_x: float, hi_x: float,
         m = max(1, int(math.ceil((edge - a) / h)))
         h = (edge - a) / m
         nodes = a + h * np.arange(m + 1)
-        mids = nodes[:-1] + 0.5 * h
-        segs.append((h, vpart(nodes).tolist(), vpart(mids).tolist()))
+        steps.append(h)
+        counts.append(m)
+        starts.append(nodes[:-1])
+        ends.append(nodes[1:])
         a = edge
         j += 1
-    return segs
+    h = np.repeat(steps, counts)
+    x0 = np.concatenate(starts)
+    return np.stack([h, vpart(x0), vpart(x0 + 0.5 * h), vpart(np.concatenate(ends))])
 
 
-def _propagate(segs, ce: float, phi: float, dphi: float,
-               backward: bool) -> tuple[float, float, int]:
-    """RK4 sweep of phi'' = (vpart - ce) phi across precomputed segments.
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a_i b_i of 2x2 matrices stored entry-first, shape (2, 2, ...)."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
-    Returns the final (phi, phi', node count).  The state is rescaled
-    whenever it grows huge; only ratios and sign changes matter.
-    """
-    nodes = 0
-    seq = reversed(segs) if backward else segs
-    for h, vn, vm in seq:
-        if backward:
-            vn = vn[::-1]
-            vm = vm[::-1]
-            h = -h
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        for i in range(len(vm)):
-            g0 = vn[i] - ce
-            gm = vm[i] - ce
-            g1 = vn[i + 1] - ce
-            k1f = dphi
-            k1p = g0 * phi
-            f2 = phi + h2 * k1f
-            k2p = gm * f2
-            k2f = dphi + h2 * k1p
-            f3 = phi + h2 * k2f
-            k3p = gm * f3
-            k3f = dphi + h2 * k2p
-            f4 = phi + h * k3f
-            k4p = g1 * f4
-            k4f = dphi + h * k3p
-            new_phi = phi + h6 * (k1f + 2.0 * (k2f + k3f) + k4f)
-            dphi = dphi + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-            if new_phi * phi < 0.0:
-                nodes += 1
-            phi = new_phi
-        big = max(abs(phi), abs(dphi))
-        if big > 1e250:
-            phi /= big
-            dphi /= big
-    return phi, dphi, nodes
+
+def _rescaled(m: np.ndarray) -> np.ndarray:
+    """Each matrix of m divided by the power of two that brings its
+    largest entry into [0.5, 1): exact, and it keeps every sign."""
+    return np.ldexp(m, -np.frexp(np.abs(m).max(axis=(0, 1)))[1])
 
 
 class _ShootingRun:
-    """Precomputed integration tables for one config; reused per energy."""
+    """The RK4 step table of one config; reused for every energy.
+
+    The ODE phi'' = g(x) phi is linear, so one RK4 step of length h is
+    a 2x2 propagator of (phi, phi') whose entries are polynomials in h
+    and in the values a, b, c of g at the start, midpoint and end of the
+    step (see _propagators).  Row 0 of the table is the outward sweep
+    x_start -> x_match, row 1 the inward sweep x_end -> x_match (h < 0);
+    both are padded to one power-of-two length with h = 0 steps, whose
+    propagator is exactly the identity.
+    """
 
     def __init__(self, cfg: ShootingConfig, p: PhysicalParams):
         self.cfg = cfg
         self.p = p
         self.c2 = 2.0 * p.mass / p.hbar ** 2
         lo = cfg.energy_bracket[0]
-        self.out_segs = _segments(p, cfg, cfg.x_start, cfg.x_match, lo)
-        self.in_segs = _segments(p, cfg, cfg.x_match, cfg.x_end, lo)
+        out = _steps(p, cfg, cfg.x_start, cfg.x_match, lo)
+        h, v_start, v_mid, v_end = _steps(p, cfg, cfg.x_match, cfg.x_end, lo)[:, ::-1]
+        inward = np.stack([-h, v_end, v_mid, v_start])
+        width = 1 << (max(out.shape[1], inward.shape[1]) - 1).bit_length()
+        table = np.zeros((4, 2, width))
+        table[:, 0, :out.shape[1]] = out
+        table[:, 1, :inward.shape[1]] = inward
+        self.h = table[0]
+        self.v = table[1:]
 
-    def mismatch(self, eps: float) -> tuple[float, int]:
-        """Scaled Wronskian of the outward and inward solutions at x_match.
+    def _propagators(self, eps: float) -> np.ndarray:
+        """Every step's RK4 propagator at eps, shape (2, 2, 2, width)."""
+        h = self.h
+        a, b, c = self.v - self.c2 * eps
+        h2 = h * h
+        m = np.empty((2, 2) + h.shape)
+        m[0, 0] = 1.0 + h2 * (a + 2.0 * b) / 6.0 + h2 * h2 * a * b / 24.0
+        m[0, 1] = h + h2 * h * b / 6.0
+        m[1, 0] = h / 6.0 * (a + 4.0 * b + c + h2 * b * (a + c) / 2.0)
+        m[1, 1] = 1.0 + h2 * (2.0 * b + c) / 6.0 + h2 * h2 * b * c / 24.0
+        return m
 
-        Zero exactly at eigenvalues; its sign flips when eps crosses one.
-        Also returns the total interior node count of the matched shape.
-        """
+    def _starts(self, eps: float) -> np.ndarray:
+        """Starting values: row 0 is phi, row 1 phi'; column 0 starts the
+        outward sweep at x_start, column 1 the inward sweep at x_end."""
         cfg = self.cfg
         p = self.p
         ce = self.c2 * eps
@@ -400,16 +403,51 @@ class _ShootingRun:
         phi0 = x0 ** nu * (1.0 + x0 * (c1 + x0 * c2_))
         dphi0 = x0 ** (nu - 1.0) * (nu + x0 * ((nu + 1.0) * c1
                                                + x0 * (nu + 2.0) * c2_))
-        left, dleft, n_left = _propagate(self.out_segs, ce, phi0, dphi0, False)
         kappa = math.sqrt(-2.0 * p.mass * eps) / p.hbar
         slope = -kappa + p.mass * p.require_alpha() / (p.hbar ** 2 * kappa * cfg.x_end)
-        right, dright, n_right = _propagate(self.in_segs, ce, 1.0, slope, True)
+        return np.array([[phi0, 1.0], [dphi0, slope]])
+
+    def mismatch(self, eps: float) -> float:
+        """Scaled Wronskian of the outward and inward solutions at x_match.
+
+        Zero exactly at eigenvalues; its sign flips when eps crosses one.
+        The step propagators are multiplied pairwise, log2(width) passes
+        in all, and every product is rescaled by a power of two; the
+        scaled Wronskian is homogeneous in each solution, so the
+        rescaling cannot change it.
+        """
+        m = self._propagators(eps)
+        while m.shape[-1] > 1:
+            m = _rescaled(_matmul(m[..., 1::2], m[..., 0::2]))
+        start = self._starts(eps)
+        (left, right), (dleft, dright) = m[:, 0, :, 0] * start[0] + m[:, 1, :, 0] * start[1]
         w = dleft * right - left * dright
         norm = math.sqrt((left * left + dleft * dleft)
                          * (right * right + dright * dright))
         if norm == 0.0:
             raise ConvergenceError("shooting state collapsed to zero")
-        return w / norm, n_left + n_right
+        return float(w / norm)
+
+    def nodes(self, eps: float) -> int:
+        """Interior node count of the matched shape at eps: the sign
+        changes of phi across the step ends of both sweeps.
+
+        phi at every step end comes from the prefix products of the
+        propagators, formed by doubling; each prefix is rescaled by a
+        positive power of two, which keeps the signs.
+        """
+        m = self._propagators(eps)
+        width = m.shape[-1]
+        d = 1
+        while d < width:
+            m[..., d:] = _rescaled(_matmul(m[..., d:], m[..., :-d]))
+            d *= 2
+        start = self._starts(eps)
+        phi = np.concatenate([start[0][:, None],
+                              m[0, 0] * start[0][:, None] + m[0, 1] * start[1][:, None]],
+                             axis=1)
+        sign = np.sign(phi)
+        return int(np.count_nonzero(sign[:, 1:] * sign[:, :-1] < 0))
 
 
 def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
@@ -423,8 +461,8 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     check_index(n, "node count n")
     run = _ShootingRun(cfg, p)
     lo, hi = cfg.energy_bracket
-    w_lo, _ = run.mismatch(lo)
-    w_hi, _ = run.mismatch(hi)
+    w_lo = run.mismatch(lo)
+    w_hi = run.mismatch(hi)
     if w_lo == 0.0:
         eps = lo
     elif w_hi == 0.0:
@@ -438,7 +476,7 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
             mid = 0.5 * (lo + hi)
             if hi - lo <= cfg.tolerance * abs(mid):
                 break
-            w_mid, _ = run.mismatch(mid)
+            w_mid = run.mismatch(mid)
             if w_mid == 0.0:
                 lo = hi = mid
                 break
@@ -447,7 +485,7 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
             else:
                 hi = mid
         eps = 0.5 * (lo + hi)
-    _, found = run.mismatch(eps)
+    found = run.nodes(eps)
     if found != n:
         raise ConvergenceError(
             f"shooting converged to a state with {found} nodes, expected {n}")
@@ -480,11 +518,17 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int,
     Walks the energy axis geometrically upward from well below the
     deepest possible bound state and records every sign change of the
     shooting mismatch.  Needs no prior knowledge of the spectrum; the
-    scan ratio keeps consecutive levels separated for n_max <= 20.
+    default scan ratio keeps consecutive levels separated for
+    n_max <= 20.  ratio must be a finite number > 1, or the walk would
+    never reach the top of the spectrum.
     """
     check_nu(nu)
-    if not isinstance(n_max, int) or not 0 <= n_max <= 20:
-        raise ValueError(f"n_max must be an integer in 0..20, got {n_max!r}")
+    check_index(n_max, "n_max")
+    if n_max > 20:
+        raise ValueError(f"n_max must be in 0..20, got {n_max!r}")
+    check_positive(ratio, "scan ratio")
+    if not ratio > 1:
+        raise ValueError(f"scan ratio must be > 1, got {ratio!r}")
     alpha = p.require_alpha()
     scale = p.mass * alpha * alpha / (2.0 * p.hbar ** 2)
     eps = -1.35 * scale / (nu * nu)      # strictly below the deepest level
@@ -494,7 +538,7 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int,
     prev_sign = None
     while eps < floor_stop and len(brackets) <= n_max:
         cfg = probe_config(nu, p, eps)
-        w, _ = _ShootingRun(cfg, p).mismatch(eps)
+        w = _ShootingRun(cfg, p).mismatch(eps)
         sign = w > 0
         if prev_sign is not None and sign != prev_sign:
             brackets.append((prev_eps, eps))

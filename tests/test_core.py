@@ -11,6 +11,7 @@ from anyon1d.core import (
     Grid,
     PhysicalParams,
     VerificationReport,
+    check_positive,
     make_state,
     state_from_nu,
     validate_params,
@@ -52,6 +53,14 @@ def test_state_from_nu():
     assert state_from_nu(2, 0.75).N == 5
     with pytest.raises(ValueError):
         state_from_nu(2, 0.3)
+
+
+def test_check_positive_takes_finite_positive_numbers_only():
+    check_positive(1, "x")
+    check_positive(2.5, "x")
+    for bad in (0, -1.0, math.nan, math.inf, True, "1", None):
+        with pytest.raises(ValueError, match="x must be a positive finite number"):
+            check_positive(bad, "x")
 
 
 def test_validate_params_accepts_unit_system():

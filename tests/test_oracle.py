@@ -1,15 +1,33 @@
 """Independent numerical machinery: quadrature, residuals, eigensolvers."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anyon1d import anyon, duality, oracle, oscillator
-from anyon1d.core import ConvergenceError, Grid, PhysicalParams
+from anyon1d.core import NU_VALUES, ConvergenceError, Grid, PhysicalParams
 
 UNIT = PhysicalParams(1.0, 1.0, alpha=1.0, omega=1.0)
+
+# Shooting eigenvalues with mass = hbar = alpha = 1, n = 0..12, as the
+# scalar step-by-step RK4 integrator gave them before the propagator
+# products replaced it.
+SHOOTING_LEVELS = {
+    0.25: [-8.000000528788707, -0.32000000409651824, -0.09876543232829946,
+           -0.04733727790885933, -0.027681660643262888, -0.018140589343927226,
+           -0.012799999816707708, -0.009512484980325392, -0.007346189029460052,
+           -0.005843681406183987, -0.0047590718863550485, -0.003950617201717544,
+           -0.003331944950413749],
+    0.75: [-0.8888888887609462, -0.16326530559041585, -0.06611570192190028,
+           -0.0355555550978283, -0.022160664478748135, -0.01512287307807822,
+           -0.010973936689907895, -0.008324661634867102, -0.006530612103790436,
+           -0.005259697451513502, -0.0043266629607003814, -0.003621548125722652,
+           -0.003075740025513468],
+}
 
 
 def test_quadrature_polynomial():
@@ -121,6 +139,69 @@ def test_fd_spectrum_input_validation():
         oracle.fd_oscillator_spectrum(UNIT, -1.0, 2001, 1)
 
 
+def test_fd_spectrum_domain_edges():
+    assert len(oracle.fd_oscillator_spectrum(UNIT, 10.0, 100, 20)) == 20
+    with pytest.raises(ValueError, match="point count"):
+        oracle.fd_oscillator_spectrum(UNIT, 10.0, 99, 1)
+    for box in (0.0, math.nan, math.inf, "10"):
+        with pytest.raises(ValueError, match="box halfwidth"):
+            oracle.fd_oscillator_spectrum(UNIT, box, 2001, 1)
+
+
+def test_fd_spectrum_rejects_bool_arguments():
+    with pytest.raises(ValueError, match="eigenvalue count"):
+        oracle.fd_oscillator_spectrum(UNIT, 10.0, 2001, True)
+    with pytest.raises(ValueError, match="box halfwidth"):
+        oracle.fd_oscillator_spectrum(UNIT, True, 2001, 1)
+    with pytest.raises(ValueError, match="point count"):
+        oracle.fd_oscillator_spectrum(UNIT, 10.0, True, 1)
+
+
+def _sturm_count_reference(diag, offsq, lam):
+    count = 0
+    q = 1.0
+    first = True
+    for d in diag:
+        q = d - lam if first else d - lam - offsq / q
+        first = False
+        if abs(q) < 1e-290:
+            q = -1e-290
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def _fd_spectrum_reference(p, box_halfwidth, points, count):
+    """Each level bisected on its own from the full Gershgorin interval."""
+    h = 2.0 * box_halfwidth / (points - 1)
+    xs = np.linspace(-box_halfwidth + h, box_halfwidth - h, points - 2)
+    kinetic = p.hbar ** 2 / (p.mass * h * h)
+    diag_arr = kinetic + 0.5 * p.mass * p.omega ** 2 * xs * xs
+    off = -0.5 * kinetic
+    diag = diag_arr.tolist()
+    lo0 = float(diag_arr.min()) - 2.0 * abs(off)
+    hi0 = float(diag_arr.max()) + 2.0 * abs(off)
+    out = []
+    for k in range(1, count + 1):
+        lo, hi = lo0, hi0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= 1e-13 * max(1.0, abs(mid)):
+                break
+            if _sturm_count_reference(diag, off * off, mid) >= k:
+                hi = mid
+            else:
+                lo = mid
+        out.append(0.5 * (lo + hi))
+    return out
+
+
+@pytest.mark.parametrize("points, count", [(2001, 5), (4433, 20)])
+def test_fd_spectrum_shared_probes_change_no_bit(points, count):
+    assert (oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
+            == _fd_spectrum_reference(UNIT, 10.0, points, count))
+
+
 def test_shooting_config_validation():
     good = dict(nu=0.25, x_start=1e-4, x_match=0.1, x_end=30.0, step=1e-5,
                 energy_bracket=(-9.0, -7.0))
@@ -147,12 +228,58 @@ def _level_config(nu: float, n: int) -> oracle.ShootingConfig:
 
 def test_shooting_reproduces_lowest_levels():
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
-    for nu in (0.25, 0.75):
-        for n in range(3):
-            cfg = _level_config(nu, n)
+    for nu in NU_VALUES:
+        brackets = oracle.scan_level_brackets(nu, p, 12)
+        for n, bracket in enumerate(brackets):
+            cfg = oracle.shooting_config_for_level(nu, p, n, bracket)
             got = oracle.shoot_anyon_energy(cfg, p, n)
             expected = anyon.energy(n, nu, p)
             assert abs(got - expected) <= 1e-5 * abs(expected)
+            assert math.isclose(got, SHOOTING_LEVELS[nu][n], rel_tol=1e-12, abs_tol=0.0)
+
+
+def _rk4_reference(run, eps):
+    """Scaled mismatch and node count from a plain step-by-step RK4 sweep
+    of phi'' = (v - c2 eps) phi over the run's own step table."""
+    ce = run.c2 * eps
+    start = run._starts(eps)
+    ends = []
+    nodes = 0
+    for row in range(2):
+        phi, dphi = start[:, row].tolist()
+        va, vb, vc = run.v[:, row].tolist()
+        for h, g0, gm, g1 in zip(run.h[row].tolist(), va, vb, vc):
+            g0, gm, g1 = g0 - ce, gm - ce, g1 - ce
+            k1f, k1p = dphi, g0 * phi
+            k2f, k2p = dphi + 0.5 * h * k1p, gm * (phi + 0.5 * h * k1f)
+            k3f, k3p = dphi + 0.5 * h * k2p, gm * (phi + 0.5 * h * k2f)
+            k4f, k4p = dphi + h * k3p, g1 * (phi + h * k3f)
+            new_phi = phi + h / 6.0 * (k1f + 2.0 * (k2f + k3f) + k4f)
+            dphi = dphi + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
+            if new_phi * phi < 0.0:
+                nodes += 1
+            phi = new_phi
+            big = max(abs(phi), abs(dphi))
+            if big > 1e250:
+                phi, dphi = phi / big, dphi / big
+        ends.append((phi, dphi))
+    (left, dleft), (right, dright) = ends
+    norm = math.hypot(left, dleft) * math.hypot(right, dright)
+    return (dleft * right - left * dright) / norm, nodes
+
+
+@pytest.mark.parametrize("nu", NU_VALUES)
+def test_propagator_products_match_sequential_rk4(nu):
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    brackets = oracle.scan_level_brackets(nu, p, 20)
+    for n in (0, 5, 12, 20):
+        lo, hi = brackets[n]
+        run = oracle._ShootingRun(
+            oracle.shooting_config_for_level(nu, p, n, brackets[n]), p)
+        for eps in np.linspace(lo, hi, 5).tolist():
+            mismatch, nodes = _rk4_reference(run, eps)
+            assert abs(run.mismatch(eps) - mismatch) <= 1e-10
+            assert run.nodes(eps) == nodes
 
 
 def test_shooting_boundary_exponent_is_the_only_difference():
@@ -206,6 +333,35 @@ def test_shooting_is_deterministic():
     first = oracle.shoot_anyon_energy(cfg, p, 1)
     second = oracle.shoot_anyon_energy(cfg, p, 1)
     assert first == second
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.5, 0.0, -1.08, math.nan, math.inf, True, "1.08"])
+def test_scan_ratio_must_be_a_finite_number_above_one(ratio):
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    with pytest.raises(ValueError, match="scan ratio"):
+        oracle.scan_level_brackets(0.25, p, 2, ratio)
+
+
+def test_scan_level_count_domain():
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    for n_max in (-1, 21, True, 2.0):
+        with pytest.raises(ValueError, match="n_max"):
+            oracle.scan_level_brackets(0.25, p, n_max)
+
+
+def test_oracle_imports_no_closed_form_module():
+    # The oracles check the closed forms, so they must not call them.
+    closed_forms = {"anyon", "oscillator", "duality", "specfun", "verification"}
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert not imported & closed_forms
 
 
 def test_scan_level_brackets_contain_the_spectrum():
