@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__, anyon, duality, oracle, oscillator, verification
+from . import __version__, anyon, duality, oscillator, verification
 from .core import Grid, PhysicalParams, make_state, state_from_nu
 
 _NU_BY_VALUE = {Fraction(1, 4): 0.25, Fraction(3, 4): 0.75}
@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=sorted(verification.SUITES) + ["all"],
                     help="suite to run (repeatable; default all)")
     ve.add_argument("--tol", type=_positive_float, default=None,
-                    help="override every check tolerance (default: per-check "
-                         "values, or the ANYON_DEFAULT_TOL environment variable)")
+                    help="override every check tolerance but the sensitivity "
+                         "control's (default: per-check values, or the "
+                         "ANYON_DEFAULT_TOL environment variable)")
     return parser
 
 
@@ -197,14 +198,7 @@ def cmd_spectrum(ns) -> int:
 
 
 def cmd_wavefunction(ns) -> int:
-    if ns.points < 3:
-        print("error: --points must be at least 3", file=sys.stderr)
-        return 2
-    try:
-        grid = Grid(ns.x_min, ns.x_max, ns.points)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    grid = Grid(ns.x_min, ns.x_max, ns.points)
     xs = grid.points()
     if ns.system == "anyon":
         if ns.omega is not None:
@@ -284,15 +278,9 @@ def cmd_verify(ns) -> int:
         env = os.environ.get("ANYON_DEFAULT_TOL")
         if env:
             try:
-                tol = float(env)
-            except ValueError:
-                print(f"error: ANYON_DEFAULT_TOL is not a number: {env!r}",
-                      file=sys.stderr)
-                return 2
-            if not (math.isfinite(tol) and tol > 0):
-                print(f"error: ANYON_DEFAULT_TOL must be positive, got {env}",
-                      file=sys.stderr)
-                return 2
+                tol = _positive_float(env)
+            except argparse.ArgumentTypeError as err:
+                raise ValueError(f"ANYON_DEFAULT_TOL: {err}") from None
     reports = verification.run_suites(suites, tol)
     meta = _meta(ns, suites=",".join(suites),
                  tol="per-check" if tol is None else tol)
@@ -301,10 +289,8 @@ def cmd_verify(ns) -> int:
             for r in reports]
     _emit(ns, meta, columns, rows)
     failed = sum(not r.passed for r in reports)
-    if ns.format != "table" or ns.output:
-        summary = sys.stderr if ns.output else sys.stdout
-    else:
-        summary = sys.stdout
+    # only a table on stdout takes the summary line; JSON and CSV stay parseable
+    summary = sys.stdout if ns.format == "table" and not ns.output else sys.stderr
     print(f"{len(reports) - failed}/{len(reports)} checks passed", file=summary)
     return 1 if failed else 0
 

@@ -272,9 +272,9 @@ def suite_oracle(tol: float | None = None) -> list[VerificationReport]:
                        worst, 1e-6, tol))
     # sensitivity control: a 1 percent energy error must NOT pass; the
     # report inverts the scale so "residual below tolerance" means the
-    # control stayed loud
+    # control stayed loud, and its tolerance 1.0 takes no override
     out.append(_report("residual sensitivity control (1 percent detuning)",
-                       1e-3 / perturbed_min, 1.0, tol))
+                       1e-3 / perturbed_min, 1.0, None))
 
     return out
 

@@ -1,7 +1,4 @@
-import pytest
 from hypothesis import HealthCheck, settings
-
-from anyon1d.core import PhysicalParams
 
 settings.register_profile(
     "ci",
@@ -11,9 +8,3 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
-
-
-@pytest.fixture
-def unit() -> PhysicalParams:
-    """mu = hbar = 1 with both sides' parameters set to 1."""
-    return PhysicalParams(1.0, 1.0, alpha=1.0, omega=1.0)

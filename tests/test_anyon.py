@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anyon1d import anyon, oracle
-from anyon1d.core import PhysicalParams
+from anyon1d import anyon, duality, oracle
+from anyon1d.core import Grid, PhysicalParams
 
 UNIT = PhysicalParams(1.0, 1.0, alpha=1.0)
 
@@ -102,13 +102,16 @@ def test_wavefunction_array_matches_scalar():
         assert v == anyon.wavefunction(3, 0.75, UNIT, x)
 
 
-def test_normalization_in_x():
+def test_schroedinger_residual_on_canonical_window():
+    # n = 2 and 4 complete the verification suite's n = 0, 1, 3, 5.
+    xs = Grid(0.05, 20.0, 19951).points()
     for nu in (0.25, 0.75):
-        for n in range(11):
-            norm = oracle.quadrature(
-                lambda x: anyon.wavefunction(n, nu, UNIT, x) ** 2,
-                0.0, math.inf, tol=1e-11)
-            assert abs(norm - 1.0) <= 1e-8
+        for n in (2, 4):
+            p = UNIT.with_omega(duality.dual_frequency(n, nu, UNIT))
+            phi = anyon.wavefunction(n, nu, p, xs)
+            res = oracle.ode_residual(xs, phi, lambda x: anyon.potential(x, nu, p),
+                                      anyon.energy(n, nu, p), p)
+            assert res <= 1e-6
 
 
 def test_orthogonality_at_fixed_nu():
@@ -148,8 +151,8 @@ def test_extended_wavefunction_parity():
     p = UNIT
     for nu in (0.25, 0.75):
         phase = cmath.exp(1j * math.pi * nu)
-        for n in (0, 1, 3):
-            for y in (0.3, 1.7, 9.0):
+        for n in (0, 1, 3, 4):
+            for y in (0.3, 1.7, 5.0, 9.0):
                 plus = anyon.extended_wavefunction(n, nu, p, y)
                 minus = anyon.extended_wavefunction(n, nu, p, -y)
                 assert abs(abs(minus) - abs(plus)) <= 1e-15 * abs(plus)
@@ -164,7 +167,7 @@ def test_extended_wavefunction_rejects_origin():
 
 def test_extended_wavefunction_full_line_norm():
     for nu in (0.25, 0.75):
-        for n in (0, 2):
+        for n in (0, 1, 2, 4):
             norm = oracle.quadrature(
                 lambda y: abs(anyon.extended_wavefunction(n, nu, UNIT, y)) ** 2,
                 -math.inf, math.inf, tol=1e-11)

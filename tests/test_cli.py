@@ -96,6 +96,11 @@ def test_wavefunction_domain_validation(capsys):
                        "--points", "10")
     assert code == 2
     assert "u >= 0" in err
+    code, _, err = run(capsys, "wavefunction", "--system", "oscillator",
+                       "--n", "0", "--x-min", "0", "--x-max", "5",
+                       "--points", "2")
+    assert code == 2
+    assert "grid count" in err
 
 
 def test_wavefunction_extended_is_anyon_only(capsys):
@@ -162,6 +167,40 @@ def test_run_suites_rejects_unknown_name():
 
     with pytest.raises(ValueError, match="unknown suite"):
         verification.run_suites(["everything"])
+
+
+def test_tol_override_leaves_the_sensitivity_control_alone():
+    # The control's residual is an inverted ratio, so its tolerance 1.0
+    # is what defines a loud response; an override must not move it.
+    from anyon1d import verification
+
+    control = verification.run_suites("oracle", tol=1e-6)[-1]
+    assert control.check_name.startswith("residual sensitivity control")
+    assert control.tolerance == 1.0
+    assert control.passed
+
+
+def test_verify_json_stdout_is_one_document(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "duality",
+                         "--format", "json")
+    assert code == 0
+    assert [row[0] for row in json.loads(out)["rows"]] == ["PASS"] * 5
+    assert err == "5/5 checks passed\n"
+
+
+def test_verify_csv_stdout_holds_only_csv_lines(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "duality",
+                         "--format", "csv")
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert lines[0] == "status,check,residual,tolerance"
+    for line in lines[1:]:
+        status, rest = line.split(",", 1)
+        _, residual, tolerance = rest.rsplit(",", 2)
+        assert status == "PASS"
+        assert float(residual) <= float(tolerance)
+    assert len(lines) == 6
+    assert err == "5/5 checks passed\n"
 
 
 def test_verify_tol_override_can_fail(capsys):

@@ -42,14 +42,6 @@ def test_dual_frequency_examples():
                         rel_tol=1e-15)
 
 
-def test_frequency_quantization_matches_spectrum():
-    for nu in (0.25, 0.75):
-        for n in range(21):
-            omega = duality.dual_frequency(n, nu, UNIT)
-            eps = anyon.energy(n, nu, UNIT)
-            assert abs(-omega * omega / 8.0 - eps) <= 1e-14 * abs(eps)
-
-
 def test_map_matches_closed_form_ground_state():
     # n = 0, s = 0: the mapped Gaussian becomes the exponential ground
     # state of the attractive problem under u^2 = x.
@@ -111,12 +103,6 @@ def test_reduction_constant_squared_is_twice_the_moment():
 def test_constant_equality_examples():
     assert duality.constant_equality_residual(0, 0.25) < 1e-14
     assert duality.constant_equality_residual(5, 0.75) < 1e-12
-
-
-def test_constant_equality_sweep():
-    worst = max(duality.constant_equality_residual(n, nu)
-                for n in range(21) for nu in (0.25, 0.75))
-    assert worst < 1e-11
 
 
 def test_reduction_chain_residual():

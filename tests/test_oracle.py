@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anyon1d import anyon, duality, oracle, oscillator
+from anyon1d import anyon, duality, oracle
 from anyon1d.core import NU_VALUES, ConvergenceError, Grid, PhysicalParams
 
 UNIT = PhysicalParams(1.0, 1.0, alpha=1.0, omega=1.0)
@@ -112,13 +112,6 @@ def test_ode_residual_input_validation():
         oracle.ode_residual(uneven, np.ones(7), pot, -1.0, UNIT)
     with pytest.raises(ValueError, match="trivial drive"):
         oracle.ode_residual(xs, np.ones(9), pot, 0.0, UNIT)
-
-
-def test_fd_spectrum_ground_state_and_spacing():
-    levels = oracle.fd_oscillator_spectrum(UNIT, 10.0, 2001, 5)
-    assert abs(levels[0] - 0.5) <= 1e-4
-    for k, (a, b) in enumerate(zip(levels, levels[1:])):
-        assert abs((b - a) - 1.0) <= 1e-3
 
 
 def test_fd_spectrum_second_order_convergence():

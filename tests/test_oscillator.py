@@ -53,15 +53,6 @@ def test_wavefunction_sign_convention():
         assert oscillator.wavefunction(big_n, p, u_far) > 0.0
 
 
-def test_half_line_normalization():
-    p = PhysicalParams(1.0, 1.0, omega=1.0)
-    for big_n in range(9):
-        norm = oracle.quadrature(
-            lambda u: oscillator.wavefunction(big_n, p, u) ** 2,
-            0.0, math.inf, tol=1e-12)
-        assert abs(norm - 1.0) <= 1e-10
-
-
 def test_orthogonality_within_parity_class():
     p = PhysicalParams(1.0, 1.0, omega=1.0)
     for big_n in range(0, 9):
@@ -76,7 +67,7 @@ def test_orthogonality_within_parity_class():
 def test_schroedinger_residual_on_interior_window():
     p = PhysicalParams(1.0, 1.0, omega=1.0)
     us = Grid(0.1, 6.0, 5901).points()
-    for big_n in (0, 3, 6):
+    for big_n in range(9):
         psi = oscillator.wavefunction(big_n, p, us)
         res = oracle.ode_residual(us, psi, lambda u: 0.5 * u * u,
                                   oscillator.energy(big_n, p), p)
