@@ -3,62 +3,54 @@
 Four commands: spectrum, wavefunction, dual, verify.  Output is a
 deterministic table on stdout, or JSON ({"meta": ..., "rows": ...}) /
 CSV (with #-prefixed header lines) when --format/--output are given.
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage, domain or
+arithmetic error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 from . import __version__, anyon, duality, oscillator, verification
-from .core import Grid, PhysicalParams, make_state, state_from_nu
-
-_NU_BY_VALUE = {Fraction(1, 4): 0.25, Fraction(3, 4): 0.75}
-_S_BY_VALUE = {Fraction(0): 0.0, Fraction(1, 2): 0.5}
+from .core import (Grid, PhysicalParams, check_index, check_nu, check_positive,
+                   check_s, make_state, state_from_nu)
 
 
-def _fraction_flag(text: str, table: dict, what: str) -> float:
-    allowed = " or ".join(str(k) for k in table)
+def _checked(text: str, parse, check, *names):
+    """Parse a flag's text and apply a core validator; text that does not
+    parse goes to the validator as is, so every rejection exits 2 with
+    the validator's message."""
     try:
-        value = Fraction(text)
+        value = parse(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{what} must be {allowed}")
-    if value not in table:
-        raise argparse.ArgumentTypeError(f"{what} must be {allowed}, got {text}")
-    return table[value]
-
-
-def _nu_flag(text: str) -> float:
-    return _fraction_flag(text, _NU_BY_VALUE, "nu")
-
-
-def _s_flag(text: str) -> float:
-    return _fraction_flag(text, _S_BY_VALUE, "s")
+        value = text
+    try:
+        check(value, *names)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return value
 
 
 def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    return value
+    return _checked(text, float, check_positive, "value")
 
 
 def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+    return _checked(text, int, check_index, "value")
+
+
+def _nu_flag(text: str) -> float:
+    return float(_checked(text, Fraction, check_nu))
+
+
+def _s_flag(text: str) -> float:
+    return float(_checked(text, Fraction, check_s))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,28 +123,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _emit(ns, meta: dict, columns: list[str], rows: list) -> None:
+    header = "".join(f"# {key} = {value}\n" for key, value in meta.items())
     if ns.format == "json":
         payload = {"meta": meta, "columns": columns, "rows": rows}
         text = json.dumps(payload, indent=2) + "\n"
     elif ns.format == "csv":
-        lines = [f"# {key} = {_fmt(value)}" for key, value in meta.items()]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        body = io.StringIO()
+        csv.writer(body, lineterminator="\n").writerows([columns] + rows)
+        text = header + body.getvalue()
     else:
         widths = [max(len(col), 24) for col in columns]
-        lines = [f"# {key} = {_fmt(value)}" for key, value in meta.items()]
-        lines.append("  ".join(col.ljust(w) for col, w in zip(columns, widths)))
-        lines.extend("  ".join(_fmt(cell).ljust(w) for cell, w in zip(row, widths))
+        lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths))]
+        lines.extend("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths))
                      for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = header + "\n".join(lines) + "\n"
     if ns.output:
         with open(ns.output, "w") as fh:
             fh.write(text)
@@ -167,12 +152,10 @@ def _meta(ns, **extra) -> dict:
     return meta
 
 
-def _state_flags(ns, default_s: float = 0.0):
-    if getattr(ns, "nu", None) is not None:
+def _state_flags(ns):
+    if ns.nu is not None:
         return state_from_nu(ns.n, ns.nu)
-    if getattr(ns, "s", None) is not None:
-        return make_state(ns.n, ns.s)
-    return make_state(ns.n, default_s)
+    return make_state(ns.n, ns.s if ns.s is not None else 0.0)
 
 
 def cmd_spectrum(ns) -> int:
@@ -198,17 +181,11 @@ def cmd_spectrum(ns) -> int:
 
 
 def cmd_wavefunction(ns) -> int:
-    grid = Grid(ns.x_min, ns.x_max, ns.points)
-    xs = grid.points()
+    xs = Grid(ns.x_min, ns.x_max, ns.points).points()
     if ns.system == "anyon":
         if ns.omega is not None:
-            print("error: the anyon side takes --alpha; omega is derived",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("the anyon side takes --alpha; omega is derived")
         state = _state_flags(ns)
-        if not ns.extended and grid.x_min <= 0:
-            print("error: the anyon grid must satisfy x_min > 0", file=sys.stderr)
-            return 2
         alpha = ns.alpha if ns.alpha is not None else 1.0
         p = PhysicalParams(ns.mu, ns.hbar, alpha=alpha)
         meta = _meta(ns, system="anyon", n=state.n, nu=state.nu, alpha=alpha,
@@ -224,16 +201,9 @@ def cmd_wavefunction(ns) -> int:
             rows = [[x, v] for x, v in zip(xs.tolist(), values.tolist())]
     else:
         if ns.extended:
-            print("error: --extended applies to the anyon system only",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--extended applies to the anyon system only")
         if ns.alpha is not None:
-            print("error: the oscillator side takes --omega; alpha is derived",
-                  file=sys.stderr)
-            return 2
-        if grid.x_min < 0:
-            print("error: the oscillator grid lives on u >= 0", file=sys.stderr)
-            return 2
+            raise ValueError("the oscillator side takes --omega; alpha is derived")
         state = _state_flags(ns)
         omega = ns.omega if ns.omega is not None else 1.0
         p = PhysicalParams(ns.mu, ns.hbar, omega=omega)
@@ -306,7 +276,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[ns.command](ns)
-    except ValueError as err:
+    except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

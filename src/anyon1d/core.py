@@ -35,12 +35,12 @@ def check_index(value, name: str) -> None:
 
 def check_nu(nu) -> None:
     if nu not in NU_VALUES:
-        raise ValueError(f"nu must be 1/4 or 3/4, got {nu!r}")
+        raise ValueError(f"nu must be 1/4 or 3/4, got {nu}")
 
 
 def check_s(s) -> None:
     if s not in S_VALUES:
-        raise ValueError(f"s must be 0 or 1/2, got {s!r}")
+        raise ValueError(f"s must be 0 or 1/2, got {s}")
 
 
 def check_positive(value, name: str) -> None:
@@ -84,9 +84,6 @@ class PhysicalParams:
 
     def with_omega(self, omega: float) -> PhysicalParams:
         return PhysicalParams(self.mass, self.hbar, alpha=self.alpha, omega=omega)
-
-    def with_alpha(self, alpha: float) -> PhysicalParams:
-        return PhysicalParams(self.mass, self.hbar, alpha=alpha, omega=self.omega)
 
 
 def validate_params(p: PhysicalParams) -> None:

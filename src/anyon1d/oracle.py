@@ -52,6 +52,7 @@ for _i, _x in enumerate(_XGK):
 
 _GRADE_DEPTH = 28          # dyadic grading depth toward each endpoint
 _TAIL_CAP_DOUBLINGS = 60   # give up on tail truncation after this many
+_MAX_INTERVALS = 4096      # refinement cap of one adaptive integral
 
 
 def _gk15(f, lo: float, hi: float) -> tuple[float, float]:
@@ -83,7 +84,7 @@ def _initial_cells(a: float, b: float) -> list[float]:
     return sorted(c for c in cuts if a <= c <= b)
 
 
-def _adaptive(f, a: float, b: float, tol: float, max_intervals: int) -> float:
+def _adaptive(f, a: float, b: float, tol: float) -> float:
     bounds = _initial_cells(a, b)
     cells = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -94,9 +95,9 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int) -> float:
         total_err = math.fsum(c[0] for c in cells)
         if total_err <= tol:
             return math.fsum(c[3] for c in cells)
-        if len(cells) >= max_intervals:
+        if len(cells) >= _MAX_INTERVALS:
             raise ConvergenceError(
-                f"quadrature exceeded {max_intervals} intervals "
+                f"quadrature exceeded {_MAX_INTERVALS} intervals "
                 f"(error estimate {total_err:.3e}, target {tol:.3e})")
         worst = max(range(len(cells)), key=lambda i: (cells[i][0], -i))
         _, lo, hi, _ = cells[worst]
@@ -126,8 +127,7 @@ def _tail_cutoff(f, start: float, tol: float) -> float:
         f"integrand does not decay fast enough past {cut:.3e} for tail truncation")
 
 
-def quadrature(f, a: float, b: float, tol: float = 1e-10, *,
-               max_intervals: int = 4096) -> float:
+def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Integral of f over [a, b] with absolute error estimate below tol.
 
     Endpoints may be +-inf; infinite tails are truncated where the
@@ -141,19 +141,17 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10, *,
     if a == b:
         return 0.0
     if a > b:
-        return -quadrature(f, b, a, tol, max_intervals=max_intervals)
+        return -quadrature(f, b, a, tol)
     neg_inf = math.isinf(a) and a < 0
     pos_inf = math.isinf(b) and b > 0
     if neg_inf and pos_inf:
-        return (quadrature(f, a, 0.0, 0.5 * tol, max_intervals=max_intervals)
-                + quadrature(f, 0.0, b, 0.5 * tol, max_intervals=max_intervals))
+        return quadrature(f, a, 0.0, 0.5 * tol) + quadrature(f, 0.0, b, 0.5 * tol)
     if neg_inf:
-        return quadrature(lambda t: f(-t), -b, math.inf, tol,
-                          max_intervals=max_intervals)
+        return quadrature(lambda t: f(-t), -b, math.inf, tol)
     if pos_inf:
         cut = _tail_cutoff(f, max(1.0, 2.0 * abs(a), 2.0 * a + 1.0), tol)
-        return _adaptive(f, a, cut, tol, max_intervals)
-    return _adaptive(f, a, b, tol, max_intervals)
+        return _adaptive(f, a, cut, tol)
+    return _adaptive(f, a, b, tol)
 
 
 def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> float:
@@ -492,25 +490,6 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     return eps
 
 
-def probe_config(nu: float, p: PhysicalParams, eps: float) -> ShootingConfig:
-    """Self-consistent geometry for probing energies near eps < 0."""
-    alpha = p.require_alpha()
-    if not eps < 0:
-        raise ValueError(f"probe energy must be negative, got {eps}")
-    x_unit = p.hbar ** 2 / (p.mass * alpha)
-    x_turn = alpha / abs(eps)
-    kappa = math.sqrt(-2.0 * p.mass * eps) / p.hbar
-    x_start = 1e-4 * x_unit
-    return ShootingConfig(
-        nu=nu,
-        x_start=x_start,
-        x_match=max(0.6 * x_turn, 2.0 * x_start),
-        x_end=x_turn + 42.0 / kappa,
-        step=x_start / 48.0,
-        energy_bracket=(1.01 * eps, 0.99 * eps),
-    )
-
-
 def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int,
                         ratio: float = 1.08) -> list[tuple[float, float]]:
     """Energy brackets around the lowest n_max + 1 eigenvalues, by scanning.
@@ -537,7 +516,8 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int,
     prev_eps = None
     prev_sign = None
     while eps < floor_stop and len(brackets) <= n_max:
-        cfg = probe_config(nu, p, eps)
+        # each probe gets the geometry of a narrow bracket around itself
+        cfg = shooting_config_for_level(nu, p, 0, (1.01 * eps, 0.99 * eps))
         w = _ShootingRun(cfg, p).mismatch(eps)
         sign = w > 0
         if prev_sign is not None and sign != prev_sign:
@@ -552,8 +532,7 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int,
 
 
 def shooting_config_for_level(nu: float, p: PhysicalParams, n: int,
-                              bracket: tuple[float, float],
-                              tolerance: float = 1e-9) -> ShootingConfig:
+                              bracket: tuple[float, float]) -> ShootingConfig:
     """Config whose geometry suits every energy inside the given bracket."""
     lo, hi = bracket
     alpha = p.require_alpha()
@@ -569,5 +548,4 @@ def shooting_config_for_level(nu: float, p: PhysicalParams, n: int,
         x_end=x_turn_hi + 42.0 / kappa_min,
         step=x_start / 48.0,
         energy_bracket=(lo, hi),
-        tolerance=tolerance,
     )

@@ -231,36 +231,15 @@ def _kummer_decimal(a: float, b: float, y: float) -> float:
 def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
     """(log |F(-n, b, y)|, sign) for the terminating case with b > 0, y > 0.
 
-    Terms are combined at the scale of the largest one, so the result
-    stays finite even where y**n itself would overflow.
+    The n + 1 terms are summed in 60-digit decimals, whose exponent range
+    is wide enough that no rescaling is needed even where y**n overflows
+    binary floats.
     """
     check_index(n, "n")
     if not b > 0:
         raise ValueError("log_kummer_polynomial needs b > 0")
     if not y > 0:
         raise ValueError("log_kummer_polynomial needs y > 0")
-    lny = math.log(y)
-    lgn = log_gamma(n + 1.0)
-    lgb = log_gamma(b)
-    logs = []
-    for k in range(n + 1):
-        # |(-n)_k| = n!/(n-k)!,  (b)_k = Gamma(b+k)/Gamma(b)
-        logs.append(lgn - log_gamma(n - k + 1.0)
-                    - (log_gamma(b + k) - lgb)
-                    - log_gamma(k + 1.0) + k * lny)
-    m = max(logs)
-    acc = math.fsum((-1.0) ** k * math.exp(lt - m)
-                    for k, lt in enumerate(logs))
-    # The rescaled peak term is 1, so a small accumulated sum means the
-    # alternating terms cancelled; redo those cases in wide decimals.
-    if abs(acc) * _ESCALATE_RATIO < 1.0:
-        return _log_kummer_decimal(n, b, y)
-    return m + math.log(abs(acc)), math.copysign(1.0, acc)
-
-
-def _log_kummer_decimal(n: int, b: float, y: float) -> tuple[float, float]:
-    # Decimal exponents are wide enough that no rescaling is needed even
-    # where y**n overflows binary floats.
     with localcontext() as ctx:
         ctx.prec = 60
         ctx.Emax = 10 ** 9

@@ -7,6 +7,7 @@ line `verify` command and the acceptance tests.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -17,14 +18,16 @@ from .core import NU_VALUES, S_VALUES, Grid, PhysicalParams, VerificationReport
 
 _UNIT = PhysicalParams(mass=1.0, hbar=1.0, alpha=1.0, omega=1.0)
 
+# The one check whose tolerance a run-wide override leaves alone.
+SENSITIVITY_CONTROL = "residual sensitivity control (1 percent detuning)"
 
-def _report(name: str, residual: float, tolerance: float,
-            override: float | None) -> VerificationReport:
+
+def _report(name: str, residual: float, tolerance: float) -> VerificationReport:
     return VerificationReport(check_name=name, residual=float(residual),
-                              tolerance=override if override else tolerance)
+                              tolerance=tolerance)
 
 
-def suite_identities(tol: float | None = None) -> list[VerificationReport]:
+def suite_identities() -> list[VerificationReport]:
     """Special-function identities: duplication, Hermite link, Kummer
     transformation, asymptotics, and the Laguerre cross-check."""
     out = []
@@ -32,7 +35,7 @@ def suite_identities(tol: float | None = None) -> list[VerificationReport]:
     rng = random.Random(20240816)
     worst = max(specfun.duplication_residual(rng.uniform(1e-9, 50.0))
                 for _ in range(10_000))
-    out.append(_report("gamma duplication, 1e4 random z in (0, 50]", worst, 1e-12, tol))
+    out.append(_report("gamma duplication, 1e4 random z in (0, 50]", worst, 1e-12))
 
     ys = np.linspace(0.25, 25.0, 100)
     worst = 0.0
@@ -43,7 +46,7 @@ def suite_identities(tol: float | None = None) -> list[VerificationReport]:
                 r = specfun.hermite_kummer_residual(n, s, float(y))
                 worst = max(worst, r / max(scale, 1.0))
     out.append(_report("Hermite vs confluent closed form, n <= 10, y in (0, 25]",
-                       worst, 1e-9, tol))
+                       worst, 1e-9))
 
     rng = random.Random(77)
     worst = 0.0
@@ -55,12 +58,12 @@ def suite_identities(tol: float | None = None) -> list[VerificationReport]:
         rhs = math.exp(y) * specfun.kummer_series(b - a, b, -y)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     out.append(_report("Kummer transformation, 200 random (a, b, y), |y| <= 30",
-                       worst, 1e-10, tol))
+                       worst, 1e-10))
 
     asym = specfun.kummer_asymptotic(0.3, 0.8, 40.0)
     direct = specfun.kummer_series(0.3, 0.8, 40.0)
     out.append(_report("large-y asymptotics vs series at (0.3, 0.8, 40)",
-                       abs(asym.value - direct) / abs(direct), 1e-6, tol))
+                       abs(asym.value - direct) / abs(direct), 1e-6))
 
     worst = 0.0
     for n in range(11):
@@ -73,7 +76,7 @@ def suite_identities(tol: float | None = None) -> list[VerificationReport]:
                                 - specfun.log_gamma(n + 2.0 * nu))
                 r = abs(f - lag * conv) / max(abs(f), abs(lag * conv), 1e-300)
                 worst = max(worst, r)
-    out.append(_report("confluent polynomial vs Laguerre, n <= 10", worst, 1e-12, tol))
+    out.append(_report("confluent polynomial vs Laguerre, n <= 10", worst, 1e-12))
 
     worst = 0.0
     for nu in NU_VALUES:
@@ -82,12 +85,12 @@ def suite_identities(tol: float | None = None) -> list[VerificationReport]:
                 / anyon.extended_wavefunction(3, nu, _UNIT, y)
             worst = max(worst, abs(got - complex(math.cos(math.pi * nu),
                                                  math.sin(math.pi * nu))))
-    out.append(_report("parity extension phase ratio e^(i pi nu)", worst, 1e-12, tol))
+    out.append(_report("parity extension phase ratio e^(i pi nu)", worst, 1e-12))
 
     return out
 
 
-def suite_normalization(tol: float | None = None) -> list[VerificationReport]:
+def suite_normalization() -> list[VerificationReport]:
     """Unit norms and second moments against the quadrature oracle."""
     out = []
 
@@ -99,7 +102,7 @@ def suite_normalization(tol: float | None = None) -> list[VerificationReport]:
                 lambda x: anyon.wavefunction(n, nu, p, x) ** 2, 0.0, math.inf,
                 tol=1e-10)
             worst = max(worst, abs(norm - 1.0))
-    out.append(_report("anyon norm over (0, inf), n <= 10, both nu", worst, 1e-8, tol))
+    out.append(_report("anyon norm over (0, inf), n <= 10, both nu", worst, 1e-8))
 
     worst = 0.0
     for big_n in range(9):
@@ -107,7 +110,7 @@ def suite_normalization(tol: float | None = None) -> list[VerificationReport]:
             lambda u: oscillator.wavefunction(big_n, _UNIT, u) ** 2, 0.0, math.inf,
             tol=1e-12)
         worst = max(worst, abs(norm - 1.0))
-    out.append(_report("oscillator half-line norm, N <= 8", worst, 1e-10, tol))
+    out.append(_report("oscillator half-line norm, N <= 8", worst, 1e-10))
 
     worst = 0.0
     for big_n in (0, 1, 3, 6):
@@ -116,7 +119,7 @@ def suite_normalization(tol: float | None = None) -> list[VerificationReport]:
             0.0, math.inf, tol=1e-12)
         expected = oscillator.mean_square_displacement(big_n, _UNIT)
         worst = max(worst, abs(got - expected) / expected)
-    out.append(_report("oscillator <u^2> vs closed form", worst, 1e-9, tol))
+    out.append(_report("oscillator <u^2> vs closed form", worst, 1e-9))
 
     worst = 0.0
     for nu in NU_VALUES:
@@ -125,12 +128,12 @@ def suite_normalization(tol: float | None = None) -> list[VerificationReport]:
             lambda y: abs(anyon.extended_wavefunction(2, nu, p, y)) ** 2,
             -math.inf, math.inf, tol=1e-10)
         worst = max(worst, abs(norm - 1.0))
-    out.append(_report("parity extension full-line norm", worst, 1e-8, tol))
+    out.append(_report("parity extension full-line norm", worst, 1e-8))
 
     return out
 
 
-def suite_duality(tol: float | None = None) -> list[VerificationReport]:
+def suite_duality() -> list[VerificationReport]:
     """The dictionary itself: spectra, constants, wavefunction map, chain."""
     out = []
 
@@ -142,11 +145,11 @@ def suite_duality(tol: float | None = None) -> list[VerificationReport]:
             worst = max(worst, abs(eps - (-_UNIT.mass * omega * omega / 8.0))
                         / abs(eps))
     out.append(_report("spectrum dictionary eps = -m omega_n^2/8, n <= 20",
-                       worst, 1e-14, tol))
+                       worst, 1e-14))
 
     worst = max(duality.constant_equality_residual(n, nu)
                 for nu in NU_VALUES for n in range(21))
-    out.append(_report("normalization constant equality, n <= 20", worst, 1e-11, tol))
+    out.append(_report("normalization constant equality, n <= 20", worst, 1e-11))
 
     worst = 0.0
     xs = np.linspace(0.01, 15.0, 1500)
@@ -159,13 +162,13 @@ def suite_duality(tol: float | None = None) -> list[VerificationReport]:
             worst = max(worst, float(np.max(np.abs(mapped - direct))
                                      / np.max(np.abs(direct))))
     out.append(_report("wavefunction map vs direct form on [0.01, 15]",
-                       worst, 1e-8, tol))
+                       worst, 1e-8))
 
     grid = Grid(0.05, 18.0, 7001)
     worst = max(duality.reduction_chain_residual(n, s, _UNIT, grid)
                 for n in (0, 2) for s in S_VALUES)
     out.append(_report("variable-change chain solves the dual equation",
-                       worst, 1e-5, tol))
+                       worst, 1e-5))
 
     worst = 0.0
     for n in (0, 3):
@@ -174,12 +177,12 @@ def suite_duality(tol: float | None = None) -> list[VerificationReport]:
             e_osc, omega = duality.to_oscillator_params(alpha, eps, _UNIT)
             alpha2, eps2 = duality.to_anyon_params(e_osc, omega, _UNIT)
             worst = max(worst, abs(alpha2 - alpha), abs(eps2 - eps) / abs(eps))
-    out.append(_report("parameter map round trip", worst, 1e-14, tol))
+    out.append(_report("parameter map round trip", worst, 1e-14))
 
     return out
 
 
-def suite_oracle(tol: float | None = None) -> list[VerificationReport]:
+def suite_oracle() -> list[VerificationReport]:
     """Closed forms against the independent numerical solvers."""
     out = []
 
@@ -192,20 +195,20 @@ def suite_oracle(tol: float | None = None) -> list[VerificationReport]:
             expected = anyon.energy(n, nu, _UNIT)
             worst = max(worst, abs(got - expected) / abs(expected))
     out.append(_report("shooting eigenvalues vs closed form, n <= 3, both nu",
-                       worst, 1e-5, tol))
+                       worst, 1e-5))
 
     levels = oracle.fd_oscillator_spectrum(_UNIT, 10.0, 2001, 5)
     worst = abs(levels[0] - oscillator.energy(0, _UNIT))
     out.append(_report("box eigensolver ground state (L=10, 2001 points)",
-                       worst, 1e-4, tol))
+                       worst, 1e-4))
     spacing = max(abs((b - a) - _UNIT.hbar * _UNIT.require_omega())
                   for a, b in zip(levels, levels[1:]))
-    out.append(_report("box eigensolver level spacing hbar omega", spacing, 1e-3, tol))
+    out.append(_report("box eigensolver level spacing hbar omega", spacing, 1e-3))
 
     got = oracle.quadrature(lambda u: math.exp(-u * u), -math.inf, math.inf,
                             tol=1e-12)
     out.append(_report("quadrature: full-line Gaussian vs sqrt(pi)",
-                       abs(got - math.sqrt(math.pi)), 1e-10, tol))
+                       abs(got - math.sqrt(math.pi)), 1e-10))
 
     worst = 0.0
     for nu in NU_VALUES:
@@ -220,7 +223,7 @@ def suite_oracle(tol: float | None = None) -> list[VerificationReport]:
                                  - specfun.log_gamma(n + 1.0)))
             worst = max(worst, abs(val - closed) / closed)
     out.append(_report("quadrature: Laguerre norm integral vs closed form",
-                       worst, 1e-8, tol))
+                       worst, 1e-8))
 
     def anyon_residual(n, nu, grid, detune=1.0):
         p = _UNIT.with_omega(duality.dual_frequency(n, nu, _UNIT))
@@ -269,12 +272,11 @@ def suite_oracle(tol: float | None = None) -> list[VerificationReport]:
             perturbed_min = min(perturbed_min,
                                 anyon_residual(n, nu, window, detune=1.01))
     out.append(_report("differential equation residual of closed forms",
-                       worst, 1e-6, tol))
+                       worst, 1e-6))
     # sensitivity control: a 1 percent energy error must NOT pass; the
     # report inverts the scale so "residual below tolerance" means the
     # control stayed loud, and its tolerance 1.0 takes no override
-    out.append(_report("residual sensitivity control (1 percent detuning)",
-                       1e-3 / perturbed_min, 1.0, None))
+    out.append(_report(SENSITIVITY_CONTROL, 1e-3 / perturbed_min, 1.0))
 
     return out
 
@@ -288,7 +290,11 @@ SUITES = {
 
 
 def run_suites(names, tol: float | None = None) -> list[VerificationReport]:
-    """Run the named suites (or all of them) and concatenate the reports."""
+    """Run the named suites (or all of them) and concatenate the reports.
+
+    A tol other than None replaces the tolerance of every report but the
+    sensitivity control's; VerificationReport rejects one that is not > 0.
+    """
     if isinstance(names, str):
         names = [names]
     expanded = []
@@ -306,5 +312,8 @@ def run_suites(names, tol: float | None = None) -> list[VerificationReport]:
         if name in seen:
             continue
         seen.add(name)
-        reports.extend(SUITES[name](tol))
+        reports.extend(SUITES[name]())
+    if tol is not None:
+        reports = [r if r.check_name == SENSITIVITY_CONTROL
+                   else dataclasses.replace(r, tolerance=tol) for r in reports]
     return reports

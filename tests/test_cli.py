@@ -1,8 +1,14 @@
 """End-to-end command line behavior through the in-process entry point."""
 
+import contextlib
+import csv
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyon1d.cli import main
 
@@ -90,12 +96,12 @@ def test_wavefunction_domain_validation(capsys):
     code, _, err = run(capsys, "wavefunction", "--system", "anyon", "--n", "0",
                        "--x-min", "0", "--x-max", "5", "--points", "10")
     assert code == 2
-    assert "x_min > 0" in err
+    assert "x must lie in (0," in err
     code, _, err = run(capsys, "wavefunction", "--system", "oscillator",
                        "--n", "0", "--x-min", "-1", "--x-max", "5",
                        "--points", "10")
     assert code == 2
-    assert "u >= 0" in err
+    assert "u must lie in [0," in err
     code, _, err = run(capsys, "wavefunction", "--system", "oscillator",
                        "--n", "0", "--x-min", "0", "--x-max", "5",
                        "--points", "2")
@@ -169,6 +175,13 @@ def test_run_suites_rejects_unknown_name():
         verification.run_suites(["everything"])
 
 
+def test_run_suites_rejects_a_zero_tolerance_override():
+    from anyon1d import verification
+
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        verification.run_suites("duality", tol=0.0)
+
+
 def test_tol_override_leaves_the_sensitivity_control_alone():
     # The control's residual is an inverted ratio, so its tolerance 1.0
     # is what defines a loud response; an override must not move it.
@@ -193,13 +206,14 @@ def test_verify_csv_stdout_holds_only_csv_lines(capsys):
                          "--format", "csv")
     assert code == 0
     lines = [line for line in out.splitlines() if not line.startswith("#")]
-    assert lines[0] == "status,check,residual,tolerance"
-    for line in lines[1:]:
-        status, rest = line.split(",", 1)
-        _, residual, tolerance = rest.rsplit(",", 2)
+    rows = list(csv.reader(lines))
+    assert rows[0] == ["status", "check", "residual", "tolerance"]
+    for row in rows[1:]:
+        assert len(row) == 4
+        status, _, residual, tolerance = row
         assert status == "PASS"
         assert float(residual) <= float(tolerance)
-    assert len(lines) == 6
+    assert len(rows) == 6
     assert err == "5/5 checks passed\n"
 
 
@@ -270,3 +284,107 @@ def test_table_format_is_the_default(capsys):
     assert code == 0
     assert out.startswith("# version = ")
     assert "N" in out and "energy" in out
+
+
+def test_extreme_magnitudes_exit_2_without_a_traceback(capsys):
+    # hbar**2 underflows to 0.0 inside the closed-form energy
+    code, out, err = run(capsys, "spectrum", "--system", "anyon",
+                         "--hbar", "1e-200")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+_ROUND_TRIP_COMMANDS = [
+    ["spectrum", "--system", "anyon", "--nu", "3/4", "--n-max", "4"],
+    ["spectrum", "--system", "oscillator", "--omega", "2.5"],
+    ["dual", "--n", "2", "--s", "1/2", "--omega", "1.5"],
+    ["wavefunction", "--system", "anyon", "--n", "3", "--x-min", "0.05",
+     "--x-max", "30", "--points", "25"],
+    ["wavefunction", "--system", "anyon", "--n", "1", "--nu", "3/4",
+     "--extended", "--x-min", "-5", "--x-max", "5", "--points", "12"],
+    ["wavefunction", "--system", "oscillator", "--n", "2", "--s", "1/2",
+     "--x-min", "0", "--x-max", "6", "--points", "25"],
+    ["verify", "--suite", "duality"],
+]
+
+
+def _output(tmp_path, capsys, argv, fmt):
+    path = tmp_path / f"out.{fmt}"
+    assert main(argv + ["--format", fmt, "--output", str(path)]) == 0
+    capsys.readouterr()
+    return path.read_text()
+
+
+def _meta_and_rows(text, split_rows):
+    lines = text.splitlines()
+    meta = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
+    return meta, split_rows([line for line in lines if not line.startswith("# ")])
+
+
+@pytest.mark.parametrize("argv", _ROUND_TRIP_COMMANDS,
+                         ids=lambda argv: "-".join(argv[:3]))
+def test_table_csv_and_json_hold_the_same_rows(tmp_path, capsys, argv):
+    payload = json.loads(_output(tmp_path, capsys, argv, "json"))
+    expected = ({key: str(value) for key, value in payload["meta"].items()},
+                [payload["columns"]]
+                + [[str(cell) for cell in row] for row in payload["rows"]])
+    table = _meta_and_rows(_output(tmp_path, capsys, argv, "table"),
+                           lambda lines: [re.split(r" {2,}", line.rstrip())
+                                          for line in lines])
+    assert table == expected
+    assert _meta_and_rows(_output(tmp_path, capsys, argv, "csv"),
+                          lambda lines: list(csv.reader(lines))) == expected
+
+
+# Positive values from subnormal to near overflow, and values that are
+# malformed, non-positive or not finite.
+_MAGNITUDE = st.integers(-320, 308).map(lambda e: f"1e{e}")
+_MALFORMED = st.sampled_from(["", "abc", "0", "-1", "-0", "nan", "inf", "1e400",
+                              "1/0", "0x10", "1.5", "--1"])
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    def value(valid):
+        # one flag value in ten is malformed
+        return draw(_MALFORMED if draw(st.integers(0, 9)) == 0 else valid)
+
+    command = draw(st.sampled_from(["spectrum", "dual", "wavefunction"]))
+    system = draw(st.sampled_from(["anyon", "oscillator"]))
+    index = st.integers(0, 40).map(str)
+    argv = [command, f"--mu={value(_MAGNITUDE)}", f"--hbar={value(_MAGNITUDE)}",
+            "--format=" + draw(st.sampled_from(["table", "json", "csv"]))]
+    if command == "spectrum":
+        argv += [f"--system={system}", f"--n-max={value(index)}",
+                 f"--alpha={value(_MAGNITUDE)}", f"--omega={value(_MAGNITUDE)}"]
+        if system == "anyon":
+            argv.append(f"--nu={value(st.sampled_from(['1/4', '3/4']))}")
+    else:
+        label = draw(st.sampled_from(["--s", "--nu"]))
+        labels = ["0", "1/2"] if label == "--s" else ["1/4", "3/4"]
+        argv += [f"--n={value(index)}", f"{label}={value(st.sampled_from(labels))}"]
+    if command == "dual":
+        argv.append(f"--{draw(st.sampled_from(['alpha', 'omega']))}={value(_MAGNITUDE)}")
+    if command == "wavefunction":
+        x_min = draw(st.floats(-10.0, 1e3))
+        x_max = x_min + draw(st.floats(1e-3, 1e3))
+        scale = "--alpha" if system == "anyon" else "--omega"
+        argv += [f"--system={system}", f"{scale}={value(_MAGNITUDE)}",
+                 f"--x-min={x_min!r}", f"--x-max={x_max!r}",
+                 f"--points={value(st.integers(3, 100).map(str))}"]
+        if system == "anyon" and x_min < 0:
+            argv.append("--extended")
+    return argv
+
+
+@settings(max_examples=200)
+@given(argv=_fuzzed_argv())
+def test_fuzzed_arguments_exit_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
