@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,49 +151,3 @@ def extended_wavefunction(n: int, nu: float, p: PhysicalParams, y):
     if array:
         return np.where(y > 0, r, twist * r)
     return complex(r, 0.0) if y > 0 else twist * float(r)
-
-
-@dataclass(frozen=True)
-class BranchSelection:
-    """Why one origin exponent survives for a given nu.
-
-    retained_exponent is the power of the kept solution Phi ~ y^nu at
-    the origin; rejected_exponent is the power of the discarded second
-    solution of the reduced equation (the factor multiplying
-    y^nu e^(-y/2)), which behaves like y^(1 - 2 nu).
-    """
-
-    nu: float
-    retained_exponent: float
-    rejected_exponent: float
-    reason: str
-    detail: str
-    quantization: str
-
-
-def boundary_selection_report(nu: float) -> BranchSelection:
-    """Report which solution branch survives at the origin and why."""
-    check_nu(nu)
-    if nu == 0.75:
-        reason = "singular second solution"
-        detail = (
-            "writing Phi = y^nu e^(-y/2) Q(y), the second solution carries "
-            "Q ~ y^(1-2nu) = y^(-1/2), which diverges at the origin and is "
-            "discarded; the surviving branch must then terminate, which pins "
-            "the spectrum to lambda = n + nu.")
-    else:
-        reason = "incompatible double quantization"
-        detail = (
-            "both origin behaviors are finite here, but keeping both would "
-            "demand lambda - 1/4 and lambda - 3/4 to be nonnegative integers "
-            "at once, impossible since they differ by 1/2; requiring a "
-            "nonvanishing regular part Q(0) != 0 removes the second branch "
-            "and leaves the single tower lambda = n + nu.")
-    return BranchSelection(
-        nu=nu,
-        retained_exponent=nu,
-        rejected_exponent=1.0 - 2.0 * nu,
-        reason=reason,
-        detail=detail,
-        quantization="lambda = n + nu",
-    )

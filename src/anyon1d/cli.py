@@ -10,8 +10,8 @@ arithmetic error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -45,12 +45,24 @@ def _nonneg_int(text: str) -> int:
     return _checked(text, int, check_index, "value")
 
 
+def _label(text: str) -> Fraction:
+    """Read a --nu / --s literal such as 1/4, 0.25 or 0.
+
+    Fraction expands a decimal exponent exactly (1e10000000 takes
+    seconds), and no allowed label needs an exponent or more than 32
+    characters, so such a literal never reaches Fraction.
+    """
+    if len(text) > 32 or "e" in text.lower():
+        raise ValueError(text)
+    return Fraction(text)
+
+
 def _nu_flag(text: str) -> float:
-    return float(_checked(text, Fraction, check_nu))
+    return float(_checked(text, _label, check_nu))
 
 
 def _s_flag(text: str) -> float:
-    return float(_checked(text, Fraction, check_s))
+    return float(_checked(text, _label, check_s))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,26 +135,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(ns, meta: dict, columns: list[str], rows: list) -> None:
+# Rows per write: large enough that the per-chunk calls cost little,
+# small enough that no output is held as one text.
+_CHUNK_ROWS = 4096
+
+
+def _chunks(cols: list[list]):
+    """Yield the columns sliced into runs of _CHUNK_ROWS rows."""
+    for start in range(0, len(cols[0]), _CHUNK_ROWS):
+        yield [col[start:start + _CHUNK_ROWS] for col in cols]
+
+
+def _emit(ns, meta: dict, columns: list[str], cols: list[list]) -> None:
+    """Write one document whose rows are the columns cols, chunk by chunk.
+
+    The bytes are those of the row-major layout: JSON as
+    `json.dumps(payload, indent=2)`, CSV through `csv.writer`, the table
+    as cells `str`-formatted and left-justified to max(len(name), 24).
+    """
     header = "".join(f"# {key} = {value}\n" for key, value in meta.items())
-    if ns.format == "json":
-        payload = {"meta": meta, "columns": columns, "rows": rows}
-        text = json.dumps(payload, indent=2) + "\n"
-    elif ns.format == "csv":
-        body = io.StringIO()
-        csv.writer(body, lineterminator="\n").writerows([columns] + rows)
-        text = header + body.getvalue()
-    else:
-        widths = [max(len(col), 24) for col in columns]
-        lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths))]
-        lines.extend("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths))
-                     for row in rows)
-        text = header + "\n".join(lines) + "\n"
-    if ns.output:
-        with open(ns.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    dest = open(ns.output, "w") if ns.output else contextlib.nullcontext(sys.stdout)
+    with dest as out:
+        if ns.format == "json":
+            # meta and column names come from json itself; a cell is
+            # encoded by json's C encoder, which escapes NUL in strings,
+            # so a raw NUL can only be the separator between cells
+            head, tail = json.dumps({"meta": meta, "columns": columns, "rows": []},
+                                    indent=2).rsplit("[]", 1)
+            row = "    [\n      " + ",\n      ".join(["%s"] * len(cols)) + "\n    ]"
+            sep = "[\n"
+            out.write(head)
+            for chunk in _chunks(cols):
+                cells = [json.dumps(col, separators=("\0", ":"))[1:-1].split("\0")
+                         for col in chunk]
+                out.write(sep + ",\n".join(map(row.__mod__, zip(*cells))))
+                sep = ",\n"
+            out.write("\n  ]" + tail + "\n")
+        elif ns.format == "csv":
+            out.write(header)
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(columns)
+            for chunk in _chunks(cols):
+                writer.writerows(zip(*chunk))
+        else:
+            row = "  ".join(f"%-{max(len(col), 24)}s" for col in columns) + "\n"
+            out.write(header + row % tuple(columns))
+            for chunk in _chunks(cols):
+                cells = [map(str, col) for col in chunk]
+                out.write("".join(map(row.__mod__, zip(*cells))))
 
 
 def _meta(ns, **extra) -> dict:
@@ -176,7 +216,7 @@ def cmd_spectrum(ns) -> int:
             alpha, eps = duality.to_anyon_params(e_osc, ns.omega, p)
             rows.append([big_n, e_osc, alpha, eps])
         meta = _meta(ns, system="oscillator", omega=ns.omega, n_max=ns.n_max)
-    _emit(ns, meta, columns, rows)
+    _emit(ns, meta, columns, list(zip(*rows)))
     return 0
 
 
@@ -194,11 +234,11 @@ def cmd_wavefunction(ns) -> int:
         if ns.extended:
             columns = ["y", "re", "im"]
             values = anyon.extended_wavefunction(state.n, state.nu, p, xs)
-            rows = [[y, v.real, v.imag] for y, v in zip(xs.tolist(), values.tolist())]
+            cols = [xs.tolist(), values.real.tolist(), values.imag.tolist()]
         else:
             columns = ["x", "phi"]
             values = anyon.wavefunction(state.n, state.nu, p, xs)
-            rows = [[x, v] for x, v in zip(xs.tolist(), values.tolist())]
+            cols = [xs.tolist(), values.tolist()]
     else:
         if ns.extended:
             raise ValueError("--extended applies to the anyon system only")
@@ -212,8 +252,8 @@ def cmd_wavefunction(ns) -> int:
                      points=ns.points)
         columns = ["u", "psi"]
         values = oscillator.wavefunction(state.N, p, xs)
-        rows = [[u, v] for u, v in zip(xs.tolist(), values.tolist())]
-    _emit(ns, meta, columns, rows)
+        cols = [xs.tolist(), values.tolist()]
+    _emit(ns, meta, columns, cols)
     return 0
 
 
@@ -237,7 +277,7 @@ def cmd_dual(ns) -> int:
         ["anyon_energy_eps", pair.anyon_energy],
         ["lambda_n_plus_nu", pair.state.n + pair.state.nu],
     ]
-    _emit(ns, meta, columns, rows)
+    _emit(ns, meta, columns, list(zip(*rows)))
     return 0
 
 
@@ -257,7 +297,7 @@ def cmd_verify(ns) -> int:
     columns = ["status", "check", "residual", "tolerance"]
     rows = [["PASS" if r.passed else "FAIL", r.check_name, r.residual, r.tolerance]
             for r in reports]
-    _emit(ns, meta, columns, rows)
+    _emit(ns, meta, columns, list(zip(*rows)))
     failed = sum(not r.passed for r in reports)
     # only a table on stdout takes the summary line; JSON and CSV stay parseable
     summary = sys.stdout if ns.format == "table" and not ns.output else sys.stderr

@@ -58,10 +58,10 @@ def check_positive(value, name: str) -> None:
 class PhysicalParams:
     """Physical constants of the problem.
 
-    mass and hbar are always required and must be positive.  alpha (the
-    coupling of the attractive -alpha/x term) and omega (the oscillator
-    frequency) are optional because each operation needs only one side;
-    whichever is present must be positive.
+    mass and hbar are always required.  alpha (the coupling of the
+    attractive -alpha/x term) and omega (the oscillator frequency) are
+    optional because each operation needs only one side.  validate_params
+    states the magnitudes every constant that is set must have.
     """
 
     mass: float
@@ -86,17 +86,35 @@ class PhysicalParams:
         return PhysicalParams(self.mass, self.hbar, alpha=self.alpha, omega=omega)
 
 
-def validate_params(p: PhysicalParams) -> None:
-    """Check positivity of every physical constant that is set.
+# The closed forms multiply up to three of mass, hbar, alpha and omega
+# (m alpha^2, m omega^2, hbar^2, m omega/hbar), so with each constant in
+# this range every such product is a finite, normal float and hbar^2
+# cannot underflow.  The anyon energies also divide m alpha^2 by hbar^2,
+# so that energy scale is held to the same range.
+_MAGNITUDE_RANGE = (1e-100, 1e100)
 
-    Raises ValueError naming the offending field.
+
+def _check_magnitude(value: float, what: str) -> None:
+    low, high = _MAGNITUDE_RANGE
+    if not low <= value <= high:
+        raise ValueError(f"{what} must lie in [{low:g}, {high:g}], got {value!r}")
+
+
+def validate_params(p: PhysicalParams) -> None:
+    """Check every physical constant that is set.
+
+    Each must be a finite number in _MAGNITUDE_RANGE, and so must the
+    anyon energy scale m alpha^2/hbar^2 when alpha is set.  Raises
+    ValueError naming the offending field.
     """
-    check_positive(p.mass, "mass")
-    check_positive(p.hbar, "hbar")
+    for value, name in ((p.mass, "mass"), (p.hbar, "hbar"),
+                        (p.alpha, "coupling alpha"), (p.omega, "frequency omega")):
+        if value is not None:
+            check_positive(value, name)
+            _check_magnitude(value, name)
     if p.alpha is not None:
-        check_positive(p.alpha, "coupling alpha")
-    if p.omega is not None:
-        check_positive(p.omega, "frequency omega")
+        _check_magnitude(p.mass * p.alpha * p.alpha / p.hbar ** 2,
+                         "the energy scale m alpha^2/hbar^2 of coupling alpha")
 
 
 @dataclass(frozen=True)

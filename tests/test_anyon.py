@@ -172,20 +172,3 @@ def test_extended_wavefunction_full_line_norm():
                 lambda y: abs(anyon.extended_wavefunction(n, nu, UNIT, y)) ** 2,
                 -math.inf, math.inf, tol=1e-11)
             assert abs(norm - 1.0) <= 1e-8
-
-
-def test_boundary_selection_report():
-    rep = anyon.boundary_selection_report(0.75)
-    assert rep.retained_exponent == 0.75
-    assert rep.reason == "singular second solution"
-    assert rep.rejected_exponent == -0.5
-    assert rep.quantization == "lambda = n + nu"
-
-    rep = anyon.boundary_selection_report(0.25)
-    assert rep.retained_exponent == 0.25
-    assert rep.reason == "incompatible double quantization"
-    assert rep.rejected_exponent == 0.5
-    assert rep.quantization == "lambda = n + nu"
-
-    with pytest.raises(ValueError):
-        anyon.boundary_selection_report(0.3)

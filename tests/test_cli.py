@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,30 @@ def test_spectrum_rejects_unlisted_nu(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "nu must be 1/4 or 3/4" in err
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--nu", "1/4"), ("--nu", "0.25"), ("--nu", "3/4"),
+    ("--s", "0"), ("--s", "1/2"), ("--s", "0.5")])
+def test_label_flags_take_fractions_and_decimals(capsys, flag, text):
+    code, _, err = run(capsys, "wavefunction", "--system", "anyon", "--n", "1",
+                       flag, text, "--x-min", "0.1", "--x-max", "5",
+                       "--points", "3")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("flag, message", [("--nu", "nu must be 1/4 or 3/4"),
+                                           ("--s", "s must be 0 or 1/2")])
+@pytest.mark.parametrize("text", ["1e1000000", "1E1000000", "0." + "0" * 100000],
+                         ids=["exponent", "capital-exponent", "long-decimal"])
+def test_label_flags_refuse_long_literals_at_once(capsys, flag, message, text):
+    # Fraction would expand these exactly: 1e1000000 alone takes 0.65 s
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["dual", "--n", "0", flag, text, "--alpha", "1"])
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_wavefunction_anyon_peak_location(capsys):
@@ -287,7 +312,7 @@ def test_table_format_is_the_default(capsys):
 
 
 def test_extreme_magnitudes_exit_2_without_a_traceback(capsys):
-    # hbar**2 underflows to 0.0 inside the closed-form energy
+    # hbar = 1e-200 lies outside the magnitude domain of PhysicalParams
     code, out, err = run(capsys, "spectrum", "--system", "anyon",
                          "--hbar", "1e-200")
     assert code == 2

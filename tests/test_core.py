@@ -1,13 +1,16 @@
 """Quantum-number bookkeeping, parameter validation, grids, and report types."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anyon1d import anyon, duality, oscillator
 from anyon1d.core import (
+    NU_VALUES,
     Grid,
     PhysicalParams,
     VerificationReport,
@@ -77,6 +80,61 @@ def test_validate_params_names_offending_field():
         PhysicalParams(1.0, 1.0, alpha=0.0)
     with pytest.raises(ValueError, match="frequency"):
         PhysicalParams(1.0, 1.0, omega=-2.0)
+
+
+def _finite(value):
+    assert np.all(np.isfinite(value)), value
+    return value
+
+
+def _built_or_named_value_error(build):
+    """build()'s result, or None for a ValueError that names one of the
+    physical constants; any other exception fails the test."""
+    try:
+        return build()
+    except ValueError as err:
+        assert re.search(r"\b(mass|hbar|alpha|omega)\b", str(err)), err
+        return None
+
+
+# powers of ten over 1e-200..1e200, and the edges of the accepted range
+_MAGNITUDE = (st.floats(-200, 200).map(lambda e: 10.0 ** e)
+              | st.sampled_from([1e-200, 1e-100, 1e100, 1e200]))
+
+
+@settings(max_examples=400)
+@given(mass=_MAGNITUDE, hbar=_MAGNITUDE, alpha=_MAGNITUDE, omega=_MAGNITUDE,
+       n=st.integers(0, 100), nu=st.sampled_from(NU_VALUES),
+       t=st.floats(0.01, 50.0))
+def test_parameter_magnitudes_give_finite_values_or_a_named_value_error(
+        mass, hbar, alpha, omega, n, nu, t):
+    # Parameters that are accepted give finite closed forms; the dual
+    # parameters a pair derives may themselves be rejected by name.
+    s, big_n = nu - 0.25, 2 * n + int(2 * (nu - 0.25))
+    p = _built_or_named_value_error(lambda: PhysicalParams(mass, hbar, alpha=alpha))
+    if p is not None:
+        eps = _finite(anyon.energy(n, nu, p))
+        b = _finite(anyon.beta(n, nu, p))
+        _finite(anyon.wavefunction(n, nu, p, t / b))
+        _finite(anyon.extended_wavefunction(n, nu, p, -t))
+        _finite(duality.dual_frequency(n, nu, p))
+        _finite(duality.to_oscillator_params(alpha, eps, p))
+        pair = _built_or_named_value_error(
+            lambda: duality.DualityPair.from_anyon(n, nu, p))
+        if pair is not None:
+            _finite([pair.oscillator_energy, pair.anyon_energy, pair.params.omega])
+    q = _built_or_named_value_error(lambda: PhysicalParams(mass, hbar, omega=omega))
+    if q is not None:
+        energy = _finite(oscillator.energy(big_n, q))
+        u = t * math.sqrt(_finite(oscillator.mean_square_displacement(0, q)))
+        _finite(oscillator.wavefunction(big_n, q, u))
+        _finite(duality.to_anyon_params(energy, omega, q))
+        pair = _built_or_named_value_error(
+            lambda: duality.DualityPair.from_oscillator(n, s, q))
+        if pair is not None:
+            _finite([pair.oscillator_energy, pair.anyon_energy, pair.params.alpha])
+            x = t / _finite(anyon.beta(n, nu, pair.params))
+            _finite(duality.map_oscillator_to_anyon(n, s, pair.params, x))
 
 
 def test_require_side_parameters():

@@ -1,0 +1,111 @@
+"""The columnar, chunked writer against the row-major writer it replaced.
+
+The reference below builds the whole document from a list of rows with
+`json.dumps(indent=2)`, `csv.writer` and `str.ljust`. Every command, in
+every format, on stdout and through `--output`, must give its bytes.
+"""
+
+import csv
+import io
+import json
+
+import pytest
+
+from anyon1d import anyon, oscillator
+from anyon1d.cli import _CHUNK_ROWS, main
+from anyon1d.core import Grid, PhysicalParams, make_state, state_from_nu
+
+
+def _row_major(fmt, meta, columns, rows):
+    header = "".join(f"# {key} = {value}\n" for key, value in meta.items())
+    if fmt == "json":
+        payload = {"meta": meta, "columns": columns, "rows": rows}
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        body = io.StringIO()
+        csv.writer(body, lineterminator="\n").writerows([columns] + rows)
+        return header + body.getvalue()
+    widths = [max(len(col), 24) for col in columns]
+    lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths))]
+    lines.extend("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths))
+                 for row in rows)
+    return header + "\n".join(lines) + "\n"
+
+
+def _wavefunction_rows(system, points, extended):
+    """Rows computed from the library, independent of the CLI's output."""
+    xs = Grid(_X_RANGE[extended][0], _X_RANGE[extended][1], points).points()
+    if system == "oscillator":
+        values = oscillator.wavefunction(make_state(3, 0.5).N,
+                                         PhysicalParams(1.0, 1.0, omega=1.0), xs)
+        return [[u, v] for u, v in zip(xs.tolist(), values.tolist())]
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    state = state_from_nu(3, 0.75)
+    if extended:
+        values = anyon.extended_wavefunction(state.n, state.nu, p, xs)
+        return [[y, v.real, v.imag] for y, v in zip(xs.tolist(), values.tolist())]
+    values = anyon.wavefunction(state.n, state.nu, p, xs)
+    return [[x, v] for x, v in zip(xs.tolist(), values.tolist())]
+
+
+# The extended grid must not hold y = 0 for any of the sizes below.
+_X_RANGE = {False: (0.05, 30.0), True: (-5.3, 4.1)}
+_SIZES = (3, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1)
+_WAVEFUNCTIONS = [(system, points, extended)
+                  for system, extended in (("anyon", False), ("anyon", True),
+                                           ("oscillator", False))
+                  for points in _SIZES]
+
+
+def _wavefunction_argv(system, points, extended):
+    label = ["--s", "1/2"] if system == "oscillator" else ["--nu", "3/4"]
+    x_min, x_max = _X_RANGE[extended]
+    return (["wavefunction", "--system", system, "--n", "3", *label,
+             "--x-min", repr(x_min), "--x-max", repr(x_max),
+             "--points", str(points)] + (["--extended"] if extended else []))
+
+
+_COMMANDS = [
+    ["spectrum", "--system", "anyon", "--nu", "3/4", "--n-max", "7"],
+    ["spectrum", "--system", "oscillator", "--omega", "2.5", "--n-max", "0"],
+    ["dual", "--n", "2", "--s", "1/2", "--omega", "1.5"],
+    ["dual", "--n", "1", "--nu", "3/4", "--alpha", "1"],
+    # check names hold commas and run past the 24-character column width
+    ["verify", "--suite", "duality"],
+] + [_wavefunction_argv(*case) for case in _WAVEFUNCTIONS]
+_IDS = ["spectrum-anyon", "spectrum-oscillator", "dual-from-omega",
+        "dual-from-alpha", "verify-duality"] + [
+    f"wavefunction-{system}-{points}" + ("-extended" if extended else "")
+    for system, points, extended in _WAVEFUNCTIONS]
+
+
+def _run(capsys, argv, fmt, path=None):
+    extra = ["--format", fmt] + (["--output", str(path)] if path else [])
+    code = main(argv + extra)
+    captured = capsys.readouterr()
+    text = path.read_text() if path else captured.out
+    return code, text, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=_IDS)
+def test_every_format_matches_the_row_major_writer(tmp_path, capsys, argv):
+    code, text, _, _ = _run(capsys, argv, "json", tmp_path / "ref.json")
+    assert code == 0
+    payload = json.loads(text)
+    if argv[0] == "wavefunction":
+        case = (argv[2], int(argv[argv.index("--points") + 1]), "--extended" in argv)
+        assert payload["rows"] == _wavefunction_rows(*case)
+    summary = ""
+    if argv[0] == "verify":
+        summary = f"{len(payload['rows'])}/{len(payload['rows'])} checks passed\n"
+    for fmt in ("table", "csv", "json"):
+        expected = _row_major(fmt, payload["meta"], payload["columns"],
+                              payload["rows"])
+        code, text, _, err = _run(capsys, argv, fmt)
+        if fmt == "table":    # only a table on stdout takes the summary line
+            assert (code, text, err) == (0, expected + summary, "")
+        else:
+            assert (code, text, err) == (0, expected, summary)
+        code, text, out, err = _run(capsys, argv, fmt, tmp_path / f"out.{fmt}")
+        assert (code, text, out, err) == (0, expected, "", summary)
+
