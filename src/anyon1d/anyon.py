@@ -29,16 +29,27 @@ from .specfun import RECURRENCE_ARG_MAX, _scaled_recurrence, log_gamma
 
 
 def potential(x, nu: float, p: PhysicalParams):
-    """V(x) = -alpha/x - hbar^2 nu(1-nu)/(2 m x^2) for x > 0 (scalar or array).
+    """V(x) = -alpha/x - hbar^2 nu(1-nu)/(2 m x^2) (scalar or array).
+
+    Domain: finite x > 0 at which V(x) is a finite float.  Near the
+    origin x^2 underflows or V overflows first; with unit constants V is
+    finite down to x = 2.3e-155.  Any other x, NaN and infinity
+    included, raises ValueError naming the first offending x.
 
     Note nu(1-nu) = 3/16 for both allowed nu: the two towers live in the
     same potential and differ only through the boundary behavior at 0.
     """
     check_nu(nu)
     alpha = p.require_alpha()
-    if not np.all(np.greater(x, 0)):
-        raise ValueError(f"x must be positive, got {x}")
-    return -alpha / x - p.hbar ** 2 * nu * (1.0 - nu) / (2.0 * p.mass * x * x)
+    array = isinstance(x, np.ndarray)
+    xs = x.astype(float) if array else np.float64(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = -alpha / xs - p.hbar ** 2 * nu * (1.0 - nu) / (2.0 * p.mass * xs * xs)
+    bad = ~((xs > 0) & np.isfinite(xs) & np.isfinite(v))
+    if np.any(bad):
+        first = float(np.atleast_1d(xs)[np.atleast_1d(bad)][0])
+        raise ValueError(f"x must be finite and > 0 with V(x) finite, got x = {first!r}")
+    return v if array else float(v)
 
 
 def energy(n: int, nu: float, p: PhysicalParams) -> float:

@@ -43,14 +43,24 @@ def check_s(s) -> None:
         raise ValueError(f"s must be 0 or 1/2, got {s}")
 
 
+def _is_finite_number(value) -> bool:
+    """True for a finite int or float; bool is rejected although it
+    subclasses int."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return ok and math.isfinite(value)
+
+
+def check_finite(value, name: str) -> None:
+    """Raise ValueError naming the argument unless value is a finite
+    int or float (not bool)."""
+    if not _is_finite_number(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def check_positive(value, name: str) -> None:
     """Raise ValueError naming the argument unless value is a finite
-    int or float > 0.
-
-    bool is rejected although it subclasses int.
-    """
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not ok or not math.isfinite(value) or value <= 0:
+    int or float > 0 (not bool)."""
+    if not _is_finite_number(value) or value <= 0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 

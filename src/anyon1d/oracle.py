@@ -6,9 +6,16 @@ It offers four ways to check them from first principles:
 * adaptive Gauss-Kronrod quadrature (norms, moments, overlaps),
 * a finite-difference residual of the governing second-order equation,
 * a Sturm-sequence bisection eigensolver for the oscillator on a box,
-  whose levels share one record of Sturm counts,
+  split into the even and odd parity sectors (the spin labels s = 0 and
+  s = 1/2 of the reduced oscillator); each sector keeps one record of
+  Sturm counts for all its levels, and each count stops at the
+  classical turning point of its energy, past which no pivot can
+  change sign,
 * a shooting eigensolver for the attractive half-line problem, whose
-  RK4 steps are 2x2 propagators multiplied pairwise with numpy.
+  RK4 steps are 2x2 propagators multiplied pairwise with numpy; its
+  bisection walks the plain dyadic path but lets Illinois regula falsi
+  probes settle most midpoints without an evaluation, and its energy
+  scan shares one step table across each band of 8 probes.
 
 All routines are deterministic: fixed node tables, fixed refinement
 rules, fixed step-size policies.
@@ -17,11 +24,14 @@ rules, fixed step-size policies.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .core import ConvergenceError, PhysicalParams, check_index, check_nu, check_positive
+from .core import (ConvergenceError, PhysicalParams, check_finite, check_index, check_nu,
+                   check_positive)
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1]; abscissas and
 # weights are the standard published values.
@@ -193,17 +203,97 @@ def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> fl
     return float(np.max(np.abs(defect))) / scale
 
 
-def _sturm_count(diag: list, offsq: float, lam: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix below lam."""
-    count = 0
-    q = math.inf                 # offsq / inf = 0 leaves the first pivot d - lam
-    for d in diag:
-        q = d - lam - offsq / q
-        if q < 1e-290:           # negative, or too small to divide by
-            count += 1
-            if q > -1e-290:
-                q = -1e-290
-    return count
+_PIVOT_FLOOR = 1e-290   # a pivot nearer zero than this is taken as -_PIVOT_FLOOR
+
+
+class _Sector:
+    """One parity sector of the box matrix: a tridiagonal whose row 0 is
+    the centre of the box and whose later rows run out toward one wall.
+
+    Couplings are off^2 except the first, which is first_scale^-1 off^2
+    (first_scale is 1 or 1/2).  below(lam) counts the sector's
+    eigenvalues below lam and keeps every count it has made.
+    """
+
+    def __init__(self, diag: np.ndarray, off: float, first_scale: float = 1.0):
+        self.diag = diag.tolist()
+        # floor[i] = min(diag[i:]); it never decreases, so bisect finds
+        # the first row from which every diagonal entry clears a bound
+        self.floor = np.minimum.accumulate(diag[::-1])[::-1].tolist()
+        self.offsq = off * off
+        self.abs_off = abs(off)
+        self.first_scale = first_scale
+        self.counts: dict[float, int] = {}
+
+    def below(self, lam: float) -> int:
+        count = self.counts.get(lam)
+        if count is None:
+            count = self.counts[lam] = self._sweep(lam)
+        return count
+
+    def _sweep(self, lam: float) -> int:
+        """Sturm count of the sector at lam, swept outward from the centre.
+
+        From row `tail` on, every diagonal entry is >= lam + 2|off| (the
+        bound is rounded up, so this holds exactly): the classically
+        forbidden region of lam.  Once a pivot q there is >= |off|, the
+        next one is >= 2|off| - off^2/q >= |off| as well, so no later
+        pivot can turn negative and the sweep stops with the count a
+        full sweep would give.  Rounding loosens that bound by a few
+        units of roundoff per row, which leaves every later pivot above
+        |off|/2.  Past the turning point the pivots clear |off| within a
+        row or two.  The sweep runs in two loops only so that the rows
+        before `tail` pay for no stopping test.
+        """
+        diag = self.diag
+        offsq = self.offsq
+        floor = _PIVOT_FLOOR
+        tail = bisect_left(self.floor, math.nextafter(lam + 2.0 * self.abs_off, math.inf))
+        count = 0
+        q = diag[0] - lam
+        if q < floor:
+            count = 1
+            if q > -floor:
+                q = -floor
+        # offsq / (q/2) is 2 offsq / q to the last bit: halving is exact
+        q *= self.first_scale
+        for d in islice(diag, 1, tail):
+            q = d - lam - offsq / q
+            if q < floor:
+                count += 1
+                if q > -floor:
+                    q = -floor
+        for d in islice(diag, max(tail, 1), None):
+            if q >= self.abs_off:
+                break
+            q = d - lam - offsq / q
+            if q < floor:
+                count += 1
+                if q > -floor:
+                    q = -floor
+        return count
+
+
+def _parity_sectors(diag: np.ndarray, off: float) -> tuple[_Sector, _Sector]:
+    """The even and odd sectors of the symmetric tridiagonal box matrix
+    with diagonal diag and constant coupling off.
+
+    With an odd number of rows the centre row belongs to the even
+    sector, where it meets its neighbour through both of its couplings
+    (2 off^2), and drops out of the odd sector, where the centre value is
+    zero.  With an even number the two centre rows are mirror images, and
+    folding one onto the other adds +off or -off to the first diagonal
+    entry.  Only the half at x >= 0 is swept.
+    """
+    half = diag.size // 2
+    if diag.size % 2:
+        right = diag[half:]
+        return _Sector(right, off, first_scale=0.5), _Sector(right[1:], off)
+    even = diag[half:].copy()
+    odd = diag[half:].copy()
+    even[0] += off
+    odd[0] -= off
+    return _Sector(even, off), _Sector(odd, off)
 
 
 def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
@@ -212,12 +302,19 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
 
     Three-point finite differences on a uniform grid of the given total
     point count (walls included) give a symmetric tridiagonal matrix.
-    Every level is bisected on the Sturm sign-change count inside the
-    Gershgorin interval, and all levels share one record of the counts:
-    each bisection walks the same dyadic subdivision of that interval,
-    so a level reuses every midpoint an earlier level already counted
-    and gets exactly the value a bisection of its own would give.  The
-    discretization error is O(h^2).
+    The box potential is even, so the matrix splits into an even and an
+    odd sector of half the size: the reduced half-line oscillator of the
+    paper with spin label s = 0 and s = 1/2.  The levels alternate
+    between them, so level 2j is level j of the even sector and level
+    2j + 1 level j of the odd one.  Each level is bisected on its
+    sector's Sturm count inside the Gershgorin interval of the whole
+    matrix, and every bisection walks the same dyadic subdivision of
+    that interval; each sector keeps one record of its counts, so a
+    level reuses every midpoint an earlier level of its sector already
+    counted.  A count sweeps outward from the centre and stops past the
+    classical turning point of the probed energy, where no pivot can
+    change sign any more (see _Sector._sweep), so it equals the full
+    sweep's count.  The discretization error is O(h^2).
     """
     omega = p.require_omega()
     check_positive(box_halfwidth, "box halfwidth")
@@ -231,24 +328,21 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     h = 2.0 * box_halfwidth / (points - 1)
     xs = np.linspace(-box_halfwidth + h, box_halfwidth - h, interior)
     kinetic = p.hbar ** 2 / (p.mass * h * h)
-    diag_arr = kinetic + 0.5 * p.mass * omega ** 2 * xs * xs
+    diag = kinetic + 0.5 * p.mass * omega ** 2 * xs * xs
     off = -0.5 * kinetic
-    offsq = off * off
-    diag = diag_arr.tolist()
-    lo0 = float(diag_arr.min()) - 2.0 * abs(off)
-    hi0 = float(diag_arr.max()) + 2.0 * abs(off)
-    counts: dict[float, int] = {}      # Sturm count at every probed midpoint
+    lo0 = float(diag.min()) - 2.0 * abs(off)
+    hi0 = float(diag.max()) + 2.0 * abs(off)
+    sectors = _parity_sectors(diag, off)
     out = []
-    for k in range(1, count + 1):
+    for k in range(count):
+        sector = sectors[k % 2]
+        rank = k // 2 + 1
         lo, hi = lo0, hi0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if hi - lo <= 1e-13 * max(1.0, abs(mid)):
                 break
-            below = counts.get(mid)
-            if below is None:
-                below = counts[mid] = _sturm_count(diag, offsq, mid)
-            if below >= k:
+            if sector.below(mid) >= rank:
                 hi = mid
             else:
                 lo = mid
@@ -279,18 +373,20 @@ class ShootingConfig:
 
     def __post_init__(self):
         check_nu(self.nu)
-        if not 0.0 < self.x_start < self.x_match < self.x_end:
+        for value, name in ((self.x_start, "x_start"), (self.x_match, "x_match"),
+                            (self.x_end, "x_end"), (self.step, "step"),
+                            (self.tolerance, "tolerance")):
+            check_positive(value, name)
+        if not self.x_start < self.x_match < self.x_end:
             raise ValueError(
                 "need 0 < x_start < x_match < x_end, got "
                 f"{self.x_start}, {self.x_match}, {self.x_end}")
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
         lo, hi = self.energy_bracket
+        check_finite(lo, "energy bracket lower end")
+        check_finite(hi, "energy bracket upper end")
         if not (lo < hi < 0.0):
             raise ValueError(
                 f"energy bracket must satisfy lo < hi < 0, got ({lo}, {hi})")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 def _steps(p: PhysicalParams, cfg: ShootingConfig, lo_x: float, hi_x: float,
@@ -448,13 +544,82 @@ class _ShootingRun:
         return int(np.count_nonzero(sign[:, 1:] * sign[:, :-1] < 0))
 
 
+_BISECTION_STEPS = 300     # halvings plus probes one shooting solve may take
+_SCAN_BAND = 8             # scan probes that share one step table
+
+
+def _guided_bisection(f, lo: float, f_lo: float, hi: float, f_hi: float,
+                      tol: float) -> float:
+    """Midpoint of the cell plain bisection of f on (lo, hi) stops in.
+
+    Plain bisection halves (lo, hi) until hi - lo <= tol |mid|, evaluating
+    f at every midpoint.  This walks the same dyadic path but keeps,
+    beside (lo, hi), the tightest bracket (a, b) whose ends have been
+    evaluated: f(a) has the sign of f(lo) and f(b) that of f(hi).  A
+    midpoint at or below a moves lo, and one at or above b moves hi,
+    with no evaluation.  A midpoint inside (a, b) calls for an Illinois
+    step (Dowell and Jarratt, BIT 11, 1971): the regula falsi root of
+    (a, b), with the value of an end kept twice in a row halved.  The
+    probe is pushed tol |mid| / 8 off that root toward the longer side of
+    (a, b), so the sign it finds is never rounding noise, and it
+    replaces a or b.  Once b - a < tol |mid| / 2 the midpoint itself is
+    evaluated, as plain bisection would.  With one sign change inside
+    (lo, hi), every sign this infers is the one bisection would have
+    evaluated, so the result is the same cell.
+    """
+    lo_positive = f_lo > 0
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi
+    last = 0                 # -1: the last probe replaced a; +1: it replaced b
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        width = tol * abs(mid)
+        if hi - lo <= width:
+            return mid
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi = mid
+        elif b - a < 0.5 * width:
+            f_mid = f(mid)
+            if f_mid == 0.0:
+                return mid
+            if (f_mid > 0) == lo_positive:
+                lo, a, f_a = mid, mid, f_mid
+            else:
+                hi, b, f_b = mid, mid, f_mid
+        else:
+            root = a - f_a * (b - a) / (f_b - f_a)
+            push = 0.125 * width
+            x = root - push if root - a > b - root else root + push
+            f_x = f(x)
+            if f_x == 0.0:
+                a = b = x
+            elif (f_x > 0) == lo_positive:
+                a, f_a = x, f_x
+                if last == -1:
+                    f_b *= 0.5
+                last = -1
+            else:
+                b, f_b = x, f_x
+                if last == 1:
+                    f_a *= 0.5
+                last = 1
+    raise ConvergenceError(
+        f"shooting bisection did not reach relative width {tol:.1e} "
+        f"in {_BISECTION_STEPS} steps")
+
+
 def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     """Eigenvalue of the half-line problem with Phi ~ x^nu at the origin.
 
-    Bisects the Wronskian mismatch inside cfg.energy_bracket and then
+    Bisects the Wronskian mismatch inside cfg.energy_bracket to the
+    dyadic cell of relative width cfg.tolerance that plain bisection
+    would end in, but lets Illinois regula falsi probes decide most
+    midpoints without evaluating them (see _guided_bisection), and then
     verifies the converged shape has exactly n interior nodes.  Raises
     ValueError when the bracket does not straddle a sign change, and
-    ConvergenceError when the node count disagrees with n.
+    ConvergenceError when the search does not converge or the node
+    count disagrees with n.
     """
     check_index(n, "node count n")
     run = _ShootingRun(cfg, p)
@@ -470,19 +635,7 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
             "energy bracket does not straddle an eigenvalue: the matching "
             f"defect has the same sign at both ends ({w_lo:.3e}, {w_hi:.3e})")
     else:
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= cfg.tolerance * abs(mid):
-                break
-            w_mid = run.mismatch(mid)
-            if w_mid == 0.0:
-                lo = hi = mid
-                break
-            if (w_mid > 0) == (w_lo > 0):
-                lo, w_lo = mid, w_mid
-            else:
-                hi = mid
-        eps = 0.5 * (lo + hi)
+        eps = _guided_bisection(run.mismatch, lo, w_lo, hi, w_hi, cfg.tolerance)
     found = run.nodes(eps)
     if found != n:
         raise ConvergenceError(
@@ -499,7 +652,9 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int,
     shooting mismatch.  Needs no prior knowledge of the spectrum; the
     default scan ratio keeps consecutive levels separated for
     n_max <= 20.  ratio must be a finite number > 1, or the walk would
-    never reach the top of the spectrum.
+    never reach the top of the spectrum.  The probes go in bands of up
+    to 8 consecutive energies, and each band shares one step table,
+    whose config is the one a level bracket spanning the band would get.
     """
     check_nu(nu)
     check_index(n_max, "n_max")
@@ -516,14 +671,19 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int,
     prev_eps = None
     prev_sign = None
     while eps < floor_stop and len(brackets) <= n_max:
-        # each probe gets the geometry of a narrow bracket around itself
-        cfg = shooting_config_for_level(nu, p, 0, (1.01 * eps, 0.99 * eps))
-        w = _ShootingRun(cfg, p).mismatch(eps)
-        sign = w > 0
-        if prev_sign is not None and sign != prev_sign:
-            brackets.append((prev_eps, eps))
-        prev_eps, prev_sign = eps, sign
-        eps /= ratio
+        band = []
+        while eps < floor_stop and len(band) < _SCAN_BAND:
+            band.append(eps)
+            eps /= ratio
+        cfg = shooting_config_for_level(nu, p, 0, (1.01 * band[0], 0.99 * band[-1]))
+        run = _ShootingRun(cfg, p)
+        for probe in band:
+            if len(brackets) > n_max:
+                break
+            sign = run.mismatch(probe) > 0
+            if prev_sign is not None and sign != prev_sign:
+                brackets.append((prev_eps, probe))
+            prev_eps, prev_sign = probe, sign
     if len(brackets) <= n_max:
         raise ConvergenceError(
             f"energy scan found only {len(brackets)} levels below {floor_stop:.3e}, "

@@ -39,6 +39,21 @@ def test_potential_rejects_nonpositive_x():
         anyon.potential(-1.0, 0.75, UNIT)
 
 
+def test_potential_domain():
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    # x^2 underflows (1e-170) or V overflows (2.2e-155) near the origin
+    for x in (1e-170, 2.2e-155, 0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite and > 0"):
+            anyon.potential(x, 0.25, p)
+    for bad in (1e-170, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got x = {bad!r}"):
+            anyon.potential(np.array([1.0, bad, 2.0]), 0.75, p)
+    edge = anyon.potential(2.3e-155, 0.25, p)
+    assert math.isfinite(edge) and isinstance(edge, float)
+    xs = np.array([2.3e-155, 1.0, 1e300])
+    assert np.all(np.isfinite(anyon.potential(xs, 0.25, p)))
+
+
 def test_energy_examples():
     assert anyon.energy(0, 0.25, UNIT) == -8.0
     assert math.isclose(anyon.energy(0, 0.75, UNIT), -8.0 / 9.0,

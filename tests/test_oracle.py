@@ -195,6 +195,72 @@ def test_fd_spectrum_shared_probes_change_no_bit(points, count):
             == _fd_spectrum_reference(UNIT, 10.0, points, count))
 
 
+def _box_matrix(points, box_halfwidth=10.0):
+    h = 2.0 * box_halfwidth / (points - 1)
+    xs = np.linspace(-box_halfwidth + h, box_halfwidth - h, points - 2)
+    kinetic = 1.0 / (h * h)
+    return kinetic + 0.5 * xs * xs, -0.5 * kinetic
+
+
+def _sector_count_reference(diag, couplings, lam):
+    """Sturm count over every row of the tridiagonal with the given
+    diagonal and coupling products couplings[i] between rows i, i + 1."""
+    count = 0
+    q = 1.0
+    for i, d in enumerate(diag):
+        q = d - lam if i == 0 else d - lam - couplings[i - 1] / q
+        if abs(q) < 1e-290:
+            q = -1e-290
+        if q < 0.0:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("points, box", [(2001, 10.0), (2002, 10.0), (101, 7.3), (100, 7.3)])
+def test_stopped_sector_count_equals_full_sweep(points, box):
+    diag, off = _box_matrix(points, box)
+    offsq = off * off
+    half = diag.size // 2
+    if diag.size % 2:        # centre node x = 0 exists
+        even = (diag[half:].tolist(), [2.0 * offsq] + [offsq] * (diag.size - half))
+        odd = (diag[half + 1:].tolist(), [offsq] * (diag.size - half))
+    else:
+        right = diag[half:].tolist()
+        even = ([right[0] + off] + right[1:], [offsq] * half)
+        odd = ([right[0] - off] + right[1:], [offsq] * half)
+    sectors = oracle._parity_sectors(diag, off)
+    assert [sectors[0].diag, sectors[1].diag] == [even[0], odd[0]]
+    lo0 = float(diag.min()) - 2.0 * abs(off)
+    hi0 = float(diag.max()) + 2.0 * abs(off)
+    levels = oracle.fd_oscillator_spectrum(UNIT, box, points, 20)
+    near = [level * (1.0 + t) for level in levels
+            for t in (-1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12)]
+    near += [math.nextafter(level, d) for level in levels for d in (-math.inf, math.inf)]
+    lams = np.linspace(lo0, hi0, 41).tolist() + np.linspace(0.0, 25.0, 101).tolist() + near
+    for lam in lams:
+        got = [sector._sweep(lam) for sector in sectors]
+        want = [_sector_count_reference(d, c, lam) for d, c in (even, odd)]
+        assert got == want, lam
+    # the sectors split the full count wherever the full count is clear
+    for lam in np.linspace(0.01, 25.0, 37).tolist():
+        assert (sum(sector._sweep(lam) for sector in sectors)
+                == _sturm_count_reference(diag.tolist(), offsq, lam))
+
+
+@pytest.mark.parametrize("points, count", [(100, 20), (2002, 5), (4434, 20)])
+def test_fd_spectrum_even_point_count(points, count):
+    # An even point count has no centre node; the sectors then start at
+    # d_c + off and d_c - off.  The reference bisects the full matrix, so
+    # the levels agree to the Sturm count's backward error.
+    diag, off = _box_matrix(points)
+    lo0 = float(diag.min()) - 2.0 * abs(off)
+    hi0 = float(diag.max()) + 2.0 * abs(off)
+    bound = 8.0 * np.finfo(float).eps * max(abs(lo0), abs(hi0))
+    got = oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
+    want = _fd_spectrum_reference(UNIT, 10.0, points, count)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= bound
+
+
 def test_shooting_config_validation():
     good = dict(nu=0.25, x_start=1e-4, x_match=0.1, x_end=30.0, step=1e-5,
                 energy_bracket=(-9.0, -7.0))
@@ -213,6 +279,22 @@ def test_shooting_config_validation():
         oracle.ShootingConfig(**{**good, "tolerance": -1e-9})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x_start", math.inf), ("x_start", math.nan), ("x_match", math.inf),
+    ("x_end", math.inf), ("x_end", math.nan), ("step", math.inf), ("step", math.nan),
+    ("tolerance", math.inf), ("tolerance", math.nan), ("tolerance", 0.0),
+    ("energy_bracket", (-math.inf, -7.0)), ("energy_bracket", (math.nan, -7.0)),
+    ("energy_bracket", (-9.0, math.nan)), ("energy_bracket", (-9.0, -math.inf)),
+])
+def test_shooting_config_rejects_nonfinite_fields(field, value):
+    # Construction only: x_end = inf used to pass and leave the step
+    # table to walk without bound.
+    good = dict(nu=0.25, x_start=1e-4, x_match=0.1, x_end=30.0, step=1e-5,
+                energy_bracket=(-9.0, -7.0))
+    with pytest.raises(ValueError):
+        oracle.ShootingConfig(**{**good, field: value})
+
+
 def _level_config(nu: float, n: int) -> oracle.ShootingConfig:
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     brackets = oracle.scan_level_brackets(nu, p, n)
@@ -229,6 +311,58 @@ def test_shooting_reproduces_lowest_levels():
             expected = anyon.energy(n, nu, p)
             assert abs(got - expected) <= 1e-5 * abs(expected)
             assert math.isclose(got, SHOOTING_LEVELS[nu][n], rel_tol=1e-12, abs_tol=0.0)
+
+
+def _plain_bisection(cfg, p):
+    """The shooting level by plain bisection of the mismatch: every
+    dyadic midpoint evaluated."""
+    run = oracle._ShootingRun(cfg, p)
+    lo, hi = cfg.energy_bracket
+    w_lo = run.mismatch(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= cfg.tolerance * abs(mid):
+            return mid
+        w_mid = run.mismatch(mid)
+        if w_mid == 0.0:
+            return mid
+        if (w_mid > 0) == (w_lo > 0):
+            lo, w_lo = mid, w_mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("nu", NU_VALUES)
+def test_guided_shooting_equals_plain_bisection(nu):
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    for n, bracket in enumerate(oracle.scan_level_brackets(nu, p, 12)):
+        cfg = oracle.shooting_config_for_level(nu, p, n, bracket)
+        assert oracle.shoot_anyon_energy(cfg, p, n) == _plain_bisection(cfg, p)
+
+
+def _per_probe_scan(nu, p, levels, ratio=1.08):
+    """The first sign-change brackets of the scan with a step table of
+    its own for every probe, as the scan was before probes shared one."""
+    scale = p.mass * p.alpha * p.alpha / (2.0 * p.hbar ** 2)
+    eps = -1.35 * scale / (nu * nu)
+    brackets, prev_eps, prev_sign = [], None, None
+    while len(brackets) < levels:
+        cfg = oracle.shooting_config_for_level(nu, p, 0, (1.01 * eps, 0.99 * eps))
+        sign = oracle._ShootingRun(cfg, p).mismatch(eps) > 0
+        if prev_sign is not None and sign != prev_sign:
+            brackets.append((prev_eps, eps))
+        prev_eps, prev_sign = eps, sign
+        eps /= ratio
+    return brackets
+
+
+@pytest.mark.parametrize("mass, alpha", [(1.0, 1.0), (0.5, 2.0), (3.0, 0.7), (1.7, 1.3)])
+@pytest.mark.parametrize("nu", NU_VALUES)
+def test_banded_scan_equals_per_probe_scan(nu, mass, alpha):
+    p = PhysicalParams(mass, 1.0, alpha=alpha)
+    reference = _per_probe_scan(nu, p, 21)
+    for n_max in range(8, 21):
+        assert oracle.scan_level_brackets(nu, p, n_max) == reference[:n_max + 1]
 
 
 def _rk4_reference(run, eps):
