@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -140,49 +141,95 @@ def build_parser() -> argparse.ArgumentParser:
 _CHUNK_ROWS = 4096
 
 
-def _chunks(cols: list[list]):
+def _chunks(cols: list):
     """Yield the columns sliced into runs of _CHUNK_ROWS rows."""
     for start in range(0, len(cols[0]), _CHUNK_ROWS):
         yield [col[start:start + _CHUNK_ROWS] for col in cols]
 
 
-def _emit(ns, meta: dict, columns: list[str], cols: list[list]) -> None:
+def _number_cells(chunk) -> list[str]:
+    """str() of each exact int or float of a chunk, in one C-level pass.
+
+    A list's repr joins its items' reprs with ", ", which no int or float
+    repr contains, and for an exact int or float repr equals str, inf,
+    nan and -0.0 included. A numpy scalar reprs otherwise under numpy 2
+    (np.float64(1.0)), so callers pass Python numbers.
+    """
+    cells = repr(list(chunk)).split(", ")
+    cells[0] = cells[0][1:]       # the brackets are cut from the end cells,
+    cells[-1] = cells[-1][:-1]    # not by one more chunk-long copy
+    return cells
+
+
+def _csv_text_cells(chunk) -> list[str]:
+    """Each text cell as csv.writer writes it in a row of two or more
+    fields (QUOTE_MINIMAL).
+
+    A cell is written with an empty field after it, so that an empty
+    cell is not taken for an empty record and quoted; the ",\n" that
+    field adds is cut off.
+    """
+    cells = []
+    for cell in chunk:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((cell, ""))
+        cells.append(buf.getvalue()[:-2])
+    return cells
+
+
+def _json_cells(chunk) -> list[str]:
+    """Every cell of a chunk through json's C encoder, in one pass.
+
+    The encoder escapes NUL inside strings, so a raw NUL can only be the
+    separator between cells.
+    """
+    return json.dumps(chunk, separators=("\0", ":"))[1:-1].split("\0")
+
+
+def _emit(ns, meta: dict, columns: list[str], cols: list) -> None:
     """Write one document whose rows are the columns cols, chunk by chunk.
 
     The bytes are those of the row-major layout: JSON as
     `json.dumps(payload, indent=2)`, CSV through `csv.writer`, the table
     as cells `str`-formatted and left-justified to max(len(name), 24).
+    Each chunk of each column becomes cells in one pass: numbers through
+    one repr of the chunk (table, CSV) or json's C encoder (JSON); text
+    (str) cells through `str` (table), the csv module's quoting (CSV) or
+    the encoder (JSON). One layout per format then joins a chunk's cells
+    into rows. Number cells must be exact Python ints and floats, and
+    cols must hold at least two columns and one row.
     """
     header = "".join(f"# {key} = {value}\n" for key, value in meta.items())
+    if ns.format == "json":
+        # meta and column names come from json itself
+        head, tail = json.dumps({"meta": meta, "columns": columns, "rows": []},
+                                indent=2).rsplit("[]", 1)
+        head += "[\n    [\n      "
+        layout, sep = ",\n      ".join, "\n    ],\n    [\n      "
+        end = "\n    ]\n  ]" + tail + "\n"
+        number = text = _json_cells
+    elif ns.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(columns)
+        head = header + buf.getvalue()
+        layout, sep, end = ",".join, "\n", "\n"
+        number, text = _number_cells, _csv_text_cells
+    else:
+        row = "  ".join(f"%-{max(len(col), 24)}s" for col in columns) + "\n"
+        head = header + row % tuple(columns)
+        layout, sep, end = row.__mod__, "", ""
+        number, text = _number_cells, list    # "%s" applies str
     dest = open(ns.output, "w") if ns.output else contextlib.nullcontext(sys.stdout)
     with dest as out:
-        if ns.format == "json":
-            # meta and column names come from json itself; a cell is
-            # encoded by json's C encoder, which escapes NUL in strings,
-            # so a raw NUL can only be the separator between cells
-            head, tail = json.dumps({"meta": meta, "columns": columns, "rows": []},
-                                    indent=2).rsplit("[]", 1)
-            row = "    [\n      " + ",\n      ".join(["%s"] * len(cols)) + "\n    ]"
-            sep = "[\n"
-            out.write(head)
-            for chunk in _chunks(cols):
-                cells = [json.dumps(col, separators=("\0", ":"))[1:-1].split("\0")
-                         for col in chunk]
-                out.write(sep + ",\n".join(map(row.__mod__, zip(*cells))))
-                sep = ",\n"
-            out.write("\n  ]" + tail + "\n")
-        elif ns.format == "csv":
-            out.write(header)
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(columns)
-            for chunk in _chunks(cols):
-                writer.writerows(zip(*chunk))
-        else:
-            row = "  ".join(f"%-{max(len(col), 24)}s" for col in columns) + "\n"
-            out.write(header + row % tuple(columns))
-            for chunk in _chunks(cols):
-                cells = [map(str, col) for col in chunk]
-                out.write("".join(map(row.__mod__, zip(*cells))))
+        out.write(head)
+        lead = ""
+        for chunk in _chunks(cols):
+            cells = [(text if isinstance(col[0], str) else number)(col)
+                     for col in chunk]
+            out.write(lead)
+            out.write(sep.join(map(layout, zip(*cells))))
+            lead = sep
+        out.write(end)
 
 
 def _meta(ns, **extra) -> dict:

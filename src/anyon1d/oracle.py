@@ -60,7 +60,7 @@ for _i, _x in enumerate(_XGK):
         _NODES.append((_x, _WGK[_i], _wg))
         _NODES.append((-_x, _WGK[_i], _wg))
 
-_GRADE_DEPTH = 28          # dyadic grading depth toward each endpoint
+_GRADE_DEPTH = 28          # dyadic grading depth toward each graded endpoint
 _TAIL_CAP_DOUBLINGS = 60   # give up on tail truncation after this many
 _MAX_INTERVALS = 4096      # refinement cap of one adaptive integral
 
@@ -79,23 +79,27 @@ def _gk15(f, lo: float, hi: float) -> tuple[float, float]:
     return r * acc_k, abs(r * (acc_k - acc_g))
 
 
-def _initial_cells(a: float, b: float) -> list[float]:
-    """Interval boundaries graded dyadically toward both endpoints.
+def _initial_cells(a: float, b: float, grade_b: bool) -> list[float]:
+    """Interval boundaries graded dyadically toward a, and toward b when
+    grade_b is set.
 
     Integrable endpoint singularities (fractional powers) then converge
     geometrically cell by cell without the refinement loop having to
-    discover them one bisection at a time.
+    discover them one bisection at a time. Only an endpoint the caller
+    gave can hold one: b is not graded when it is a tail truncation
+    point, past which the integrand is already negligible.
     """
     width = b - a
     cuts = {a, b}
     for j in range(1, _GRADE_DEPTH + 1):
         cuts.add(a + width * 2.0 ** (-j))
-        cuts.add(b - width * 2.0 ** (-j))
+        if grade_b:
+            cuts.add(b - width * 2.0 ** (-j))
     return sorted(c for c in cuts if a <= c <= b)
 
 
-def _adaptive(f, a: float, b: float, tol: float) -> float:
-    bounds = _initial_cells(a, b)
+def _adaptive(f, a: float, b: float, tol: float, grade_b: bool) -> float:
+    bounds = _initial_cells(a, b, grade_b)
     cells = []
     for lo, hi in zip(bounds, bounds[1:]):
         if hi > lo:
@@ -142,9 +146,11 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
 
     Endpoints may be +-inf; infinite tails are truncated where the
     integrand has decayed below the tolerance and the finite core is
-    handled by adaptive 15-point Gauss-Kronrod with dyadic grading
-    toward both endpoints (endpoint values are never evaluated, so
-    integrable power singularities at the ends are fine).
+    handled by adaptive 15-point Gauss-Kronrod. Its initial cells are
+    graded dyadically toward each finite endpoint the caller gave: both
+    ends of a finite [a, b], only the finite end of a semi-infinite
+    range, never the truncation point. Endpoint values are never
+    evaluated, so integrable power singularities at the ends are fine.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -160,8 +166,8 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
         return quadrature(lambda t: f(-t), -b, math.inf, tol)
     if pos_inf:
         cut = _tail_cutoff(f, max(1.0, 2.0 * abs(a), 2.0 * a + 1.0), tol)
-        return _adaptive(f, a, cut, tol)
-    return _adaptive(f, a, b, tol)
+        return _adaptive(f, a, cut, tol, grade_b=False)
+    return _adaptive(f, a, b, tol, grade_b=True)
 
 
 def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> float:

@@ -77,6 +77,37 @@ def test_quadrature_laguerre_norm_closed_form():
             assert abs(got - closed) <= 1e-8 * closed
 
 
+# Values on [0, 1] at tol 1e-12, recorded while every range was still
+# graded toward both ends. A finite range keeps those initial cells, so
+# its value must not move by a bit.
+FINITE_QUADRATURES = [
+    (lambda y: y * y, 0.3333333333333333),
+    (lambda x: x ** 0.5, 0.6666666666666666),
+    (lambda x: x ** 1.5, 0.39999999999999997),
+]
+# Integrand evaluations of exp(-x) over (0, inf) at tol 1e-12 while the
+# truncation point was graded as well: 56 initial cells.
+TWO_SIDED_TAIL_EVALS = 921
+
+
+@pytest.mark.parametrize("f, recorded", FINITE_QUADRATURES, ids=["x^2", "x^0.5", "x^1.5"])
+def test_finite_range_quadrature_is_bit_identical(f, recorded):
+    assert oracle.quadrature(f, 0.0, 1.0, tol=1e-12) == recorded
+
+
+def test_truncated_range_is_graded_toward_its_finite_end_only():
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return math.exp(-x)
+
+    got = oracle.quadrature(f, 0.0, math.inf, tol=1e-12)
+    assert abs(got - 1.0) <= 1e-12
+    assert calls <= 0.6 * TWO_SIDED_TAIL_EVALS
+
+
 def test_quadrature_reports_nonconvergence():
     with pytest.raises(ConvergenceError):
         oracle.quadrature(lambda y: 1.0, 0.0, math.inf, tol=1e-10)

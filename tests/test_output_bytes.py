@@ -8,11 +8,14 @@ every format, on stdout and through `--output`, must give its bytes.
 import csv
 import io
 import json
+import math
+from itertools import cycle, islice
+from types import SimpleNamespace
 
 import pytest
 
-from anyon1d import anyon, oscillator
-from anyon1d.cli import _CHUNK_ROWS, main
+from anyon1d import anyon, cli, oscillator
+from anyon1d.cli import _CHUNK_ROWS, _emit, main
 from anyon1d.core import Grid, PhysicalParams, make_state, state_from_nu
 
 
@@ -109,3 +112,63 @@ def test_every_format_matches_the_row_major_writer(tmp_path, capsys, argv):
         code, text, out, err = _run(capsys, argv, fmt, tmp_path / f"out.{fmt}")
         assert (code, text, out, err) == (0, expected, "", summary)
 
+
+# Cells whose text is easy to get wrong: float reprs with exponents,
+# signed zero and non-finite values; ints past 2**64; text that
+# csv.writer must quote, an empty cell and a leading space.
+_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-300, 1e16, 0.1, -2.5e-250)
+_INTS = (0, -7, 10**20, 3)
+_TEXTS = ("a,b", 'say "hi"', "two\nlines", "cr\r", "  leading", "", "PASS", "x" * 40)
+
+
+def _edge_columns(rows):
+    """Four columns as tuples, the way zip(*rows) hands them over."""
+    def column(values):
+        return tuple(islice(cycle(values), rows))
+    return [column(_TEXTS), column(_FLOATS), column(_INTS),
+            column(_INTS[:2] + _FLOATS[3:6])]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("rows", [1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+def test_edge_cells_match_the_row_major_writer(tmp_path, capsys, fmt, rows):
+    meta = {"command": "edge", "note": "a, b"}
+    columns = ["text, quoted", "float", "int", "mixed"]
+    cols = _edge_columns(rows)
+    expected = _row_major(fmt, meta, columns, [list(row) for row in zip(*cols)])
+    _emit(SimpleNamespace(format=fmt, output=None), meta, columns, cols)
+    assert capsys.readouterr() == (expected, "")
+    path = tmp_path / f"edge.{fmt}"
+    _emit(SimpleNamespace(format=fmt, output=str(path)), meta, columns, cols)
+    assert capsys.readouterr() == ("", "")
+    with open(path, newline="") as handle:    # keep a \r cell as written
+        assert handle.read() == expected
+
+
+_EMITTING = [
+    ["spectrum", "--system", "anyon", "--nu", "3/4", "--n-max", "4"],
+    ["spectrum", "--system", "oscillator", "--omega", "2.5", "--n-max", "4"],
+    ["dual", "--n", "2", "--s", "1/2", "--omega", "1.5"],
+    ["dual", "--n", "1", "--nu", "3/4", "--alpha", "1"],
+    ["verify", "--suite", "all"],
+    _wavefunction_argv("anyon", 50, False),
+    _wavefunction_argv("anyon", 50, True),
+    _wavefunction_argv("oscillator", 50, False),
+]
+
+
+@pytest.mark.parametrize("argv", _EMITTING, ids=[
+    "spectrum-anyon", "spectrum-oscillator", "dual-from-omega", "dual-from-alpha",
+    "verify-all", "wavefunction-anyon", "wavefunction-anyon-extended",
+    "wavefunction-oscillator"])
+def test_commands_hand_the_writer_exact_python_cells(monkeypatch, capsys, argv):
+    """A numpy scalar reprs as np.float64(...) under numpy 2, so a number
+    cell must be an exact int or float; a column is all text or all numbers."""
+    seen = []
+    monkeypatch.setattr(cli, "_emit", lambda ns, meta, columns, cols: seen.append(cols))
+    assert main(argv) == 0
+    capsys.readouterr()
+    (cols,) = seen
+    for col in cols:
+        kinds = {type(cell) for cell in col}
+        assert kinds == {str} or kinds <= {int, float}, kinds
