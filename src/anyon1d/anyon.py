@@ -24,12 +24,13 @@ import math
 
 import numpy as np
 
-from .core import PhysicalParams, check_index, check_nu
+from .core import PhysicalParams, check_index, check_nu, check_points
 from .specfun import RECURRENCE_ARG_MAX, _scaled_recurrence, log_gamma
 
 
 def potential(x, nu: float, p: PhysicalParams):
-    """V(x) = -alpha/x - hbar^2 nu(1-nu)/(2 m x^2) (scalar or array).
+    """V(x) = -alpha/x - hbar^2 nu(1-nu)/(2 m x^2) at the position x
+    (see core.check_points).
 
     Domain: finite x > 0 at which V(x) is a finite float.  Near the
     origin x^2 underflows or V overflows first; with unit constants V is
@@ -41,15 +42,16 @@ def potential(x, nu: float, p: PhysicalParams):
     """
     check_nu(nu)
     alpha = p.require_alpha()
-    array = isinstance(x, np.ndarray)
-    xs = x.astype(float) if array else np.float64(x)
+    xs, scalar = check_points(x, "x", 0.0, open_low=True)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = -alpha / xs - p.hbar ** 2 * nu * (1.0 - nu) / (2.0 * p.mass * xs * xs)
-    bad = ~((xs > 0) & np.isfinite(xs) & np.isfinite(v))
+        # np.divide: for one point the denominator is a float, which may
+        # underflow to 0.0
+        v = -alpha / xs - np.divide(p.hbar ** 2 * nu * (1.0 - nu), 2.0 * p.mass * xs * xs)
+    bad = ~np.isfinite(v)
     if np.any(bad):
-        first = float(np.atleast_1d(xs)[np.atleast_1d(bad)][0])
+        first = xs if scalar else float(xs[bad][0])
         raise ValueError(f"x must be finite and > 0 with V(x) finite, got x = {first!r}")
-    return v if array else float(v)
+    return float(v) if scalar else v
 
 
 def energy(n: int, nu: float, p: PhysicalParams) -> float:
@@ -110,23 +112,19 @@ def _shape(n: int, nu: float, y, log_factor: float):
 
 
 def wavefunction(n: int, nu: float, p: PhysicalParams, x):
-    """Normalized bound-state wavefunction Phi_n at x > 0 (scalar or array).
+    """Normalized bound-state wavefunction Phi_n at the position x > 0
+    (see core.check_points).
 
     Phi_n(x) = sqrt(m alpha)/(hbar (n + nu)) sqrt(y) l_n(y) with y = beta x
     (see _shape).  Defined for 0 < y <= 1e150; far in the tail the value
     underflows to exactly 0.0, which is part of the contract.
     """
     b = beta(n, nu, p)  # validates n, nu, alpha
-    x_max = RECURRENCE_ARG_MAX / b
-    array = isinstance(x, np.ndarray)
-    x = x.astype(float) if array else float(x)
-    inside = np.all((x > 0) & (x <= x_max)) if array else 0 < x <= x_max
-    if not inside:
-        raise ValueError(f"x must lie in (0, {x_max:.6g}]")
+    x, scalar = check_points(x, "x", 0.0, RECURRENCE_ARG_MAX / b, open_low=True)
     log_factor = (0.5 * math.log(p.mass * p.require_alpha()) - math.log(p.hbar)
                   - math.log(n + nu))
     values = _shape(n, nu, b * x, log_factor)
-    return values if array else float(values)
+    return float(values) if scalar else values
 
 
 def extended_wavefunction(n: int, nu: float, p: PhysicalParams, y):
@@ -141,24 +139,18 @@ def extended_wavefunction(n: int, nu: float, p: PhysicalParams, y):
     where phi is normalized to unit L2 norm in the y variable, so the
     full-line norm is again 1.  The ratio Phi(-y)/Phi(y) is exactly the
     phase e^(i pi nu).  y = 0 is the singular point of the potential
-    and is rejected, as is |y| > 1e150.  y may be a float (complex
-    result) or a real array (complex array).
+    and is rejected, as is |y| > 1e150.  One point (see
+    core.check_points) gives a complex, an array a complex array.
     """
     beta(n, nu, p)  # validates n, nu, alpha
-    array = isinstance(y, np.ndarray)
-    if isinstance(y, complex) or (array and np.iscomplexobj(y)):
-        raise ValueError("y must be a real number")
-    y = y.astype(float) if array else float(y)
+    y, scalar = check_points(y, "y", -RECURRENCE_ARG_MAX, RECURRENCE_ARG_MAX)
     size = abs(y)
-    inside = (np.all((size > 0) & (size <= RECURRENCE_ARG_MAX)) if array
-              else 0 < size <= RECURRENCE_ARG_MAX)
-    if not inside:
-        raise ValueError(f"y must satisfy 0 < |y| <= {RECURRENCE_ARG_MAX:g}; "
-                         "y = 0 is the singular point")
+    if not (size > 0 if scalar else np.all(size > 0)):
+        raise ValueError("y must not be 0: y = 0 is the singular point")
     # phi = sqrt(y) l_n(y) / sqrt(2 (n + nu)); with the 1/sqrt(2) that is
     # a factor 1/(2 sqrt(n + nu))
     r = _shape(n, nu, size, -0.5 * math.log(4.0 * (n + nu)))
     twist = cmath.exp(1j * math.pi * nu)
-    if array:
-        return np.where(y > 0, r, twist * r)
-    return complex(r, 0.0) if y > 0 else twist * float(r)
+    if scalar:
+        return complex(r, 0.0) if y > 0 else twist * float(r)
+    return np.where(y > 0, r, twist * r)

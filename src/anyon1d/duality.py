@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import anyon, oracle, oscillator
-from .core import Grid, PhysicalParams, QuantumState, make_state, state_from_nu
+from .core import (Grid, PhysicalParams, QuantumState, check_finite, check_points,
+                   check_positive, make_state, state_from_nu)
 from .specfun import log_gamma
 
 _LN2 = math.log(2.0)
@@ -30,19 +31,17 @@ _OMEGA_RTOL = 1e-12
 
 def to_anyon_params(E: float, omega: float, p: PhysicalParams) -> tuple[float, float]:
     """(alpha, epsilon) = (E/4, -m omega^2 / 8) for oscillator data (E, omega)."""
-    if not (math.isfinite(E) and E > 0):
-        raise ValueError(f"oscillator energy must be positive, got {E}")
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"frequency omega must be positive, got {omega}")
+    check_positive(E, "oscillator energy E")
+    check_positive(omega, "frequency omega")
     return 0.25 * E, -p.mass * omega * omega / 8.0
 
 
 def to_oscillator_params(alpha: float, epsilon: float, p: PhysicalParams) -> tuple[float, float]:
     """(E, omega) = (4 alpha, sqrt(-8 epsilon / m)); inverse of to_anyon_params."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"coupling alpha must be positive, got {alpha}")
-    if not (math.isfinite(epsilon) and epsilon < 0):
-        raise ValueError(f"bound-state energy must be negative, got {epsilon}")
+    check_positive(alpha, "coupling alpha")
+    check_finite(epsilon, "bound-state energy epsilon")
+    if not epsilon < 0:
+        raise ValueError(f"bound-state energy epsilon must be negative, got {epsilon!r}")
     return 4.0 * alpha, math.sqrt(-8.0 * epsilon / p.mass)
 
 
@@ -60,9 +59,10 @@ def map_oscillator_to_anyon(n: int, s: float, p: PhysicalParams, x):
     Phi_n(x) = (-1)^n / 2 * sqrt(m omega / (hbar (n + nu)))
                * x^(1/4) * Psi_N(sqrt(x)),
 
-    with N = 2n + 2s and nu = s + 1/4.  Both alpha and omega must be set
-    on p, and omega must equal the quantized dual frequency of state
-    (n, nu); anything else is an error rather than a silent recompute.
+    with N = 2n + 2s and nu = s + 1/4, at the finite position x > 0
+    (see core.check_points).  Both alpha and omega must be set on p, and
+    omega must equal the quantized dual frequency of state (n, nu);
+    anything else is an error rather than a silent recompute.
     """
     state = make_state(n, s)
     omega = p.require_omega()
@@ -72,17 +72,12 @@ def map_oscillator_to_anyon(n: int, s: float, p: PhysicalParams, x):
             f"omega = {omega!r} is not the dual frequency of state "
             f"(n={state.n}, nu={state.nu}); expected {expected!r}. "
             "Set omega = dual_frequency(n, nu, p); it is not recomputed silently.")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("x must be positive on the anyon side")
-    u = np.sqrt(arr)
+    x, scalar = check_points(x, "x", 0.0, open_low=True)
     pref = 0.5 * math.sqrt(p.mass * omega / (p.hbar * (state.n + state.nu)))
     if state.n % 2:
         pref = -pref
-    values = pref * arr ** 0.25 * oscillator.wavefunction(state.N, p, u)
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return float(values)
-    return values
+    values = pref * np.power(x, 0.25) * oscillator.wavefunction(state.N, p, np.sqrt(x))
+    return float(values) if scalar else values
 
 
 def reduction_constant(n: int, s: float, p: PhysicalParams) -> float:
@@ -101,17 +96,16 @@ def constant_equality_residual(n: int, nu: float) -> float:
     The oscillator route gives
         C~ = (sqrt(m alpha)/hbar) 2^-(n - nu + 1/4)
              sqrt(Gamma(2n + 2 nu + 1/2)) / (pi^(1/4) n! (n + nu))
-    and the direct route gives the constant of the anyon eigenfunction;
-    the gamma duplication identity makes them equal.  The comparison is
-    done in log space and is independent of m, alpha, hbar.
+    and the direct route is anyon.log_normalization, the constant of the
+    anyon eigenfunction; the gamma duplication identity makes them equal.
+    The comparison is done in log space and is independent of m, alpha,
+    hbar, so both routes run with unit constants.
     """
     state = state_from_nu(n, nu)
-    lam = state.n + state.nu
     log_tilde = (-(n - state.nu + 0.25) * _LN2
                  + 0.5 * log_gamma(2.0 * n + 2.0 * state.nu + 0.5)
-                 - 0.25 * _LNPI - log_gamma(n + 1.0) - math.log(lam))
-    log_direct = (-math.log(lam) - log_gamma(2.0 * state.nu)
-                  + 0.5 * (log_gamma(n + 2.0 * state.nu) - log_gamma(n + 1.0)))
+                 - 0.25 * _LNPI - log_gamma(n + 1.0) - math.log(state.n + state.nu))
+    log_direct = anyon.log_normalization(n, state.nu, PhysicalParams(1.0, 1.0, alpha=1.0))
     return abs(math.expm1(log_tilde - log_direct))
 
 

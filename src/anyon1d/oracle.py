@@ -152,8 +152,7 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     range, never the truncation point. Endpoint values are never
     evaluated, so integrable power singularities at the ends are fine.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_positive(tol, "tolerance")
     if a == b:
         return 0.0
     if a > b:
@@ -185,6 +184,7 @@ def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> fl
     over interior points, so an eigenpair gives a small value and a 1
     percent energy error is clearly visible.
     """
+    check_finite(epsilon, "energy epsilon")
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
     if xs.ndim != 1 or vs.shape != xs.shape:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
-from .core import PhysicalParams, check_index
+from .core import PhysicalParams, check_index, check_points
 from .specfun import RECURRENCE_ARG_MAX, _scaled_recurrence
 
 
@@ -35,7 +33,8 @@ def _hermite_coefficients(N: int) -> tuple:
 
 
 def wavefunction(N: int, p: PhysicalParams, u):
-    """Half-line normalized eigenfunction at u >= 0 (scalar or array).
+    """Half-line normalized eigenfunction at the position u >= 0 (see
+    core.check_points).
 
     Psi_N(u) = sqrt(2) (m w / hbar)^(1/4) psi_N(u sqrt(m w / hbar)), with
     psi_N(z) = (2^N N! sqrt(pi))^(-1/2) H_N(z) exp(-z^2/2) the unit-norm
@@ -45,13 +44,8 @@ def wavefunction(N: int, p: PhysicalParams, u):
     """
     check_index(N, "level N")
     omega = p.require_omega()
-    scalar = isinstance(u, (int, float)) or np.ndim(u) == 0
-    u = float(u) if scalar else np.asarray(u, dtype=float)
     scale = math.sqrt(p.mass * omega / p.hbar)
-    u_max = RECURRENCE_ARG_MAX / scale
-    inside = 0 <= u <= u_max if scalar else np.all((u >= 0) & (u <= u_max))
-    if not inside:
-        raise ValueError(f"u must lie in [0, {u_max:.6g}] on the half line")
+    u, scalar = check_points(u, "u", 0.0, RECURRENCE_ARG_MAX / scale)
     z = u * scale
     log_norm = 0.5 * math.log(2.0) + 0.25 * math.log(p.mass * omega / (math.pi * p.hbar))
     values = _scaled_recurrence(_hermite_coefficients(N), z, log_norm - 0.5 * z * z)

@@ -12,12 +12,11 @@ so callers always get close to full double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .core import ConvergenceError, check_index, check_s
+from .core import ConvergenceError, check_finite, check_index, check_positive, check_s
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -61,31 +60,22 @@ def log_gamma(z: float) -> float:
     routine loses relative accuracy, a short Taylor series in the
     distance from the zero keeps the relative error at machine level.
     """
-    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0):
-        raise ValueError(f"log_gamma requires a finite z > 0, got {z!r}")
-    t = z - 1.0
-    if abs(t) <= 0.06:
-        return _log_gamma_near_one(t)
-    t = z - 2.0
-    if abs(t) <= 0.06:
-        return _log_gamma_near_two(t)
+    check_positive(z, "log_gamma argument z")
+    if abs(z - 1.0) <= 0.06:
+        return _log_gamma_near_zero(z - 1.0, 0.0)
+    if abs(z - 2.0) <= 0.06:
+        return _log_gamma_near_zero(z - 2.0, 1.0)
     return math.lgamma(z)
 
 
-def _log_gamma_near_one(t: float) -> float:
-    # log Gamma(1+t) = -euler*t + sum_{k>=2} (-1)^k zeta(k) t^k / k
+def _log_gamma_near_zero(t: float, shift: float) -> float:
+    # log Gamma(1+shift+t) = (shift-euler)*t + sum_{k>=2} (-1)^k (zeta(k)-shift) t^k / k
+    # about the zeros z = 1 (shift 0) and z = 2 (shift 1); subtracting
+    # 0.0 is exact, so shift 0 gives the bits of the plain series
     acc = 0.0
     for k in range(len(_ZETA) + 1, 1, -1):
-        acc = -t * acc + _ZETA[k - 2] / k
-    return t * (-_EULER + t * acc)
-
-
-def _log_gamma_near_two(t: float) -> float:
-    # log Gamma(2+t) = (1-euler)*t + sum_{k>=2} (-1)^k (zeta(k)-1) t^k / k
-    acc = 0.0
-    for k in range(len(_ZETA) + 1, 1, -1):
-        acc = -t * acc + (_ZETA[k - 2] - 1.0) / k
-    return t * ((1.0 - _EULER) + t * acc)
+        acc = -t * acc + (_ZETA[k - 2] - shift) / k
+    return t * ((shift - _EULER) + t * acc)
 
 
 def duplication_residual(z: float) -> float:
@@ -133,11 +123,10 @@ def _log_rgamma_signed(z: float) -> tuple[float, float]:
 
 
 def _check_b(b: float) -> None:
+    check_finite(b, "lower parameter b")
     if _nonpositive_int(b) is not None:
         raise ValueError(
             f"lower parameter b must not be a nonpositive integer, got {b}")
-    if not math.isfinite(b):
-        raise ValueError(f"lower parameter b must be finite, got {b!r}")
 
 
 def kummer_series(a: float, b: float, y: float) -> float:
@@ -150,8 +139,8 @@ def kummer_series(a: float, b: float, y: float) -> float:
     Heavy cancellation triggers a second pass in 60-digit decimals.
     """
     _check_b(b)
-    if not (math.isfinite(a) and math.isfinite(y)):
-        raise ValueError("kummer_series needs finite a and y")
+    check_finite(a, "upper parameter a")
+    check_finite(y, "argument y")
     value, peak = _kummer_float(a, b, y)
     if not math.isfinite(value) or peak > _ESCALATE_RATIO * max(abs(value), 5e-324):
         value = _kummer_decimal(a, b, y)
@@ -256,30 +245,19 @@ def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
         return float(abs(total).ln()), sign
 
 
-@dataclass(frozen=True)
-class KummerAsymptotics:
-    """Large-argument value of F(a, b, y) in the real-part convention.
-
-    value collects the algebraic branch y^(-a) cos(pi a) term plus the
-    exponentially large e^y term; imag carries the imaginary part that
-    the (-y)^(-a) branch contributes for non-integer a.
-    """
-
-    value: float
-    imag: float
-
-
-def kummer_asymptotic(a: float, b: float, y: float, *, y_min: float = 30.0) -> KummerAsymptotics:
+def kummer_asymptotic(a: float, b: float, y: float, *, y_min: float = 30.0) -> complex:
     """Large-y expansion of F(a, b, y) with optimally truncated series.
 
     Sums both asymptotic series (the y^(-a) branch and the e^y y^(a-b)
     branch) until the terms start growing, the standard truncation at
-    the smallest term.  Rejects y below y_min since the expansion is
-    meaningless there.
+    the smallest term.  The real part of the result collects the
+    algebraic branch y^(-a) cos(pi a) term plus the exponentially large
+    e^y term, and is the value of F; the imaginary part is what the
+    (-y)^(-a) branch contributes for non-integer a.  Rejects y below
+    y_min since the expansion is meaningless there.
     """
     _check_b(b)
-    if not y > 0:
-        raise ValueError(f"kummer_asymptotic requires y > 0, got {y}")
+    check_positive(y, "argument y")
     if y < y_min:
         raise ValueError(
             f"y = {y} is below the asymptotic threshold y_min = {y_min}")
@@ -315,7 +293,7 @@ def kummer_asymptotic(a: float, b: float, y: float, *, y_min: float = 30.0) -> K
                 f"exponential branch overflows double precision (exponent {exponent:.1f})")
         exp_part = math.exp(exponent) * s2 * lgb[1] * rg_sign
 
-    return KummerAsymptotics(value=alg_real + exp_part, imag=alg_imag)
+    return complex(alg_real + exp_part, alg_imag)
 
 
 def _truncated_sum(numerator, ratio_base: float) -> float:
@@ -406,8 +384,7 @@ def hermite_kummer_residual(n: int, s: float, y: float) -> float:
     F(-n, 2s + 1/2, y)| at y > 0, where s is 0 or 1/2.
     """
     check_s(s)
-    if not y > 0:
-        raise ValueError(f"y must be positive, got {y}")
+    check_positive(y, "argument y")
     check_index(n, "n")
     root = math.sqrt(y)
     big_n = 2 * n + int(2 * s)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def test_potential_domain():
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     # x^2 underflows (1e-170) or V overflows (2.2e-155) near the origin
     for x in (1e-170, 2.2e-155, 0.0, -1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="x must be finite and > 0"):
+        with pytest.raises(ValueError, match=re.escape(f"got x = {x!r}")):
             anyon.potential(x, 0.25, p)
     for bad in (1e-170, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"got x = {bad!r}"):

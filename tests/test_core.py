@@ -14,6 +14,7 @@ from anyon1d.core import (
     Grid,
     PhysicalParams,
     VerificationReport,
+    check_points,
     check_positive,
     make_state,
     state_from_nu,
@@ -64,6 +65,56 @@ def test_check_positive_takes_finite_positive_numbers_only():
     for bad in (0, -1.0, math.nan, math.inf, True, "1", None):
         with pytest.raises(ValueError, match="x must be a positive finite number"):
             check_positive(bad, "x")
+
+
+_ANYON = PhysicalParams(1.0, 1.0, alpha=1.0)
+_DUAL = _ANYON.with_omega(duality.dual_frequency(0, 0.25, _ANYON))
+
+# Every evaluator that takes a position, with the name its messages use.
+POSITION_EVALUATORS = {
+    "anyon.wavefunction": (lambda x: anyon.wavefunction(0, 0.25, _ANYON, x), "x"),
+    "anyon.extended_wavefunction":
+        (lambda y: anyon.extended_wavefunction(0, 0.25, _ANYON, y), "y"),
+    "anyon.potential": (lambda x: anyon.potential(x, 0.25, _ANYON), "x"),
+    "oscillator.wavefunction": (lambda u: oscillator.wavefunction(0, _DUAL, u), "u"),
+    "duality.map_oscillator_to_anyon":
+        (lambda x: duality.map_oscillator_to_anyon(0, 0.0, _DUAL, x), "x"),
+}
+
+
+@pytest.mark.parametrize("evaluator", sorted(POSITION_EVALUATORS))
+def test_position_arguments_follow_one_rule(evaluator):
+    evaluate, name = POSITION_EVALUATORS[evaluator]
+    # bad input and the first offending point its message names
+    for bad, first in (("1.5", "'1.5'"), (True, "True"), (1 + 0j, "(1+0j)"),
+                       (np.array([1 + 2j, 2.0]), "(1+2j)"),
+                       ([0.5, math.nan], "nan")):
+        with pytest.raises(ValueError, match=re.escape(f"got {name} = {first}")):
+            evaluate(bad)
+    listed = evaluate([[0.5, 1.0]])
+    array = evaluate(np.array([[0.5, 1.0]]))
+    assert isinstance(listed, np.ndarray) and listed.shape == (1, 2)
+    assert listed.tobytes() == array.tobytes()
+    point = evaluate(np.array(0.5))
+    assert type(point) is (complex if evaluator == "anyon.extended_wavefunction" else float)
+    assert point == evaluate(0.5)
+
+
+def test_check_points_returns_a_float_or_a_float_array():
+    assert check_points(2, "x", 0.0, 3.0) == (2.0, True)
+    assert type(check_points(np.float32(0.5), "x", 0.0, 1.0)[0]) is float
+    points, scalar = check_points([1, 2], "x", 1.0, 2.0)
+    assert not scalar and points.dtype == np.float64 and points.tolist() == [1.0, 2.0]
+    empty, scalar = check_points([], "x", 0.0, 1.0)
+    assert not scalar and empty.size == 0
+    for bad, message in ((0.0, "x must lie in (0, 1], got x = 0.0"),
+                         (np.array([0.5, 2.0]), "x must lie in (0, 1], got x = 2.0"),
+                         (math.inf, "x must lie in (0, 1], got x = inf"),
+                         (10 ** 400, "x must lie in (0, 1], got x = 1000"),
+                         (None, "x must be real, got x = None"),
+                         (np.array([True]), "x must be real, got x = True")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_points(bad, "x", 0.0, 1.0, open_low=True)
 
 
 def test_validate_params_accepts_unit_system():
@@ -168,6 +219,14 @@ def test_grid_validation():
         Grid(0.0, 1.0, 2)
     with pytest.raises(ValueError):
         Grid(0.0, math.inf, 5)
+    with pytest.raises(ValueError, match="grid x_min"):
+        Grid("a", 1.0, 5)
+    with pytest.raises(ValueError, match="grid x_max"):
+        Grid(0.0, True, 5)
+    with pytest.raises(ValueError, match="grid count"):
+        Grid(0.0, 1.0, True)
+    with pytest.raises(ValueError, match="grid count"):
+        Grid(0.0, 1.0, 5.0)
     # The half-line constraint is enforced where wavefunctions are
     # sampled, so grids may start at zero or cover negative positions
     # (the parity-extended function lives on the full line).

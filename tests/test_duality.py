@@ -22,6 +22,22 @@ def test_to_anyon_params_examples():
         duality.to_anyon_params(-4.0, 8.0, p)
     with pytest.raises(ValueError):
         duality.to_anyon_params(4.0, 0.0, p)
+    for bad in (True, "2", math.inf):
+        with pytest.raises(ValueError, match="oscillator energy E"):
+            duality.to_anyon_params(bad, 1.0, p)
+        with pytest.raises(ValueError, match="frequency omega"):
+            duality.to_anyon_params(4.0, bad, p)
+
+
+def test_to_oscillator_params_validation():
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    assert duality.to_oscillator_params(1.0, -8.0, p) == (4.0, 8.0)
+    for bad in (0.0, -1.0, True, "1", math.inf):
+        with pytest.raises(ValueError, match="coupling alpha"):
+            duality.to_oscillator_params(bad, -8.0, p)
+    for bad in (0.0, 1.0, True, "-8", -math.inf, math.nan):
+        with pytest.raises(ValueError, match="bound-state energy epsilon"):
+            duality.to_oscillator_params(1.0, bad, p)
 
 
 @given(

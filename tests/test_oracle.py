@@ -108,6 +108,12 @@ def test_truncated_range_is_graded_toward_its_finite_end_only():
     assert calls <= 0.6 * TWO_SIDED_TAIL_EVALS
 
 
+def test_quadrature_rejects_a_bad_tolerance():
+    for tol in (0.0, -1e-10, True, "1e-10", math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            oracle.quadrature(lambda y: y, 0.0, 1.0, tol=tol)
+
+
 def test_quadrature_reports_nonconvergence():
     with pytest.raises(ConvergenceError):
         oracle.quadrature(lambda y: 1.0, 0.0, math.inf, tol=1e-10)
@@ -141,6 +147,9 @@ def test_ode_residual_input_validation():
     uneven = np.array([0.1, 0.2, 0.35, 0.4, 0.5, 0.6, 0.7])
     with pytest.raises(ValueError, match="uniform"):
         oracle.ode_residual(uneven, np.ones(7), pot, -1.0, UNIT)
+    for eps in (math.nan, -math.inf, True, "-1"):
+        with pytest.raises(ValueError, match="energy epsilon"):
+            oracle.ode_residual(xs, np.ones(9), pot, eps, UNIT)
     with pytest.raises(ValueError, match="trivial drive"):
         oracle.ode_residual(xs, np.ones(9), pot, 0.0, UNIT)
 
