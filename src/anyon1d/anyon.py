@@ -81,10 +81,6 @@ def log_normalization(n: int, nu: float, p: PhysicalParams) -> float:
             + 0.5 * (log_gamma(n + 2.0 * nu) - log_gamma(n + 1.0)))
 
 
-def normalization_constant(n: int, nu: float, p: PhysicalParams) -> float:
-    return math.exp(log_normalization(n, nu, p))
-
-
 @functools.lru_cache(maxsize=64)
 def _laguerre_coefficients(n: int, a: float) -> tuple:
     """Steps of l_{k+1} = [(2k+1+a-y) l_k - sqrt(k(k+a)) l_{k-1}] / sqrt((k+1)(k+1+a)).

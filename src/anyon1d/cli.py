@@ -14,7 +14,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -131,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="suite to run (repeatable; default all)")
     ve.add_argument("--tol", type=_positive_float, default=None,
                     help="override every check tolerance but the sensitivity "
-                         "control's (default: per-check values, or the "
-                         "ANYON_DEFAULT_TOL environment variable)")
+                         "control's (default: per-check values)")
     return parser
 
 
@@ -330,17 +328,9 @@ def cmd_dual(ns) -> int:
 
 def cmd_verify(ns) -> int:
     suites = ns.suite or ["all"]
-    tol = ns.tol
-    if tol is None:
-        env = os.environ.get("ANYON_DEFAULT_TOL")
-        if env:
-            try:
-                tol = _positive_float(env)
-            except argparse.ArgumentTypeError as err:
-                raise ValueError(f"ANYON_DEFAULT_TOL: {err}") from None
-    reports = verification.run_suites(suites, tol)
+    reports = verification.run_suites(suites, ns.tol)
     meta = _meta(ns, suites=",".join(suites),
-                 tol="per-check" if tol is None else tol)
+                 tol="per-check" if ns.tol is None else ns.tol)
     columns = ["status", "check", "residual", "tolerance"]
     rows = [["PASS" if r.passed else "FAIL", r.check_name, r.residual, r.tolerance]
             for r in reports]

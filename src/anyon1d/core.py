@@ -78,7 +78,8 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
     False.  Every point must lie in [low, high], or in (low, high] with
     open_low.  Complex, str, bool or object input, NaN and any point
     outside the range raise ValueError naming the argument and the first
-    offending point.
+    offending point; a ragged nesting raises ValueError naming the
+    argument.
     """
     # One int or float is checked without numpy: the quadrature
     # integrands call the evaluators one point at a time.  bool and the
@@ -88,7 +89,11 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
             return float(x), True
         first = x
     else:
-        points = np.asarray(x)
+        try:
+            points = np.asarray(x)
+        except ValueError:
+            raise ValueError(f"{name} must be real numbers of one rectangular "
+                             f"shape, got a ragged sequence") from None
         if points.dtype.kind not in "iuf":
             first = points.ravel()[:1].tolist()[0] if points.size else x
             raise ValueError(f"{name} must be real, got {name} = {first!r}")
@@ -218,10 +223,6 @@ class Grid:
         if not self.x_min < self.x_max:
             raise ValueError(
                 f"grid needs x_min < x_max, got [{self.x_min}, {self.x_max}]")
-
-    @property
-    def spacing(self) -> float:
-        return (self.x_max - self.x_min) / (self.count - 1)
 
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.count)

@@ -12,10 +12,10 @@ It offers four ways to check them from first principles:
   classical turning point of its energy, past which no pivot can
   change sign,
 * a shooting eigensolver for the attractive half-line problem, whose
-  RK4 steps are 2x2 propagators multiplied pairwise with numpy; its
-  bisection walks the plain dyadic path but lets Illinois regula falsi
-  probes settle most midpoints without an evaluation, and its energy
-  scan shares one step table across each band of 8 probes.
+  RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
+  level is one Illinois (modified regula falsi) solve of the matching
+  defect, and the energy scan shares one step table across each band
+  of 8 probes.
 
 All routines are deterministic: fixed node tables, fixed refinement
 rules, fixed step-size policies.
@@ -364,9 +364,9 @@ class ShootingConfig:
     chosen nu branch, meets an inward integration (started from the
     decaying asymptotic slope at x_end) at x_match, and the eigenvalue
     is the zero of the Wronskian mismatch inside energy_bracket, located
-    by bisection to the given relative tolerance.  step is the base
-    integration step at x_start; it doubles with each octave in x and is
-    capped by a local-wavelength rule farther out.
+    to relative width _SHOOTING_TOL.  step is the base integration step
+    at x_start; it doubles with each octave in x and is capped by a
+    local-wavelength rule farther out.
     """
 
     nu: float
@@ -375,13 +375,11 @@ class ShootingConfig:
     x_end: float
     step: float
     energy_bracket: tuple[float, float]
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         check_nu(self.nu)
         for value, name in ((self.x_start, "x_start"), (self.x_match, "x_match"),
-                            (self.x_end, "x_end"), (self.step, "step"),
-                            (self.tolerance, "tolerance")):
+                            (self.x_end, "x_end"), (self.step, "step")):
             check_positive(value, name)
         if not self.x_start < self.x_match < self.x_end:
             raise ValueError(
@@ -550,79 +548,58 @@ class _ShootingRun:
         return int(np.count_nonzero(sign[:, 1:] * sign[:, :-1] < 0))
 
 
-_BISECTION_STEPS = 300     # halvings plus probes one shooting solve may take
+_SHOOTING_TOL = 1e-9       # relative width at which a shooting solve stops
+_SOLVE_STEPS = 100         # mismatch evaluations one shooting solve may take
+_SCAN_RATIO = 1.08         # energy ratio of consecutive scan probes
 _SCAN_BAND = 8             # scan probes that share one step table
 
 
-def _guided_bisection(f, lo: float, f_lo: float, hi: float, f_hi: float,
-                      tol: float) -> float:
-    """Midpoint of the cell plain bisection of f on (lo, hi) stops in.
+def _illinois(f, a: float, f_a: float, b: float, f_b: float, tol: float) -> float:
+    """Zero of f inside (a, b), where f(a) and f(b) have opposite signs.
 
-    Plain bisection halves (lo, hi) until hi - lo <= tol |mid|, evaluating
-    f at every midpoint.  This walks the same dyadic path but keeps,
-    beside (lo, hi), the tightest bracket (a, b) whose ends have been
-    evaluated: f(a) has the sign of f(lo) and f(b) that of f(hi).  A
-    midpoint at or below a moves lo, and one at or above b moves hi,
-    with no evaluation.  A midpoint inside (a, b) calls for an Illinois
-    step (Dowell and Jarratt, BIT 11, 1971): the regula falsi root of
-    (a, b), with the value of an end kept twice in a row halved.  The
-    probe is pushed tol |mid| / 8 off that root toward the longer side of
-    (a, b), so the sign it finds is never rounding noise, and it
-    replaces a or b.  Once b - a < tol |mid| / 2 the midpoint itself is
-    evaluated, as plain bisection would.  With one sign change inside
-    (lo, hi), every sign this infers is the one bisection would have
-    evaluated, so the result is the same cell.
+    Each probe is the regula falsi root of (a, b) and replaces the end
+    whose sign it shares; when the same end is kept twice in a row, the
+    value at the other end is halved (the Illinois method, Dowell and
+    Jarratt, BIT 11, 1971).  The probe is pushed tol |mid| / 8 off that
+    root toward the longer side of (a, b), so its sign is never rounding
+    noise and the bracket closes from both sides.  Returns a probe where
+    f is exactly 0, or the midpoint once b - a <= tol |mid|.
     """
-    lo_positive = f_lo > 0
-    a, f_a, b, f_b = lo, f_lo, hi, f_hi
+    a_positive = f_a > 0
     last = 0                 # -1: the last probe replaced a; +1: it replaced b
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
+    for _ in range(_SOLVE_STEPS):
+        mid = 0.5 * (a + b)
         width = tol * abs(mid)
-        if hi - lo <= width:
+        if b - a <= width:
             return mid
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-        elif b - a < 0.5 * width:
-            f_mid = f(mid)
-            if f_mid == 0.0:
-                return mid
-            if (f_mid > 0) == lo_positive:
-                lo, a, f_a = mid, mid, f_mid
-            else:
-                hi, b, f_b = mid, mid, f_mid
+        root = a - f_a * (b - a) / (f_b - f_a)
+        push = 0.125 * width
+        x = root - push if root - a > b - root else root + push
+        f_x = f(x)
+        if f_x == 0.0:
+            return x
+        if (f_x > 0) == a_positive:
+            a, f_a = x, f_x
+            if last == -1:
+                f_b *= 0.5
+            last = -1
         else:
-            root = a - f_a * (b - a) / (f_b - f_a)
-            push = 0.125 * width
-            x = root - push if root - a > b - root else root + push
-            f_x = f(x)
-            if f_x == 0.0:
-                a = b = x
-            elif (f_x > 0) == lo_positive:
-                a, f_a = x, f_x
-                if last == -1:
-                    f_b *= 0.5
-                last = -1
-            else:
-                b, f_b = x, f_x
-                if last == 1:
-                    f_a *= 0.5
-                last = 1
+            b, f_b = x, f_x
+            if last == 1:
+                f_a *= 0.5
+            last = 1
     raise ConvergenceError(
-        f"shooting bisection did not reach relative width {tol:.1e} "
-        f"in {_BISECTION_STEPS} steps")
+        f"shooting solve did not reach relative width {tol:.1e} "
+        f"in {_SOLVE_STEPS} evaluations")
 
 
 def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     """Eigenvalue of the half-line problem with Phi ~ x^nu at the origin.
 
-    Bisects the Wronskian mismatch inside cfg.energy_bracket to the
-    dyadic cell of relative width cfg.tolerance that plain bisection
-    would end in, but lets Illinois regula falsi probes decide most
-    midpoints without evaluating them (see _guided_bisection), and then
-    verifies the converged shape has exactly n interior nodes.  Raises
+    Solves for the zero of the Wronskian mismatch inside
+    cfg.energy_bracket to relative width _SHOOTING_TOL by the Illinois
+    method (see _illinois), and then verifies the converged shape has
+    exactly n interior nodes.  Raises
     ValueError when the bracket does not straddle a sign change, and
     ConvergenceError when the search does not converge or the node
     count disagrees with n.
@@ -641,7 +618,7 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
             "energy bracket does not straddle an eigenvalue: the matching "
             f"defect has the same sign at both ends ({w_lo:.3e}, {w_hi:.3e})")
     else:
-        eps = _guided_bisection(run.mismatch, lo, w_lo, hi, w_hi, cfg.tolerance)
+        eps = _illinois(run.mismatch, lo, w_lo, hi, w_hi, _SHOOTING_TOL)
     found = run.nodes(eps)
     if found != n:
         raise ConvergenceError(
@@ -649,26 +626,21 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     return eps
 
 
-def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int,
-                        ratio: float = 1.08) -> list[tuple[float, float]]:
+def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[float, float]]:
     """Energy brackets around the lowest n_max + 1 eigenvalues, by scanning.
 
-    Walks the energy axis geometrically upward from well below the
-    deepest possible bound state and records every sign change of the
-    shooting mismatch.  Needs no prior knowledge of the spectrum; the
-    default scan ratio keeps consecutive levels separated for
-    n_max <= 20.  ratio must be a finite number > 1, or the walk would
-    never reach the top of the spectrum.  The probes go in bands of up
-    to 8 consecutive energies, and each band shares one step table,
-    whose config is the one a level bracket spanning the band would get.
+    Walks the energy axis geometrically upward, by the factor
+    1/_SCAN_RATIO, from well below the deepest possible bound state and
+    records every sign change of the shooting mismatch.  Needs no prior
+    knowledge of the spectrum; the scan ratio keeps consecutive levels
+    separated for n_max <= 20.  The probes go in bands of up to 8
+    consecutive energies, and each band shares one step table, whose
+    config is the one a level bracket spanning the band would get.
     """
     check_nu(nu)
     check_index(n_max, "n_max")
     if n_max > 20:
         raise ValueError(f"n_max must be in 0..20, got {n_max!r}")
-    check_positive(ratio, "scan ratio")
-    if not ratio > 1:
-        raise ValueError(f"scan ratio must be > 1, got {ratio!r}")
     alpha = p.require_alpha()
     scale = p.mass * alpha * alpha / (2.0 * p.hbar ** 2)
     eps = -1.35 * scale / (nu * nu)      # strictly below the deepest level
@@ -680,7 +652,7 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int,
         band = []
         while eps < floor_stop and len(band) < _SCAN_BAND:
             band.append(eps)
-            eps /= ratio
+            eps /= _SCAN_RATIO
         cfg = shooting_config_for_level(nu, p, 0, (1.01 * band[0], 0.99 * band[-1]))
         run = _ShootingRun(cfg, p)
         for probe in band:

@@ -245,7 +245,11 @@ def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
         return float(abs(total).ln()), sign
 
 
-def kummer_asymptotic(a: float, b: float, y: float, *, y_min: float = 30.0) -> complex:
+# Below this argument the asymptotic expansion of F is meaningless.
+_ASYMPTOTIC_Y_MIN = 30.0
+
+
+def kummer_asymptotic(a: float, b: float, y: float) -> complex:
     """Large-y expansion of F(a, b, y) with optimally truncated series.
 
     Sums both asymptotic series (the y^(-a) branch and the e^y y^(a-b)
@@ -253,14 +257,16 @@ def kummer_asymptotic(a: float, b: float, y: float, *, y_min: float = 30.0) -> c
     the smallest term.  The real part of the result collects the
     algebraic branch y^(-a) cos(pi a) term plus the exponentially large
     e^y term, and is the value of F; the imaginary part is what the
-    (-y)^(-a) branch contributes for non-integer a.  Rejects y below
-    y_min since the expansion is meaningless there.
+    (-y)^(-a) branch contributes for non-integer a.  Rejects a
+    non-finite a, a b that kummer_series rejects, and y below 30, where
+    the expansion is meaningless.
     """
+    check_finite(a, "upper parameter a")
     _check_b(b)
     check_positive(y, "argument y")
-    if y < y_min:
+    if y < _ASYMPTOTIC_Y_MIN:
         raise ValueError(
-            f"y = {y} is below the asymptotic threshold y_min = {y_min}")
+            f"y = {y} is below the asymptotic threshold {_ASYMPTOTIC_Y_MIN}")
 
     lgb = _log_gamma_signed(b)
     lny = math.log(y)

@@ -89,14 +89,14 @@ def test_beta_is_the_inverse_length_of_the_state():
 
 def test_ground_state_constant():
     expected = 4.0 * math.pi ** -0.25
-    assert math.isclose(anyon.normalization_constant(0, 0.25, UNIT), expected,
+    assert math.isclose(math.exp(anyon.log_normalization(0, 0.25, UNIT)), expected,
                         rel_tol=1e-14)
 
 
 def test_wavefunction_small_x_behavior():
     for nu in (0.25, 0.75):
         for n in (0, 2):
-            c = anyon.normalization_constant(n, nu, UNIT)
+            c = math.exp(anyon.log_normalization(n, nu, UNIT))
             b = anyon.beta(n, nu, UNIT)
             x = 1e-9
             ratio = anyon.wavefunction(n, nu, UNIT, x) / x ** nu
@@ -109,6 +109,8 @@ def test_wavefunction_rejects_nonpositive_x():
         anyon.wavefunction(0, 0.25, UNIT, 0.0)
     with pytest.raises(ValueError):
         anyon.wavefunction(0, 0.25, UNIT, np.array([1.0, -2.0]))
+    with pytest.raises(ValueError, match="^x must be real numbers"):
+        anyon.wavefunction(0, 0.25, UNIT, [[1.0], [1.0, 2.0]])
 
 
 def test_wavefunction_array_matches_scalar():

@@ -249,30 +249,13 @@ def test_verify_tol_override_can_fail(capsys):
     assert "FAIL" in out
 
 
-def test_verify_reads_default_tol_from_environment(capsys, monkeypatch):
+def test_verify_ignores_environment_tol(capsys, monkeypatch):
+    # Only --tol overrides a tolerance, so no environment variable can
+    # move a check unseen.
     monkeypatch.setenv("ANYON_DEFAULT_TOL", "1e-300")
     code, out, _ = run(capsys, "verify", "--suite", "identities")
-    assert code == 1
-    assert "FAIL" in out
-
-
-def test_verify_rejects_malformed_environment_tol(capsys, monkeypatch):
-    monkeypatch.setenv("ANYON_DEFAULT_TOL", "abc")
-    code, _, err = run(capsys, "verify", "--suite", "identities")
-    assert code == 2
-    assert "ANYON_DEFAULT_TOL" in err
-    monkeypatch.setenv("ANYON_DEFAULT_TOL", "-1e-6")
-    code, _, err = run(capsys, "verify", "--suite", "identities")
-    assert code == 2
-    assert "positive" in err
-
-
-def test_explicit_tol_flag_wins_over_environment(capsys, monkeypatch):
-    monkeypatch.setenv("ANYON_DEFAULT_TOL", "1e-300")
-    code, out, _ = run(capsys, "verify", "--suite", "identities",
-                       "--tol", "100.0")
     assert code == 0
-    assert "checks passed" in out
+    assert "FAIL" not in out
 
 
 def test_output_files_are_byte_identical(tmp_path, capsys):

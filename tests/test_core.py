@@ -202,7 +202,6 @@ def test_require_side_parameters():
 
 def test_grid_spacing_and_points():
     grid = Grid(0.5, 2.5, 5)
-    assert grid.spacing == 0.5
     pts = grid.points()
     assert pts.shape == (5,)
     assert pts[0] == 0.5

@@ -63,7 +63,7 @@ def test_map_matches_closed_form_ground_state():
     # state of the attractive problem under u^2 = x.
     p = UNIT.with_omega(duality.dual_frequency(0, 0.25, UNIT))
     b = anyon.beta(0, 0.25, UNIT)
-    c = anyon.normalization_constant(0, 0.25, UNIT)
+    c = math.exp(anyon.log_normalization(0, 0.25, UNIT))
     xs = np.linspace(0.01, 12.0, 400)
     mapped = duality.map_oscillator_to_anyon(0, 0.0, p, xs)
     closed = c * (b * xs) ** 0.25 * np.exp(-0.5 * b * xs)

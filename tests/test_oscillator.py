@@ -34,6 +34,8 @@ def test_wavefunction_rejects_negative_positions():
         oscillator.wavefunction(0, p, -0.1)
     with pytest.raises(ValueError):
         oscillator.wavefunction(0, p, np.array([0.5, -0.5]))
+    with pytest.raises(ValueError, match="^u must be real numbers"):
+        oscillator.wavefunction(0, p, [[0.5], [0.5, 1.0]])
 
 
 def test_wavefunction_array_matches_scalar():

@@ -191,10 +191,15 @@ def test_kummer_asymptotic_agrees_with_series():
 
 
 def test_kummer_asymptotic_threshold():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="asymptotic threshold"):
         kummer_asymptotic(0.3, 0.8, 10.0)
-    got = kummer_asymptotic(0.3, 0.8, 10.0, y_min=10.0)
-    assert math.isfinite(got.real)
+    assert math.isfinite(kummer_asymptotic(0.3, 0.8, 30.0).real)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_kummer_asymptotic_rejects_nonfinite_upper_parameter(a):
+    with pytest.raises(ValueError, match="upper parameter a"):
+        kummer_asymptotic(a, 0.8, 40.0)
 
 
 def test_laguerre_examples():
