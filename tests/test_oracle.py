@@ -114,6 +114,21 @@ def test_quadrature_rejects_a_bad_tolerance():
             oracle.quadrature(lambda y: y, 0.0, 1.0, tol=tol)
 
 
+def test_quadrature_rejects_bad_endpoints():
+    # A NaN endpoint used to drop out of the initial cells and give 0.0,
+    # and True was taken as 1.
+    for a in (math.nan, True, "0"):
+        with pytest.raises(ValueError, match="lower limit a"):
+            oracle.quadrature(lambda y: y, a, 1.0)
+    for b in (math.nan, True, "1"):
+        with pytest.raises(ValueError, match="upper limit b"):
+            oracle.quadrature(lambda y: y, 0.0, b)
+    # the infinite ends stay allowed, numpy floats included
+    assert oracle.quadrature(math.exp, np.float64(-math.inf), np.float64(0.0),
+                             tol=1e-12) == oracle.quadrature(math.exp, -math.inf, 0.0,
+                                                             tol=1e-12)
+
+
 def test_quadrature_reports_nonconvergence():
     with pytest.raises(ConvergenceError):
         oracle.quadrature(lambda y: 1.0, 0.0, math.inf, tol=1e-10)
@@ -152,6 +167,20 @@ def test_ode_residual_input_validation():
             oracle.ode_residual(xs, np.ones(9), pot, eps, UNIT)
     with pytest.raises(ValueError, match="trivial drive"):
         oracle.ode_residual(xs, np.ones(9), pot, 0.0, UNIT)
+    # A non-finite sample used to give a NaN residual with no warning.
+    holed = xs.copy()
+    holed[4] = math.nan
+    with pytest.raises(ValueError, match="xs"):
+        oracle.ode_residual(holed, np.ones(9), pot, -1.0, UNIT)
+    for bad in (math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+                complex(1.0, math.inf)):
+        values = np.ones(9, dtype=type(bad))
+        values[4] = bad
+        with pytest.raises(ValueError, match="values"):
+            oracle.ode_residual(xs, values, pot, -1.0, UNIT)
+    spike = lambda x: np.where(x > 0.45, math.inf, 0.0)
+    with pytest.raises(ValueError, match="potential"):
+        oracle.ode_residual(xs, np.ones(9), spike, -1.0, UNIT)
 
 
 def test_fd_spectrum_second_order_convergence():
