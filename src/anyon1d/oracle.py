@@ -12,7 +12,8 @@ It offers four ways to check them from first principles:
   classical turning point of its energy, past which no pivot can
   change sign,
 * a shooting eigensolver for the attractive half-line problem, whose
-  RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
+  RK4 steps are 2x2 propagators multiplied pairwise with numpy over a
+  geometry set by the constants and the energy bracket alone; each
   level is one Illinois (modified regula falsi) solve of the matching
   defect, and the energy scan shares one step table across each band
   of 8 probes.
@@ -151,8 +152,12 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     ends of a finite [a, b], only the finite end of a semi-infinite
     range, never the truncation point. Endpoint values are never
     evaluated, so integrable power singularities at the ends are fine.
+    An endpoint that is neither +-inf nor finite (NaN, bool) raises.
     """
     check_positive(tol, "tolerance")
+    for end, name in ((a, "lower limit a"), (b, "upper limit b")):
+        if not (isinstance(end, float) and math.isinf(end)):
+            check_finite(end, name)
     if a == b:
         return 0.0
     if a > b:
@@ -182,7 +187,7 @@ def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> fl
         max_i |(2m/hbar^2)(epsilon - V_i) Phi_i|
 
     over interior points, so an eigenpair gives a small value and a 1
-    percent energy error is clearly visible.
+    percent energy error is clearly visible.  NaN or inf anywhere raises.
     """
     check_finite(epsilon, "energy epsilon")
     xs = np.asarray(xs, dtype=float)
@@ -192,14 +197,18 @@ def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> fl
                          f"got shapes {xs.shape} and {vs.shape}")
     if xs.size < 7:
         raise ValueError(f"need at least 7 samples, got {xs.size}")
+    _check_finite_samples(xs, "xs")
     steps = np.diff(xs)
     h = (xs[-1] - xs[0]) / (xs.size - 1)
     if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * abs(h):
         raise ValueError("samples must lie on a uniform, increasing grid")
+    _check_finite_samples(vs, "values")
     if not np.max(np.abs(vs)):
         raise ValueError("trivial function: all sampled values are zero")
+    pot = np.asarray(potential(xs))
+    _check_finite_samples(pot, "potential")
     c2 = 2.0 * p.mass / p.hbar ** 2
-    drive = c2 * (epsilon - potential(xs)) * vs
+    drive = c2 * (epsilon - pot) * vs
     second = (-vs[:-4] + 16.0 * vs[1:-3] - 30.0 * vs[2:-2]
               + 16.0 * vs[3:-1] - vs[4:]) / (12.0 * h * h)
     defect = second + drive[2:-2]
@@ -207,6 +216,13 @@ def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> fl
     if scale == 0.0:
         raise ValueError("trivial drive term: cannot normalize the residual")
     return float(np.max(np.abs(defect))) / scale
+
+
+def _check_finite_samples(samples: np.ndarray, name: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise ValueError(f"{name} must be finite on the grid, got "
+                         f"{samples.ravel()[bad[0]]} at index {bad[0]}")
 
 
 _PIVOT_FLOOR = 1e-290   # a pivot nearer zero than this is taken as -_PIVOT_FLOOR
@@ -358,33 +374,17 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Geometry and search window of one shooting run.
+    """Origin branch and energy window of one shooting run.
 
-    The integrator starts at x_start with the pure power behavior of the
-    chosen nu branch, meets an inward integration (started from the
-    decaying asymptotic slope at x_end) at x_match, and the eigenvalue
-    is the zero of the Wronskian mismatch inside energy_bracket, located
-    to relative width _SHOOTING_TOL.  step is the base integration step
-    at x_start; it doubles with each octave in x and is capped by a
-    local-wavelength rule farther out.
+    The solution starts as x^nu at the origin.  _ShootingRun derives the
+    geometry from the physical constants and energy_bracket.
     """
 
     nu: float
-    x_start: float
-    x_match: float
-    x_end: float
-    step: float
     energy_bracket: tuple[float, float]
 
     def __post_init__(self):
         check_nu(self.nu)
-        for value, name in ((self.x_start, "x_start"), (self.x_match, "x_match"),
-                            (self.x_end, "x_end"), (self.step, "step")):
-            check_positive(value, name)
-        if not self.x_start < self.x_match < self.x_end:
-            raise ValueError(
-                "need 0 < x_start < x_match < x_end, got "
-                f"{self.x_start}, {self.x_match}, {self.x_end}")
         lo, hi = self.energy_bracket
         check_finite(lo, "energy bracket lower end")
         check_finite(hi, "energy bracket upper end")
@@ -393,33 +393,36 @@ class ShootingConfig:
                 f"energy bracket must satisfy lo < hi < 0, got ({lo}, {hi})")
 
 
-def _steps(p: PhysicalParams, cfg: ShootingConfig, lo_x: float, hi_x: float,
-           eps_floor: float) -> np.ndarray:
+_X_START = 1e-4            # start of the outward sweep, in units of hbar^2/(m alpha)
+_START_STEPS = 48          # RK4 steps in the first octave [x_start, 2 x_start]
+
+
+def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
     """RK4 steps covering [lo_x, hi_x], as the rows (h, v_start, v_mid, v_end).
 
-    Step doubles per octave of x (anchored at x_start) and is capped so
-    h times the largest local wavenumber stays below 0.05.  v is the
+    Step doubles per octave of x (anchored at run.x_start) and is capped
+    so h times the largest local wavenumber stays below 0.05.  v is the
     epsilon-free part of the coefficient g(x) = c2*(V(x) - eps) =
     vpart(x) - c2*eps at the start, midpoint and end of each step.
     """
-    alpha = p.require_alpha()
-    c2 = 2.0 * p.mass / p.hbar ** 2
-    vcoef = cfg.nu * (1.0 - cfg.nu)  # identical for both nu branches
-    g_energy = c2 * abs(eps_floor)
+    alpha = run.p.require_alpha()
+    c2 = run.c2
+    vcoef = run.cfg.nu * (1.0 - run.cfg.nu)  # identical for both nu branches
+    g_energy = c2 * abs(run.cfg.energy_bracket[0])
 
     def vpart(x):
         return -c2 * alpha / x - vcoef / (x * x)
 
     steps, counts, starts, ends = [], [], [], []
     a = lo_x
-    j = max(0, int(math.floor(math.log2(lo_x / cfg.x_start))))
+    j = max(0, int(math.floor(math.log2(lo_x / run.x_start))))
     while a < hi_x:
-        edge = min(cfg.x_start * 2.0 ** (j + 1), hi_x)
+        edge = min(run.x_start * 2.0 ** (j + 1), hi_x)
         if edge <= a:
             j += 1
             continue
         g_bound = c2 * alpha / a + vcoef / (a * a) + g_energy
-        h = min(cfg.step * 2.0 ** j, 0.05 / math.sqrt(g_bound))
+        h = min(run.step * 2.0 ** j, 0.05 / math.sqrt(g_bound))
         m = max(1, int(math.ceil((edge - a) / h)))
         h = (edge - a) / m
         nodes = a + h * np.arange(m + 1)
@@ -446,7 +449,11 @@ def _rescaled(m: np.ndarray) -> np.ndarray:
 
 
 class _ShootingRun:
-    """The RK4 step table of one config; reused for every energy.
+    """The geometry and RK4 step table of one config at p; reused for every energy.
+
+    Sweeps run out from x_start = _X_START hbar^2/(m alpha), first step
+    x_start/_START_STEPS, and in from x_end, 42 decay lengths past the
+    turning point of hi, to x_match = max(0.6 alpha/sqrt(lo hi), 2 x_start).
 
     The ODE phi'' = g(x) phi is linear, so one RK4 step of length h is
     a 2x2 propagator of (phi, phi') whose entries are polynomials in h
@@ -461,9 +468,17 @@ class _ShootingRun:
         self.cfg = cfg
         self.p = p
         self.c2 = 2.0 * p.mass / p.hbar ** 2
-        lo = cfg.energy_bracket[0]
-        out = _steps(p, cfg, cfg.x_start, cfg.x_match, lo)
-        h, v_start, v_mid, v_end = _steps(p, cfg, cfg.x_match, cfg.x_end, lo)[:, ::-1]
+        alpha = p.require_alpha()
+        lo, hi = cfg.energy_bracket
+        self.x_start = x_start = _X_START * (p.hbar ** 2 / (p.mass * alpha))
+        self.step = x_start / _START_STEPS
+        x_match = max(0.6 * alpha / math.sqrt(lo * hi), 2.0 * x_start)
+        self.x_end = alpha / abs(hi) + 42.0 / (math.sqrt(-2.0 * p.mass * hi) / p.hbar)
+        if not x_start < x_match < self.x_end:
+            raise ValueError(f"energy bracket ({lo}, {hi}) is too deep: need x_start < "
+                             f"x_match < x_end, got {x_start}, {x_match}, {self.x_end}")
+        out = _steps(self, x_start, x_match)
+        h, v_start, v_mid, v_end = _steps(self, x_match, self.x_end)[:, ::-1]
         inward = np.stack([-h, v_end, v_mid, v_start])
         width = 1 << (max(out.shape[1], inward.shape[1]) - 1).bit_length()
         table = np.zeros((4, 2, width))
@@ -487,14 +502,13 @@ class _ShootingRun:
     def _starts(self, eps: float) -> np.ndarray:
         """Starting values: row 0 is phi, row 1 phi'; column 0 starts the
         outward sweep at x_start, column 1 the inward sweep at x_end."""
-        cfg = self.cfg
         p = self.p
         ce = self.c2 * eps
         # Power-series start of the x^nu branch.  The leading power alone
         # leaks an x^(1-nu) admixture of order x_start^(2 nu), far too big
         # for nu = 1/4; two correction terms push the leak below 1e-9.
-        nu = cfg.nu
-        x0 = cfg.x_start
+        nu = self.cfg.nu
+        x0 = self.x_start
         ca = self.c2 * p.require_alpha()
         c1 = -ca / (2.0 * nu)
         c2_ = -(ca * c1 + ce) / (2.0 * (2.0 * nu + 1.0))
@@ -502,7 +516,7 @@ class _ShootingRun:
         dphi0 = x0 ** (nu - 1.0) * (nu + x0 * ((nu + 1.0) * c1
                                                + x0 * (nu + 2.0) * c2_))
         kappa = math.sqrt(-2.0 * p.mass * eps) / p.hbar
-        slope = -kappa + p.mass * p.require_alpha() / (p.hbar ** 2 * kappa * cfg.x_end)
+        slope = -kappa + p.mass * p.require_alpha() / (p.hbar ** 2 * kappa * self.x_end)
         return np.array([[phi0, 1.0], [dphi0, slope]])
 
     def mismatch(self, eps: float) -> float:
@@ -599,8 +613,8 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     Solves for the zero of the Wronskian mismatch inside
     cfg.energy_bracket to relative width _SHOOTING_TOL by the Illinois
     method (see _illinois), and then verifies the converged shape has
-    exactly n interior nodes.  Raises
-    ValueError when the bracket does not straddle a sign change, and
+    exactly n interior nodes.  Raises ValueError when the bracket is too
+    deep for the geometry or does not straddle a sign change, and
     ConvergenceError when the search does not converge or the node
     count disagrees with n.
     """
@@ -635,7 +649,7 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
     knowledge of the spectrum; the scan ratio keeps consecutive levels
     separated for n_max <= 20.  The probes go in bands of up to 8
     consecutive energies, and each band shares one step table, whose
-    config is the one a level bracket spanning the band would get.
+    geometry is the one a level bracket spanning the band would get.
     """
     check_nu(nu)
     check_index(n_max, "n_max")
@@ -653,8 +667,7 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
         while eps < floor_stop and len(band) < _SCAN_BAND:
             band.append(eps)
             eps /= _SCAN_RATIO
-        cfg = shooting_config_for_level(nu, p, 0, (1.01 * band[0], 0.99 * band[-1]))
-        run = _ShootingRun(cfg, p)
+        run = _ShootingRun(ShootingConfig(nu, (1.01 * band[0], 0.99 * band[-1])), p)
         for probe in band:
             if len(brackets) > n_max:
                 break
@@ -671,19 +684,5 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
 
 def shooting_config_for_level(nu: float, p: PhysicalParams, n: int,
                               bracket: tuple[float, float]) -> ShootingConfig:
-    """Config whose geometry suits every energy inside the given bracket."""
-    lo, hi = bracket
-    alpha = p.require_alpha()
-    x_unit = p.hbar ** 2 / (p.mass * alpha)
-    x_turn_hi = alpha / abs(hi)          # farthest turning point in the bracket
-    kappa_min = math.sqrt(-2.0 * p.mass * hi) / p.hbar
-    x_start = 1e-4 * x_unit
-    geo_mid = -math.sqrt(lo * hi)
-    return ShootingConfig(
-        nu=nu,
-        x_start=x_start,
-        x_match=max(0.6 * alpha / abs(geo_mid), 2.0 * x_start),
-        x_end=x_turn_hi + 42.0 / kappa_min,
-        step=x_start / 48.0,
-        energy_bracket=(lo, hi),
-    )
+    """ShootingConfig(nu, bracket); p and n are unused."""
+    return ShootingConfig(nu, bracket)

@@ -190,8 +190,7 @@ def suite_oracle() -> list[VerificationReport]:
     for nu in NU_VALUES:
         brackets = oracle.scan_level_brackets(nu, _UNIT, 3)
         for n, bracket in enumerate(brackets):
-            cfg = oracle.shooting_config_for_level(nu, _UNIT, n, bracket)
-            got = oracle.shoot_anyon_energy(cfg, _UNIT, n)
+            got = oracle.shoot_anyon_energy(oracle.ShootingConfig(nu, bracket), _UNIT, n)
             expected = anyon.energy(n, nu, _UNIT)
             worst = max(worst, abs(got - expected) / abs(expected))
     out.append(_report("shooting eigenvalues vs closed form, n <= 3, both nu",

@@ -1,7 +1,6 @@
 """Independent numerical machinery: quadrature, residuals, eigensolvers."""
 
 import ast
-import dataclasses
 import math
 from pathlib import Path
 
@@ -190,6 +189,17 @@ def test_fd_spectrum_second_order_convergence():
     assert 3.5 <= ratio <= 4.5
 
 
+def test_fd_spectrum_at_non_unit_constants():
+    # The verify rows' bounds, with hbar != 1 and a box of 10 oscillator
+    # lengths.
+    q = PhysicalParams(2.5, 0.3, omega=1.3)
+    quantum = q.hbar * q.omega
+    box = 10.0 * math.sqrt(q.hbar / (q.mass * q.omega))
+    levels = oracle.fd_oscillator_spectrum(q, box, 2001, 5)
+    assert abs(levels[0] - 0.5 * quantum) <= 1e-4 * quantum
+    assert max(abs((b - a) - quantum) for a, b in zip(levels, levels[1:])) <= 1e-3 * quantum
+
+
 def test_fd_spectrum_input_validation():
     with pytest.raises(ValueError):
         oracle.fd_oscillator_spectrum(UNIT, 10.0, 50, 1)
@@ -331,33 +341,24 @@ def test_fd_spectrum_even_point_count(points, count):
 
 
 def test_shooting_config_validation():
-    good = dict(nu=0.25, x_start=1e-4, x_match=0.1, x_end=30.0, step=1e-5,
-                energy_bracket=(-9.0, -7.0))
+    good = dict(nu=0.25, energy_bracket=(-9.0, -7.0))
     oracle.ShootingConfig(**good)
     with pytest.raises(ValueError, match="nu"):
         oracle.ShootingConfig(**{**good, "nu": 0.5})
-    with pytest.raises(ValueError):
-        oracle.ShootingConfig(**{**good, "x_match": 1e-5})
-    with pytest.raises(ValueError):
-        oracle.ShootingConfig(**{**good, "step": 0.0})
     with pytest.raises(ValueError):
         oracle.ShootingConfig(**{**good, "energy_bracket": (-7.0, -9.0)})
     with pytest.raises(ValueError):
         oracle.ShootingConfig(**{**good, "energy_bracket": (-7.0, 1.0)})
 
 
+# The ids are the ones these cases had while the list still held the
+# geometry fields, so each case keeps its name.
 @pytest.mark.parametrize("field, value", [
-    ("x_start", math.inf), ("x_start", math.nan), ("x_match", math.inf),
-    ("x_end", math.inf), ("x_end", math.nan), ("step", math.inf), ("step", math.nan),
-    ("x_match", math.nan), ("x_start", -math.inf), ("step", -math.inf),
     ("energy_bracket", (-math.inf, -7.0)), ("energy_bracket", (math.nan, -7.0)),
     ("energy_bracket", (-9.0, math.nan)), ("energy_bracket", (-9.0, -math.inf)),
-])
+], ids=[f"energy_bracket-value{i}" for i in range(10, 14)])
 def test_shooting_config_rejects_nonfinite_fields(field, value):
-    # Construction only: x_end = inf used to pass and leave the step
-    # table to walk without bound.
-    good = dict(nu=0.25, x_start=1e-4, x_match=0.1, x_end=30.0, step=1e-5,
-                energy_bracket=(-9.0, -7.0))
+    good = dict(nu=0.25, energy_bracket=(-9.0, -7.0))
     with pytest.raises(ValueError):
         oracle.ShootingConfig(**{**good, field: value})
 
@@ -365,7 +366,7 @@ def test_shooting_config_rejects_nonfinite_fields(field, value):
 def _level_config(nu: float, n: int) -> oracle.ShootingConfig:
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     brackets = oracle.scan_level_brackets(nu, p, n)
-    return oracle.shooting_config_for_level(nu, p, n, brackets[n])
+    return oracle.ShootingConfig(nu, brackets[n])
 
 
 def test_shooting_reproduces_lowest_levels():
@@ -373,14 +374,44 @@ def test_shooting_reproduces_lowest_levels():
     for nu in NU_VALUES:
         brackets = oracle.scan_level_brackets(nu, p, 12)
         for n, bracket in enumerate(brackets):
-            cfg = oracle.shooting_config_for_level(nu, p, n, bracket)
-            got = oracle.shoot_anyon_energy(cfg, p, n)
+            got = oracle.shoot_anyon_energy(oracle.ShootingConfig(nu, bracket), p, n)
             expected = anyon.energy(n, nu, p)
             assert abs(got - expected) <= 1e-5 * abs(expected)
             # SHOOTING_LEVELS are midpoints of a plain bisection's last
             # cell, so they agree to the solve tolerance, not to the bit
             assert math.isclose(got, SHOOTING_LEVELS[nu][n],
                                 rel_tol=oracle._SHOOTING_TOL, abs_tol=0.0)
+
+
+def test_shooting_at_non_unit_constants():
+    # Every other shooting test has hbar = 1, where a dropped hbar in the
+    # geometry or the coefficients would not show.
+    p = PhysicalParams(2.5, 0.3, alpha=1.7)
+    for nu in NU_VALUES:
+        brackets = oracle.scan_level_brackets(nu, p, 12)
+        for n, bracket in enumerate(brackets):
+            got = oracle.shoot_anyon_energy(oracle.ShootingConfig(nu, bracket), p, n)
+            expected = anyon.energy(n, nu, p)
+            assert abs(got - expected) <= 1e-5 * abs(expected)
+
+
+def test_shooting_geometry_follows_the_constants_it_runs_with():
+    # A config built for alpha = 1 carries no geometry, so a run at
+    # alpha = 30 gets the alpha = 30 geometry; a geometry fixed at
+    # alpha = 1 put this level 2.5e-5 relative off.
+    p30 = PhysicalParams(1.0, 1.0, alpha=30.0)
+    bracket = oracle.scan_level_brackets(0.25, p30, 0)[0]
+    cfg = oracle.shooting_config_for_level(0.25, PhysicalParams(1.0, 1.0, alpha=1.0), 0,
+                                           bracket)
+    expected = anyon.energy(0, 0.25, p30)
+    assert abs(oracle.shoot_anyon_energy(cfg, p30, 0) - expected) <= 1e-5 * abs(expected)
+
+
+def test_shooting_rejects_a_too_deep_bracket():
+    # With unit constants the inward sweep would end before x_match.
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    with pytest.raises(ValueError, match="too deep"):
+        oracle.shoot_anyon_energy(oracle.ShootingConfig(0.25, (-1e11, -3e10)), p, 0)
 
 
 def _plain_bisection(cfg, p):
@@ -417,7 +448,7 @@ def test_illinois_shooting_matches_plain_bisection(nu, monkeypatch):
     brackets = oracle.scan_level_brackets(nu, p, 12)
     monkeypatch.setattr(oracle._ShootingRun, "mismatch", counted)
     for n, bracket in enumerate(brackets):
-        cfg = oracle.shooting_config_for_level(nu, p, n, bracket)
+        cfg = oracle.ShootingConfig(nu, bracket)
         calls.clear()
         got = oracle.shoot_anyon_energy(cfg, p, n)
         illinois_calls = len(calls)
@@ -434,7 +465,7 @@ def _per_probe_scan(nu, p, levels):
     eps = -1.35 * scale / (nu * nu)
     brackets, prev_eps, prev_sign = [], None, None
     while len(brackets) < levels:
-        cfg = oracle.shooting_config_for_level(nu, p, 0, (1.01 * eps, 0.99 * eps))
+        cfg = oracle.ShootingConfig(nu, (1.01 * eps, 0.99 * eps))
         sign = oracle._ShootingRun(cfg, p).mismatch(eps) > 0
         if prev_sign is not None and sign != prev_sign:
             brackets.append((prev_eps, eps))
@@ -488,8 +519,7 @@ def test_propagator_products_match_sequential_rk4(nu):
     brackets = oracle.scan_level_brackets(nu, p, 20)
     for n in (0, 5, 12, 20):
         lo, hi = brackets[n]
-        run = oracle._ShootingRun(
-            oracle.shooting_config_for_level(nu, p, n, brackets[n]), p)
+        run = oracle._ShootingRun(oracle.ShootingConfig(nu, brackets[n]), p)
         for eps in np.linspace(lo, hi, 5).tolist():
             mismatch, nodes = _rk4_reference(run, eps)
             assert abs(run.mismatch(eps) - mismatch) <= 1e-10
@@ -502,13 +532,13 @@ def test_shooting_boundary_exponent_is_the_only_difference():
     # comes from.
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     bracket = (-10.0, -0.5)
-    cfg_q = oracle.shooting_config_for_level(0.25, p, 0, bracket)
-    cfg_t = oracle.shooting_config_for_level(0.75, p, 0, bracket)
-    fields_q = dataclasses.asdict(cfg_q)
-    fields_t = dataclasses.asdict(cfg_t)
-    assert fields_q.pop("nu") == 0.25
-    assert fields_t.pop("nu") == 0.75
-    assert fields_q == fields_t
+    cfg_q = oracle.ShootingConfig(0.25, bracket)
+    cfg_t = oracle.ShootingConfig(0.75, bracket)
+    run_q = oracle._ShootingRun(cfg_q, p)
+    run_t = oracle._ShootingRun(cfg_t, p)
+    assert (run_q.x_start, run_q.x_end) == (run_t.x_start, run_t.x_end)
+    assert np.array_equal(run_q.h, run_t.h)
+    assert np.array_equal(run_q.v, run_t.v)
 
     eps_q = oracle.shoot_anyon_energy(cfg_q, p, 0)
     eps_t = oracle.shoot_anyon_energy(cfg_t, p, 0)
@@ -527,8 +557,7 @@ def test_illinois_solve_and_its_step_cap():
 
 def test_shooting_rejects_empty_bracket():
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
-    cfg = _level_config(0.25, 0)
-    empty = dataclasses.replace(cfg, energy_bracket=(-7.0, -6.0))
+    empty = oracle.ShootingConfig(0.25, (-7.0, -6.0))
     with pytest.raises(ValueError, match="does not straddle"):
         oracle.shoot_anyon_energy(empty, p, 0)
 
@@ -540,13 +569,13 @@ def test_shooting_checks_node_count():
         oracle.shoot_anyon_energy(cfg, p, 1)
 
 
-def test_shooting_start_point_insensitivity():
+def test_shooting_start_point_insensitivity(monkeypatch):
+    # Halving the start point halves the first step with it.
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     cfg = _level_config(0.25, 0)
     eps = oracle.shoot_anyon_energy(cfg, p, 0)
-    halved = dataclasses.replace(cfg, x_start=0.5 * cfg.x_start,
-                                 step=0.5 * cfg.step)
-    eps_halved = oracle.shoot_anyon_energy(halved, p, 0)
+    monkeypatch.setattr(oracle, "_X_START", 0.5 * oracle._X_START)
+    eps_halved = oracle.shoot_anyon_energy(cfg, p, 0)
     assert abs(eps_halved - eps) <= 1e-6 * abs(eps)
 
 
