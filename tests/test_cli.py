@@ -117,6 +117,18 @@ def test_wavefunction_extended_rejects_origin_sample(capsys):
     assert "y = 0" in err
 
 
+def test_wavefunction_levels_past_the_domain_exit_2(capsys):
+    code, _, err = run(capsys, "wavefunction", "--system", "anyon", "--n", "101",
+                       "--x-min", "0.1", "--x-max", "1", "--points", "10")
+    assert code == 2
+    assert "radial index n must be an integer in [0, 100]" in err
+    # N = 2n + 2s = 402
+    code, _, err = run(capsys, "wavefunction", "--system", "oscillator", "--n", "201",
+                       "--s", "0", "--x-min", "0.1", "--x-max", "1", "--points", "10")
+    assert code == 2
+    assert "level N must be an integer in [0, 400]" in err
+
+
 def test_wavefunction_domain_validation(capsys):
     code, _, err = run(capsys, "wavefunction", "--system", "anyon", "--n", "0",
                        "--x-min", "0", "--x-max", "5", "--points", "10")

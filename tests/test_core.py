@@ -14,12 +14,26 @@ from anyon1d.core import (
     Grid,
     PhysicalParams,
     VerificationReport,
+    check_index,
     check_points,
     check_positive,
     make_state,
     state_from_nu,
     validate_params,
 )
+
+
+def test_check_index_bounds():
+    check_index(0, "k")
+    check_index(10 ** 30, "k")
+    check_index(3, "k", low=3, high=7)
+    check_index(7, "k", low=3, high=7)
+    for bad in (2, 8, True, 3.0, "4", None):
+        with pytest.raises(ValueError, match=r"^k must be an integer in \[3, 7\], got "):
+            check_index(bad, "k", low=3, high=7)
+    for bad in (-1, False, 0.0):
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got "):
+            check_index(bad, "k")
 
 
 def test_make_state_examples():

@@ -52,6 +52,15 @@ def test_parameter_round_trip(energy, omega):
     assert math.isclose(back_w, omega, rel_tol=1e-15)
 
 
+def test_parameter_maps_never_return_an_infinity():
+    with pytest.raises(ValueError, match="frequency omega"):
+        duality.to_anyon_params(1.0, 1e200, PhysicalParams(1.0, 1.0))
+    with pytest.raises(ValueError, match="bound-state energy epsilon"):
+        duality.to_oscillator_params(1e300, -1e300, PhysicalParams(1e-100, 1.0))
+    with pytest.raises(ValueError, match="coupling alpha"):
+        duality.to_oscillator_params(1e308, -1.0, PhysicalParams(1.0, 1.0))
+
+
 def test_dual_frequency_examples():
     assert duality.dual_frequency(0, 0.25, UNIT) == 8.0
     assert math.isclose(duality.dual_frequency(1, 0.75, UNIT), 8.0 / 7.0,

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from anyon1d import anyon, oscillator
+from anyon1d import anyon, duality, oscillator
 from anyon1d.core import PhysicalParams
 
 UNIT = PhysicalParams(1.0, 1.0, alpha=1.0, omega=1.0)
@@ -63,7 +63,13 @@ def _sweep(evaluate, reference, xs):
     return underflow
 
 
-@pytest.mark.parametrize("big_n", [0, 1, 8, 77, 150, 200, 301, 400])
+# The levels of the two sweeps; the largest of each is the top of the
+# evaluator's level domain.
+OSCILLATOR_LEVELS = [0, 1, 8, 77, 150, 200, 301, 400]
+ANYON_LEVELS = [0, 3, 10, 50, 100]
+
+
+@pytest.mark.parametrize("big_n", OSCILLATOR_LEVELS)
 def test_oscillator_matches_mpmath_into_the_tail(big_n):
     us = np.linspace(0.0, 45.0, 181)
     underflow = _sweep(lambda u: oscillator.wavefunction(big_n, UNIT, u),
@@ -74,7 +80,7 @@ def test_oscillator_matches_mpmath_into_the_tail(big_n):
 
 
 @pytest.mark.parametrize("nu", [0.25, 0.75])
-@pytest.mark.parametrize("n", [0, 3, 10, 50, 100])
+@pytest.mark.parametrize("n", ANYON_LEVELS)
 def test_anyon_matches_mpmath_into_the_tail(n, nu):
     turn = 4.0 * (n + nu)
     ys = np.concatenate([np.linspace(1e-3, 2.0 * turn + 40.0, 100),
@@ -110,3 +116,20 @@ def test_domain_ends_underflow_and_beyond_them_raise():
             oscillator.wavefunction(3, UNIT, np.array([1.0, bad]))
         with pytest.raises(ValueError):
             anyon.extended_wavefunction(3, 0.25, UNIT, np.array([1.0, -bad]))
+
+
+def test_levels_past_the_reference_sweeps_raise():
+    # Nothing past the swept levels is checked, and each level caches n
+    # coefficient triples, so an unbounded level costs unbounded memory.
+    n = max(ANYON_LEVELS) + 1
+    big_n = max(OSCILLATOR_LEVELS) + 1
+    with pytest.raises(ValueError, match="radial index n"):
+        anyon.wavefunction(n, 0.25, UNIT, 1.0)
+    with pytest.raises(ValueError, match="radial index n"):
+        anyon.extended_wavefunction(n, 0.75, UNIT, np.array([-1.0, 1.0]))
+    with pytest.raises(ValueError, match="level N"):
+        oscillator.wavefunction(big_n, UNIT, 1.0)
+    # N = 2n + 1 = 401
+    p = UNIT.with_omega(duality.dual_frequency(200, 0.75, UNIT))
+    with pytest.raises(ValueError, match="level N"):
+        duality.map_oscillator_to_anyon(200, 0.5, p, 1.0)

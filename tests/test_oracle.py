@@ -2,6 +2,7 @@
 
 import ast
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,33 @@ def test_quadrature_rejects_bad_endpoints():
     assert oracle.quadrature(math.exp, np.float64(-math.inf), np.float64(0.0),
                              tol=1e-12) == oracle.quadrature(math.exp, -math.inf, 0.0,
                                                              tol=1e-12)
+
+
+def test_quadrature_never_evaluates_an_endpoint():
+    # Refinement toward the non-integrable 1/x at 0 bisects down to the
+    # cell [0, 5e-324], whose Gauss-Kronrod nodes round onto 0.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return 1.0 / x
+
+    with pytest.raises(ConvergenceError, match="cell"):
+        oracle.quadrature(f, 0.0, 1.0)
+    assert min(seen) > 0.0
+
+
+def test_quadrature_rejects_a_non_finite_integrand_at_once():
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return math.nan
+
+    with pytest.raises(ValueError, match="not finite"):
+        oracle.quadrature(f, 0.0, 1.0)
+    assert calls == 15
 
 
 def test_quadrature_reports_nonconvergence():
@@ -412,6 +440,16 @@ def test_shooting_rejects_a_too_deep_bracket():
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     with pytest.raises(ValueError, match="too deep"):
         oracle.shoot_anyon_energy(oracle.ShootingConfig(0.25, (-1e11, -3e10)), p, 0)
+
+
+def test_shooting_rejects_a_too_shallow_bracket():
+    # With unit constants both sweeps reach x ~ alpha/|hi|: this bracket
+    # would plan 480,163 outward and 324,599 inward RK4 steps.
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"too shallow"):
+        oracle.shoot_anyon_energy(oracle.ShootingConfig(0.25, (-2e-8, -1e-8)), p, 0)
+    assert time.perf_counter() - start < 1.0
 
 
 def _plain_bisection(cfg, p):

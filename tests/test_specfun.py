@@ -131,6 +131,20 @@ def test_kummer_series_matches_reference_under_cancellation():
         assert math.isclose(kummer_series(a, b, y), exact, rel_tol=1e-12)
 
 
+def test_kummer_series_decimal_pass_stops_relative_to_the_sum():
+    # The largest term here is 3.4e39 times the sum; a 60-digit pass that
+    # stops relative to that peak instead of the sum is 1.2e-7 off.
+    exact = float(mpmath.hyp1f1(10, 1, -45))
+    assert abs(kummer_series(10.0, 1.0, -45.0) - exact) <= 1e-14 * abs(exact)
+
+
+def test_kummer_series_refuses_a_sum_with_no_correct_digits():
+    # The largest term is 4.9e57 times F(20, 2, -60) = -9.34e-17, so even
+    # 60 digits cancel away; returning what is left gave -1.46e-5.
+    with pytest.raises(ConvergenceError, match=r"a=20\.0, b=2\.0, y=-60\.0"):
+        kummer_series(20.0, 2.0, -60.0)
+
+
 @given(
     a=st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
     b=st.floats(min_value=0.25, max_value=12.0, allow_nan=False),
