@@ -27,6 +27,11 @@ import numpy as np
 from .core import PhysicalParams, check_index, check_nu, check_points
 from .specfun import RECURRENCE_ARG_MAX, _scaled_recurrence, log_gamma
 
+# Largest radial index of the wavefunctions: the highest level their
+# mpmath reference sweep checks.  Each level caches n coefficient
+# triples, so an unbounded n would cost unbounded time and memory.
+LEVEL_MAX = 100
+
 
 def potential(x, nu: float, p: PhysicalParams):
     """V(x) = -alpha/x - hbar^2 nu(1-nu)/(2 m x^2) at the position x
@@ -112,10 +117,12 @@ def wavefunction(n: int, nu: float, p: PhysicalParams, x):
     (see core.check_points).
 
     Phi_n(x) = sqrt(m alpha)/(hbar (n + nu)) sqrt(y) l_n(y) with y = beta x
-    (see _shape).  Defined for 0 < y <= 1e150; far in the tail the value
-    underflows to exactly 0.0, which is part of the contract.
+    (see _shape).  Defined for n <= LEVEL_MAX and 0 < y <= 1e150; far
+    in the tail the value underflows to exactly 0.0, which is part of
+    the contract.
     """
-    b = beta(n, nu, p)  # validates n, nu, alpha
+    check_index(n, "radial index n", high=LEVEL_MAX)
+    b = beta(n, nu, p)  # validates nu, alpha
     x, scalar = check_points(x, "x", 0.0, RECURRENCE_ARG_MAX / b, open_low=True)
     log_factor = (0.5 * math.log(p.mass * p.require_alpha()) - math.log(p.hbar)
                   - math.log(n + nu))
@@ -135,10 +142,12 @@ def extended_wavefunction(n: int, nu: float, p: PhysicalParams, y):
     where phi is normalized to unit L2 norm in the y variable, so the
     full-line norm is again 1.  The ratio Phi(-y)/Phi(y) is exactly the
     phase e^(i pi nu).  y = 0 is the singular point of the potential
-    and is rejected, as is |y| > 1e150.  One point (see
-    core.check_points) gives a complex, an array a complex array.
+    and is rejected, as are |y| > 1e150 and n > LEVEL_MAX.  One point
+    (see core.check_points) gives a complex, an array a complex array.
     """
-    beta(n, nu, p)  # validates n, nu, alpha
+    check_nu(nu)
+    check_index(n, "radial index n", high=LEVEL_MAX)
+    p.require_alpha()
     y, scalar = check_points(y, "y", -RECURRENCE_ARG_MAX, RECURRENCE_ARG_MAX)
     size = abs(y)
     if not (size > 0 if scalar else np.all(size > 0)):

@@ -25,13 +25,16 @@ class ConvergenceError(RuntimeError):
     """An iterative numerical routine failed to reach its target."""
 
 
-def check_index(value, name: str) -> None:
-    """Raise ValueError naming the argument unless value is an int >= 0.
+def check_index(value, name: str, low: int = 0, high: int | None = None) -> None:
+    """Raise ValueError naming the argument unless value is an int in
+    [low, high], or an int >= low when high is None.
 
     bool is rejected although it subclasses int.
     """
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def check_nu(nu) -> None:
@@ -215,9 +218,7 @@ class Grid:
     count: int
 
     def __post_init__(self):
-        check_index(self.count, "grid count")
-        if self.count < 3:
-            raise ValueError(f"grid count must be an integer >= 3, got {self.count!r}")
+        check_index(self.count, "grid count", low=3)
         check_finite(self.x_min, "grid x_min")
         check_finite(self.x_max, "grid x_max")
         if not self.x_min < self.x_max:

@@ -29,20 +29,34 @@ _LNPI = math.log(math.pi)
 _OMEGA_RTOL = 1e-12
 
 
+def _mapped(value: float, name: str, arg: float) -> float:
+    """value, or ValueError naming the argument whose map overflowed."""
+    if math.isinf(value):
+        raise ValueError(f"{name} = {arg!r} maps past the float range")
+    return value
+
+
 def to_anyon_params(E: float, omega: float, p: PhysicalParams) -> tuple[float, float]:
-    """(alpha, epsilon) = (E/4, -m omega^2 / 8) for oscillator data (E, omega)."""
+    """(alpha, epsilon) = (E/4, -m omega^2 / 8) for oscillator data (E, omega).
+
+    Raises ValueError naming omega when epsilon overflows.
+    """
     check_positive(E, "oscillator energy E")
     check_positive(omega, "frequency omega")
-    return 0.25 * E, -p.mass * omega * omega / 8.0
+    return 0.25 * E, _mapped(-p.mass * omega * omega / 8.0, "frequency omega", omega)
 
 
 def to_oscillator_params(alpha: float, epsilon: float, p: PhysicalParams) -> tuple[float, float]:
-    """(E, omega) = (4 alpha, sqrt(-8 epsilon / m)); inverse of to_anyon_params."""
+    """(E, omega) = (4 alpha, sqrt(-8 epsilon / m)); inverse of to_anyon_params.
+
+    Raises ValueError naming alpha or epsilon when its image overflows.
+    """
     check_positive(alpha, "coupling alpha")
     check_finite(epsilon, "bound-state energy epsilon")
     if not epsilon < 0:
         raise ValueError(f"bound-state energy epsilon must be negative, got {epsilon!r}")
-    return 4.0 * alpha, math.sqrt(-8.0 * epsilon / p.mass)
+    return (_mapped(4.0 * alpha, "coupling alpha", alpha),
+            _mapped(math.sqrt(-8.0 * epsilon / p.mass), "bound-state energy epsilon", epsilon))
 
 
 def dual_frequency(n: int, nu: float, p: PhysicalParams) -> float:
@@ -59,10 +73,11 @@ def map_oscillator_to_anyon(n: int, s: float, p: PhysicalParams, x):
     Phi_n(x) = (-1)^n / 2 * sqrt(m omega / (hbar (n + nu)))
                * x^(1/4) * Psi_N(sqrt(x)),
 
-    with N = 2n + 2s and nu = s + 1/4, at the finite position x > 0
-    (see core.check_points).  Both alpha and omega must be set on p, and
-    omega must equal the quantized dual frequency of state (n, nu);
-    anything else is an error rather than a silent recompute.
+    with N = 2n + 2s <= oscillator.LEVEL_MAX and nu = s + 1/4, at the
+    finite position x > 0 (see core.check_points).  Both alpha and omega
+    must be set on p, and omega must equal the quantized dual frequency
+    of state (n, nu); anything else is an error rather than a silent
+    recompute.
     """
     state = make_state(n, s)
     omega = p.require_omega()

@@ -67,9 +67,18 @@ _MAX_INTERVALS = 4096      # refinement cap of one adaptive integral
 
 
 def _gk15(f, lo: float, hi: float) -> tuple[float, float]:
-    """Kronrod value and |Kronrod - Gauss| error estimate on [lo, hi]."""
+    """Kronrod value and |Kronrod - Gauss| error estimate on [lo, hi].
+
+    Raises ConvergenceError when the outermost nodes do not fall strictly
+    inside the cell, so no endpoint is ever evaluated, and ValueError
+    naming the cell when the Kronrod value is not finite.
+    """
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
+    if not (lo < c - r * _XGK[0] and c + r * _XGK[0] < hi):
+        raise ConvergenceError(
+            f"quadrature cell [{lo}, {hi}] cannot be refined further: "
+            "its outermost nodes do not fall strictly inside it")
     acc_k = 0.0
     acc_g = 0.0
     for x, wk, wg in _NODES:
@@ -77,6 +86,8 @@ def _gk15(f, lo: float, hi: float) -> tuple[float, float]:
         acc_k += wk * v
         if wg:
             acc_g += wg * v
+    if not math.isfinite(acc_k):
+        raise ValueError(f"integrand is not finite on the quadrature cell [{lo}, {hi}]")
     return r * acc_k, abs(r * (acc_k - acc_g))
 
 
@@ -117,9 +128,6 @@ def _adaptive(f, a: float, b: float, tol: float, grade_b: bool) -> float:
         worst = max(range(len(cells)), key=lambda i: (cells[i][0], -i))
         _, lo, hi, _ = cells[worst]
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise ConvergenceError(
-                f"quadrature interval [{lo}, {hi}] cannot be refined further")
         val1, err1 = _gk15(f, lo, mid)
         val2, err2 = _gk15(f, mid, hi)
         cells[worst] = [err1, lo, mid, val1]
@@ -151,8 +159,11 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     graded dyadically toward each finite endpoint the caller gave: both
     ends of a finite [a, b], only the finite end of a semi-infinite
     range, never the truncation point. Endpoint values are never
-    evaluated, so integrable power singularities at the ends are fine.
-    An endpoint that is neither +-inf nor finite (NaN, bool) raises.
+    evaluated, so integrable power singularities at the ends are fine;
+    a cell too narrow to keep its nodes off its ends raises
+    ConvergenceError. An endpoint that is neither +-inf nor finite (NaN,
+    bool) raises ValueError, and so does a cell where the integrand is
+    not finite.
     """
     check_positive(tol, "tolerance")
     for end, name in ((a, "lower limit a"), (b, "upper limit b")):
@@ -340,12 +351,8 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     """
     omega = p.require_omega()
     check_positive(box_halfwidth, "box halfwidth")
-    check_index(points, "point count")
-    if points < 100:
-        raise ValueError(f"point count must be >= 100, got {points!r}")
-    check_index(count, "eigenvalue count")
-    if not 1 <= count <= 20:
-        raise ValueError(f"eigenvalue count must be in 1..20, got {count!r}")
+    check_index(points, "point count", low=100)
+    check_index(count, "eigenvalue count", low=1, high=20)
     interior = points - 2
     h = 2.0 * box_halfwidth / (points - 1)
     xs = np.linspace(-box_halfwidth + h, box_halfwidth - h, interior)
@@ -395,6 +402,9 @@ class ShootingConfig:
 
 _X_START = 1e-4            # start of the outward sweep, in units of hbar^2/(m alpha)
 _START_STEPS = 48          # RK4 steps in the first octave [x_start, 2 x_start]
+# RK4 steps one sweep may take; the scan and the level solves for
+# n <= 20 take at most 2432
+_MAX_STEPS = 2 ** 16
 
 
 def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
@@ -404,6 +414,8 @@ def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
     so h times the largest local wavenumber stays below 0.05.  v is the
     epsilon-free part of the coefficient g(x) = c2*(V(x) - eps) =
     vpart(x) - c2*eps at the start, midpoint and end of each step.
+    Raises ValueError, before building an octave, when the steps would
+    exceed _MAX_STEPS: the bracket is too shallow.
     """
     alpha = run.p.require_alpha()
     c2 = run.c2
@@ -414,6 +426,7 @@ def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
         return -c2 * alpha / x - vcoef / (x * x)
 
     steps, counts, starts, ends = [], [], [], []
+    total = 0
     a = lo_x
     j = max(0, int(math.floor(math.log2(lo_x / run.x_start))))
     while a < hi_x:
@@ -424,6 +437,11 @@ def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
         g_bound = c2 * alpha / a + vcoef / (a * a) + g_energy
         h = min(run.step * 2.0 ** j, 0.05 / math.sqrt(g_bound))
         m = max(1, int(math.ceil((edge - a) / h)))
+        total += m
+        if total > _MAX_STEPS:
+            raise ValueError(
+                f"energy bracket {run.cfg.energy_bracket} is too shallow: a sweep "
+                f"to x = {hi_x:.6g} needs more than {_MAX_STEPS} RK4 steps")
         h = (edge - a) / m
         nodes = a + h * np.arange(m + 1)
         steps.append(h)
@@ -614,7 +632,8 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     cfg.energy_bracket to relative width _SHOOTING_TOL by the Illinois
     method (see _illinois), and then verifies the converged shape has
     exactly n interior nodes.  Raises ValueError when the bracket is too
-    deep for the geometry or does not straddle a sign change, and
+    deep for the geometry, too shallow for _MAX_STEPS steps per sweep, or
+    does not straddle a sign change, and
     ConvergenceError when the search does not converge or the node
     count disagrees with n.
     """
@@ -652,9 +671,7 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
     geometry is the one a level bracket spanning the band would get.
     """
     check_nu(nu)
-    check_index(n_max, "n_max")
-    if n_max > 20:
-        raise ValueError(f"n_max must be in 0..20, got {n_max!r}")
+    check_index(n_max, "n_max", high=20)
     alpha = p.require_alpha()
     scale = p.mass * alpha * alpha / (2.0 * p.hbar ** 2)
     eps = -1.35 * scale / (nu * nu)      # strictly below the deepest level

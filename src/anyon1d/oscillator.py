@@ -14,6 +14,11 @@ import math
 from .core import PhysicalParams, check_index, check_points
 from .specfun import RECURRENCE_ARG_MAX, _scaled_recurrence
 
+# Largest level of the wavefunctions: the highest level their mpmath
+# reference sweep checks.  Each level caches N coefficient triples, so an
+# unbounded N would cost unbounded time and memory.
+LEVEL_MAX = 400
+
 
 def energy(N: int, p: PhysicalParams) -> float:
     """E_N = hbar omega (N + 1/2)."""
@@ -39,10 +44,10 @@ def wavefunction(N: int, p: PhysicalParams, u):
     Psi_N(u) = sqrt(2) (m w / hbar)^(1/4) psi_N(u sqrt(m w / hbar)), with
     psi_N(z) = (2^N N! sqrt(pi))^(-1/2) H_N(z) exp(-z^2/2) the unit-norm
     Hermite functions, so that the integral of Psi_N^2 over [0, inf)
-    equals 1.  Defined for 0 <= z <= 1e150; far in the tail the value
-    underflows to exactly 0.0.
+    equals 1.  Defined for N <= LEVEL_MAX and 0 <= z <= 1e150; far in
+    the tail the value underflows to exactly 0.0.
     """
-    check_index(N, "level N")
+    check_index(N, "level N", high=LEVEL_MAX)
     omega = p.require_omega()
     scale = math.sqrt(p.mass * omega / p.hbar)
     u, scalar = check_points(u, "u", 0.0, RECURRENCE_ARG_MAX / scale)

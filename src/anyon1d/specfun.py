@@ -2,11 +2,11 @@
 function, the classical orthogonal polynomials tied to it, and the
 log-scaled three-term recurrence behind both eigenfunctions.
 
-The confluent series is written against plain floats.  It is
-summed term by term with a recurrence on the term ratio; when the sum
-loses too many digits to cancellation (alternating series at negative
-argument) the same recurrence is re-run in 60-digit decimal arithmetic,
-so callers always get close to full double precision.
+The confluent series is summed term by term with a recurrence on the
+term ratio, by one loop that runs in floats or in decimals; when the
+float sum loses too many digits to cancellation (alternating series at
+negative argument) the same loop is re-run in 60-digit decimal
+arithmetic, so callers get close to full double precision or an error.
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ _STAGNATION = 1e-17
 # sum by this factor, enough digits cancelled that the float result is
 # suspect and the decimal pass takes over.
 _ESCALATE_RATIO = 300.0
+
+# The 60-digit pass stops at this fraction of the partial sum, and
+# refuses its sum once the largest intermediate exceeds it by
+# _DECIMAL_CANCEL: fewer than about 18 of its digits would be left.
+_DECIMAL_FLOOR = Decimal("1e-30")
+_DECIMAL_CANCEL = Decimal("1e40")
 
 # The scaled recurrence divides its terms by _BIG, a power of two so the
 # division is exact, whenever one exceeds it.  One step multiplies a term
@@ -136,33 +142,51 @@ def kummer_series(a: float, b: float, y: float) -> float:
     n + 1 terms when a = -n, giving the polynomial case exactly.
     Otherwise it stops once two consecutive terms fall below 1e-17 of
     the partial sum, and fails with ConvergenceError past 10000 terms.
-    Heavy cancellation triggers a second pass in 60-digit decimals.
+    Heavy cancellation triggers a second pass of the same loop in
+    60-digit decimals, which stops at 1e-30 of the partial sum.  When
+    even that pass loses more than 40 of its digits (its largest term
+    exceeds 1e40 times the sum) no digit of the result is known, and it
+    raises ConvergenceError.  A decimal sum of exactly 0 comes back as
+    0.0: terms that cancel exactly, as in F(-1, 1/2, 1/2), do so in
+    every arithmetic.
     """
     _check_b(b)
     check_finite(a, "upper parameter a")
     check_finite(y, "argument y")
-    value, peak = _kummer_float(a, b, y)
+    value, peak = _confluent_sum(a, b, y, _STAGNATION)
     if not math.isfinite(value) or peak > _ESCALATE_RATIO * max(abs(value), 5e-324):
-        value = _kummer_decimal(a, b, y)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            total, peak = _confluent_sum(Decimal(a), Decimal(b), Decimal(y), _DECIMAL_FLOOR)
+        if total and peak > _DECIMAL_CANCEL * abs(total):
+            raise ConvergenceError(
+                f"confluent series cancels past 60 digits (a={a}, b={b}, y={y})")
+        value = float(total)
     return value
 
 
-def _kummer_float(a: float, b: float, y: float) -> tuple[float, float]:
+def _confluent_sum(a, b, y, floor):
+    """(sum, peak) of F(a, b, y) = sum_k t_k, with t_0 = 1 and
+    t_(k+1) = t_k (a + k) y / ((b + k)(k + 1)).
+
+    Runs in the arithmetic of its arguments: floats, or Decimals under
+    the caller's context.  It stops after the n + 1 terms of a
+    polynomial (a = -n), or else once two consecutive terms fall below
+    floor times the partial sum.  peak is the largest term or partial
+    sum, so peak / |sum| is the factor lost to cancellation.
+    """
     n_stop = _nonpositive_int(a)
-    term = 1.0
-    total = 1.0
-    peak = 1.0
+    term = total = peak = y ** 0
     quiet = 0
     k = 0
-    while True:
-        if n_stop is not None and k >= n_stop:
-            return total, peak
+    while n_stop is None or k < n_stop:
         if k >= _MAX_TERMS:
             raise ConvergenceError(
                 f"confluent series did not settle within {_MAX_TERMS} terms "
                 f"(a={a}, b={b}, y={y})")
-        term *= (a + k) * y / ((b + k) * (k + 1.0))
-        if not math.isfinite(term):
+        term *= (a + k) * y / ((b + k) * (k + 1))
+        # 0 for a finite term, NaN for inf or NaN; a Decimal overflow raises
+        if term - term:
             raise ConvergenceError(
                 f"confluent series terms overflowed (a={a}, b={b}, y={y})")
         total += term
@@ -174,47 +198,13 @@ def _kummer_float(a: float, b: float, y: float) -> tuple[float, float]:
         if mag_t > peak:
             peak = mag_t
         if n_stop is None:
-            if mag_t < _STAGNATION * mag_s:
+            if mag_t < floor * mag_s:
                 quiet += 1
                 if quiet >= 2:
-                    return total, peak
+                    break
             else:
                 quiet = 0
-
-
-def _kummer_decimal(a: float, b: float, y: float) -> float:
-    # same recurrence, 60 decimal digits; threshold loosened accordingly
-    n_stop = _nonpositive_int(a)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        da, db, dy = Decimal(a), Decimal(b), Decimal(y)
-        floor = Decimal("1e-45")
-        term = Decimal(1)
-        total = Decimal(1)
-        peak = Decimal(1)
-        quiet = 0
-        k = 0
-        while True:
-            if n_stop is not None and k >= n_stop:
-                return float(total)
-            if k >= _MAX_TERMS:
-                raise ConvergenceError(
-                    f"confluent series did not settle within {_MAX_TERMS} terms "
-                    f"(a={a}, b={b}, y={y})")
-            term = term * (da + k) * dy / ((db + k) * (k + 1))
-            total += term
-            k += 1
-            if abs(term) > peak:
-                peak = abs(term)
-            if abs(total) > peak:
-                peak = abs(total)
-            if n_stop is None:
-                if abs(term) < floor * peak:
-                    quiet += 1
-                    if quiet >= 2:
-                        return float(total)
-                else:
-                    quiet = 0
+    return total, peak
 
 
 def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
@@ -233,12 +223,7 @@ def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
         ctx.prec = 60
         ctx.Emax = 10 ** 9
         ctx.Emin = -(10 ** 9)
-        db, dy = Decimal(b), Decimal(y)
-        term = Decimal(1)
-        total = Decimal(1)
-        for k in range(n):
-            term = term * ((k - n) * dy) / ((db + k) * (k + 1))
-            total += term
+        total, _ = _confluent_sum(Decimal(-n), Decimal(b), Decimal(y), _DECIMAL_FLOOR)
         if total == 0:
             return -math.inf, 0.0
         sign = 1.0 if total > 0 else -1.0

@@ -130,17 +130,23 @@ def test_quadrature_rejects_bad_endpoints():
 
 
 def test_quadrature_never_evaluates_an_endpoint():
-    # Refinement toward the non-integrable 1/x at 0 bisects down to the
-    # cell [0, 5e-324], whose Gauss-Kronrod nodes round onto 0.
     seen = []
 
     def f(x):
         seen.append(x)
         return 1.0 / x
 
-    with pytest.raises(ConvergenceError, match="cell"):
+    # Refinement toward the non-integrable 1/x at 0 halves the first cell
+    # until 1/x overflows at a node; halving on would reach the cell
+    # [0, 5e-324], whose Gauss-Kronrod nodes round onto 0.
+    with pytest.raises(ValueError, match=r"not finite on the quadrature cell \[0\.0, "):
         oracle.quadrature(f, 0.0, 1.0)
     assert min(seen) > 0.0
+    # A range one ulp wide has no room for the nodes of its one cell.
+    seen.clear()
+    with pytest.raises(ConvergenceError, match="cannot be refined further"):
+        oracle.quadrature(f, 1.0, 1.0 + 2.0 ** -52)
+    assert seen == []
 
 
 def test_quadrature_rejects_a_non_finite_integrand_at_once():
