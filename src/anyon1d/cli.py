@@ -250,7 +250,8 @@ def cmd_spectrum(ns) -> int:
         rows = []
         for n in range(ns.n_max + 1):
             eps = anyon.energy(n, ns.nu, p)
-            rows.append([n, eps, duality.dual_frequency(n, ns.nu, p), 4.0 * ns.alpha])
+            dual_e = duality.to_oscillator_params(ns.alpha, eps, p)[0]
+            rows.append([n, eps, duality.dual_frequency(n, ns.nu, p), dual_e])
         meta = _meta(ns, system="anyon", alpha=ns.alpha, nu=ns.nu, n_max=ns.n_max)
     else:
         p = PhysicalParams(ns.mu, ns.hbar, omega=ns.omega)
@@ -305,22 +306,28 @@ def cmd_wavefunction(ns) -> int:
 def cmd_dual(ns) -> int:
     state = _state_flags(ns)
     if ns.alpha is not None:
-        p = PhysicalParams(ns.mu, ns.hbar, alpha=ns.alpha)
-        pair = duality.DualityPair.from_anyon(state.n, state.nu, p)
-        given = {"alpha": ns.alpha}
+        alpha = ns.alpha
+        p = PhysicalParams(ns.mu, ns.hbar, alpha=alpha)
+        eps = anyon.energy(state.n, state.nu, p)
+        energy, omega = duality.to_oscillator_params(alpha, eps, p)
+        given = {"alpha": alpha}
     else:
-        p = PhysicalParams(ns.mu, ns.hbar, omega=ns.omega)
-        pair = duality.DualityPair.from_oscillator(state.n, state.s, p)
-        given = {"omega": ns.omega}
+        omega = ns.omega
+        p = PhysicalParams(ns.mu, ns.hbar, omega=omega)
+        energy = oscillator.energy(state.N, p)
+        alpha, eps = duality.to_anyon_params(energy, omega, p)
+        given = {"omega": omega}
+    # the derived side must lie in the constants' domain too, or exit 2
+    p = PhysicalParams(ns.mu, ns.hbar, alpha=alpha, omega=omega)
     meta = _meta(ns, n=state.n, s=state.s, nu=state.nu, N=state.N, **given)
     columns = ["quantity", "value"]
     rows = [
-        ["oscillator_level_N", pair.state.N],
-        ["oscillator_energy_E", pair.oscillator_energy],
-        ["oscillator_omega", pair.params.omega],
-        ["anyon_alpha", pair.params.alpha],
-        ["anyon_energy_eps", pair.anyon_energy],
-        ["lambda_n_plus_nu", pair.state.n + pair.state.nu],
+        ["oscillator_level_N", state.N],
+        ["oscillator_energy_E", energy],
+        ["oscillator_omega", p.omega],
+        ["anyon_alpha", p.alpha],
+        ["anyon_energy_eps", eps],
+        ["lambda_n_plus_nu", state.n + state.nu],
     ]
     _emit(ns, meta, columns, list(zip(*rows)))
     return 0

@@ -12,13 +12,12 @@ omega_n = 2 alpha / (hbar (n + nu)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import anyon, oracle, oscillator
-from .core import (Grid, PhysicalParams, QuantumState, check_finite, check_points,
-                   check_positive, make_state, state_from_nu)
+from .core import (Grid, PhysicalParams, check_finite, check_points, check_positive,
+                   make_state, state_from_nu)
 from .specfun import log_gamma
 
 _LN2 = math.log(2.0)
@@ -148,51 +147,3 @@ def reduction_chain_residual(n: int, s: float, p: PhysicalParams, grid: Grid,
     return oracle.ode_residual(
         xs, phi, lambda x: anyon.potential(x, state.nu, dual),
         eps * energy_scale, p)
-
-
-@dataclass(frozen=True)
-class DualityPair:
-    """One matched pair of states with every dictionary entry spelled out."""
-
-    state: QuantumState
-    params: PhysicalParams      # carries both alpha and the dual omega
-    oscillator_energy: float
-    anyon_energy: float
-
-    def __post_init__(self):
-        alpha = self.params.require_alpha()
-        omega = self.params.require_omega()
-        lam = self.state.n + self.state.nu
-        checks = (
-            ("alpha = E/4", self.oscillator_energy, 4.0 * alpha),
-            ("eps = -m omega^2/8", self.anyon_energy,
-             -self.params.mass * omega * omega / 8.0),
-            ("omega = 2 alpha/(hbar (n+nu))", omega,
-             2.0 * alpha / (self.params.hbar * lam)),
-        )
-        for label, got, expected in checks:
-            if abs(got - expected) > 1e-12 * max(abs(got), abs(expected)):
-                raise ValueError(
-                    f"inconsistent duality data, {label}: {got!r} vs {expected!r}")
-
-    @classmethod
-    def from_oscillator(cls, n: int, s: float, p: PhysicalParams) -> DualityPair:
-        """Pair determined by the oscillator side (omega set on p)."""
-        state = make_state(n, s)
-        omega = p.require_omega()
-        energy = oscillator.energy(state.N, p)
-        alpha, eps = to_anyon_params(energy, omega, p)
-        return cls(state=state,
-                   params=PhysicalParams(p.mass, p.hbar, alpha=alpha, omega=omega),
-                   oscillator_energy=energy, anyon_energy=eps)
-
-    @classmethod
-    def from_anyon(cls, n: int, nu: float, p: PhysicalParams) -> DualityPair:
-        """Pair determined by the anyon side (alpha set on p)."""
-        state = state_from_nu(n, nu)
-        alpha = p.require_alpha()
-        eps = anyon.energy(state.n, state.nu, p)
-        energy, omega = to_oscillator_params(alpha, eps, p)
-        return cls(state=state,
-                   params=PhysicalParams(p.mass, p.hbar, alpha=alpha, omega=omega),
-                   oscillator_energy=energy, anyon_energy=eps)

@@ -138,11 +138,17 @@ def _tail_cutoff(f, start: float, tol: float) -> float:
     """Smallest probed B with |f| small enough beyond B to ignore the tail.
 
     Probes three incommensurate points per candidate so an accidental
-    zero of an oscillatory integrand cannot fake decay.
+    zero of an oscillatory integrand cannot fake decay.  Raises
+    ValueError naming the first probe where f is not finite.
     """
     cut = start
     for _ in range(_TAIL_CAP_DOUBLINGS):
-        peak = max(abs(f(cut)), abs(f(1.37 * cut)), abs(f(1.93 * cut)))
+        peak = 0.0
+        for x in (cut, 1.37 * cut, 1.93 * cut):
+            v = f(x)
+            if not math.isfinite(v):
+                raise ValueError(f"integrand is not finite at the tail probe {x!r}")
+            peak = max(peak, abs(v))
         if peak * cut <= 0.1 * tol:
             return 1.93 * cut
         cut *= 2.0
@@ -162,8 +168,8 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     evaluated, so integrable power singularities at the ends are fine;
     a cell too narrow to keep its nodes off its ends raises
     ConvergenceError. An endpoint that is neither +-inf nor finite (NaN,
-    bool) raises ValueError, and so does a cell where the integrand is
-    not finite.
+    bool) raises ValueError, and so does a cell or a tail probe where the
+    integrand is not finite.
     """
     check_positive(tol, "tolerance")
     for end, name in ((a, "lower limit a"), (b, "upper limit b")):
@@ -460,6 +466,10 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
+# one identity matrix per sweep, entry-first as the step propagators
+_IDENTITY = np.eye(2)[:, :, None, None].repeat(2, axis=2)
+
+
 def _rescaled(m: np.ndarray) -> np.ndarray:
     """Each matrix of m divided by the power of two that brings its
     largest entry into [0.5, 1): exact, and it keeps every sign."""
@@ -478,8 +488,8 @@ class _ShootingRun:
     and in the values a, b, c of g at the start, midpoint and end of the
     step (see _propagators).  Row 0 of the table is the outward sweep
     x_start -> x_match, row 1 the inward sweep x_end -> x_match (h < 0);
-    both are padded to one power-of-two length with h = 0 steps, whose
-    propagator is exactly the identity.
+    the shorter one is padded to the longer one's length with h = 0
+    steps, whose propagator is exactly the identity.
     """
 
     def __init__(self, cfg: ShootingConfig, p: PhysicalParams):
@@ -498,7 +508,7 @@ class _ShootingRun:
         out = _steps(self, x_start, x_match)
         h, v_start, v_mid, v_end = _steps(self, x_match, self.x_end)[:, ::-1]
         inward = np.stack([-h, v_end, v_mid, v_start])
-        width = 1 << (max(out.shape[1], inward.shape[1]) - 1).bit_length()
+        width = max(out.shape[1], inward.shape[1])
         table = np.zeros((4, 2, width))
         table[:, 0, :out.shape[1]] = out
         table[:, 1, :inward.shape[1]] = inward
@@ -541,13 +551,16 @@ class _ShootingRun:
         """Scaled Wronskian of the outward and inward solutions at x_match.
 
         Zero exactly at eigenvalues; its sign flips when eps crosses one.
-        The step propagators are multiplied pairwise, log2(width) passes
-        in all, and every product is rescaled by a power of two; the
-        scaled Wronskian is homogeneous in each solution, so the
-        rescaling cannot change it.
+        The step propagators are multiplied pairwise, ceil(log2(width))
+        passes in all; a pass over an odd number of blocks multiplies
+        the last one by the identity.  Every product is rescaled by a
+        power of two; the scaled Wronskian is homogeneous in each
+        solution, so the rescaling cannot change it.
         """
         m = self._propagators(eps)
         while m.shape[-1] > 1:
+            if m.shape[-1] % 2:
+                m = np.concatenate([m, _IDENTITY], axis=-1)
             m = _rescaled(_matmul(m[..., 1::2], m[..., 0::2]))
         start = self._starts(eps)
         (left, right), (dleft, dright) = m[:, 0, :, 0] * start[0] + m[:, 1, :, 0] * start[1]

@@ -12,11 +12,13 @@ arithmetic, so callers get close to full double precision or an error.
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .core import ConvergenceError, check_finite, check_index, check_positive, check_s
+from .core import (ConvergenceError, check_finite, check_index, check_points, check_positive,
+                   make_state)
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -306,37 +308,74 @@ def _truncated_sum(numerator, ratio_base: float) -> float:
     return total
 
 
+def _polynomial(recurrence, x, name: str, degree: str, order: int):
+    """recurrence(x) at any finite real x, one number or an array (see
+    core.check_points).
+
+    Raises ValueError naming the degree (degree = order) and the first
+    point where the recurrence overflows the float range, on an array
+    without a numpy warning.  One number stays a Python float, so the
+    scalar call runs the recurrence in exact floats.
+    """
+    x, scalar = check_points(x, name, -sys.float_info.max)
+    if scalar:
+        value = recurrence(x)
+        if math.isfinite(value):
+            return value
+        first = x
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = recurrence(x)
+        bad = ~np.isfinite(value)
+        if not bad.any():
+            return value
+        first = float(x.flat[np.argmax(bad)])
+    raise ValueError(f"the recurrence at degree {degree} = {order} overflows the "
+                     f"float range at {name} = {first!r}")
+
+
 def laguerre(n: int, alpha: float, y):
     """Generalized Laguerre polynomial L_n^(alpha)(y), alpha > -1.
 
-    Three-term recurrence; y may be a float or a numpy array.
+    Three-term recurrence at any finite real y, a float or a numpy
+    array; raises ValueError where the value overflows (see _polynomial).
     """
     check_index(n, "degree n")
     if not alpha > -1.0:
         raise ValueError(f"laguerre parameter must exceed -1, got {alpha}")
-    p_prev = 1.0 + 0.0 * y  # promotes to the dtype/shape of y
-    if n == 0:
-        return p_prev
-    p = 1.0 + alpha - y
-    for k in range(1, n):
-        p, p_prev = (((2.0 * k + 1.0 + alpha - y) * p - (k + alpha) * p_prev)
-                     / (k + 1.0)), p
-    return p
+
+    def recurrence(y):
+        p_prev = 1.0 + 0.0 * y  # promotes to the dtype/shape of y
+        if n == 0:
+            return p_prev
+        p = 1.0 + alpha - y
+        for k in range(1, n):
+            p, p_prev = (((2.0 * k + 1.0 + alpha - y) * p - (k + alpha) * p_prev)
+                         / (k + 1.0)), p
+        return p
+
+    return _polynomial(recurrence, y, "y", "n", n)
 
 
 def hermite(N: int, z):
     """Physicists' Hermite polynomial H_N(z) with positive leading term.
 
-    Recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1}; z may be a numpy array.
+    Recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1} at any finite real z, a
+    float or a numpy array; raises ValueError where the value overflows
+    (see _polynomial).
     """
     check_index(N, "degree N")
-    h_prev = 1.0 + 0.0 * z
-    if N == 0:
-        return h_prev
-    h = 2.0 * z
-    for k in range(1, N):
-        h, h_prev = 2.0 * z * h - 2.0 * k * h_prev, h
-    return h
+
+    def recurrence(z):
+        h_prev = 1.0 + 0.0 * z
+        if N == 0:
+            return h_prev
+        h = 2.0 * z
+        for k in range(1, N):
+            h, h_prev = 2.0 * z * h - 2.0 * k * h_prev, h
+        return h
+
+    return _polynomial(recurrence, z, "z", "N", N)
 
 
 def _scaled_recurrence(coefficients, x, log_start):
@@ -374,11 +413,9 @@ def hermite_kummer_residual(n: int, s: float, y: float) -> float:
     Evaluates |H_{2n+2s}(sqrt y) - (-1)^n ((2n+2s)!/n!) (2 sqrt y)^(2s)
     F(-n, 2s + 1/2, y)| at y > 0, where s is 0 or 1/2.
     """
-    check_s(s)
+    big_n = make_state(n, s).N
     check_positive(y, "argument y")
-    check_index(n, "n")
     root = math.sqrt(y)
-    big_n = 2 * n + int(2 * s)
     lhs = hermite(big_n, root)
     pref = math.factorial(big_n) / math.factorial(n)
     if n % 2:

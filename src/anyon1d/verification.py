@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from . import anyon, duality, oracle, oscillator, specfun
-from .core import NU_VALUES, S_VALUES, Grid, PhysicalParams, VerificationReport
+from .core import NU_VALUES, S_VALUES, Grid, PhysicalParams, VerificationReport, make_state
 
 _UNIT = PhysicalParams(mass=1.0, hbar=1.0, alpha=1.0, omega=1.0)
 
@@ -41,8 +41,9 @@ def suite_identities() -> list[VerificationReport]:
     worst = 0.0
     for n in range(11):
         for s in S_VALUES:
+            big_n = make_state(n, s).N
             for y in ys:
-                scale = abs(specfun.hermite(2 * n + int(2 * s), math.sqrt(y)))
+                scale = abs(specfun.hermite(big_n, math.sqrt(y)))
                 r = specfun.hermite_kummer_residual(n, s, float(y))
                 worst = max(worst, r / max(scale, 1.0))
     out.append(_report("Hermite vs confluent closed form, n <= 10, y in (0, 25]",

@@ -174,7 +174,7 @@ _MAGNITUDE = (st.floats(-200, 200).map(lambda e: 10.0 ** e)
 def test_parameter_magnitudes_give_finite_values_or_a_named_value_error(
         mass, hbar, alpha, omega, n, nu, t):
     # Parameters that are accepted give finite closed forms; the dual
-    # parameters a pair derives may themselves be rejected by name.
+    # parameters the maps derive may themselves be rejected by name.
     s, big_n = nu - 0.25, 2 * n + int(2 * (nu - 0.25))
     p = _built_or_named_value_error(lambda: PhysicalParams(mass, hbar, alpha=alpha))
     if p is not None:
@@ -183,23 +183,20 @@ def test_parameter_magnitudes_give_finite_values_or_a_named_value_error(
         _finite(anyon.wavefunction(n, nu, p, t / b))
         _finite(anyon.extended_wavefunction(n, nu, p, -t))
         _finite(duality.dual_frequency(n, nu, p))
-        _finite(duality.to_oscillator_params(alpha, eps, p))
-        pair = _built_or_named_value_error(
-            lambda: duality.DualityPair.from_anyon(n, nu, p))
-        if pair is not None:
-            _finite([pair.oscillator_energy, pair.anyon_energy, pair.params.omega])
+        _, dual_omega = _finite(duality.to_oscillator_params(alpha, eps, p))
+        _built_or_named_value_error(
+            lambda: PhysicalParams(mass, hbar, alpha=alpha, omega=dual_omega))
     q = _built_or_named_value_error(lambda: PhysicalParams(mass, hbar, omega=omega))
     if q is not None:
         energy = _finite(oscillator.energy(big_n, q))
         u = t * math.sqrt(_finite(oscillator.mean_square_displacement(0, q)))
         _finite(oscillator.wavefunction(big_n, q, u))
-        _finite(duality.to_anyon_params(energy, omega, q))
-        pair = _built_or_named_value_error(
-            lambda: duality.DualityPair.from_oscillator(n, s, q))
-        if pair is not None:
-            _finite([pair.oscillator_energy, pair.anyon_energy, pair.params.alpha])
-            x = t / _finite(anyon.beta(n, nu, pair.params))
-            _finite(duality.map_oscillator_to_anyon(n, s, pair.params, x))
+        dual_alpha, _ = _finite(duality.to_anyon_params(energy, omega, q))
+        both = _built_or_named_value_error(
+            lambda: PhysicalParams(mass, hbar, alpha=dual_alpha, omega=omega))
+        if both is not None:
+            x = t / _finite(anyon.beta(n, nu, both))
+            _finite(duality.map_oscillator_to_anyon(n, s, both, x))
 
 
 def test_require_side_parameters():

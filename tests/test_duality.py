@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anyon1d import anyon, duality, oscillator
-from anyon1d.core import Grid, PhysicalParams, make_state
+from anyon1d.core import Grid, PhysicalParams, make_state, state_from_nu
 
 UNIT = PhysicalParams(1.0, 1.0, alpha=1.0)
 
@@ -158,38 +158,28 @@ def test_reduction_chain_rejects_grid_touching_zero():
         duality.reduction_chain_residual(0, 0.0, p, Grid(0.0, 10.0, 101))
 
 
-def test_duality_pair_from_both_sides():
-    pair_a = duality.DualityPair.from_anyon(1, 0.75, UNIT)
-    assert pair_a.state.N == 3
-    assert pair_a.oscillator_energy == 4.0
-    assert math.isclose(pair_a.params.require_omega(), 8.0 / 7.0,
-                        rel_tol=1e-15)
-    assert math.isclose(pair_a.anyon_energy, -1.0 / (2.0 * 1.75 ** 2),
-                        rel_tol=1e-15)
+def test_parameter_maps_from_both_sides():
+    eps = anyon.energy(1, 0.75, UNIT)
+    energy, omega = duality.to_oscillator_params(1.0, eps, UNIT)
+    assert state_from_nu(1, 0.75).N == 3
+    assert energy == 4.0
+    assert math.isclose(omega, 8.0 / 7.0, rel_tol=1e-15)
+    assert math.isclose(eps, -1.0 / (2.0 * 1.75 ** 2), rel_tol=1e-15)
 
     p = PhysicalParams(1.0, 1.0, omega=8.0 / 7.0)
-    pair_o = duality.DualityPair.from_oscillator(1, 0.5, p)
-    assert math.isclose(pair_o.params.require_alpha(), 1.0, rel_tol=1e-14)
-    assert math.isclose(pair_o.anyon_energy, pair_a.anyon_energy,
-                        rel_tol=1e-14)
+    alpha, back = duality.to_anyon_params(
+        oscillator.energy(make_state(1, 0.5).N, p), 8.0 / 7.0, p)
+    assert math.isclose(alpha, 1.0, rel_tol=1e-14)
+    assert math.isclose(back, eps, rel_tol=1e-14)
 
 
-def test_duality_pair_rejects_inconsistent_data():
-    state = make_state(0, 0.0)
-    params = PhysicalParams(1.0, 1.0, alpha=1.0, omega=8.0)
-    with pytest.raises(ValueError, match="inconsistent"):
-        duality.DualityPair(state=state, params=params,
-                            oscillator_energy=4.0, anyon_energy=-7.5)
-
-
-def test_quantization_swap_composes_to_identity():
+def test_quantization_swap_through_the_maps_composes_to_identity():
     for nu in (0.25, 0.75):
         for n in range(21):
-            pair = duality.DualityPair.from_anyon(n, nu, UNIT)
-            back = duality.DualityPair.from_oscillator(
-                n, nu - 0.25, PhysicalParams(1.0, 1.0,
-                                             omega=pair.params.omega))
-            assert math.isclose(back.params.require_alpha(), 1.0,
-                                rel_tol=1e-14)
-            assert math.isclose(back.anyon_energy, pair.anyon_energy,
-                                rel_tol=1e-14)
+            eps = anyon.energy(n, nu, UNIT)
+            _, omega = duality.to_oscillator_params(1.0, eps, UNIT)
+            p = PhysicalParams(1.0, 1.0, omega=omega)
+            energy = oscillator.energy(make_state(n, nu - 0.25).N, p)
+            alpha, back = duality.to_anyon_params(energy, omega, p)
+            assert math.isclose(alpha, 1.0, rel_tol=1e-14)
+            assert math.isclose(back, eps, rel_tol=1e-14)

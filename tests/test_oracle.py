@@ -162,6 +162,35 @@ def test_quadrature_rejects_a_non_finite_integrand_at_once():
     assert calls == 15
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_quadrature_rejects_a_non_finite_tail_probe(sign):
+    # NaN past |x| = 5 must not read as "not decayed yet": the first
+    # probe there is refused by name instead of doubling the cut 60 times
+    probes = []
+
+    def f(x):
+        probes.append(x)
+        return math.nan if abs(x) > 5.0 else math.exp(-abs(x))
+
+    ends = (0.0, math.inf) if sign > 0 else (-math.inf, 0.0)
+    with pytest.raises(ValueError, match="not finite at the tail probe"):
+        oracle.quadrature(f, *ends)
+    assert probes[3:] == [sign * 2.0, sign * 2.74, sign * 3.86, sign * 4.0, sign * 5.48]
+
+
+def test_tail_cutoff_refuses_a_nan_in_any_probe():
+    for bad in range(3):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.nan if len(calls) == bad + 1 else 0.0
+
+        with pytest.raises(ValueError, match="not finite"):
+            oracle.quadrature(f, 0.0, math.inf)
+        assert len(calls) == bad + 1
+
+
 def test_quadrature_reports_nonconvergence():
     with pytest.raises(ConvergenceError):
         oracle.quadrature(lambda y: 1.0, 0.0, math.inf, tol=1e-10)
@@ -568,6 +597,16 @@ def test_propagator_products_match_sequential_rk4(nu):
             mismatch, nodes = _rk4_reference(run, eps)
             assert abs(run.mismatch(eps) - mismatch) <= 1e-10
             assert run.nodes(eps) == nodes
+
+
+def test_shooting_table_is_as_wide_as_the_longer_sweep():
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    for nu in NU_VALUES:
+        for bracket in oracle.scan_level_brackets(nu, p, 20)[::5]:
+            run = oracle._ShootingRun(oracle.ShootingConfig(nu, bracket), p)
+            steps = np.count_nonzero(run.h, axis=1)
+            assert run.h.shape == (2, max(steps))
+            assert min(steps) < max(steps)
 
 
 def test_shooting_boundary_exponent_is_the_only_difference():

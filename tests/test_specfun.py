@@ -249,6 +249,34 @@ def test_hermite_examples():
     assert np.allclose(hermite(2, zs), 4.0 * zs * zs - 2.0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: hermite(3, math.nan), "z must lie in"),
+    (lambda: hermite(400, 45.0), "degree N = 400 overflows .* z = 45.0"),
+    (lambda: laguerre(3, 0.5, math.inf), "y must lie in"),
+    (lambda: laguerre(100, 0.5, 1e6), "degree n = 100 overflows .* y = 1000000.0"),
+    (lambda: hermite(150, np.array([1.0, -100.0, 100.0])),
+     "degree N = 150 overflows .* z = -100.0"),
+    (lambda: laguerre(100, 0.5, np.array([1.0, 1e6])),
+     "degree n = 100 overflows .* y = 1000000.0"),
+    (lambda: laguerre(2, 0.5, [1.0, math.nan]), "y must lie in"),
+], ids=["hermite-nan", "hermite-overflow", "laguerre-inf", "laguerre-overflow",
+        "hermite-array-overflow", "laguerre-array-overflow", "laguerre-array-nan"])
+def test_reference_polynomials_never_return_nan_or_inf(call, match):
+    # pyproject turns a numpy RuntimeWarning into an error, so an array
+    # that overflows must be refused without one
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_reference_polynomials_take_any_finite_real():
+    assert hermite(3, -2.0) == -40.0
+    assert laguerre(1, -0.5, -2.0) == 2.5
+    assert math.isclose(laguerre(2, 0.5, -1e150), 5e299, rel_tol=1e-15)
+    assert type(hermite(2, np.float64(1.5))) is float
+    assert math.isclose(hermite(150, 0.0), -math.factorial(150) / math.factorial(75),
+                        rel_tol=1e-13)
+
+
 def test_hermite_kummer_residual_examples():
     assert hermite_kummer_residual(0, 0.0, 3.3) == 0.0
     assert hermite_kummer_residual(1, 0.0, 1.0) == 0.0
