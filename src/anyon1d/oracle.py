@@ -14,9 +14,12 @@ It offers four ways to check them from first principles:
 * a shooting eigensolver for the attractive half-line problem, whose
   RK4 steps are 2x2 propagators multiplied pairwise with numpy over a
   geometry set by the constants and the energy bracket alone; each
-  level is one Illinois (modified regula falsi) solve of the matching
-  defect, and the energy scan shares one step table across each band
-  of 8 probes.
+  propagator entry is a quadratic in the energy, tabulated once per
+  run for (phi, L phi') with L a power of two near the length unit, so
+  every entry is of order one and the products need a power-of-two
+  rescale only every fourth pass; each level is one Illinois (modified
+  regula falsi) solve of the matching defect, and the energy scan
+  shares one table across each band of 8 probes.
 
 All routines are deterministic: fixed node tables, fixed refinement
 rules, fixed step-size policies.
@@ -66,18 +69,26 @@ _TAIL_CAP_DOUBLINGS = 60   # give up on tail truncation after this many
 _MAX_INTERVALS = 4096      # refinement cap of one adaptive integral
 
 
-def _gk15(f, lo: float, hi: float) -> tuple[float, float]:
+def _caller_cell(lo: float, hi: float, sign: float) -> str:
+    """The cell [lo, hi] of the integration variable t as the caller's
+    x = sign * t, for messages."""
+    return f"[{lo}, {hi}]" if sign > 0 else f"[{-hi}, {-lo}]"
+
+
+def _gk15(f, lo: float, hi: float, sign: float) -> tuple[float, float]:
     """Kronrod value and |Kronrod - Gauss| error estimate on [lo, hi].
 
     Raises ConvergenceError when the outermost nodes do not fall strictly
     inside the cell, so no endpoint is ever evaluated, and ValueError
-    naming the cell when the Kronrod value is not finite.
+    naming the cell when the Kronrod value is not finite.  f takes the
+    integration variable t; messages name the cell in the caller's
+    x = sign * t.
     """
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
     if not (lo < c - r * _XGK[0] and c + r * _XGK[0] < hi):
         raise ConvergenceError(
-            f"quadrature cell [{lo}, {hi}] cannot be refined further: "
+            f"quadrature cell {_caller_cell(lo, hi, sign)} cannot be refined further: "
             "its outermost nodes do not fall strictly inside it")
     acc_k = 0.0
     acc_g = 0.0
@@ -87,7 +98,8 @@ def _gk15(f, lo: float, hi: float) -> tuple[float, float]:
         if wg:
             acc_g += wg * v
     if not math.isfinite(acc_k):
-        raise ValueError(f"integrand is not finite on the quadrature cell [{lo}, {hi}]")
+        raise ValueError("integrand is not finite on the quadrature cell "
+                         f"{_caller_cell(lo, hi, sign)}")
     return r * acc_k, abs(r * (acc_k - acc_g))
 
 
@@ -110,12 +122,12 @@ def _initial_cells(a: float, b: float, grade_b: bool) -> list[float]:
     return sorted(c for c in cuts if a <= c <= b)
 
 
-def _adaptive(f, a: float, b: float, tol: float, grade_b: bool) -> float:
+def _adaptive(f, a: float, b: float, tol: float, grade_b: bool, sign: float) -> float:
     bounds = _initial_cells(a, b, grade_b)
     cells = []
     for lo, hi in zip(bounds, bounds[1:]):
         if hi > lo:
-            val, err = _gk15(f, lo, hi)
+            val, err = _gk15(f, lo, hi, sign)
             cells.append([err, lo, hi, val])
     while True:
         total_err = math.fsum(c[0] for c in cells)
@@ -128,18 +140,19 @@ def _adaptive(f, a: float, b: float, tol: float, grade_b: bool) -> float:
         worst = max(range(len(cells)), key=lambda i: (cells[i][0], -i))
         _, lo, hi, _ = cells[worst]
         mid = 0.5 * (lo + hi)
-        val1, err1 = _gk15(f, lo, mid)
-        val2, err2 = _gk15(f, mid, hi)
+        val1, err1 = _gk15(f, lo, mid, sign)
+        val2, err2 = _gk15(f, mid, hi, sign)
         cells[worst] = [err1, lo, mid, val1]
         cells.append([err2, mid, hi, val2])
 
 
-def _tail_cutoff(f, start: float, tol: float) -> float:
+def _tail_cutoff(f, start: float, tol: float, sign: float) -> float:
     """Smallest probed B with |f| small enough beyond B to ignore the tail.
 
     Probes three incommensurate points per candidate so an accidental
     zero of an oscillatory integrand cannot fake decay.  Raises
-    ValueError naming the first probe where f is not finite.
+    ValueError naming the first probe where f is not finite.  f takes
+    the integration variable t; messages name the caller's x = sign * t.
     """
     cut = start
     for _ in range(_TAIL_CAP_DOUBLINGS):
@@ -147,13 +160,13 @@ def _tail_cutoff(f, start: float, tol: float) -> float:
         for x in (cut, 1.37 * cut, 1.93 * cut):
             v = f(x)
             if not math.isfinite(v):
-                raise ValueError(f"integrand is not finite at the tail probe {x!r}")
+                raise ValueError(f"integrand is not finite at the tail probe {sign * x!r}")
             peak = max(peak, abs(v))
         if peak * cut <= 0.1 * tol:
             return 1.93 * cut
         cut *= 2.0
     raise ConvergenceError(
-        f"integrand does not decay fast enough past {cut:.3e} for tail truncation")
+        f"integrand does not decay fast enough past {sign * cut:.3e} for tail truncation")
 
 
 def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
@@ -169,7 +182,9 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     a cell too narrow to keep its nodes off its ends raises
     ConvergenceError. An endpoint that is neither +-inf nor finite (NaN,
     bool) raises ValueError, and so does a cell or a tail probe where the
-    integrand is not finite.
+    integrand is not finite.  A range (-inf, b] is integrated as
+    t -> f(-t) over [-b, inf), but every message names cells and probes
+    by the x that f is called with.
     """
     check_positive(tol, "tolerance")
     for end, name in ((a, "lower limit a"), (b, "upper limit b")):
@@ -183,12 +198,14 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     pos_inf = math.isinf(b) and b > 0
     if neg_inf and pos_inf:
         return quadrature(f, a, 0.0, 0.5 * tol) + quadrature(f, 0.0, b, 0.5 * tol)
-    if neg_inf:
-        return quadrature(lambda t: f(-t), -b, math.inf, tol)
-    if pos_inf:
-        cut = _tail_cutoff(f, max(1.0, 2.0 * abs(a), 2.0 * a + 1.0), tol)
-        return _adaptive(f, a, cut, tol, grade_b=False)
-    return _adaptive(f, a, b, tol, grade_b=True)
+    if neg_inf or pos_inf:
+        # (-inf, b] is integrated as t -> f(-t) over [-b, inf)
+        sign = -1.0 if neg_inf else 1.0
+        g = (lambda t: f(-t)) if neg_inf else f
+        start = -b if neg_inf else a
+        cut = _tail_cutoff(g, max(1.0, 2.0 * abs(start), 2.0 * start + 1.0), tol, sign)
+        return _adaptive(g, start, cut, tol, grade_b=False, sign=sign)
+    return _adaptive(f, a, b, tol, grade_b=True, sign=1.0)
 
 
 def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> float:
@@ -476,6 +493,53 @@ def _rescaled(m: np.ndarray) -> np.ndarray:
     return np.ldexp(m, -np.frexp(np.abs(m).max(axis=(0, 1)))[1])
 
 
+# Product passes between two rescales.  A rescale leaves every entry
+# below 1 (an appended identity column has entries of at most 1), and a
+# 2x2 product obeys max|AB| <= 2 max|A| max|B|, so the bound goes
+# 2, 8, 128, 2^15 over four passes: far from overflow.  Every rescale is
+# by a power of two, so the products carry the same bits as with a
+# rescale after every pass.
+_RESCALE_PERIOD = 4
+
+
+def _quadratic_propagators(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """RK4 step propagators of phi'' = (v - e) phi as quadratics in e.
+
+    h holds the step lengths and v = (v_a, v_b, v_c) the e-free part of
+    the coefficient at the start, midpoint and end of each step.  With
+    a = v_a - e, b = v_b - e, c = v_c - e, one step maps (phi, phi') by
+
+        M00 = 1 + h^2 (a + 2b)/6 + h^4 ab/24,   M01 = h + h^3 b/6,
+        M10 = h/6 (a + 4b + c + h^2 b (a + c)/2),
+        M11 = 1 + h^2 (2b + c)/6 + h^4 bc/24,
+
+    and the result, shape (3, 2, 2) + h.shape, holds the coefficients
+    c0, c1, c2 of M = c0 + e (c1 + e c2).  A step with h = 0 gives
+    exactly the identity at every e.
+    """
+    a, b, c = v
+    b2 = b + b
+    s = h * h / 6.0              # h^2/6
+    q = 1.5 * s * s              # h^4/24
+    t = h / 6.0
+    r = 3.0 * t * s              # h^3/12
+    hs = h * s                   # h^3/6
+    coef = np.zeros((3, 2, 2) + h.shape)
+    c0, c1, c2 = coef
+    c0[0, 0] = 1.0 + s * (a + b2) + q * a * b
+    c1[0, 0] = -3.0 * s - q * (a + b)
+    c2[0, 0] = q
+    c0[0, 1] = h + hs * b
+    c1[0, 1] = -hs
+    c0[1, 0] = t * (a + 4.0 * b + c) + r * b * (a + c)
+    c1[1, 0] = -h - r * (a + b2 + c)
+    c2[1, 0] = hs
+    c0[1, 1] = 1.0 + s * (b2 + c) + q * b * c
+    c1[1, 1] = -3.0 * s - q * (b + c)
+    c2[1, 1] = q
+    return coef
+
+
 class _ShootingRun:
     """The geometry and RK4 step table of one config at p; reused for every energy.
 
@@ -483,13 +547,21 @@ class _ShootingRun:
     x_start/_START_STEPS, and in from x_end, 42 decay lengths past the
     turning point of hi, to x_match = max(0.6 alpha/sqrt(lo hi), 2 x_start).
 
-    The ODE phi'' = g(x) phi is linear, so one RK4 step of length h is
-    a 2x2 propagator of (phi, phi') whose entries are polynomials in h
-    and in the values a, b, c of g at the start, midpoint and end of the
-    step (see _propagators).  Row 0 of the table is the outward sweep
-    x_start -> x_match, row 1 the inward sweep x_end -> x_match (h < 0);
-    the shorter one is padded to the longer one's length with h = 0
-    steps, whose propagator is exactly the identity.
+    Row 0 of the step table (h, and v = the e-free coefficient values)
+    is the outward sweep x_start -> x_match, row 1 the inward sweep
+    x_end -> x_match (h < 0); the shorter one is padded to the longer
+    one's length with h = 0 steps, whose propagator is exactly the
+    identity.  The ODE phi'' = g(x) phi is linear, so one RK4 step is a
+    2x2 propagator whose entries are quadratics in e = c2 eps (see
+    _quadratic_propagators); coef holds their coefficients, built once,
+    so a propagator table at any energy is c0 + e (c1 + e c2).
+
+    The table propagates (phi, L phi') rather than (phi, phi'), where
+    L = dphi_scale is the power of two nearest the length unit
+    hbar^2/(m alpha): it is built from h/L and L^2 v and evaluated at
+    L^2 e, so every step propagator is of order one at any constants.
+    Scaling by a power of two is exact, and mismatch and nodes undo L
+    on the end values.
     """
 
     def __init__(self, cfg: ShootingConfig, p: PhysicalParams):
@@ -498,7 +570,8 @@ class _ShootingRun:
         self.c2 = 2.0 * p.mass / p.hbar ** 2
         alpha = p.require_alpha()
         lo, hi = cfg.energy_bracket
-        self.x_start = x_start = _X_START * (p.hbar ** 2 / (p.mass * alpha))
+        length = p.hbar ** 2 / (p.mass * alpha)
+        self.x_start = x_start = _X_START * length
         self.step = x_start / _START_STEPS
         x_match = max(0.6 * alpha / math.sqrt(lo * hi), 2.0 * x_start)
         self.x_end = alpha / abs(hi) + 42.0 / (math.sqrt(-2.0 * p.mass * hi) / p.hbar)
@@ -514,18 +587,16 @@ class _ShootingRun:
         table[:, 1, :inward.shape[1]] = inward
         self.h = table[0]
         self.v = table[1:]
+        # length in [2^k / sqrt(2), 2^k sqrt(2)) gives L = 2^k
+        self.dphi_scale = scale = math.ldexp(1.0, math.frexp(math.sqrt(2.0) * length)[1] - 1)
+        self.coef = _quadratic_propagators(self.h / scale, self.v * scale * scale)
 
     def _propagators(self, eps: float) -> np.ndarray:
-        """Every step's RK4 propagator at eps, shape (2, 2, 2, width)."""
-        h = self.h
-        a, b, c = self.v - self.c2 * eps
-        h2 = h * h
-        m = np.empty((2, 2) + h.shape)
-        m[0, 0] = 1.0 + h2 * (a + 2.0 * b) / 6.0 + h2 * h2 * a * b / 24.0
-        m[0, 1] = h + h2 * h * b / 6.0
-        m[1, 0] = h / 6.0 * (a + 4.0 * b + c + h2 * b * (a + c) / 2.0)
-        m[1, 1] = 1.0 + h2 * (2.0 * b + c) / 6.0 + h2 * h2 * b * c / 24.0
-        return m
+        """Every step's RK4 propagator of (phi, L phi') at eps, shape (2, 2, 2, width)."""
+        scale = self.dphi_scale
+        e = (self.c2 * scale) * (eps * scale)
+        c0, c1, c2 = self.coef
+        return c0 + e * (c1 + e * c2)
 
     def _starts(self, eps: float) -> np.ndarray:
         """Starting values: row 0 is phi, row 1 phi'; column 0 starts the
@@ -553,17 +624,31 @@ class _ShootingRun:
         Zero exactly at eigenvalues; its sign flips when eps crosses one.
         The step propagators are multiplied pairwise, ceil(log2(width))
         passes in all; a pass over an odd number of blocks multiplies
-        the last one by the identity.  Every product is rescaled by a
-        power of two; the scaled Wronskian is homogeneous in each
-        solution, so the rescaling cannot change it.
+        the last one by the identity.  The propagators are rescaled by
+        powers of two once, and the products after every
+        _RESCALE_PERIOD-th pass, which keeps every entry below 2^15; the
+        scaled Wronskian is homogeneous in each solution, so the
+        rescaling cannot change it.
         """
-        m = self._propagators(eps)
+        m = _rescaled(self._propagators(eps))
+        passes = 0
         while m.shape[-1] > 1:
             if m.shape[-1] % 2:
                 m = np.concatenate([m, _IDENTITY], axis=-1)
-            m = _rescaled(_matmul(m[..., 1::2], m[..., 0::2]))
+            m = _matmul(m[..., 1::2], m[..., 0::2])
+            passes += 1
+            if passes % _RESCALE_PERIOD == 0:
+                m = _rescaled(m)
+        return self._wronskian(m[..., 0], eps)
+
+    def _wronskian(self, m: np.ndarray, eps: float) -> float:
+        """Scaled Wronskian at x_match from the product m of every step
+        propagator of (phi, L phi'), shape (2, 2, 2)."""
+        scale = self.dphi_scale
         start = self._starts(eps)
-        (left, right), (dleft, dright) = m[:, 0, :, 0] * start[0] + m[:, 1, :, 0] * start[1]
+        (left, right), (dleft, dright) = m[:, 0] * start[0] + m[:, 1] * (scale * start[1])
+        dleft /= scale
+        dright /= scale
         w = dleft * right - left * dright
         norm = math.sqrt((left * left + dleft * dleft)
                          * (right * right + dright * dright))
@@ -576,18 +661,23 @@ class _ShootingRun:
         changes of phi across the step ends of both sweeps.
 
         phi at every step end comes from the prefix products of the
-        propagators, formed by doubling; each prefix is rescaled by a
-        positive power of two, which keeps the signs.
+        propagators, formed by doubling and rescaled by positive powers
+        of two as in mismatch, which keeps the signs.
         """
-        m = self._propagators(eps)
+        m = _rescaled(self._propagators(eps))
         width = m.shape[-1]
         d = 1
+        passes = 0
         while d < width:
-            m[..., d:] = _rescaled(_matmul(m[..., d:], m[..., :-d]))
+            m[..., d:] = _matmul(m[..., d:], m[..., :-d])
+            passes += 1
+            if passes % _RESCALE_PERIOD == 0:
+                m = _rescaled(m)
             d *= 2
         start = self._starts(eps)
         phi = np.concatenate([start[0][:, None],
-                              m[0, 0] * start[0][:, None] + m[0, 1] * start[1][:, None]],
+                              m[0, 0] * start[0][:, None]
+                              + m[0, 1] * (self.dphi_scale * start[1])[:, None]],
                              axis=1)
         sign = np.sign(phi)
         return int(np.count_nonzero(sign[:, 1:] * sign[:, :-1] < 0))

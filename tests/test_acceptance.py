@@ -7,10 +7,12 @@ exactly these rows.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from anyon1d.cli import main
 from anyon1d.verification import SUITES, run_suites
 
 ROWS = [(suite, report) for suite in SUITES for report in run_suites(suite)]
@@ -34,3 +36,14 @@ def test_readme_guarantee_table_lists_every_check():
              if suite in SUITES]
     assert table == [(suite, report.check_name, report.tolerance)
                      for suite, report in ROWS]
+
+
+def test_readme_dual_example_is_the_real_output(capsys):
+    # The block under the command line holds its stdout to the byte,
+    # trailing cell padding included.
+    command = "$ anyon1d dual --n 1 --nu 3/4 --alpha 1\n"
+    text = README.read_text()
+    start = text.index(command) + len(command)
+    shown = text[start:text.index("```\n", start)]
+    assert main(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out == shown

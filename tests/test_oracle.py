@@ -178,6 +178,21 @@ def test_quadrature_rejects_a_non_finite_tail_probe(sign):
     assert probes[3:] == [sign * 2.0, sign * 2.74, sign * 3.86, sign * 4.0, sign * 5.48]
 
 
+def test_quadrature_messages_name_the_callers_point():
+    # (-inf, b] is integrated as t -> f(-t), but a message names the x
+    # the caller's f saw, not the mirrored t.
+    with pytest.raises(ValueError, match=r"tail probe -5\.48$"):
+        oracle.quadrature(lambda x: math.nan if x < -5.0 else math.exp(x), -math.inf, 0.0)
+    with pytest.raises(ValueError, match=r"cell \[-3\.86, -1\.93\]$"):
+        oracle.quadrature(lambda x: math.nan if -3.5 < x < -3.0 else math.exp(x),
+                          -math.inf, 0.0)
+    with pytest.raises(ValueError, match=r"cell \[1\.93, 3\.86\]$"):
+        oracle.quadrature(lambda x: math.nan if 3.0 < x < 3.5 else math.exp(-x),
+                          0.0, math.inf)
+    with pytest.raises(ConvergenceError, match=r"past -1\.153e\+18 "):
+        oracle.quadrature(lambda x: 1.0, -math.inf, 0.0)
+
+
 def test_tail_cutoff_refuses_a_nan_in_any_probe():
     for bad in range(3):
         calls = []
@@ -597,6 +612,80 @@ def test_propagator_products_match_sequential_rk4(nu):
             mismatch, nodes = _rk4_reference(run, eps)
             assert abs(run.mismatch(eps) - mismatch) <= 1e-10
             assert run.nodes(eps) == nodes
+
+
+def _reference_propagators(h, a, b, c):
+    """Every step's RK4 propagator of (phi, phi') from the per-step
+    formula the run evaluated at each energy before its coefficient
+    table: a, b, c are the coefficient g = v - c2 eps at the start,
+    midpoint and end of each step."""
+    h2 = h * h
+    m = np.empty((2, 2) + h.shape)
+    m[0, 0] = 1.0 + h2 * (a + 2.0 * b) / 6.0 + h2 * h2 * a * b / 24.0
+    m[0, 1] = h + h2 * h * b / 6.0
+    m[1, 0] = h / 6.0 * (a + 4.0 * b + c + h2 * b * (a + c) / 2.0)
+    m[1, 1] = 1.0 + h2 * (2.0 * b + c) / 6.0 + h2 * h2 * b * c / 24.0
+    return m
+
+
+# unit constants and two sets whose length unit hbar^2/(m alpha) is
+# 1e-20 and 1e-30: there the off-diagonal entries of an unscaled step
+# propagator of (phi, phi') run from 2e-26 to 4e21 and from 2e-36 to 4e31
+FAR_CONSTANTS = [(1e-50, 1e-20, 1e30), (1e30, 1e-10, 1e-20)]
+
+
+@pytest.mark.parametrize("mass, hbar, alpha", [(1.0, 1.0, 1.0)] + FAR_CONSTANTS)
+@pytest.mark.parametrize("nu", NU_VALUES)
+def test_coefficient_table_is_the_per_step_formula(nu, mass, hbar, alpha):
+    # The table propagates (phi, L phi'); undoing L gives the per-step
+    # formula within 1e-14 of each entry's scale: the formula evaluated
+    # on |h| and |v| + |c2 eps|, the largest its terms can add up to.
+    p = PhysicalParams(mass, hbar, alpha=alpha)
+    brackets = oracle.scan_level_brackets(nu, p, 20)
+    for n in (0, 5, 12, 20):
+        run = oracle._ShootingRun(oracle.ShootingConfig(nu, brackets[n]), p)
+        for eps in np.linspace(*brackets[n], 5).tolist():
+            got = run._propagators(eps)
+            got[0, 1] *= run.dphi_scale
+            got[1, 0] /= run.dphi_scale
+            e = run.c2 * eps
+            want = _reference_propagators(run.h, *(run.v - e))
+            scale = _reference_propagators(np.abs(run.h), *(np.abs(run.v) + abs(e)))
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("mass, hbar, alpha", [(1.0, 1.0, 1.0)] + FAR_CONSTANTS)
+@pytest.mark.parametrize("nu", NU_VALUES)
+def test_sparse_rescaling_changes_no_bit(nu, mass, hbar, alpha):
+    # mismatch rescales every _RESCALE_PERIOD-th pass; rescaling after
+    # every pass, as below, differs from it by powers of two only.
+    p = PhysicalParams(mass, hbar, alpha=alpha)
+    brackets = oracle.scan_level_brackets(nu, p, 20)
+    for n in (0, 5, 12, 20):
+        run = oracle._ShootingRun(oracle.ShootingConfig(nu, brackets[n]), p)
+        for eps in np.linspace(*brackets[n], 5).tolist():
+            m = oracle._rescaled(run._propagators(eps))
+            while m.shape[-1] > 1:
+                if m.shape[-1] % 2:
+                    m = np.concatenate([m, np.eye(2)[:, :, None, None].repeat(2, axis=2)],
+                                       axis=-1)
+                m = oracle._rescaled(oracle._matmul(m[..., 1::2], m[..., 0::2]))
+            assert run.mismatch(eps) == run._wronskian(m[..., 0], eps)
+
+
+@pytest.mark.parametrize("mass, hbar, alpha", FAR_CONSTANTS)
+def test_shooting_far_from_unit_constants(mass, hbar, alpha):
+    # Without the (phi, L phi') scaling, products of the step propagators
+    # here that are rescaled only every few passes collapse to zero.
+    p = PhysicalParams(mass, hbar, alpha=alpha)
+    for nu in NU_VALUES:
+        brackets = oracle.scan_level_brackets(nu, p, 12)
+        for n, bracket in enumerate(brackets):
+            cfg = oracle.ShootingConfig(nu, bracket)
+            assert oracle._ShootingRun(cfg, p).h.shape[1] <= 2432
+            got = oracle.shoot_anyon_energy(cfg, p, n)
+            expected = anyon.energy(n, nu, p)
+            assert abs(got - expected) <= 1e-5 * abs(expected)
 
 
 def test_shooting_table_is_as_wide_as_the_longer_sweep():
