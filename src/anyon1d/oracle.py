@@ -12,14 +12,16 @@ It offers four ways to check them from first principles:
   classical turning point of its energy, past which no pivot can
   change sign,
 * a shooting eigensolver for the attractive half-line problem, whose
-  RK4 steps are 2x2 propagators multiplied pairwise with numpy over a
-  geometry set by the constants and the energy bracket alone; each
+  RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
   propagator entry is a quadratic in the energy, tabulated once per
-  run for (phi, L phi') with L a power of two near the length unit, so
-  every entry is of order one and the products need a power-of-two
-  rescale only every fourth pass; each level is one Illinois (modified
-  regula falsi) solve of the matching defect, and the energy scan
-  shares one table across each band of 8 probes.
+  run, and the products need a power-of-two rescale only every fourth
+  pass; each level is one Illinois (modified regula falsi) solve of the
+  matching defect, and the energy scan shares one table across each
+  band of 8 probes.
+
+Both eigensolvers compute in natural units (sqrt(hbar/(m omega)) and
+hbar omega, hbar^2/(m alpha) and m alpha^2/hbar^2), so the constants
+enter each solve once; arguments and results are in the caller's units.
 
 All routines are deterministic: fixed node tables, fixed refinement
 rules, fixed step-size policies.
@@ -28,6 +30,7 @@ rules, fixed step-size policies.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
@@ -260,6 +263,7 @@ def _check_finite_samples(samples: np.ndarray, name: str) -> None:
 
 
 _PIVOT_FLOOR = 1e-290   # a pivot nearer zero than this is taken as -_PIVOT_FLOOR
+_MAX_POINTS = 10 ** 6   # grid points of one box solve
 
 
 class _Sector:
@@ -356,32 +360,42 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
                            points: int, count: int) -> list[float]:
     """Lowest eigenvalues of the oscillator on [-L, L] with walls.
 
-    Three-point finite differences on a uniform grid of the given total
-    point count (walls included) give a symmetric tridiagonal matrix.
-    The box potential is even, so the matrix splits into an even and an
-    odd sector of half the size: the reduced half-line oscillator of the
-    paper with spin label s = 0 and s = 1/2.  The levels alternate
-    between them, so level 2j is level j of the even sector and level
-    2j + 1 level j of the odd one.  Each level is bisected on its
+    In oscillator units the wall sits at W = L / sqrt(hbar/(m omega)),
+    and three-point finite differences on `points` uniform points (walls
+    included), step h = 2W/(points - 1), give a symmetric tridiagonal
+    matrix: diagonal 1/h^2 + x^2/2, coupling -1/(2h^2).  The box potential is
+    even, so the matrix splits into an even and an odd sector of half
+    the size: the reduced half-line oscillator of the paper with spin
+    label s = 0 and s = 1/2.  Level 2j is level j of the even sector and
+    level 2j + 1 level j of the odd one.  Each level is bisected on its
     sector's Sturm count inside the Gershgorin interval of the whole
-    matrix, and every bisection walks the same dyadic subdivision of
-    that interval; each sector keeps one record of its counts, so a
-    level reuses every midpoint an earlier level of its sector already
-    counted.  A count sweeps outward from the centre and stops past the
-    classical turning point of the probed energy, where no pivot can
-    change sign any more (see _Sector._sweep), so it equals the full
-    sweep's count.  The discretization error is O(h^2).
+    matrix to a width of 1e-13 max(1, |mid|), then multiplied by
+    hbar omega.  Every bisection walks the same dyadic subdivision of
+    that interval and each sector keeps one record of its counts, so a
+    level reuses every midpoint an earlier level of its sector counted.
+    A count stops past the classical turning point of the probed energy,
+    where no pivot can change sign any more (see _Sector._sweep).  The
+    discretization error is O(h^2).
+
+    Domain, else ValueError: count in 1..20, points in 100.._MAX_POINTS,
+    and L > 0 such that the squared coupling 1/(4h^4) is a positive
+    normal float (then so is W^2/2) and the Gershgorin top times
+    hbar omega is finite.
     """
-    omega = p.require_omega()
     check_positive(box_halfwidth, "box halfwidth")
-    check_index(points, "point count", low=100)
+    check_index(points, "point count", low=100, high=_MAX_POINTS)
     check_index(count, "eigenvalue count", low=1, high=20)
-    interior = points - 2
-    h = 2.0 * box_halfwidth / (points - 1)
-    xs = np.linspace(-box_halfwidth + h, box_halfwidth - h, interior)
-    kinetic = p.hbar ** 2 / (p.mass * h * h)
-    diag = kinetic + 0.5 * p.mass * omega ** 2 * xs * xs
+    wall = box_halfwidth / math.sqrt(p.hbar / (p.mass * p.require_omega()))
+    quantum = p.hbar * p.omega
+    h = 2.0 * wall / (points - 1)
+    kinetic = 1.0 / (h * h) if h * h else math.inf
     off = -0.5 * kinetic
+    if not (sys.float_info.min <= off * off <= sys.float_info.max
+            and (2.0 * kinetic + 0.5 * wall * wall) * quantum < math.inf):
+        raise ValueError(f"box halfwidth {box_halfwidth!r} ({wall:.6g} oscillator lengths) "
+                         f"puts the {points}-point box matrix outside the float range")
+    xs = np.linspace(-wall + h, wall - h, points - 2)
+    diag = kinetic + 0.5 * xs * xs
     lo0 = float(diag.min()) - 2.0 * abs(off)
     hi0 = float(diag.max()) + 2.0 * abs(off)
     sectors = _parity_sectors(diag, off)
@@ -398,7 +412,7 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
                 hi = mid
             else:
                 lo = mid
-        out.append(0.5 * (lo + hi))
+        out.append(0.5 * (lo + hi) * quantum)
     return out
 
 
@@ -407,7 +421,7 @@ class ShootingConfig:
     """Origin branch and energy window of one shooting run.
 
     The solution starts as x^nu at the origin.  _ShootingRun derives the
-    geometry from the physical constants and energy_bracket.
+    geometry from nu and energy_bracket over m alpha^2/hbar^2.
     """
 
     nu: float
@@ -435,18 +449,16 @@ def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
 
     Step doubles per octave of x (anchored at run.x_start) and is capped
     so h times the largest local wavenumber stays below 0.05.  v is the
-    epsilon-free part of the coefficient g(x) = c2*(V(x) - eps) =
-    vpart(x) - c2*eps at the start, midpoint and end of each step.
+    e-free part of the coefficient g(x) = 2 (V(x) - e) = vpart(x) - 2e
+    at the start, midpoint and end of each step, in natural units.
     Raises ValueError, before building an octave, when the steps would
     exceed _MAX_STEPS: the bracket is too shallow.
     """
-    alpha = run.p.require_alpha()
-    c2 = run.c2
     vcoef = run.cfg.nu * (1.0 - run.cfg.nu)  # identical for both nu branches
-    g_energy = c2 * abs(run.cfg.energy_bracket[0])
+    g_energy = 2.0 * abs(run.bracket[0])
 
     def vpart(x):
-        return -c2 * alpha / x - vcoef / (x * x)
+        return -2.0 / x - vcoef / (x * x)
 
     steps, counts, starts, ends = [], [], [], []
     total = 0
@@ -457,14 +469,14 @@ def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
         if edge <= a:
             j += 1
             continue
-        g_bound = c2 * alpha / a + vcoef / (a * a) + g_energy
-        h = min(run.step * 2.0 ** j, 0.05 / math.sqrt(g_bound))
+        g_bound = 2.0 / a + vcoef / (a * a) + g_energy
+        h = min(run.x_start / _START_STEPS * 2.0 ** j, 0.05 / math.sqrt(g_bound))
         m = max(1, int(math.ceil((edge - a) / h)))
         total += m
         if total > _MAX_STEPS:
             raise ValueError(
-                f"energy bracket {run.cfg.energy_bracket} is too shallow: a sweep "
-                f"to x = {hi_x:.6g} needs more than {_MAX_STEPS} RK4 steps")
+                f"energy bracket {run.cfg.energy_bracket} is too shallow: a sweep to "
+                f"x = {hi_x:.6g} hbar^2/(m alpha) needs more than {_MAX_STEPS} RK4 steps")
         h = (edge - a) / m
         nodes = a + h * np.arange(m + 1)
         steps.append(h)
@@ -543,41 +555,38 @@ def _quadratic_propagators(h: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _ShootingRun:
     """The geometry and RK4 step table of one config at p; reused for every energy.
 
-    Sweeps run out from x_start = _X_START hbar^2/(m alpha), first step
-    x_start/_START_STEPS, and in from x_end, 42 decay lengths past the
-    turning point of hi, to x_match = max(0.6 alpha/sqrt(lo hi), 2 x_start).
+    The run computes in natural units, energies in energy_unit =
+    m alpha^2/hbar^2 and lengths in hbar^2/(m alpha), where the equation
+    is phi'' = (-2/x + nu(1 - nu)/x^2 - 2e) phi.  Only __init__ reads the
+    constants: it divides the bracket by energy_unit, and mismatch and
+    nodes divide their eps by it.  Sweeps run out from x_start = _X_START,
+    first step x_start/_START_STEPS, and in from x_end, 42 decay lengths
+    past the turning point of hi, to x_match = max(0.6/sqrt(lo hi), 2 x_start).
 
     Row 0 of the step table (h, and v = the e-free coefficient values)
     is the outward sweep x_start -> x_match, row 1 the inward sweep
-    x_end -> x_match (h < 0); the shorter one is padded to the longer
-    one's length with h = 0 steps, whose propagator is exactly the
-    identity.  The ODE phi'' = g(x) phi is linear, so one RK4 step is a
-    2x2 propagator whose entries are quadratics in e = c2 eps (see
-    _quadratic_propagators); coef holds their coefficients, built once,
-    so a propagator table at any energy is c0 + e (c1 + e c2).
-
-    The table propagates (phi, L phi') rather than (phi, phi'), where
-    L = dphi_scale is the power of two nearest the length unit
-    hbar^2/(m alpha): it is built from h/L and L^2 v and evaluated at
-    L^2 e, so every step propagator is of order one at any constants.
-    Scaling by a power of two is exact, and mismatch and nodes undo L
-    on the end values.
+    x_end -> x_match (h < 0); the shorter one is padded with h = 0
+    steps, whose propagator is exactly the identity.  One RK4 step of
+    the linear ODE is a 2x2 propagator whose entries are quadratics in
+    2e (see _quadratic_propagators); coef holds their coefficients, so a
+    propagator table at any energy is c0 + 2e (c1 + 2e c2).
     """
 
     def __init__(self, cfg: ShootingConfig, p: PhysicalParams):
         self.cfg = cfg
-        self.p = p
-        self.c2 = 2.0 * p.mass / p.hbar ** 2
         alpha = p.require_alpha()
-        lo, hi = cfg.energy_bracket
-        length = p.hbar ** 2 / (p.mass * alpha)
-        self.x_start = x_start = _X_START * length
-        self.step = x_start / _START_STEPS
-        x_match = max(0.6 * alpha / math.sqrt(lo * hi), 2.0 * x_start)
-        self.x_end = alpha / abs(hi) + 42.0 / (math.sqrt(-2.0 * p.mass * hi) / p.hbar)
-        if not x_start < x_match < self.x_end:
-            raise ValueError(f"energy bracket ({lo}, {hi}) is too deep: need x_start < "
-                             f"x_match < x_end, got {x_start}, {x_match}, {self.x_end}")
+        self.energy_unit = unit = p.mass * alpha * alpha / p.hbar ** 2
+        self.bracket = lo, hi = tuple(end / unit for end in cfg.energy_bracket)
+        if not lo * hi > 0.0:
+            raise ValueError(f"energy bracket {cfg.energy_bracket} is too shallow: lo hi "
+                             "underflows to 0 in units of m alpha^2/hbar^2")
+        self.x_start = x_start = _X_START
+        x_match = max(0.6 / math.sqrt(lo * hi), 2.0 * x_start)
+        self.x_end = 1.0 / abs(hi) + 42.0 / math.sqrt(-2.0 * hi)
+        if not (x_start < x_match < self.x_end and -math.inf < 2.0 * lo):
+            raise ValueError(f"energy bracket {cfg.energy_bracket} is too deep: need x_start < "
+                             f"x_match < x_end and 2 lo finite in natural units, got "
+                             f"{x_start}, {x_match}, {self.x_end} and lo = {lo}")
         out = _steps(self, x_start, x_match)
         h, v_start, v_mid, v_end = _steps(self, x_match, self.x_end)[:, ::-1]
         inward = np.stack([-h, v_end, v_mid, v_start])
@@ -587,35 +596,29 @@ class _ShootingRun:
         table[:, 1, :inward.shape[1]] = inward
         self.h = table[0]
         self.v = table[1:]
-        # length in [2^k / sqrt(2), 2^k sqrt(2)) gives L = 2^k
-        self.dphi_scale = scale = math.ldexp(1.0, math.frexp(math.sqrt(2.0) * length)[1] - 1)
-        self.coef = _quadratic_propagators(self.h / scale, self.v * scale * scale)
+        self.coef = _quadratic_propagators(self.h, self.v)
 
-    def _propagators(self, eps: float) -> np.ndarray:
-        """Every step's RK4 propagator of (phi, L phi') at eps, shape (2, 2, 2, width)."""
-        scale = self.dphi_scale
-        e = (self.c2 * scale) * (eps * scale)
+    def _propagators(self, e: float) -> np.ndarray:
+        """Every step's RK4 propagator at e, shape (2, 2, 2, width)."""
+        e2 = 2.0 * e
         c0, c1, c2 = self.coef
-        return c0 + e * (c1 + e * c2)
+        return c0 + e2 * (c1 + e2 * c2)
 
-    def _starts(self, eps: float) -> np.ndarray:
-        """Starting values: row 0 is phi, row 1 phi'; column 0 starts the
-        outward sweep at x_start, column 1 the inward sweep at x_end."""
-        p = self.p
-        ce = self.c2 * eps
+    def _starts(self, e: float) -> np.ndarray:
+        """Starting values at e: row 0 is phi, row 1 phi'; column 0 starts
+        the outward sweep at x_start, column 1 the inward sweep at x_end."""
         # Power-series start of the x^nu branch.  The leading power alone
         # leaks an x^(1-nu) admixture of order x_start^(2 nu), far too big
         # for nu = 1/4; two correction terms push the leak below 1e-9.
         nu = self.cfg.nu
         x0 = self.x_start
-        ca = self.c2 * p.require_alpha()
-        c1 = -ca / (2.0 * nu)
-        c2_ = -(ca * c1 + ce) / (2.0 * (2.0 * nu + 1.0))
-        phi0 = x0 ** nu * (1.0 + x0 * (c1 + x0 * c2_))
+        c1 = -1.0 / nu
+        c2 = -(c1 + e) / (2.0 * nu + 1.0)
+        phi0 = x0 ** nu * (1.0 + x0 * (c1 + x0 * c2))
         dphi0 = x0 ** (nu - 1.0) * (nu + x0 * ((nu + 1.0) * c1
-                                               + x0 * (nu + 2.0) * c2_))
-        kappa = math.sqrt(-2.0 * p.mass * eps) / p.hbar
-        slope = -kappa + p.mass * p.require_alpha() / (p.hbar ** 2 * kappa * self.x_end)
+                                               + x0 * (nu + 2.0) * c2))
+        kappa = math.sqrt(-2.0 * e)
+        slope = -kappa + 1.0 / (kappa * self.x_end)
         return np.array([[phi0, 1.0], [dphi0, slope]])
 
     def mismatch(self, eps: float) -> float:
@@ -623,14 +626,14 @@ class _ShootingRun:
 
         Zero exactly at eigenvalues; its sign flips when eps crosses one.
         The step propagators are multiplied pairwise, ceil(log2(width))
-        passes in all; a pass over an odd number of blocks multiplies
-        the last one by the identity.  The propagators are rescaled by
-        powers of two once, and the products after every
-        _RESCALE_PERIOD-th pass, which keeps every entry below 2^15; the
-        scaled Wronskian is homogeneous in each solution, so the
-        rescaling cannot change it.
+        passes in all; a pass over an odd number of blocks multiplies the
+        last one by the identity.  The propagators are rescaled by powers
+        of two once, and the products after every _RESCALE_PERIOD-th
+        pass, which keeps every entry below 2^15; the scaled Wronskian is
+        homogeneous in each solution, so rescaling cannot change it.
         """
-        m = _rescaled(self._propagators(eps))
+        e = eps / self.energy_unit
+        m = _rescaled(self._propagators(e))
         passes = 0
         while m.shape[-1] > 1:
             if m.shape[-1] % 2:
@@ -639,16 +642,13 @@ class _ShootingRun:
             passes += 1
             if passes % _RESCALE_PERIOD == 0:
                 m = _rescaled(m)
-        return self._wronskian(m[..., 0], eps)
+        return self._wronskian(m[..., 0], e)
 
-    def _wronskian(self, m: np.ndarray, eps: float) -> float:
-        """Scaled Wronskian at x_match from the product m of every step
-        propagator of (phi, L phi'), shape (2, 2, 2)."""
-        scale = self.dphi_scale
-        start = self._starts(eps)
-        (left, right), (dleft, dright) = m[:, 0] * start[0] + m[:, 1] * (scale * start[1])
-        dleft /= scale
-        dright /= scale
+    def _wronskian(self, m: np.ndarray, e: float) -> float:
+        """Scaled Wronskian at x_match at e from the product m of every
+        step propagator, shape (2, 2, 2)."""
+        start = self._starts(e)
+        (left, right), (dleft, dright) = m[:, 0] * start[0] + m[:, 1] * start[1]
         w = dleft * right - left * dright
         norm = math.sqrt((left * left + dleft * dleft)
                          * (right * right + dright * dright))
@@ -664,7 +664,8 @@ class _ShootingRun:
         propagators, formed by doubling and rescaled by positive powers
         of two as in mismatch, which keeps the signs.
         """
-        m = _rescaled(self._propagators(eps))
+        e = eps / self.energy_unit
+        m = _rescaled(self._propagators(e))
         width = m.shape[-1]
         d = 1
         passes = 0
@@ -674,11 +675,8 @@ class _ShootingRun:
             if passes % _RESCALE_PERIOD == 0:
                 m = _rescaled(m)
             d *= 2
-        start = self._starts(eps)
-        phi = np.concatenate([start[0][:, None],
-                              m[0, 0] * start[0][:, None]
-                              + m[0, 1] * (self.dphi_scale * start[1])[:, None]],
-                             axis=1)
+        phi0, dphi0 = self._starts(e)[:, :, None]
+        phi = np.concatenate([phi0, m[0, 0] * phi0 + m[0, 1] * dphi0], axis=1)
         sign = np.sign(phi)
         return int(np.count_nonzero(sign[:, 1:] * sign[:, :-1] < 0))
 

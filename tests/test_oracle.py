@@ -1,6 +1,7 @@
 """Independent numerical machinery: quadrature, residuals, eigensolvers."""
 
 import ast
+import functools
 import math
 import time
 from pathlib import Path
@@ -298,6 +299,37 @@ def test_fd_spectrum_domain_edges():
             oracle.fd_oscillator_spectrum(UNIT, box, 2001, 1)
 
 
+LARGE_QUANTUM = PhysicalParams(1.0, 1e100, omega=1e100)
+
+
+@pytest.mark.parametrize("p, box, points, message", [
+    (UNIT, 1e-160, 2001, "box halfwidth"),      # 1/h^2 overflows
+    (UNIT, 1e-100, 2001, "box halfwidth"),      # the squared coupling overflows
+    (UNIT, 1e300, 2001, "box halfwidth"),       # x^2/2 at the wall overflows
+    (LARGE_QUANTUM, 1e60, 2001, "box halfwidth"),  # a level times hbar omega overflows
+    (UNIT, 10.0, 10 ** 6 + 1, "point count"),
+])
+def test_fd_spectrum_refuses_a_box_outside_the_floats_at_once(p, box, points, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        oracle.fd_oscillator_spectrum(p, box, points, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fd_spectrum_near_the_box_domain_edges():
+    # A box of 1e-70 oscillator lengths is a bare particle in a box: the
+    # levels are (1 - cos(k pi/(points - 1)))/h^2 of the discrete
+    # Laplacian.  At 1e70 the matrix is nearly diagonal and its levels
+    # are finite and increasing.
+    small = oracle.fd_oscillator_spectrum(UNIT, 1e-70, 2001, 3)
+    h = 2e-70 / 2000
+    box_levels = [(1.0 - math.cos(k * math.pi / 2000)) / (h * h) for k in (1, 2, 3)]
+    assert all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(small, box_levels))
+    large = oracle.fd_oscillator_spectrum(UNIT, 1e70, 2001, 3)
+    assert all(math.isfinite(level) and level > 0.0 for level in large)
+    assert large == sorted(large)
+
+
 def test_fd_spectrum_rejects_bool_arguments():
     with pytest.raises(ValueError, match="eigenvalue count"):
         oracle.fd_oscillator_spectrum(UNIT, 10.0, 2001, True)
@@ -502,6 +534,26 @@ def test_shooting_rejects_a_too_shallow_bracket():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("consts, bracket, message", [
+    # lo * hi underflows to 0
+    ((1.0, 1.0, 1.0), (-1e-300, -1e-301), "too shallow"),
+    # over the energy unit 1e100 both ends underflow to 0
+    ((1e100, 1.0, 1.0), (-1e-300, -1e-301), "too shallow"),
+    # over the energy unit 1e-100 the lower end overflows
+    ((1e-100, 1.0, 1.0), (-1e300, -1e299), "too deep"),
+    # 2 lo, the deepest coefficient of the steps, overflows
+    ((1.0, 1.0, 1.0), (-1e308, -1.0), "too deep"),
+])
+def test_shooting_refuses_a_bracket_outside_the_floats(consts, bracket, message):
+    mass, hbar, alpha = consts
+    p = PhysicalParams(mass, hbar, alpha=alpha)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message) as refused:
+        oracle.shoot_anyon_energy(oracle.ShootingConfig(0.25, bracket), p, 0)
+    assert str(bracket) in str(refused.value)
+    assert time.perf_counter() - start < 1.0
+
+
 def _plain_bisection(cfg, p):
     """The shooting level by plain bisection of the mismatch: every
     dyadic midpoint evaluated."""
@@ -573,9 +625,11 @@ def test_banded_scan_equals_per_probe_scan(nu, mass, alpha):
 
 def _rk4_reference(run, eps):
     """Scaled mismatch and node count from a plain step-by-step RK4 sweep
-    of phi'' = (v - c2 eps) phi over the run's own step table."""
-    ce = run.c2 * eps
-    start = run._starts(eps)
+    of phi'' = (v - 2e) phi over the run's own step table, at the energy
+    e = eps / run.energy_unit of the run's natural units."""
+    e = eps / run.energy_unit
+    ce = 2.0 * e
+    start = run._starts(e)
     ends = []
     nodes = 0
     for row in range(2):
@@ -629,26 +683,23 @@ def _reference_propagators(h, a, b, c):
 
 
 # unit constants and two sets whose length unit hbar^2/(m alpha) is
-# 1e-20 and 1e-30: there the off-diagonal entries of an unscaled step
-# propagator of (phi, phi') run from 2e-26 to 4e21 and from 2e-36 to 4e31
+# 1e-20 and 1e-30
 FAR_CONSTANTS = [(1e-50, 1e-20, 1e30), (1e30, 1e-10, 1e-20)]
 
 
 @pytest.mark.parametrize("mass, hbar, alpha", [(1.0, 1.0, 1.0)] + FAR_CONSTANTS)
 @pytest.mark.parametrize("nu", NU_VALUES)
 def test_coefficient_table_is_the_per_step_formula(nu, mass, hbar, alpha):
-    # The table propagates (phi, L phi'); undoing L gives the per-step
-    # formula within 1e-14 of each entry's scale: the formula evaluated
-    # on |h| and |v| + |c2 eps|, the largest its terms can add up to.
+    # The table gives the per-step formula within 1e-14 of each entry's
+    # scale: the formula evaluated on |h| and |v| + |2e|, the largest its
+    # terms can add up to, in the run's natural units.
     p = PhysicalParams(mass, hbar, alpha=alpha)
     brackets = oracle.scan_level_brackets(nu, p, 20)
     for n in (0, 5, 12, 20):
         run = oracle._ShootingRun(oracle.ShootingConfig(nu, brackets[n]), p)
         for eps in np.linspace(*brackets[n], 5).tolist():
-            got = run._propagators(eps)
-            got[0, 1] *= run.dphi_scale
-            got[1, 0] /= run.dphi_scale
-            e = run.c2 * eps
+            got = run._propagators(eps / run.energy_unit)
+            e = 2.0 * eps / run.energy_unit
             want = _reference_propagators(run.h, *(run.v - e))
             scale = _reference_propagators(np.abs(run.h), *(np.abs(run.v) + abs(e)))
             assert np.all(np.abs(got - want) <= 1e-14 * scale)
@@ -664,19 +715,21 @@ def test_sparse_rescaling_changes_no_bit(nu, mass, hbar, alpha):
     for n in (0, 5, 12, 20):
         run = oracle._ShootingRun(oracle.ShootingConfig(nu, brackets[n]), p)
         for eps in np.linspace(*brackets[n], 5).tolist():
-            m = oracle._rescaled(run._propagators(eps))
+            e = eps / run.energy_unit
+            m = oracle._rescaled(run._propagators(e))
             while m.shape[-1] > 1:
                 if m.shape[-1] % 2:
                     m = np.concatenate([m, np.eye(2)[:, :, None, None].repeat(2, axis=2)],
                                        axis=-1)
                 m = oracle._rescaled(oracle._matmul(m[..., 1::2], m[..., 0::2]))
-            assert run.mismatch(eps) == run._wronskian(m[..., 0], eps)
+            assert run.mismatch(eps) == run._wronskian(m[..., 0], e)
 
 
 @pytest.mark.parametrize("mass, hbar, alpha", FAR_CONSTANTS)
 def test_shooting_far_from_unit_constants(mass, hbar, alpha):
-    # Without the (phi, L phi') scaling, products of the step propagators
-    # here that are rescaled only every few passes collapse to zero.
+    # The run computes in lengths hbar^2/(m alpha) and energies
+    # m alpha^2/hbar^2, so its tables here are those of unit constants,
+    # no wider than at n <= 20 there.
     p = PhysicalParams(mass, hbar, alpha=alpha)
     for nu in NU_VALUES:
         brackets = oracle.scan_level_brackets(nu, p, 12)
@@ -789,3 +842,79 @@ def test_scan_level_brackets_contain_the_spectrum():
         for n, (lo, hi) in enumerate(brackets):
             eps = anyon.energy(n, nu, p)
             assert lo < eps < hi
+
+
+# Constants far from 1: the last three shooting sets put the energy
+# unit m alpha^2/hbar^2 at 1e100, 1e-100 and 1 with each constant a
+# factor 1e50 or more from 1, and the box sets make hbar omega as small
+# as 1e-50.  A solver that carried the constants through its steps, or
+# stopped its bisection at an absolute width in the caller's units,
+# fails there.
+COVARIANT_SHOOTING = [(2.5, 0.3, 1.7), (1e-50, 1e-20, 1e30), (1e100, 1e-100, 1e-100),
+                      (1e-100, 1e100, 1e100), (1e100, 1e-50, 1e-100)]
+COVARIANT_BOX = [(2.5, 0.3, 1.3), (1.0, 1e-10, 1.0), (1.0, 1e-12, 1.0), (1.0, 1e-20, 1.0),
+                 (1.0, 1e-50, 1.0), (1e-30, 1.0, 1e-30), (1e100, 1e100, 1e100)]
+
+
+@functools.cache
+def _unit_shot_levels(nu):
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    return tuple(oracle.shoot_anyon_energy(oracle.ShootingConfig(nu, bracket), p, n)
+                 for n, bracket in enumerate(oracle.scan_level_brackets(nu, p, 12)))
+
+
+@pytest.mark.parametrize("mass, hbar, alpha", COVARIANT_SHOOTING)
+def test_shot_levels_in_energy_units_are_the_unit_constant_levels(mass, hbar, alpha):
+    p = PhysicalParams(mass, hbar, alpha=alpha)
+    energy_unit = mass * alpha * alpha / hbar ** 2
+    for nu in NU_VALUES:
+        brackets = oracle.scan_level_brackets(nu, p, 12)
+        for n, (bracket, want) in enumerate(zip(brackets, _unit_shot_levels(nu))):
+            got = oracle.shoot_anyon_energy(oracle.ShootingConfig(nu, bracket), p, n)
+            assert math.isclose(got / energy_unit, want, rel_tol=1e-9, abs_tol=0.0)
+            expected = anyon.energy(n, nu, p)
+            assert abs(got - expected) <= 1e-5 * abs(expected)
+
+
+@pytest.mark.parametrize("mass, hbar, omega", COVARIANT_BOX)
+def test_box_levels_in_units_of_hbar_omega_are_the_unit_constant_levels(mass, hbar, omega):
+    p = PhysicalParams(mass, hbar, omega=omega)
+    quantum = hbar * omega
+    box = 10.0 * math.sqrt(hbar / (mass * omega))
+    got = [level / quantum for level in oracle.fd_oscillator_spectrum(p, box, 2001, 5)]
+    want = oracle.fd_oscillator_spectrum(UNIT, 10.0, 2001, 5)
+    assert all(math.isclose(a, b, rel_tol=1e-9, abs_tol=0.0) for a, b in zip(got, want))
+    assert abs(got[0] - 0.5) <= 1e-4
+    assert max(abs((b - a) - 1.0) for a, b in zip(got, got[1:])) <= 1e-3
+
+
+_CONSTANTS = {"mass", "hbar", "alpha", "omega", "require_alpha", "require_omega"}
+
+
+def _constant_reads(node):
+    """Line numbers where node reads a physical constant of a PhysicalParams."""
+    return {n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr in _CONSTANTS}
+
+
+def test_the_eigensolvers_read_the_constants_once():
+    # The shooting run meets the constants only in __init__, through
+    # its energy unit; the box solver only where it converts the box to
+    # oscillator lengths and where it takes hbar omega.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not _constant_reads(defs["_steps"])
+    methods = {node.name: node for node in defs["_ShootingRun"].body
+               if isinstance(node, ast.FunctionDef)}
+    assert {"_propagators", "_starts", "_wronskian", "mismatch", "nodes"} <= set(methods)
+    for name, method in methods.items():
+        if name != "__init__":
+            assert not _constant_reads(method), name
+    run = oracle._ShootingRun(oracle.ShootingConfig(0.25, (-9.0, -7.0)),
+                              PhysicalParams(2.5, 0.3, alpha=1.7))
+    assert not any(hasattr(run, name) for name in ("p", "c2", "dphi_scale"))
+    readers = [stmt for stmt in defs["fd_oscillator_spectrum"].body if _constant_reads(stmt)]
+    assert [(type(stmt), _constant_reads(stmt)) for stmt in readers] == [
+        (ast.Assign, {stmt.lineno}) for stmt in readers]
+    assert [stmt.targets[0].id for stmt in readers] == ["wall", "quantum"]
