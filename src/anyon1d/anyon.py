@@ -87,17 +87,20 @@ def log_normalization(n: int, nu: float, p: PhysicalParams) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _laguerre_coefficients(n: int, a: float) -> tuple:
-    """Steps of l_{k+1} = [(2k+1+a-y) l_k - sqrt(k(k+a)) l_{k-1}] / sqrt((k+1)(k+1+a)).
+def _laguerre_coefficients(n: int, nu: float) -> tuple[tuple, float]:
+    """Steps of l_{k+1} = [(2k+1+a-y) l_k - sqrt(k(k+a)) l_{k-1}] / sqrt((k+1)(k+1+a))
+    with a = 2 nu - 1, and 0.5 log Gamma(2 nu), the log of the start
+    l_0's Gamma factor.
 
     Cached because quadrature evaluates one state at thousands of single
     points.
     """
+    a = 2.0 * nu - 1.0
     steps = []
     for k in range(n):
         d = math.sqrt((k + 1.0) * (k + 1.0 + a))
         steps.append(((2.0 * k + 1.0 + a) / d, -1.0 / d, math.sqrt(k * (k + a)) / d))
-    return tuple(steps)
+    return tuple(steps), 0.5 * log_gamma(2.0 * nu)
 
 
 def _shape(n: int, nu: float, y, log_factor: float):
@@ -108,8 +111,9 @@ def _shape(n: int, nu: float, y, log_factor: float):
     y^nu e^(-y/2) F(-n, 2 nu, y) shape with integral of y l_n^2 equal to
     2 (n + nu).  Works on a float or an array y.
     """
-    log_start = log_factor - 0.5 * log_gamma(2.0 * nu) + nu * np.log(y) - 0.5 * y
-    return _scaled_recurrence(_laguerre_coefficients(n, 2.0 * nu - 1.0), y, log_start)
+    steps, half_log_gamma = _laguerre_coefficients(n, nu)
+    log_start = log_factor - half_log_gamma + nu * np.log(y) - 0.5 * y
+    return _scaled_recurrence(steps, y, log_start)
 
 
 def wavefunction(n: int, nu: float, p: PhysicalParams, x):

@@ -5,12 +5,14 @@ It offers four ways to check them from first principles:
 
 * adaptive Gauss-Kronrod quadrature (norms, moments, overlaps),
 * a finite-difference residual of the governing second-order equation,
-* a Sturm-sequence bisection eigensolver for the oscillator on a box,
-  split into the even and odd parity sectors (the spin labels s = 0 and
-  s = 1/2 of the reduced oscillator); each sector keeps one record of
-  Sturm counts for all its levels, and each count stops at the
-  classical turning point of its energy, past which no pivot can
-  change sign,
+* a Sturm-sequence eigensolver for the oscillator on a box, split into
+  the even and odd parity sectors (the spin labels s = 0 and s = 1/2 of
+  the reduced oscillator); each level is bisected on Sturm counts until
+  it is isolated, then refined by safeguarded Newton steps on the
+  determinant; each sector keeps one record of the bisection's counts
+  for all its levels, each such count stops at the classical turning
+  point of its energy, past which no pivot can change sign, and each
+  Newton step is one full sweep that also counts,
 * a shooting eigensolver for the attractive half-line problem, whose
   RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
   propagator entry is a quadratic in the energy, tabulated once per
@@ -272,7 +274,9 @@ class _Sector:
 
     Couplings are off^2 except the first, which is first_scale^-1 off^2
     (first_scale is 1 or 1/2).  below(lam) counts the sector's
-    eigenvalues below lam and keeps every count it has made.
+    eigenvalues below lam and keeps every count it has made;
+    log_det_sweep(lam) gives one count with the log-determinant's
+    derivative and keeps nothing.
     """
 
     def __init__(self, diag: np.ndarray, off: float, first_scale: float = 1.0):
@@ -333,6 +337,42 @@ class _Sector:
                     q = -floor
         return count
 
+    def log_det_sweep(self, lam: float) -> tuple[int, float]:
+        """Sturm count of the sector at lam and d/dlam log|det(T - lam)|,
+        from one sweep over every row.
+
+        det(T - lam) is the product of the pivots q_i, so its log
+        derivative is the sum of t_i = q'_i/q_i.  With q'_0 = -1 and
+        q'_i = -1 + c_i q'_(i-1)/q_(i-1)^2 for the coupling product c_i
+        (Li and Zeng, SIAM J. Sci. Comput. 15, 1994), t_i is
+        (r_i t_(i-1) - 1)/q_i with r_i = c_i/q_(i-1), the ratio _sweep
+        already forms.  The sweep cannot stop at the turning point as
+        _sweep does: the zero of the determinant sits in the last pivot.
+        Row 0 and the pivot floor are handled as in _sweep; t_0 is the
+        same with or without first_scale.
+        """
+        offsq = self.offsq
+        floor = _PIVOT_FLOOR
+        count = 0
+        q = self.diag[0] - lam
+        if q < floor:
+            count = 1
+            if q > -floor:
+                q = -floor
+        t = -1.0 / q
+        slope = t
+        q *= self.first_scale
+        for d in islice(self.diag, 1, None):
+            r = offsq / q
+            q = d - lam - r
+            if q < floor:
+                count += 1
+                if q > -floor:
+                    q = -floor
+            t = (r * t - 1.0) / q
+            slope += t
+        return count, slope
+
 
 def _parity_sectors(diag: np.ndarray, off: float) -> tuple[_Sector, _Sector]:
     """The even and odd sectors of the symmetric tridiagonal box matrix
@@ -369,13 +409,15 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     label s = 0 and s = 1/2.  Level 2j is level j of the even sector and
     level 2j + 1 level j of the odd one.  Each level is bisected on its
     sector's Sturm count inside the Gershgorin interval of the whole
-    matrix to a width of 1e-13 max(1, |mid|), then multiplied by
-    hbar omega.  Every bisection walks the same dyadic subdivision of
-    that interval and each sector keeps one record of its counts, so a
-    level reuses every midpoint an earlier level of its sector counted.
-    A count stops past the classical turning point of the probed energy,
-    where no pivot can change sign any more (see _Sector._sweep).  The
-    discretization error is O(h^2).
+    matrix until the bracket holds that level alone.  Every bisection
+    walks the same dyadic subdivision of that interval and each sector
+    keeps one record of its counts, so a level reuses every midpoint an
+    earlier level of its sector counted; such a count stops past the
+    classical turning point of the probed energy, where no pivot can
+    change sign any more (see _Sector._sweep).  Then safeguarded Newton
+    steps on det(T - lam) refine the level (see _sector_level), mostly
+    five to seven full sweeps on the tested grids, and it is multiplied
+    by hbar omega.  The discretization error is O(h^2).
 
     Domain, else ValueError: count in 1..20, points in 100.._MAX_POINTS,
     and L > 0 such that the squared coupling 1/(4h^4) is a positive
@@ -399,21 +441,57 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     lo0 = float(diag.min()) - 2.0 * abs(off)
     hi0 = float(diag.max()) + 2.0 * abs(off)
     sectors = _parity_sectors(diag, off)
-    out = []
-    for k in range(count):
-        sector = sectors[k % 2]
-        rank = k // 2 + 1
-        lo, hi = lo0, hi0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 1e-13 * max(1.0, abs(mid)):
-                break
-            if sector.below(mid) >= rank:
-                hi = mid
+    return [_sector_level(sectors[k % 2], k // 2 + 1, lo0, hi0) * quantum
+            for k in range(count)]
+
+
+def _sector_level(sector: _Sector, rank: int, lo: float, hi: float) -> float:
+    """Eigenvalue number `rank` (from 1) of the sector inside [lo, hi].
+
+    Bisects on the sector's shared count record until [lo, hi] holds
+    that eigenvalue alone, then takes Newton steps lam - 1/slope from
+    log_det_sweep, whose count moves lo or hi as well.  A step that
+    leaves [lo, hi] is replaced by the midpoint.  Stops when [lo, hi] is
+    1e-13 max(1, |mid|) wide, after 200 steps of either kind, or when a
+    step is at most the larger of 1e-13 max(1, |lam|) and the backward
+    error of the pivot recurrence, 4 eps (|lam| + 2|off|); below the
+    latter, steps only change sign from one sweep to the next.
+    """
+    below_lo, below_hi = 0, len(sector.diag)
+    lam = 0.5 * (lo + hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-13 * max(1.0, abs(mid)):
+            break
+        if below_lo < rank - 1 or below_hi > rank:
+            count = sector.below(mid)
+            if count >= rank:
+                hi, below_hi = mid, count
             else:
-                lo = mid
-        out.append(0.5 * (lo + hi) * quantum)
-    return out
+                lo, below_lo = mid, count
+            lam = 0.5 * (lo + hi)
+            continue
+        count, slope = sector.log_det_sweep(lam)
+        if count >= rank:
+            hi = lam
+        else:
+            lo = lam
+        tol = max(1e-13 * max(1.0, abs(lam)),
+                  4.0 * sys.float_info.epsilon * (abs(lam) + 2.0 * sector.abs_off))
+        if slope and math.isfinite(slope):
+            step = 1.0 / slope
+            if abs(step) <= tol:
+                return lam - step if lo < lam - step < hi else lam
+        else:
+            # A pivot on the floor: lam is an eigenvalue of a leading
+            # block.  It is the level if the count one stop width toward
+            # the bracket's inside falls on the other side of rank.
+            near = lam - tol if count >= rank else lam + tol
+            if (sector._sweep(near) >= rank) != (count >= rank):
+                return lam
+            step = math.inf
+        lam = lam - step if lo < lam - step < hi else 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

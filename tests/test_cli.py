@@ -4,13 +4,18 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anyon1d
 from anyon1d.cli import main
 
 
@@ -293,6 +298,21 @@ def test_output_files_are_byte_identical(tmp_path, capsys):
     assert main(argv + ["--output", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_verify_output_is_byte_identical_across_processes(fmt):
+    # Each run is a fresh interpreter, so nothing one process caches can
+    # hide a difference.  stderr (the summary with json or csv) stays out
+    # of the comparison.
+    src = str(Path(anyon1d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "anyon1d.cli", "verify", "--suite", "all", "--format", fmt]
+    first, second = [subprocess.run(argv, env={**os.environ, "PYTHONPATH": path},
+                                    capture_output=True, check=True, timeout=300)
+                     for _ in range(2)]
+    assert first.stdout
+    assert first.stdout == second.stdout
 
 
 def test_csv_header_echoes_every_numeric_flag(tmp_path, capsys):

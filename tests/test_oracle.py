@@ -378,12 +378,6 @@ def _fd_spectrum_reference(p, box_halfwidth, points, count):
     return out
 
 
-@pytest.mark.parametrize("points, count", [(2001, 5), (4433, 20)])
-def test_fd_spectrum_shared_probes_change_no_bit(points, count):
-    assert (oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
-            == _fd_spectrum_reference(UNIT, 10.0, points, count))
-
-
 def _box_matrix(points, box_halfwidth=10.0):
     h = 2.0 * box_halfwidth / (points - 1)
     xs = np.linspace(-box_halfwidth + h, box_halfwidth - h, points - 2)
@@ -391,22 +385,44 @@ def _box_matrix(points, box_halfwidth=10.0):
     return kinetic + 0.5 * xs * xs, -0.5 * kinetic
 
 
-def _sector_count_reference(diag, couplings, lam):
-    """Sturm count over every row of the tridiagonal with the given
-    diagonal and coupling products couplings[i] between rows i, i + 1."""
-    count = 0
+def _reference_bound(points, level):
+    """How far a box level may sit from _fd_spectrum_reference's: the
+    reference's own stop width plus the Sturm count's backward error."""
+    diag, off = _box_matrix(points)
+    lo0 = float(diag.min()) - 2.0 * abs(off)
+    hi0 = float(diag.max()) + 2.0 * abs(off)
+    return max(1e-13 * max(1.0, abs(level)), 8.0 * np.finfo(float).eps * max(abs(lo0), abs(hi0)))
+
+
+@pytest.mark.parametrize("points, count", [(2001, 5), (4433, 20)])
+def test_fd_spectrum_matches_the_per_level_bisection(points, count):
+    # Shared probes and Newton steps move no level by more than the
+    # per-level bisection's own resolution.
+    got = oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
+    want = _fd_spectrum_reference(UNIT, 10.0, points, count)
+    assert all(abs(a - b) <= _reference_bound(points, b) for a, b in zip(got, want))
+
+
+def _sector_pivots(diag, couplings, lam):
+    """Pivots of the tridiagonal with the given diagonal and coupling
+    products couplings[i] between rows i, i + 1, over every row."""
+    pivots = []
     q = 1.0
     for i, d in enumerate(diag):
         q = d - lam if i == 0 else d - lam - couplings[i - 1] / q
         if abs(q) < 1e-290:
             q = -1e-290
-        if q < 0.0:
-            count += 1
-    return count
+        pivots.append(q)
+    return pivots
 
 
-@pytest.mark.parametrize("points, box", [(2001, 10.0), (2002, 10.0), (101, 7.3), (100, 7.3)])
-def test_stopped_sector_count_equals_full_sweep(points, box):
+def _sector_count_reference(diag, couplings, lam):
+    return sum(q < 0.0 for q in _sector_pivots(diag, couplings, lam))
+
+
+def _reference_sectors(points, box):
+    """The box matrix, its coupling, and its even and odd sectors as
+    (diagonal, coupling products) built row by row."""
     diag, off = _box_matrix(points, box)
     offsq = off * off
     half = diag.size // 2
@@ -417,8 +433,17 @@ def test_stopped_sector_count_equals_full_sweep(points, box):
         right = diag[half:].tolist()
         even = ([right[0] + off] + right[1:], [offsq] * half)
         odd = ([right[0] - off] + right[1:], [offsq] * half)
+    return diag, off, (even, odd)
+
+
+SECTOR_GRIDS = [(2001, 10.0), (2002, 10.0), (101, 7.3), (100, 7.3)]
+
+
+@pytest.mark.parametrize("points, box", SECTOR_GRIDS)
+def test_stopped_sector_count_equals_full_sweep(points, box):
+    diag, off, references = _reference_sectors(points, box)
     sectors = oracle._parity_sectors(diag, off)
-    assert [sectors[0].diag, sectors[1].diag] == [even[0], odd[0]]
+    assert [sector.diag for sector in sectors] == [d for d, _ in references]
     lo0 = float(diag.min()) - 2.0 * abs(off)
     hi0 = float(diag.max()) + 2.0 * abs(off)
     levels = oracle.fd_oscillator_spectrum(UNIT, box, points, 20)
@@ -428,26 +453,48 @@ def test_stopped_sector_count_equals_full_sweep(points, box):
     lams = np.linspace(lo0, hi0, 41).tolist() + np.linspace(0.0, 25.0, 101).tolist() + near
     for lam in lams:
         got = [sector._sweep(lam) for sector in sectors]
-        want = [_sector_count_reference(d, c, lam) for d, c in (even, odd)]
+        want = [_sector_count_reference(d, c, lam) for d, c in references]
         assert got == want, lam
+        assert [sector.log_det_sweep(lam)[0] for sector in sectors] == want, lam
     # the sectors split the full count wherever the full count is clear
     for lam in np.linspace(0.01, 25.0, 37).tolist():
         assert (sum(sector._sweep(lam) for sector in sectors)
-                == _sturm_count_reference(diag.tolist(), offsq, lam))
+                == _sturm_count_reference(diag.tolist(), off * off, lam))
+
+
+@pytest.mark.parametrize("points, box", SECTOR_GRIDS)
+def test_log_det_sweep_slope_is_the_derivative_of_log_det(points, box):
+    # log|det| is the sum of log|q_i| over the reference pivots.  At a
+    # step of 5e-5, and with every level at least 0.1 away, its central
+    # difference is good to about 2e-7 relative: truncation and the
+    # rounding of the pivots each give about 1e-7.
+    diag, off, references = _reference_sectors(points, box)
+    sectors = oracle._parity_sectors(diag, off)
+    levels = oracle.fd_oscillator_spectrum(UNIT, box, points, 20)
+    lams = [lam for lam in np.linspace(-5.0, levels[-1] - 0.1, 61).tolist()
+            if min(abs(lam - level) for level in levels) >= 0.1]
+    assert len(lams) >= 30
+    step = 5e-5
+
+    def log_det(reference, lam):
+        return math.fsum(math.log(abs(q)) for q in _sector_pivots(*reference, lam))
+
+    for lam in lams:
+        for sector, reference in zip(sectors, references):
+            want = (log_det(reference, lam + step) - log_det(reference, lam - step)) / (2 * step)
+            got = sector.log_det_sweep(lam)[1]
+            assert abs(got - want) <= 1e-6 * abs(want), (lam, got, want)
 
 
 @pytest.mark.parametrize("points, count", [(100, 20), (2002, 5), (4434, 20)])
 def test_fd_spectrum_even_point_count(points, count):
     # An even point count has no centre node; the sectors then start at
     # d_c + off and d_c - off.  The reference bisects the full matrix, so
-    # the levels agree to the Sturm count's backward error.
-    diag, off = _box_matrix(points)
-    lo0 = float(diag.min()) - 2.0 * abs(off)
-    hi0 = float(diag.max()) + 2.0 * abs(off)
-    bound = 8.0 * np.finfo(float).eps * max(abs(lo0), abs(hi0))
+    # the levels agree to its stop width plus the Sturm count's backward
+    # error.
     got = oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
     want = _fd_spectrum_reference(UNIT, 10.0, points, count)
-    assert max(abs(a - b) for a, b in zip(got, want)) <= bound
+    assert all(abs(a - b) <= _reference_bound(points, b) for a, b in zip(got, want))
 
 
 def test_shooting_config_validation():
