@@ -18,8 +18,8 @@ It offers four ways to check them from first principles:
   propagator entry is a quadratic in the energy, tabulated once per
   run, and the products need a power-of-two rescale only every fourth
   pass; each level is one Illinois (modified regula falsi) solve of the
-  matching defect, and the energy scan shares one table across each
-  band of 8 probes.
+  matching defect, and the energy scan walks the Coulomb variable
+  t = (2 |e|)^(-1/2) in half steps, one table per probe.
 
 Both eigensolvers compute in natural units (sqrt(hbar/(m omega)) and
 hbar omega, hbar^2/(m alpha) and m alpha^2/hbar^2), so the constants
@@ -518,7 +518,7 @@ class ShootingConfig:
 _X_START = 1e-4            # start of the outward sweep, in units of hbar^2/(m alpha)
 _START_STEPS = 48          # RK4 steps in the first octave [x_start, 2 x_start]
 # RK4 steps one sweep may take; the scan and the level solves for
-# n <= 20 take at most 2432
+# n <= 100 take at most 8619
 _MAX_STEPS = 2 ** 16
 
 
@@ -761,8 +761,7 @@ class _ShootingRun:
 
 _SHOOTING_TOL = 1e-9       # relative width at which a shooting solve stops
 _SOLVE_STEPS = 100         # mismatch evaluations one shooting solve may take
-_SCAN_RATIO = 1.08         # energy ratio of consecutive scan probes
-_SCAN_BAND = 8             # scan probes that share one step table
+_SCAN_STEP = 0.5           # step of the scan in t = (2 |e|)^(-1/2), natural units
 
 
 def _illinois(f, a: float, f_a: float, b: float, f_b: float, tol: float) -> float:
@@ -841,41 +840,39 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
 def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[float, float]]:
     """Energy brackets around the lowest n_max + 1 eigenvalues, by scanning.
 
-    Walks the energy axis geometrically upward, by the factor
-    1/_SCAN_RATIO, from well below the deepest possible bound state and
-    records every sign change of the shooting mismatch.  Needs no prior
-    knowledge of the spectrum; the scan ratio keeps consecutive levels
-    separated for n_max <= 20.  The probes go in bands of up to 8
-    consecutive energies, and each band shares one step table, whose
-    geometry is the one a level bracket spanning the band would get.
+    Walks t = (2 |eps| / E)^(-1/2), E = m alpha^2/hbar^2, upward in steps
+    of _SCAN_STEP, from t = nu/sqrt(1.35), well below the deepest
+    possible bound state, and records every sign change of the shooting
+    mismatch; each probe gets a run of its own, with the config
+    (1.01 eps, 0.99 eps).  t is the variable in which the semiclassical
+    count of states of a -alpha/x tail grows by one per unit, a property
+    of the potential and not of any spectrum, so a half-unit step puts
+    a probe between any two neighbouring levels at every n_max <= 100.
+    A level the scan missed anyway still cannot pass: shoot_anyon_energy
+    checks the node count of the state each bracket converges to.
     """
     check_nu(nu)
-    check_index(n_max, "n_max", high=20)
+    check_index(n_max, "n_max", high=100)
     alpha = p.require_alpha()
-    scale = p.mass * alpha * alpha / (2.0 * p.hbar ** 2)
-    eps = -1.35 * scale / (nu * nu)      # strictly below the deepest level
-    floor_stop = -scale / (n_max + 3.0) ** 2 * 0.2
+    unit = p.mass * alpha * alpha / p.hbar ** 2
+    t = nu / math.sqrt(1.35)               # strictly below the deepest level
+    t_stop = (n_max + 3.0) / math.sqrt(0.2)
     brackets = []
     prev_eps = None
     prev_sign = None
-    while eps < floor_stop and len(brackets) <= n_max:
-        band = []
-        while eps < floor_stop and len(band) < _SCAN_BAND:
-            band.append(eps)
-            eps /= _SCAN_RATIO
-        run = _ShootingRun(ShootingConfig(nu, (1.01 * band[0], 0.99 * band[-1])), p)
-        for probe in band:
-            if len(brackets) > n_max:
-                break
-            sign = run.mismatch(probe) > 0
-            if prev_sign is not None and sign != prev_sign:
-                brackets.append((prev_eps, probe))
-            prev_eps, prev_sign = probe, sign
+    while t < t_stop and len(brackets) <= n_max:
+        eps = -0.5 * unit / (t * t)
+        run = _ShootingRun(ShootingConfig(nu, (1.01 * eps, 0.99 * eps)), p)
+        sign = run.mismatch(eps) > 0
+        if prev_sign is not None and sign != prev_sign:
+            brackets.append((prev_eps, eps))
+        prev_eps, prev_sign = eps, sign
+        t += _SCAN_STEP
     if len(brackets) <= n_max:
         raise ConvergenceError(
-            f"energy scan found only {len(brackets)} levels below {floor_stop:.3e}, "
-            f"needed {n_max + 1}")
-    return brackets[:n_max + 1]
+            f"energy scan found only {len(brackets)} levels below "
+            f"{-0.5 * unit / (t_stop * t_stop):.3e}, needed {n_max + 1}")
+    return brackets
 
 
 def shooting_config_for_level(nu: float, p: PhysicalParams, n: int,

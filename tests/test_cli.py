@@ -134,6 +134,20 @@ def test_wavefunction_levels_past_the_domain_exit_2(capsys):
     assert "level N must be an integer in [0, 400]" in err
 
 
+@pytest.mark.parametrize("level", [["--system", "anyon", "--n", "1000000000"],
+                                   ["--system", "oscillator", "--n", "201", "--s", "0"]])
+def test_wavefunction_level_past_the_domain_is_refused_at_once(level):
+    # A fresh interpreter with a deadline: an unbounded n used to build
+    # its coefficient table until memory ran out.
+    src = str(Path(anyon1d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "anyon1d.cli", "wavefunction", *level,
+            "--x-min", "0.1", "--x-max", "1", "--points", "10"]
+    done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, timeout=20)
+    assert done.returncode == 2
+
+
 def test_wavefunction_domain_validation(capsys):
     code, _, err = run(capsys, "wavefunction", "--system", "anyon", "--n", "0",
                        "--x-min", "0", "--x-max", "5", "--points", "10")

@@ -3,6 +3,7 @@
 import ast
 import functools
 import math
+import re
 import time
 from pathlib import Path
 
@@ -308,6 +309,7 @@ LARGE_QUANTUM = PhysicalParams(1.0, 1e100, omega=1e100)
     (UNIT, 1e300, 2001, "box halfwidth"),       # x^2/2 at the wall overflows
     (LARGE_QUANTUM, 1e60, 2001, "box halfwidth"),  # a level times hbar omega overflows
     (UNIT, 10.0, 10 ** 6 + 1, "point count"),
+    (UNIT, 10.0, 10 ** 9, "point count"),       # refused before any array is built
 ])
 def test_fd_spectrum_refuses_a_box_outside_the_floats_at_once(p, box, points, message):
     start = time.perf_counter()
@@ -645,31 +647,6 @@ def test_illinois_shooting_matches_plain_bisection(nu, monkeypatch):
         assert illinois_calls < len(calls)
 
 
-def _per_probe_scan(nu, p, levels):
-    """The first sign-change brackets of the scan with a step table of
-    its own for every probe, as the scan was before probes shared one."""
-    scale = p.mass * p.alpha * p.alpha / (2.0 * p.hbar ** 2)
-    eps = -1.35 * scale / (nu * nu)
-    brackets, prev_eps, prev_sign = [], None, None
-    while len(brackets) < levels:
-        cfg = oracle.ShootingConfig(nu, (1.01 * eps, 0.99 * eps))
-        sign = oracle._ShootingRun(cfg, p).mismatch(eps) > 0
-        if prev_sign is not None and sign != prev_sign:
-            brackets.append((prev_eps, eps))
-        prev_eps, prev_sign = eps, sign
-        eps /= oracle._SCAN_RATIO
-    return brackets
-
-
-@pytest.mark.parametrize("mass, alpha", [(1.0, 1.0), (0.5, 2.0), (3.0, 0.7), (1.7, 1.3)])
-@pytest.mark.parametrize("nu", NU_VALUES)
-def test_banded_scan_equals_per_probe_scan(nu, mass, alpha):
-    p = PhysicalParams(mass, 1.0, alpha=alpha)
-    reference = _per_probe_scan(nu, p, 21)
-    for n_max in range(8, 21):
-        assert oracle.scan_level_brackets(nu, p, n_max) == reference[:n_max + 1]
-
-
 def _rk4_reference(run, eps):
     """Scaled mismatch and node count from a plain step-by-step RK4 sweep
     of phi'' = (v - 2e) phi over the run's own step table, at the energy
@@ -772,17 +749,24 @@ def test_sparse_rescaling_changes_no_bit(nu, mass, hbar, alpha):
             assert run.mismatch(eps) == run._wronskian(m[..., 0], e)
 
 
+@functools.cache
+def _unit_table_widths(nu):
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    return tuple(oracle._ShootingRun(oracle.ShootingConfig(nu, bracket), p).h.shape[1]
+                 for bracket in oracle.scan_level_brackets(nu, p, 12))
+
+
 @pytest.mark.parametrize("mass, hbar, alpha", FAR_CONSTANTS)
 def test_shooting_far_from_unit_constants(mass, hbar, alpha):
     # The run computes in lengths hbar^2/(m alpha) and energies
-    # m alpha^2/hbar^2, so its tables here are those of unit constants,
-    # no wider than at n <= 20 there.
+    # m alpha^2/hbar^2, so each level's table here is the one that level
+    # gets at unit constants.
     p = PhysicalParams(mass, hbar, alpha=alpha)
     for nu in NU_VALUES:
         brackets = oracle.scan_level_brackets(nu, p, 12)
-        for n, bracket in enumerate(brackets):
+        for n, (bracket, width) in enumerate(zip(brackets, _unit_table_widths(nu))):
             cfg = oracle.ShootingConfig(nu, bracket)
-            assert oracle._ShootingRun(cfg, p).h.shape[1] <= 2432
+            assert oracle._ShootingRun(cfg, p).h.shape[1] == width
             got = oracle.shoot_anyon_energy(cfg, p, n)
             expected = anyon.energy(n, nu, p)
             assert abs(got - expected) <= 1e-5 * abs(expected)
@@ -861,9 +845,31 @@ def test_shooting_is_deterministic():
 
 def test_scan_level_count_domain():
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
-    for n_max in (-1, 21, True, 2.0):
+    for n_max in (-1, 101, True, 2.0):
         with pytest.raises(ValueError, match="n_max"):
             oracle.scan_level_brackets(0.25, p, n_max)
+    assert len(oracle.scan_level_brackets(0.25, p, 100)) == 101
+
+
+def test_scan_level_domain_is_the_anyon_level_domain():
+    # oracle imports no closed form, so the bound is compared here
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    with pytest.raises(ValueError, match=re.escape(f"in [0, {anyon.LEVEL_MAX}]")):
+        oracle.scan_level_brackets(0.25, p, anyon.LEVEL_MAX + 1)
+
+
+@pytest.mark.parametrize("nu, mass, hbar, alpha", [
+    (0.25, 1.0, 1.0, 1.0), (0.75, 1.0, 1.0, 1.0), (0.25, 2.5, 0.3, 1.7)])
+def test_scan_brackets_every_level_of_the_domain(nu, mass, hbar, alpha):
+    p = PhysicalParams(mass, hbar, alpha=alpha)
+    brackets = oracle.scan_level_brackets(nu, p, anyon.LEVEL_MAX)
+    assert len(brackets) == anyon.LEVEL_MAX + 1
+    for n, (lo, hi) in enumerate(brackets):
+        assert lo < anyon.energy(n, nu, p) < hi
+    for n in (30, 60, 100):
+        got = oracle.shoot_anyon_energy(oracle.ShootingConfig(nu, brackets[n]), p, n)
+        expected = anyon.energy(n, nu, p)
+        assert abs(got - expected) <= 1e-5 * abs(expected)
 
 
 def test_oracle_imports_no_closed_form_module():
