@@ -7,12 +7,14 @@ It offers four ways to check them from first principles:
 * a finite-difference residual of the governing second-order equation,
 * a Sturm-sequence eigensolver for the oscillator on a box, split into
   the even and odd parity sectors (the spin labels s = 0 and s = 1/2 of
-  the reduced oscillator); each level is bisected on Sturm counts until
-  it is isolated, then refined by safeguarded Newton steps on the
-  determinant; each sector keeps one record of the bisection's counts
-  for all its levels, each such count stops at the classical turning
-  point of its energy, past which no pivot can change sign, and each
-  Newton step is one full sweep that also counts,
+  the reduced oscillator); each sector counts up a ladder 1, 2, 4, ...
+  hbar omega above the bottom of the spectrum until a rung holds every
+  level it must return, each level is bisected below that rung on Sturm
+  counts until it is isolated, then refined by safeguarded Newton steps
+  on the determinant; each sector keeps one record of its counts for
+  all its levels, each such count stops at the classical turning point
+  of its energy, past which no pivot can change sign, and each Newton
+  step is one full sweep that also counts,
 * a shooting eigensolver for the attractive half-line problem, whose
   RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
   propagator entry is a quadratic in the energy, tabulated once per
@@ -407,17 +409,22 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     even, so the matrix splits into an even and an odd sector of half
     the size: the reduced half-line oscillator of the paper with spin
     label s = 0 and s = 1/2.  Level 2j is level j of the even sector and
-    level 2j + 1 level j of the odd one.  Each level is bisected on its
-    sector's Sturm count inside the Gershgorin interval of the whole
-    matrix until the bracket holds that level alone.  Every bisection
-    walks the same dyadic subdivision of that interval and each sector
-    keeps one record of its counts, so a level reuses every midpoint an
-    earlier level of its sector counted; such a count stops past the
-    classical turning point of the probed energy, where no pivot can
-    change sign any more (see _Sector._sweep).  Then safeguarded Newton
-    steps on det(T - lam) refine the level (see _sector_level), mostly
-    five to seven full sweeps on the tested grids, and it is multiplied
-    by hbar omega.  The discretization error is O(h^2).
+    level 2j + 1 level j of the odd one.  From the bottom lo0 of the
+    whole matrix's Gershgorin interval, each sector counts at lo0 + 1,
+    lo0 + 2, lo0 + 4, ... until a rung holds its highest wanted level
+    (see _ladder_top); in a box narrower than an oscillator length the
+    ladder starts at the bare box's bound 1/(2 W^2) instead of 1.  Each
+    level is bisected on its sector's Sturm count between lo0 and that
+    rung until the bracket holds the level alone.  All levels of a
+    sector walk the same dyadic subdivision and share one record of
+    counts, so a level reuses every rung and midpoint its sector
+    counted; such a count stops past the classical turning point of the
+    probed energy, where no pivot can change sign any more (see
+    _Sector._sweep), and a rung or midpoint a few hbar omega up stops
+    within a few oscillator lengths of the centre.  Then safeguarded
+    Newton steps on det(T - lam) refine the level (see _sector_level),
+    mostly three to seven full sweeps on the tested grids, and it is
+    multiplied by hbar omega.  The discretization error is O(h^2).
 
     Domain, else ValueError: count in 1..20, points in 100.._MAX_POINTS,
     and L > 0 such that the squared coupling 1/(4h^4) is a positive
@@ -440,13 +447,40 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     diag = kinetic + 0.5 * xs * xs
     lo0 = float(diag.min()) - 2.0 * abs(off)
     hi0 = float(diag.max()) + 2.0 * abs(off)
+    # x^2/2 >= 0, so no level is below the bare box's lowest,
+    # 2 sin^2(pi/(2(points - 1)))/h^2 >= 2/((points - 1) h)^2 = 1/(2 W^2)
+    first = max(1.0, 0.5 / (wall * wall))
     sectors = _parity_sectors(diag, off)
-    return [_sector_level(sectors[k % 2], k // 2 + 1, lo0, hi0) * quantum
+    tops = [_ladder_top(sectors[0], (count + 1) // 2, lo0, hi0, first),
+            _ladder_top(sectors[1], count // 2, lo0, hi0, first)]
+    return [_sector_level(sectors[k % 2], k // 2 + 1, lo0, *tops[k % 2]) * quantum
             for k in range(count)]
 
 
-def _sector_level(sector: _Sector, rank: int, lo: float, hi: float) -> float:
-    """Eigenvalue number `rank` (from 1) of the sector inside [lo, hi].
+def _ladder_top(sector: _Sector, rank: int, lo: float, hi: float,
+                step: float) -> tuple[float, int]:
+    """The first rung lo + step 2^j, j = 0, 1, ..., below hi at which the
+    sector counts at least rank eigenvalues, and that count; else hi and
+    the sector's size (every eigenvalue of the sector is below hi).
+
+    A rung a few hbar omega up stops its count at the turning point, so
+    the ladder costs a few short sweeps where bisecting down from hi
+    would cost a nearly full sweep per halving.  step is at most the
+    lowest level, so the top rung is below twice the highest wanted
+    level.  The step doubles as a float and the rung is compared with
+    hi, so no rung overflows.
+    """
+    while rank and lo + step < hi:
+        count = sector.below(lo + step)
+        if count >= rank:
+            return lo + step, count
+        step *= 2.0
+    return hi, len(sector.diag)
+
+
+def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: int) -> float:
+    """Eigenvalue number `rank` (from 1) of the sector inside [lo, hi],
+    where no eigenvalue is below lo and below_hi >= rank are below hi.
 
     Bisects on the sector's shared count record until [lo, hi] holds
     that eigenvalue alone, then takes Newton steps lam - 1/slope from
@@ -457,7 +491,7 @@ def _sector_level(sector: _Sector, rank: int, lo: float, hi: float) -> float:
     error of the pivot recurrence, 4 eps (|lam| + 2|off|); below the
     latter, steps only change sign from one sweep to the next.
     """
-    below_lo, below_hi = 0, len(sector.diag)
+    below_lo = 0
     lam = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)

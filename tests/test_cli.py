@@ -31,6 +31,16 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def run_process(*argv, timeout):
+    """Run the command line in a fresh interpreter, as the console script
+    does, with every RuntimeWarning (numpy's included) an error."""
+    src = str(Path(anyon1d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
+    return subprocess.run([sys.executable, "-m", "anyon1d.cli", *argv], env=env,
+                          capture_output=True, timeout=timeout)
+
+
 def test_spectrum_anyon_defaults(capsys):
     payload = run_json(capsys, "spectrum", "--system", "anyon")
     assert payload["columns"] == ["n", "energy", "dual_omega", "dual_E"]
@@ -139,12 +149,8 @@ def test_wavefunction_levels_past_the_domain_exit_2(capsys):
 def test_wavefunction_level_past_the_domain_is_refused_at_once(level):
     # A fresh interpreter with a deadline: an unbounded n used to build
     # its coefficient table until memory ran out.
-    src = str(Path(anyon1d.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "anyon1d.cli", "wavefunction", *level,
-            "--x-min", "0.1", "--x-max", "1", "--points", "10"]
-    done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, timeout=20)
+    done = run_process("wavefunction", *level, "--x-min", "0.1", "--x-max", "1",
+                       "--points", "10", timeout=20)
     assert done.returncode == 2
 
 
@@ -317,16 +323,31 @@ def test_output_files_are_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_verify_output_is_byte_identical_across_processes(fmt):
     # Each run is a fresh interpreter, so nothing one process caches can
-    # hide a difference.  stderr (the summary with json or csv) stays out
-    # of the comparison.
-    src = str(Path(anyon1d.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "anyon1d.cli", "verify", "--suite", "all", "--format", fmt]
-    first, second = [subprocess.run(argv, env={**os.environ, "PYTHONPATH": path},
-                                    capture_output=True, check=True, timeout=300)
+    # hide a difference, and each must exit 0 with no RuntimeWarning.
+    # stderr (the summary with json or csv) stays out of the comparison.
+    first, second = [run_process("verify", "--suite", "all", "--format", fmt, timeout=300)
                      for _ in range(2)]
+    assert first.returncode == second.returncode == 0, first.stderr
     assert first.stdout
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--system", "anyon", "--n", "20", "--nu", "3/4", "--x-min", "0.01",
+     "--x-max", "3000", "--points", "100000"],
+    ["wavefunction", "--system", "oscillator", "--n", "100", "--s", "1/2", "--x-min", "0",
+     "--x-max", "30", "--points", "100000"],
+    ["dual", "--n", "1", "--nu", "3/4", "--alpha", "1"],
+    ["dual", "--n", "2", "--s", "1/2", "--omega", "1.5"],
+])
+def test_large_grids_and_dual_examples_run_clean_in_a_fresh_process(argv, tmp_path):
+    # The 1e5-point grids reach far into each tail (x = 3000 for the
+    # anyon, u = 30 for the oscillator), where a numpy overflow or
+    # underflow warning would fail the run.
+    out = tmp_path / "out.txt"
+    done = run_process(*argv, "--output", str(out), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert out.stat().st_size > 0
 
 
 def test_csv_header_echoes_every_numeric_flag(tmp_path, capsys):

@@ -387,10 +387,10 @@ def _box_matrix(points, box_halfwidth=10.0):
     return kinetic + 0.5 * xs * xs, -0.5 * kinetic
 
 
-def _reference_bound(points, level):
+def _reference_bound(points, level, box_halfwidth=10.0):
     """How far a box level may sit from _fd_spectrum_reference's: the
     reference's own stop width plus the Sturm count's backward error."""
-    diag, off = _box_matrix(points)
+    diag, off = _box_matrix(points, box_halfwidth)
     lo0 = float(diag.min()) - 2.0 * abs(off)
     hi0 = float(diag.max()) + 2.0 * abs(off)
     return max(1e-13 * max(1.0, abs(level)), 8.0 * np.finfo(float).eps * max(abs(lo0), abs(hi0)))
@@ -403,6 +403,60 @@ def test_fd_spectrum_matches_the_per_level_bisection(points, count):
     got = oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
     want = _fd_spectrum_reference(UNIT, 10.0, points, count)
     assert all(abs(a - b) <= _reference_bound(points, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("points", [2001, 2002])
+def test_fd_spectrum_long_ladder_matches_the_per_level_bisection(points):
+    # A box of 0.2 oscillator lengths is nearly a bare box: level 19 sits
+    # near 12,336 hbar omega, so each sector's count ladder climbs 11
+    # rungs, from 1/(2 W^2) = 12.5 to 12,800 hbar omega, before one holds
+    # every wanted level.
+    got = oracle.fd_oscillator_spectrum(UNIT, 0.2, points, 20)
+    want = _fd_spectrum_reference(UNIT, 0.2, points, 20)
+    assert want[-1] > 1e4
+    assert all(abs(a - b) <= _reference_bound(points, b, 0.2) for a, b in zip(got, want))
+
+
+def _recorded_counts(monkeypatch):
+    """The energies of every Sturm count the box solver makes from now on."""
+    probes = []
+    sweep = oracle._Sector._sweep
+
+    def recorded(self, lam):
+        probes.append(lam)
+        return sweep(self, lam)
+
+    monkeypatch.setattr(oracle._Sector, "_sweep", recorded)
+    return probes
+
+
+@pytest.mark.parametrize("points, count, bisected_top",
+                         [(4433, 20, 49131.5), (13330, 10, 444180.6)])
+def test_fd_spectrum_counts_from_the_bottom_of_the_spectrum(points, count, bisected_top,
+                                                           monkeypatch):
+    # Each sector counts at 1, 2, 4, ... hbar omega above the bottom of
+    # the Gershgorin interval until a rung holds its highest wanted level,
+    # so no count lands above twice the highest level plus one hbar
+    # omega.  Bisecting the whole Gershgorin interval instead counted at
+    # bisected_top first, and took 42 counts on the 13,330-point grid
+    # against 16 for the ladder.
+    probes = _recorded_counts(monkeypatch)
+    levels = oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
+    assert max(probes) <= 2.0 * levels[-1] + 1.0 < bisected_top
+    if points == 13330:
+        assert len(probes) <= 42 // 2
+
+
+def test_fd_spectrum_ladder_in_a_bare_box_starts_at_its_lowest_level(monkeypatch):
+    # In a box of 1e-70 oscillator lengths no row is classically
+    # forbidden, so every count is a full sweep, and the levels sit near
+    # 1e140 hbar omega.  A ladder from 1 hbar omega would climb about 465
+    # rungs (939 counts); from the bare box's bound 1/(2 W^2) it climbs
+    # five or six.  Bisecting the whole Gershgorin interval took 35.
+    probes = _recorded_counts(monkeypatch)
+    levels = oracle.fd_oscillator_spectrum(UNIT, 1e-70, 2001, 3)
+    assert max(probes) <= 2.0 * levels[-1]
+    assert len(probes) <= 35 // 2
 
 
 def _sector_pivots(diag, couplings, lam):
