@@ -4,6 +4,7 @@ import ast
 import functools
 import math
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -211,6 +212,26 @@ def test_tail_cutoff_refuses_a_nan_in_any_probe():
 def test_quadrature_reports_nonconvergence():
     with pytest.raises(ConvergenceError):
         oracle.quadrature(lambda y: 1.0, 0.0, math.inf, tol=1e-10)
+
+
+def test_quadrature_refuses_a_range_too_wide_for_floats():
+    # The first tail probe max(1, 2|s|, 2s + 1) and the width b - a used
+    # to overflow, and the overflow surfaced as a convergence failure.
+    # The limit is half the largest float, so that every cell's width
+    # and midpoint are floats.
+    limit = r"8\.98847e\+307"
+    with pytest.raises(ValueError, match=limit):
+        oracle.quadrature(lambda x: math.exp(-abs(x)), -1e308, math.inf)
+    with pytest.raises(ValueError, match=limit):
+        oracle.quadrature(lambda x: 1.0, -1e308, 1e308)
+    with pytest.raises(ValueError, match=limit):
+        oracle.quadrature(lambda x: 1.0, 1e308, 1.5e308)
+    with pytest.raises(ValueError, match=limit):
+        oracle.quadrature(lambda x: math.exp(-abs(x)), -math.inf, 1e308)
+    # inside the limit nothing overflows
+    half_max = 0.5 * sys.float_info.max
+    got = oracle.quadrature(lambda x: 1.0, 0.0, half_max, tol=1e300)
+    assert abs(got / half_max - 1.0) <= 1e-15
 
 
 def test_ode_residual_reference_state():
