@@ -70,10 +70,14 @@ for _i, _x in enumerate(_XGK):
     else:
         _NODES.append((_x, _WGK[_i], _wg))
         _NODES.append((-_x, _WGK[_i], _wg))
+_NODE_X = np.array([_x for _x, _, _ in _NODES])
 
 _GRADE_DEPTH = 28          # dyadic grading depth toward each graded endpoint
 _TAIL_CAP_DOUBLINGS = 60   # give up on tail truncation after this many
 _MAX_INTERVALS = 4096      # refinement cap of one adaptive integral
+# Bound on |finite end| and on the tail truncation point: half the
+# largest float, so every cell width and midpoint is a float.
+_RANGE_LIMIT = 0.5 * sys.float_info.max
 
 
 def _caller_cell(lo: float, hi: float, sign: float) -> str:
@@ -82,32 +86,52 @@ def _caller_cell(lo: float, hi: float, sign: float) -> str:
     return f"[{lo}, {hi}]" if sign > 0 else f"[{-hi}, {-lo}]"
 
 
-def _gk15(f, lo: float, hi: float, sign: float) -> tuple[float, float]:
-    """Kronrod value and |Kronrod - Gauss| error estimate on [lo, hi].
+def _evaluate(F, t: np.ndarray) -> np.ndarray:
+    """F at the 1-d float array t, as one float per point."""
+    v = np.asarray(F(t), dtype=float)
+    if v.shape != t.shape:
+        raise ValueError(f"integrand must return one value per point: "
+                         f"got shape {v.shape} for {t.size} points")
+    return v
 
-    Raises ConvergenceError when the outermost nodes do not fall strictly
-    inside the cell, so no endpoint is ever evaluated, and ValueError
-    naming the cell when the Kronrod value is not finite.  f takes the
-    integration variable t; messages name the cell in the caller's
-    x = sign * t.
+
+def _gk15(F, lo: np.ndarray, hi: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and |Kronrod - Gauss| error estimates on the cells
+    [lo[i], hi[i]], from one call of F on all their nodes.
+
+    Each cell is summed node by node in _NODES order, so its value and
+    estimate do not depend on the other cells of the round.  Raises
+    ConvergenceError for the first cell whose outermost nodes do not
+    fall strictly inside it, so no endpoint is ever evaluated, and
+    ValueError naming the first cell whose Kronrod value is not finite;
+    either names the first bad cell in order.  F takes the integration
+    variable t; messages name the cell in the caller's x = sign * t.
     """
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
-    if not (lo < c - r * _XGK[0] and c + r * _XGK[0] < hi):
+    tight = ~((lo < c - r * _XGK[0]) & (c + r * _XGK[0] < hi))
+    if tight.any():
+        first = int(np.argmax(tight))
+        if first:
+            _gk15(F, lo[:first], hi[:first], sign)
         raise ConvergenceError(
-            f"quadrature cell {_caller_cell(lo, hi, sign)} cannot be refined further: "
-            "its outermost nodes do not fall strictly inside it")
-    acc_k = 0.0
-    acc_g = 0.0
-    for x, wk, wg in _NODES:
-        v = f(c + r * x)
-        acc_k += wk * v
-        if wg:
-            acc_g += wg * v
-    if not math.isfinite(acc_k):
-        raise ValueError("integrand is not finite on the quadrature cell "
-                         f"{_caller_cell(lo, hi, sign)}")
-    return r * acc_k, abs(r * (acc_k - acc_g))
+            f"quadrature cell {_caller_cell(float(lo[first]), float(hi[first]), sign)} "
+            "cannot be refined further: its outermost nodes do not fall strictly inside it")
+    t = c[:, None] + r[:, None] * _NODE_X
+    v = _evaluate(F, t.ravel()).reshape(t.shape)
+    acc_k = np.zeros(len(lo))
+    acc_g = np.zeros(len(lo))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (_, wk, wg) in enumerate(_NODES):
+            acc_k += wk * v[:, j]
+            if wg:
+                acc_g += wg * v[:, j]
+        bad = ~np.isfinite(acc_k)
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ValueError("integrand is not finite on the quadrature cell "
+                             f"{_caller_cell(float(lo[first]), float(hi[first]), sign)}")
+        return r * acc_k, np.abs(r * (acc_k - acc_g))
 
 
 def _initial_cells(a: float, b: float, grade_b: bool) -> list[float]:
@@ -129,90 +153,132 @@ def _initial_cells(a: float, b: float, grade_b: bool) -> list[float]:
     return sorted(c for c in cuts if a <= c <= b)
 
 
-def _adaptive(f, a: float, b: float, tol: float, grade_b: bool, sign: float) -> float:
-    bounds = _initial_cells(a, b, grade_b)
-    cells = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            val, err = _gk15(f, lo, hi, sign)
-            cells.append([err, lo, hi, val])
+def _adaptive(F, a: float, b: float, tol: float, grade_b: bool, sign: float) -> float:
+    """Global adaptive Gauss-Kronrod on [a, b], one call of F per round.
+
+    The first round evaluates every initial cell.  Each later round
+    halves the fewest cells whose estimates add up to at least
+    total - tol, largest estimate first and the earliest cell first
+    among equals; a left half takes its parent's place and a right half
+    goes to the end, in split order.
+    """
+    bounds = np.array(_initial_cells(a, b, grade_b))
+    lo, hi = bounds[:-1], bounds[1:].copy()
+    val, err = _gk15(F, lo, hi, sign)
     while True:
-        total_err = math.fsum(c[0] for c in cells)
+        total_err = math.fsum(err.tolist())
         if total_err <= tol:
-            return math.fsum(c[3] for c in cells)
-        if len(cells) >= _MAX_INTERVALS:
+            return math.fsum(val.tolist())
+        order = np.argsort(-err, kind="stable")
+        with np.errstate(over="ignore"):
+            reach = np.cumsum(err[order])
+        k = min(int(np.searchsorted(reach, total_err - tol)) + 1, len(order))
+        if len(lo) + k > _MAX_INTERVALS:
             raise ConvergenceError(
                 f"quadrature exceeded {_MAX_INTERVALS} intervals "
                 f"(error estimate {total_err:.3e}, target {tol:.3e})")
-        worst = max(range(len(cells)), key=lambda i: (cells[i][0], -i))
-        _, lo, hi, _ = cells[worst]
-        mid = 0.5 * (lo + hi)
-        val1, err1 = _gk15(f, lo, mid, sign)
-        val2, err2 = _gk15(f, mid, hi, sign)
-        cells[worst] = [err1, lo, mid, val1]
-        cells.append([err2, mid, hi, val2])
+        split = order[:k]
+        s_lo, s_hi = lo[split], hi[split]
+        mid = 0.5 * (s_lo + s_hi)
+        v, e = _gk15(F, np.column_stack((s_lo, mid)).ravel(),
+                     np.column_stack((mid, s_hi)).ravel(), sign)
+        hi[split] = mid
+        val[split], err[split] = v[0::2], e[0::2]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((hi, s_hi))
+        val, err = np.concatenate((val, v[1::2])), np.concatenate((err, e[1::2]))
 
 
-def _tail_cutoff(f, start: float, tol: float, sign: float) -> float:
-    """Smallest probed B with |f| small enough beyond B to ignore the tail.
+def _tail_cutoff(F, start: float, tol: float, sign: float) -> float:
+    """Smallest probed B with |F| small enough beyond B to ignore the tail.
 
-    Probes three incommensurate points per candidate so an accidental
-    zero of an oscillatory integrand cannot fake decay.  Raises
-    ValueError naming the first probe where f is not finite.  f takes
-    the integration variable t; messages name the caller's x = sign * t.
+    Probes three incommensurate points per candidate, in one call of F,
+    so an accidental zero of an oscillatory integrand cannot fake decay.
+    Raises ValueError naming the first probe where F is not finite, and
+    ValueError when a candidate B would pass _RANGE_LIMIT.  F takes the
+    integration variable t; messages name the caller's x = sign * t.
     """
     cut = start
     for _ in range(_TAIL_CAP_DOUBLINGS):
-        peak = 0.0
-        for x in (cut, 1.37 * cut, 1.93 * cut):
-            v = f(x)
-            if not math.isfinite(v):
-                raise ValueError(f"integrand is not finite at the tail probe {sign * x!r}")
-            peak = max(peak, abs(v))
-        if peak * cut <= 0.1 * tol:
+        if not 1.93 * cut <= _RANGE_LIMIT:
+            raise ValueError(
+                f"the tail truncation point would pass {sign * _RANGE_LIMIT:.6g}, "
+                "half the largest float, where cell widths and midpoints overflow")
+        probes = np.array([cut, 1.37 * cut, 1.93 * cut])
+        v = _evaluate(F, probes)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            x = float(probes[np.argmax(bad)])
+            raise ValueError(f"integrand is not finite at the tail probe {sign * x!r}")
+        if float(np.max(np.abs(v))) * cut <= 0.1 * tol:
             return 1.93 * cut
         cut *= 2.0
     raise ConvergenceError(
         f"integrand does not decay fast enough past {sign * cut:.3e} for tail truncation")
 
 
-def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Integral of f over [a, b] with absolute error estimate below tol.
+def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
+    """Integral of F over [a, b] with absolute error estimate below tol.
 
+    F takes a 1-d float array of points and returns one float per
+    point; each round of refinement calls it once on the nodes of all
+    the cells that round evaluates, at most _MAX_INTERVALS * 15 points.
     Endpoints may be +-inf; infinite tails are truncated where the
-    integrand has decayed below the tolerance and the finite core is
-    handled by adaptive 15-point Gauss-Kronrod. Its initial cells are
-    graded dyadically toward each finite endpoint the caller gave: both
-    ends of a finite [a, b], only the finite end of a semi-infinite
-    range, never the truncation point. Endpoint values are never
-    evaluated, so integrable power singularities at the ends are fine;
-    a cell too narrow to keep its nodes off its ends raises
-    ConvergenceError. An endpoint that is neither +-inf nor finite (NaN,
-    bool) raises ValueError, and so does a cell or a tail probe where the
-    integrand is not finite.  A range (-inf, b] is integrated as
-    t -> f(-t) over [-b, inf), but every message names cells and probes
-    by the x that f is called with.
+    integrand has decayed below the tolerance (three probes per
+    candidate, in one call) and the finite core is handled by global
+    adaptive 15-point Gauss-Kronrod. Its initial cells are graded
+    dyadically toward each finite endpoint the caller gave: both ends
+    of a finite [a, b], only the finite end of a semi-infinite range,
+    never the truncation point. Each later round halves the fewest
+    cells whose error estimates add up to at least total - tol, largest
+    first; more than _MAX_INTERVALS cells raise ConvergenceError.
+
+    Endpoint values are never evaluated, so integrable power
+    singularities at the ends are fine; a cell too narrow to keep its
+    nodes off its ends raises ConvergenceError. An endpoint that is
+    neither +-inf nor finite (NaN, bool) raises ValueError, and so does
+    a cell or a tail probe where the integrand is not finite.
+
+    Domain: every finite end must satisfy |end| <= 8.99e307, half the
+    largest float, so that every cell width and midpoint is a float;
+    an end beyond it, or a tail search whose truncation point would
+    pass it, raises ValueError naming the limit.  A range (-inf, b] is
+    integrated as t -> F(-t) over [-b, inf), but every message names
+    cells and probes by the x that F is called with.
     """
     check_positive(tol, "tolerance")
     for end, name in ((a, "lower limit a"), (b, "upper limit b")):
         if not (isinstance(end, float) and math.isinf(end)):
             check_finite(end, name)
+            if abs(end) > _RANGE_LIMIT:
+                raise ValueError(f"{name} must lie within +-{_RANGE_LIMIT:.6g}, half the "
+                                 f"largest float, got {end!r}")
     if a == b:
         return 0.0
     if a > b:
-        return -quadrature(f, b, a, tol)
+        return -integrate(F, b, a, tol)
     neg_inf = math.isinf(a) and a < 0
     pos_inf = math.isinf(b) and b > 0
     if neg_inf and pos_inf:
-        return quadrature(f, a, 0.0, 0.5 * tol) + quadrature(f, 0.0, b, 0.5 * tol)
+        return integrate(F, a, 0.0, 0.5 * tol) + integrate(F, 0.0, b, 0.5 * tol)
     if neg_inf or pos_inf:
-        # (-inf, b] is integrated as t -> f(-t) over [-b, inf)
+        # (-inf, b] is integrated as t -> F(-t) over [-b, inf)
         sign = -1.0 if neg_inf else 1.0
-        g = (lambda t: f(-t)) if neg_inf else f
+        G = (lambda t: F(-t)) if neg_inf else F
         start = -b if neg_inf else a
-        cut = _tail_cutoff(g, max(1.0, 2.0 * abs(start), 2.0 * start + 1.0), tol, sign)
-        return _adaptive(g, start, cut, tol, grade_b=False, sign=sign)
-    return _adaptive(f, a, b, tol, grade_b=True, sign=1.0)
+        cut = _tail_cutoff(G, max(1.0, 2.0 * abs(start), 2.0 * start + 1.0), tol, sign)
+        return _adaptive(G, start, cut, tol, grade_b=False, sign=sign)
+    return _adaptive(F, a, b, tol, grade_b=True, sign=1.0)
+
+
+def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """integrate() for an integrand f of one float: f is called at each
+    node in turn, in the order integrate() passes them, with the same
+    result, rules and messages.
+
+    For integrands that cannot take arrays, such as ones built from
+    math.exp; an array integrand should call integrate() directly.
+    """
+    return integrate(lambda ts: np.array([f(t) for t in ts.tolist()], dtype=float), a, b, tol)
 
 
 def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> float:

@@ -99,7 +99,7 @@ def suite_normalization() -> list[VerificationReport]:
     for nu in NU_VALUES:
         for n in range(11):
             p = _UNIT.with_omega(duality.dual_frequency(n, nu, _UNIT))
-            norm = oracle.quadrature(
+            norm = oracle.integrate(
                 lambda x: anyon.wavefunction(n, nu, p, x) ** 2, 0.0, math.inf,
                 tol=1e-10)
             worst = max(worst, abs(norm - 1.0))
@@ -107,7 +107,7 @@ def suite_normalization() -> list[VerificationReport]:
 
     worst = 0.0
     for big_n in range(9):
-        norm = oracle.quadrature(
+        norm = oracle.integrate(
             lambda u: oscillator.wavefunction(big_n, _UNIT, u) ** 2, 0.0, math.inf,
             tol=1e-12)
         worst = max(worst, abs(norm - 1.0))
@@ -115,7 +115,7 @@ def suite_normalization() -> list[VerificationReport]:
 
     worst = 0.0
     for big_n in (0, 1, 3, 6):
-        got = oracle.quadrature(
+        got = oracle.integrate(
             lambda u: u * u * oscillator.wavefunction(big_n, _UNIT, u) ** 2,
             0.0, math.inf, tol=1e-12)
         expected = oscillator.mean_square_displacement(big_n, _UNIT)
@@ -125,7 +125,7 @@ def suite_normalization() -> list[VerificationReport]:
     worst = 0.0
     for nu in NU_VALUES:
         p = _UNIT.with_omega(duality.dual_frequency(2, nu, _UNIT))
-        norm = oracle.quadrature(
+        norm = oracle.integrate(
             lambda y: abs(anyon.extended_wavefunction(2, nu, p, y)) ** 2,
             -math.inf, math.inf, tol=1e-10)
         worst = max(worst, abs(norm - 1.0))
@@ -205,8 +205,8 @@ def suite_oracle() -> list[VerificationReport]:
                   for a, b in zip(levels, levels[1:]))
     out.append(_report("box eigensolver level spacing hbar omega", spacing, 1e-3))
 
-    got = oracle.quadrature(lambda u: math.exp(-u * u), -math.inf, math.inf,
-                            tol=1e-12)
+    got = oracle.integrate(lambda u: np.exp(-u * u), -math.inf, math.inf,
+                           tol=1e-12)
     out.append(_report("quadrature: full-line Gaussian vs sqrt(pi)",
                        abs(got - math.sqrt(math.pi)), 1e-10))
 
@@ -214,8 +214,8 @@ def suite_oracle() -> list[VerificationReport]:
     for nu in NU_VALUES:
         for n in (0, 1, 4, 8):
             two_nu = 2.0 * nu
-            val = oracle.quadrature(
-                lambda y: math.exp(-y) * y ** two_nu
+            val = oracle.integrate(
+                lambda y: np.exp(-y) * y ** two_nu
                 * specfun.laguerre(n, two_nu - 1.0, y) ** 2,
                 0.0, math.inf, tol=1e-10)
             closed = (2.0 * (n + nu)

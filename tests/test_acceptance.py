@@ -10,8 +10,10 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from anyon1d import anyon, oscillator, verification
 from anyon1d.cli import main
 from anyon1d.verification import SUITES, run_suites
 
@@ -47,3 +49,23 @@ def test_readme_dual_example_is_the_real_output(capsys):
     shown = text[start:text.index("```\n", start)]
     assert main(shlex.split(command)[2:]) == 0
     assert capsys.readouterr().out == shown
+
+
+def test_norm_and_oracle_suites_call_the_evaluators_on_arrays_only(monkeypatch):
+    # The quadrature rows evaluate each round of nodes in one call; a
+    # slide back to one point per call shows up here as a scalar x.
+    calls = {}
+    for module, name in ((anyon, "wavefunction"), (anyon, "extended_wavefunction"),
+                         (oscillator, "wavefunction")):
+        original = getattr(module, name)
+        seen = calls[f"{module.__name__}.{name}"] = []
+
+        def counted(*args, original=original, seen=seen):
+            seen.append(isinstance(args[-1], np.ndarray))
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+    verification.suite_normalization()
+    verification.suite_oracle()
+    for name, seen in calls.items():
+        assert seen, name
+        assert all(seen), f"{name}: {seen.count(False)} of {len(seen)} calls on one point"

@@ -160,15 +160,18 @@ def test_quadrature_rejects_a_non_finite_integrand_at_once():
         calls += 1
         return math.nan
 
-    with pytest.raises(ValueError, match="not finite"):
+    # The first round evaluates all 56 graded cells of [0, 1] in one
+    # call and refuses them before any cell is split.
+    with pytest.raises(ValueError, match=r"not finite on the quadrature cell \[0\.0, "):
         oracle.quadrature(f, 0.0, 1.0)
-    assert calls == 15
+    assert calls == 56 * 15
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_quadrature_rejects_a_non_finite_tail_probe(sign):
     # NaN past |x| = 5 must not read as "not decayed yet": the first
-    # probe there is refused by name instead of doubling the cut 60 times
+    # probe there is refused by name instead of doubling the cut 60 times.
+    # The three probes of a candidate are evaluated in one call.
     probes = []
 
     def f(x):
@@ -178,7 +181,8 @@ def test_quadrature_rejects_a_non_finite_tail_probe(sign):
     ends = (0.0, math.inf) if sign > 0 else (-math.inf, 0.0)
     with pytest.raises(ValueError, match="not finite at the tail probe"):
         oracle.quadrature(f, *ends)
-    assert probes[3:] == [sign * 2.0, sign * 2.74, sign * 3.86, sign * 4.0, sign * 5.48]
+    assert probes[3:] == [sign * 2.0, sign * 2.74, sign * 3.86,
+                          sign * 4.0, sign * 5.48, sign * 7.72]
 
 
 def test_quadrature_messages_name_the_callers_point():
@@ -197,16 +201,18 @@ def test_quadrature_messages_name_the_callers_point():
 
 
 def test_tail_cutoff_refuses_a_nan_in_any_probe():
-    for bad in range(3):
+    # The three probes of the first candidate come in one call, which is
+    # refused before any later candidate, naming the probe that was NaN.
+    for bad, probe in enumerate((1.0, 1.37, 1.93)):
         calls = []
 
         def f(x):
             calls.append(x)
             return math.nan if len(calls) == bad + 1 else 0.0
 
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match=rf"not finite at the tail probe {probe}$"):
             oracle.quadrature(f, 0.0, math.inf)
-        assert len(calls) == bad + 1
+        assert len(calls) == 3
 
 
 def test_quadrature_reports_nonconvergence():
@@ -232,6 +238,89 @@ def test_quadrature_refuses_a_range_too_wide_for_floats():
     half_max = 0.5 * sys.float_info.max
     got = oracle.quadrature(lambda x: 1.0, 0.0, half_max, tol=1e300)
     assert abs(got / half_max - 1.0) <= 1e-15
+
+
+def _evaluator_integrands():
+    """Norm and moment integrands of verify, each a function that takes
+    one float or an array, with their ranges and tolerances."""
+    from anyon1d import oscillator
+
+    for nu in NU_VALUES:
+        for n in range(11):
+            p = UNIT.with_omega(duality.dual_frequency(n, nu, UNIT))
+            yield (f"anyon n={n} nu={nu}",
+                   functools.partial(lambda n, nu, p, x: anyon.wavefunction(n, nu, p, x) ** 2,
+                                     n, nu, p), 0.0, math.inf, 1e-10)
+        p = UNIT.with_omega(duality.dual_frequency(2, nu, UNIT))
+        yield (f"extended nu={nu}",
+               lambda y, nu=nu, p=p: abs(anyon.extended_wavefunction(2, nu, p, y)) ** 2,
+               -math.inf, math.inf, 1e-10)
+    for big_n in range(9):
+        yield (f"oscillator N={big_n}",
+               lambda u, big_n=big_n: oscillator.wavefunction(big_n, UNIT, u) ** 2,
+               0.0, math.inf, 1e-12)
+    for big_n in (0, 1, 3, 6):
+        yield (f"oscillator u^2 N={big_n}",
+               lambda u, big_n=big_n: u * u * oscillator.wavefunction(big_n, UNIT, u) ** 2,
+               0.0, math.inf, 1e-12)
+
+
+def test_array_rounds_give_the_one_point_bits_on_evaluator_integrands():
+    # integrate() hands each round's nodes to the evaluators as one array;
+    # quadrature() hands them over one float at a time.  The evaluators
+    # give the same bits either way, so the two integrals must agree.
+    for label, f, a, b, tol in _evaluator_integrands():
+        assert oracle.integrate(f, a, b, tol) == oracle.quadrature(f, a, b, tol), label
+    got = oracle.integrate(lambda u: np.exp(-u * u), -math.inf, math.inf, tol=1e-12)
+    assert got == oracle.quadrature(lambda u: math.exp(-u * u), -math.inf, math.inf,
+                                    tol=1e-12)
+
+
+def test_quadrature_takes_an_integrand_that_refuses_arrays():
+    # The shape of a Laguerre-weight norm built from math.exp, which
+    # takes one float only.
+    from anyon1d import specfun
+
+    for nu in NU_VALUES:
+        two_nu = 2.0 * nu
+        for n in (0, 7, 20):
+            def f(y):
+                return (math.exp(-y) * y ** two_nu
+                        * specfun.laguerre(n, two_nu - 1.0, y) ** 2)
+
+            with pytest.raises(TypeError):
+                oracle.integrate(f, 0.0, math.inf, tol=1e-10)
+            got = oracle.quadrature(f, 0.0, math.inf, tol=1e-10)
+            closed = 2.0 * (n + nu) * math.exp(
+                specfun.log_gamma(n + two_nu) - specfun.log_gamma(n + 1.0))
+            assert abs(got - closed) <= 1e-8 * closed
+
+
+def test_integrate_stops_before_a_round_passes_the_interval_cap():
+    sizes = []
+
+    def F(t):
+        sizes.append(t.size)
+        return np.sin(1e7 * t)
+
+    with pytest.raises(ConvergenceError,
+                       match=rf"exceeded {oracle._MAX_INTERVALS} intervals"):
+        oracle.integrate(F, 0.0, 1.0, tol=1e-12)
+    assert len(sizes) > 2
+    assert all(size % 15 == 0 for size in sizes)
+    cells = [size // 15 for size in sizes]
+    # every round after the first halves cells that are already held, so
+    # the cells held after the last round are the first round's plus one
+    # per split, and no round evaluates more than the cap
+    assert cells[0] + sum(cells[1:]) // 2 <= oracle._MAX_INTERVALS
+    assert max(cells) <= oracle._MAX_INTERVALS
+
+
+def test_integrate_refuses_an_integrand_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="one value per point"):
+        oracle.integrate(lambda t: 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="one value per point"):
+        oracle.integrate(lambda t: np.ones(2), 0.0, math.inf)
 
 
 def test_ode_residual_reference_state():
