@@ -92,8 +92,8 @@ def _laguerre_coefficients(n: int, nu: float) -> tuple[tuple, float]:
     with a = 2 nu - 1, and 0.5 log Gamma(2 nu), the log of the start
     l_0's Gamma factor.
 
-    Cached because quadrature evaluates one state at thousands of single
-    points.
+    Cached because a norm integral evaluates one state once per
+    refinement round, and a one-float quadrature integrand once per node.
     """
     a = 2.0 * nu - 1.0
     steps = []

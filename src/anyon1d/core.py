@@ -84,9 +84,10 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
     offending point; a ragged nesting raises ValueError naming the
     argument.
     """
-    # One int or float is checked without numpy: the quadrature
-    # integrands call the evaluators one point at a time.  bool and the
-    # numpy scalars fail this exact type test and go the array way.
+    # One int or float is checked without numpy: an integrand passed to
+    # oracle.quadrature (one float per call) calls the evaluators one
+    # point at a time.  bool and the numpy scalars fail this exact type
+    # test and go the array way.
     if type(x) is float or type(x) is int:
         if (low < x if open_low else low <= x) and x <= high:
             return float(x), True

@@ -3,7 +3,12 @@
 Nothing in this module knows the closed-form spectra or eigenfunctions.
 It offers four ways to check them from first principles:
 
-* adaptive Gauss-Kronrod quadrature (norms, moments, overlaps),
+* adaptive Gauss-Kronrod quadrature (norms, moments, overlaps) in
+  array rounds: integrate() calls its integrand once per round on the
+  nodes of every cell the round evaluates, all graded initial cells
+  first, then the halves of the fewest cells whose error estimates add
+  up to total - tol, largest first; quadrature() is the same engine for
+  an integrand of one float (math.exp and the like),
 * a finite-difference residual of the governing second-order equation,
 * a Sturm-sequence eigensolver for the oscillator on a box, split into
   the even and odd parity sectors (the spin labels s = 0 and s = 1/2 of
@@ -221,7 +226,7 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
 
     F takes a 1-d float array of points and returns one float per
     point; each round of refinement calls it once on the nodes of all
-    the cells that round evaluates, at most _MAX_INTERVALS * 15 points.
+    the cells that round evaluates, at most 4096 x 15 points.
     Endpoints may be +-inf; infinite tails are truncated where the
     integrand has decayed below the tolerance (three probes per
     candidate, in one call) and the finite core is handled by global
@@ -230,7 +235,8 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     of a finite [a, b], only the finite end of a semi-infinite range,
     never the truncation point. Each later round halves the fewest
     cells whose error estimates add up to at least total - tol, largest
-    first; more than _MAX_INTERVALS cells raise ConvergenceError.
+    first; a round that would hold more than 4096 cells raises
+    ConvergenceError.
 
     Endpoint values are never evaluated, so integrable power
     singularities at the ends are fine; a cell too narrow to keep its
@@ -276,7 +282,8 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     result, rules and messages.
 
     For integrands that cannot take arrays, such as ones built from
-    math.exp; an array integrand should call integrate() directly.
+    math.exp (the perfbench oracle_solve norm integrand is one); an
+    array integrand should call integrate() directly.
     """
     return integrate(lambda ts: np.array([f(t) for t in ts.tolist()], dtype=float), a, b, tol)
 

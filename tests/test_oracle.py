@@ -234,6 +234,9 @@ def test_quadrature_refuses_a_range_too_wide_for_floats():
         oracle.quadrature(lambda x: 1.0, 1e308, 1.5e308)
     with pytest.raises(ValueError, match=limit):
         oracle.quadrature(lambda x: math.exp(-abs(x)), -math.inf, 1e308)
+    # an end inside the limit whose tail search would pass it
+    with pytest.raises(ValueError, match="tail truncation point would pass " + limit):
+        oracle.quadrature(lambda x: math.exp(-abs(x)), -4e307, math.inf)
     # inside the limit nothing overflows
     half_max = 0.5 * sys.float_info.max
     got = oracle.quadrature(lambda x: 1.0, 0.0, half_max, tol=1e300)
