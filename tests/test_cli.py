@@ -154,6 +154,15 @@ def test_wavefunction_level_past_the_domain_is_refused_at_once(level):
     assert done.returncode == 2
 
 
+def test_wavefunction_grid_past_its_count_bound_is_refused_at_once():
+    # A fresh interpreter with a deadline: a grid of 10**13 points ended
+    # in numpy's allocation error, and 10**9 would allocate 8 GB arrays.
+    done = run_process("wavefunction", "--system", "anyon", "--n", "0", "--x-min", "0.1",
+                       "--x-max", "1", "--points", "10000000000000", timeout=20)
+    assert done.returncode == 2
+    assert b"grid count" in done.stderr
+
+
 def test_wavefunction_domain_validation(capsys):
     code, _, err = run(capsys, "wavefunction", "--system", "anyon", "--n", "0",
                        "--x-min", "0", "--x-max", "5", "--points", "10")

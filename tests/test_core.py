@@ -244,6 +244,14 @@ def test_grid_validation():
     Grid(-2.0, 2.0, 8)
 
 
+def test_grid_count_is_bounded():
+    # A 10**6-point grid is a 2 s CSV; 10**9 points would be 8 GB arrays.
+    assert Grid(0.0, 1.0, 10 ** 7).count == 10 ** 7
+    for count in (10 ** 7 + 1, 10 ** 13):
+        with pytest.raises(ValueError, match=r"grid count must be an integer in \[3, 10000000\]"):
+            Grid(0.0, 1.0, count)
+
+
 def test_verification_report_pass_is_derived():
     assert VerificationReport("check", 1e-9, 1e-6).passed
     assert VerificationReport("check", 1e-6, 1e-6).passed

@@ -445,6 +445,28 @@ def test_fd_spectrum_near_the_box_domain_edges():
     assert large == sorted(large)
 
 
+def test_fd_spectrum_ground_state_in_a_huge_box_ends_by_the_stop_rule():
+    # At 1e70 oscillator lengths the centre row's diagonal, about 1e-134,
+    # is the lowest eigenvalue.  The ladder's top rung sits near 5e133,
+    # some 490 halvings above the 1e-13 stop width; a step cap that
+    # also counted halvings returned 2.8e73 hbar omega.
+    for points in (2001, 2002):
+        levels = oracle.fd_oscillator_spectrum(UNIT, 1e70, points, 3)
+        assert levels == sorted(levels)
+        if points % 2:
+            assert 0.0 < levels[0] <= 1e-13
+
+
+@pytest.mark.parametrize("points", [2001, 2002])
+@pytest.mark.parametrize("box", [1e-70, 0.2, 10.0, 1e70])
+def test_parity_sector_diagonals_rise_from_row_one(points, box):
+    # _Sector._sweep stops at the first forbidden row past row 0; that
+    # is the full sweep's count only if the diagonal never falls after it.
+    diag, off = _box_matrix(points, box)
+    for sector in oracle._parity_sectors(diag, off):
+        assert all(a <= b for a, b in zip(sector.diag[1:], sector.diag[2:]))
+
+
 def test_fd_spectrum_rejects_bool_arguments():
     with pytest.raises(ValueError, match="eigenvalue count"):
         oracle.fd_oscillator_spectrum(UNIT, 10.0, 2001, True)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anyon1d import specfun
-from anyon1d.core import ConvergenceError
+from anyon1d import anyon, duality, specfun
+from anyon1d.core import ConvergenceError, PhysicalParams
 from anyon1d.specfun import (
     duplication_residual,
     hermite,
@@ -33,6 +33,24 @@ def test_log_gamma_reference_points():
                         rel_tol=1e-14)
     assert math.isclose(log_gamma(0.5), 0.57236494, abs_tol=5e-9)
     assert math.isclose(log_gamma(1.5), -0.12078224, abs_tol=5e-9)
+
+
+def test_log_gamma_refuses_an_argument_past_the_float_range():
+    # math.lgamma overflows above 2.5599833278516383e305, where
+    # log Gamma(z) passes the largest float; the callers below take
+    # admissible inputs that reach it.
+    limit = 2.5599833278516383e305
+    assert math.isfinite(log_gamma(2.5e305))
+    assert math.isfinite(log_gamma(limit))
+    for z in (math.nextafter(limit, math.inf), 3e305, 1e308):
+        with pytest.raises(ValueError, match=r"log_gamma argument z.*2\.5599833278516383e\+305"):
+            log_gamma(z)
+    with pytest.raises(ValueError, match="log_gamma argument z"):
+        anyon.log_normalization(10 ** 306, 0.25, PhysicalParams(1.0, 1.0, alpha=1.0))
+    with pytest.raises(ValueError, match="log_gamma argument z"):
+        duality.constant_equality_residual(2 * 10 ** 305, 0.25)
+    with pytest.raises(ValueError, match="log_gamma argument z"):
+        duplication_residual(2e305)
 
 
 def test_log_gamma_rejects_nonpositive():
