@@ -93,7 +93,8 @@ def _laguerre_coefficients(n: int, nu: float) -> tuple[tuple, float]:
     l_0's Gamma factor.
 
     Cached because a norm integral evaluates one state once per
-    refinement round, and a one-float quadrature integrand once per node.
+    refinement round, and the identities suite evaluates
+    extended_wavefunction one number at a time.
     """
     a = 2.0 * nu - 1.0
     steps = []

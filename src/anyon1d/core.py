@@ -84,10 +84,12 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
     offending point; a ragged nesting raises ValueError naming the
     argument.
     """
-    # One int or float is checked without numpy: an integrand passed to
-    # oracle.quadrature (one float per call) calls the evaluators one
-    # point at a time.  bool and the numpy scalars fail this exact type
-    # test and go the array way.
+    # One int or float is checked without numpy: the identities suite
+    # calls specfun.hermite, specfun.laguerre and
+    # anyon.extended_wavefunction one number at a time, and so does a
+    # one-float quadrature integrand such as the benchmark's Laguerre
+    # norm.  bool and the numpy scalars fail this exact type test and go
+    # the array way.
     if type(x) is float or type(x) is int:
         if (low < x if open_low else low <= x) and x <= high:
             return float(x), True
@@ -210,16 +212,22 @@ def state_from_nu(n: int, nu: float) -> QuantumState:
     return make_state(n, nu - 0.25)
 
 
+# Points of one grid: 10**7 floats are 80 MB per array, and a CSV grid
+# of 10**6 points already takes about 2 s.
+_GRID_COUNT_MAX = 10 ** 7
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform sampling grid [x_min, x_max] with count points inclusive."""
+    """Uniform sampling grid [x_min, x_max] with count points inclusive,
+    3 <= count <= 10**7."""
 
     x_min: float
     x_max: float
     count: int
 
     def __post_init__(self):
-        check_index(self.count, "grid count", low=3)
+        check_index(self.count, "grid count", low=3, high=_GRID_COUNT_MAX)
         check_finite(self.x_min, "grid x_min")
         check_finite(self.x_max, "grid x_max")
         if not self.x_min < self.x_max:

@@ -94,16 +94,6 @@ def map_oscillator_to_anyon(n: int, s: float, p: PhysicalParams, x):
     return float(values) if scalar else values
 
 
-def reduction_constant(n: int, s: float, p: PhysicalParams) -> float:
-    """The positive constant C with |C|^2 = 2 <u^2>_N = 4 (n + nu) hbar / (m omega).
-
-    This is the normalization of the substitution Psi = C u^(2s) Psi_bar.
-    """
-    state = make_state(n, s)
-    omega = p.require_omega()
-    return 2.0 * math.sqrt((state.n + state.nu) * p.hbar / (p.mass * omega))
-
-
 def constant_equality_residual(n: int, nu: float) -> float:
     """Relative defect between the two closed forms of the normalization.
 
@@ -127,23 +117,19 @@ def reduction_chain_residual(n: int, s: float, p: PhysicalParams, grid: Grid,
                              *, energy_scale: float = 1.0) -> float:
     """Run the oscillator state through the variable change and test the result.
 
-    Builds Psi_bar = Psi_N(sqrt(x)) / (C x^s) and Phi = x^nu Psi_bar on the
-    grid, then returns the finite-difference residual of the attractive
-    problem at alpha = E/4 and eps = -m omega^2/8.  energy_scale != 1
-    deliberately detunes eps for sensitivity checks.
+    Builds Phi on the grid with map_oscillator_to_anyon at the dual
+    constants alpha = E/4 and omega, then returns the finite-difference
+    residual of the attractive problem at that alpha and
+    eps = -m omega^2/8.  energy_scale != 1 deliberately detunes eps for
+    sensitivity checks.
     """
     state = make_state(n, s)
     omega = p.require_omega()
     if grid.x_min <= 0:
         raise ValueError("grid must not touch x = 0 on the anyon side")
-    energy = oscillator.energy(state.N, p)
-    c_red = reduction_constant(n, s, p)
+    alpha, eps = to_anyon_params(oscillator.energy(state.N, p), omega, p)
+    dual = PhysicalParams(p.mass, p.hbar, alpha=alpha, omega=omega)
     xs = grid.points()
-    psi = oscillator.wavefunction(state.N, p, np.sqrt(xs))
-    psi_bar = psi / (c_red * xs ** s)
-    phi = xs ** state.nu * psi_bar
-    alpha, eps = to_anyon_params(energy, omega, p)
-    dual = PhysicalParams(p.mass, p.hbar, alpha=alpha)
     return oracle.ode_residual(
-        xs, phi, lambda x: anyon.potential(x, state.nu, dual),
-        eps * energy_scale, p)
+        xs, map_oscillator_to_anyon(n, s, dual, xs),
+        lambda x: anyon.potential(x, state.nu, dual), eps * energy_scale, p)

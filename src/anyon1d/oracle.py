@@ -12,14 +12,15 @@ It offers four ways to check them from first principles:
 * a finite-difference residual of the governing second-order equation,
 * a Sturm-sequence eigensolver for the oscillator on a box, split into
   the even and odd parity sectors (the spin labels s = 0 and s = 1/2 of
-  the reduced oscillator); each sector counts up a ladder 1, 2, 4, ...
-  hbar omega above the bottom of the spectrum until a rung holds every
-  level it must return, each level is bisected below that rung on Sturm
-  counts until it is isolated, then refined by safeguarded Newton steps
-  on the determinant; each sector keeps one record of its counts for
-  all its levels, each such count stops at the classical turning point
-  of its energy, past which no pivot can change sign, and each Newton
-  step is one full sweep that also counts,
+  the reduced oscillator), each solved on its own and the two merged in
+  ascending order; a sector counts up a ladder 1, 2, 4, ... hbar omega
+  above the bottom of the spectrum until a rung holds every level it
+  must return, each level is bisected below that rung on Sturm counts
+  until it is isolated, then refined by safeguarded Newton steps on the
+  determinant, and one stop width ends both; each sector keeps one
+  record of its counts for all its levels, each such count stops at the
+  classical turning point of its energy, past which no pivot can change
+  sign, and each Newton step is one full sweep that also counts,
 * a shooting eigensolver for the attractive half-line problem, whose
   RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
   propagator entry is a quadratic in the energy, tabulated once per
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 
@@ -348,7 +348,9 @@ class _Sector:
     the centre of the box and whose later rows run out toward one wall.
 
     Couplings are off^2 except the first, which is first_scale^-1 off^2
-    (first_scale is 1 or 1/2).  below(lam) counts the sector's
+    (first_scale is 1 or 1/2).  The diagonal from row 1 on must not
+    decrease (it grows as x^2/2 outward), which is what lets a count stop
+    at the first forbidden row.  below(lam) counts the sector's
     eigenvalues below lam and keeps every count it has made;
     log_det_sweep(lam) gives one count with the log-determinant's
     derivative and keeps nothing.
@@ -356,9 +358,6 @@ class _Sector:
 
     def __init__(self, diag: np.ndarray, off: float, first_scale: float = 1.0):
         self.diag = diag.tolist()
-        # floor[i] = min(diag[i:]); it never decreases, so bisect finds
-        # the first row from which every diagonal entry clears a bound
-        self.floor = np.minimum.accumulate(diag[::-1])[::-1].tolist()
         self.offsq = off * off
         self.abs_off = abs(off)
         self.first_scale = first_scale
@@ -373,37 +372,31 @@ class _Sector:
     def _sweep(self, lam: float) -> int:
         """Sturm count of the sector at lam, swept outward from the centre.
 
-        From row `tail` on, every diagonal entry is >= lam + 2|off| (the
-        bound is rounded up, so this holds exactly): the classically
-        forbidden region of lam.  Once a pivot q there is >= |off|, the
-        next one is >= 2|off| - off^2/q >= |off| as well, so no later
-        pivot can turn negative and the sweep stops with the count a
-        full sweep would give.  Rounding loosens that bound by a few
-        units of roundoff per row, which leaves every later pivot above
-        |off|/2.  Past the turning point the pivots clear |off| within a
-        row or two.  The sweep runs in two loops only so that the rows
-        before `tail` pay for no stopping test.
+        The sweep stops at the first row i >= 1 whose diagonal entry is
+        >= lam + 2|off| (the bound is rounded up, so this holds exactly)
+        while the pivot q before it is >= |off|.  The diagonal does not
+        decrease from row 1 on, so every later row is classically
+        forbidden at lam as well, and each later pivot is
+        >= 2|off| - off^2/q >= |off|: none can turn negative, and the
+        count is the one a full sweep would give.  Rounding loosens that
+        bound by a few units of roundoff per row, which leaves every
+        later pivot above |off|/2.  Past the turning point the pivots
+        clear |off| within a row or two.
         """
-        diag = self.diag
         offsq = self.offsq
+        abs_off = self.abs_off
         floor = _PIVOT_FLOOR
-        tail = bisect_left(self.floor, math.nextafter(lam + 2.0 * self.abs_off, math.inf))
+        forbidden = math.nextafter(lam + 2.0 * abs_off, math.inf)
         count = 0
-        q = diag[0] - lam
+        q = self.diag[0] - lam
         if q < floor:
             count = 1
             if q > -floor:
                 q = -floor
         # offsq / (q/2) is 2 offsq / q to the last bit: halving is exact
         q *= self.first_scale
-        for d in islice(diag, 1, tail):
-            q = d - lam - offsq / q
-            if q < floor:
-                count += 1
-                if q > -floor:
-                    q = -floor
-        for d in islice(diag, max(tail, 1), None):
-            if q >= self.abs_off:
+        for d in islice(self.diag, 1, None):
+            if d >= forbidden and q >= abs_off:
                 break
             q = d - lam - offsq / q
             if q < floor:
@@ -481,23 +474,13 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     matrix: diagonal 1/h^2 + x^2/2, coupling -1/(2h^2).  The box potential is
     even, so the matrix splits into an even and an odd sector of half
     the size: the reduced half-line oscillator of the paper with spin
-    label s = 0 and s = 1/2.  Level 2j is level j of the even sector and
-    level 2j + 1 level j of the odd one.  From the bottom lo0 of the
-    whole matrix's Gershgorin interval, each sector counts at lo0 + 1,
-    lo0 + 2, lo0 + 4, ... until a rung holds its highest wanted level
-    (see _ladder_top); in a box narrower than an oscillator length the
-    ladder starts at the bare box's bound 1/(2 W^2) instead of 1.  Each
-    level is bisected on its sector's Sturm count between lo0 and that
-    rung until the bracket holds the level alone.  All levels of a
-    sector walk the same dyadic subdivision and share one record of
-    counts, so a level reuses every rung and midpoint its sector
-    counted; such a count stops past the classical turning point of the
-    probed energy, where no pivot can change sign any more (see
-    _Sector._sweep), and a rung or midpoint a few hbar omega up stops
-    within a few oscillator lengths of the centre.  Then safeguarded
-    Newton steps on det(T - lam) refine the level (see _sector_level),
-    mostly three to seven full sweeps on the tested grids, and it is
-    multiplied by hbar omega.  The discretization error is O(h^2).
+    label s = 0 and s = 1/2.  The even sector gives its lowest
+    ceil(count/2) levels and the odd one its lowest floor(count/2), each
+    from one per-sector solve (see _sector_levels), and the result is
+    their union in ascending order, times hbar omega.  In exact
+    arithmetic the parities alternate, level 2j being level j of the
+    even sector, so these are the lowest count levels.  The
+    discretization error is O(h^2).
 
     Domain, else ValueError: count in 1..20, points in 100.._MAX_POINTS,
     and L > 0 such that the squared coupling 1/(4h^4) is a positive
@@ -523,32 +506,47 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     # x^2/2 >= 0, so no level is below the bare box's lowest,
     # 2 sin^2(pi/(2(points - 1)))/h^2 >= 2/((points - 1) h)^2 = 1/(2 W^2)
     first = max(1.0, 0.5 / (wall * wall))
-    sectors = _parity_sectors(diag, off)
-    tops = [_ladder_top(sectors[0], (count + 1) // 2, lo0, hi0, first),
-            _ladder_top(sectors[1], count // 2, lo0, hi0, first)]
-    return [_sector_level(sectors[k % 2], k // 2 + 1, lo0, *tops[k % 2]) * quantum
-            for k in range(count)]
+    even, odd = _parity_sectors(diag, off)
+    levels = (_sector_levels(even, (count + 1) // 2, lo0, hi0, first)
+              + _sector_levels(odd, count // 2, lo0, hi0, first))
+    return [level * quantum for level in sorted(levels)]
 
 
-def _ladder_top(sector: _Sector, rank: int, lo: float, hi: float,
-                step: float) -> tuple[float, int]:
-    """The first rung lo + step 2^j, j = 0, 1, ..., below hi at which the
-    sector counts at least rank eigenvalues, and that count; else hi and
-    the sector's size (every eigenvalue of the sector is below hi).
+def _sector_levels(sector: _Sector, wanted: int, lo0: float, hi0: float,
+                   first: float) -> list[float]:
+    """The lowest `wanted` eigenvalues of the sector, ascending; all lie
+    in [lo0, hi0] and none below lo0 + first.
 
-    A rung a few hbar omega up stops its count at the turning point, so
-    the ladder costs a few short sweeps where bisecting down from hi
-    would cost a nearly full sweep per halving.  step is at most the
-    lowest level, so the top rung is below twice the highest wanted
-    level.  The step doubles as a float and the rung is compared with
-    hi, so no rung overflows.
+    Counts up rungs lo0 + first 2^j, j = 0, 1, ..., below hi0 until one
+    holds `wanted` eigenvalues (else the top is hi0), then refines each
+    rank inside [lo0, top] (see _sector_level) on the sector's one record
+    of counts.  A rung a few hbar omega up stops its count at the turning
+    point, so the ladder costs a few short sweeps where bisecting down
+    from hi0 would cost a nearly full sweep per halving.  The top rung is
+    below twice the highest wanted level, and no rung overflows: the step
+    doubles as a float and each rung is compared with hi0.
     """
-    while rank and lo + step < hi:
-        count = sector.below(lo + step)
-        if count >= rank:
-            return lo + step, count
+    top, below_top = hi0, len(sector.diag)
+    step = first
+    while wanted and lo0 + step < hi0:
+        count = sector.below(lo0 + step)
+        if count >= wanted:
+            top, below_top = lo0 + step, count
+            break
         step *= 2.0
-    return hi, len(sector.diag)
+    return [_sector_level(sector, rank, lo0, top, below_top) for rank in range(1, wanted + 1)]
+
+
+_NEWTON_STEPS = 200     # Newton steps inside the bracket one level may take
+
+
+def _stop_width(lam: float, abs_off: float) -> float:
+    """Width at which a sector level near lam is resolved: 1e-13
+    max(1, |lam|), or the backward error of the pivot recurrence,
+    4 eps (|lam| + 2|off|), if that is larger; below the latter, Newton
+    steps only change sign from one sweep to the next."""
+    return max(1e-13 * max(1.0, abs(lam)),
+               4.0 * sys.float_info.epsilon * (abs(lam) + 2.0 * abs_off))
 
 
 def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: int) -> float:
@@ -558,24 +556,24 @@ def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: in
     Bisects on the sector's shared count record until [lo, hi] holds
     that eigenvalue alone, then takes Newton steps lam - 1/slope from
     log_det_sweep, whose count moves lo or hi as well.  A step that
-    leaves [lo, hi] is replaced by the midpoint.  Stops when [lo, hi] is
-    1e-13 max(1, |mid|) wide, after 200 steps of either kind, or when a
-    step is at most the larger of 1e-13 max(1, |lam|) and the backward
-    error of the pivot recurrence, 4 eps (|lam| + 2|off|); below the
-    latter, steps only change sign from one sweep to the next.
+    leaves [lo, hi], or a slope that is zero or not finite (a pivot on
+    the floor), falls back to the midpoint.  One rule stops the solve:
+    a step, or the width of [lo, hi], at most _stop_width.  Every
+    midpoint halves [lo, hi], so from the widest float bracket to the
+    1e-13 floor of that width there are at most about 1,070 of them;
+    only Newton steps that stay inside [lo, hi] are capped, at
+    _NEWTON_STEPS.
     """
     below_lo = 0
     lam = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * max(1.0, abs(mid)):
-            break
+    newton = 0
+    while hi - lo > _stop_width(0.5 * (lo + hi), sector.abs_off) and newton < _NEWTON_STEPS:
         if below_lo < rank - 1 or below_hi > rank:
-            count = sector.below(mid)
+            count = sector.below(lam)
             if count >= rank:
-                hi, below_hi = mid, count
+                hi, below_hi = lam, count
             else:
-                lo, below_lo = mid, count
+                lo, below_lo = lam, count
             lam = 0.5 * (lo + hi)
             continue
         count, slope = sector.log_det_sweep(lam)
@@ -583,21 +581,14 @@ def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: in
             hi = lam
         else:
             lo = lam
-        tol = max(1e-13 * max(1.0, abs(lam)),
-                  4.0 * sys.float_info.epsilon * (abs(lam) + 2.0 * sector.abs_off))
-        if slope and math.isfinite(slope):
-            step = 1.0 / slope
-            if abs(step) <= tol:
-                return lam - step if lo < lam - step < hi else lam
+        step = 1.0 / slope if slope and math.isfinite(slope) else math.inf
+        if abs(step) <= _stop_width(lam, sector.abs_off):
+            return lam - step if lo < lam - step < hi else lam
+        if lo < lam - step < hi:
+            lam -= step
+            newton += 1
         else:
-            # A pivot on the floor: lam is an eigenvalue of a leading
-            # block.  It is the level if the count one stop width toward
-            # the bracket's inside falls on the other side of rank.
-            near = lam - tol if count >= rank else lam + tol
-            if (sector._sweep(near) >= rank) != (count >= rank):
-                return lam
-            step = math.inf
-        lam = lam - step if lo < lam - step < hi else 0.5 * (lo + hi)
+            lam = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 

@@ -31,7 +31,7 @@ def _hermite_coefficients(N: int) -> tuple:
     """Steps of psi_{k+1} = sqrt(2/(k+1)) z psi_k - sqrt(k/(k+1)) psi_{k-1}.
 
     Cached because a norm integral evaluates one level once per
-    refinement round, and a one-float quadrature integrand once per node.
+    refinement round.
     """
     return tuple((0.0, math.sqrt(2.0 / (k + 1.0)), math.sqrt(k / (k + 1.0)))
                  for k in range(N))

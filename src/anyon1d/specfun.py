@@ -49,6 +49,9 @@ _BIG = 2.0 ** 500
 _LN_BIG = 500.0 * _LN2
 RECURRENCE_ARG_MAX = 1e150
 
+# The largest float z with log Gamma(z) below the largest float.
+_LOG_GAMMA_ARG_MAX = 2.5599833278516383e305
+
 _EULER = 0.5772156649015328606065121
 # zeta(2) .. zeta(18), for the log-gamma series near its zeros
 _ZETA = (
@@ -62,13 +65,18 @@ _ZETA = (
 
 
 def log_gamma(z: float) -> float:
-    """Natural log of the gamma function for z > 0.
+    """Natural log of the gamma function for 0 < z <= _LOG_GAMMA_ARG_MAX.
 
     Near z = 1 and z = 2, where log gamma crosses zero and the library
     routine loses relative accuracy, a short Taylor series in the
     distance from the zero keeps the relative error at machine level.
+    Past _LOG_GAMMA_ARG_MAX, log Gamma(z) exceeds the largest float and
+    ValueError names z and the limit.
     """
     check_positive(z, "log_gamma argument z")
+    if z > _LOG_GAMMA_ARG_MAX:
+        raise ValueError(f"log_gamma argument z must be at most {_LOG_GAMMA_ARG_MAX!r}, "
+                         f"past which log Gamma(z) overflows the floats, got {z!r}")
     if abs(z - 1.0) <= 0.06:
         return _log_gamma_near_zero(z - 1.0, 0.0)
     if abs(z - 2.0) <= 0.06:

@@ -112,19 +112,6 @@ def test_map_rejects_nonpositive_x():
         duality.map_oscillator_to_anyon(0, 0.0, p, 0.0)
 
 
-def test_reduction_constant_squared_is_twice_the_moment():
-    for n, s in [(0, 0.0), (2, 0.5), (4, 0.0)]:
-        nu = s + 0.25
-        p = UNIT.with_omega(duality.dual_frequency(n, nu, UNIT))
-        c = duality.reduction_constant(n, s, p)
-        big_n = int(2 * n + 2 * s)
-        assert math.isclose(
-            c * c, 2.0 * oscillator.mean_square_displacement(big_n, p),
-            rel_tol=1e-15)
-        assert math.isclose(c * c, 4.0 * (n + nu) / p.require_omega(),
-                            rel_tol=1e-15)
-
-
 def test_constant_equality_examples():
     assert duality.constant_equality_residual(0, 0.25) < 1e-14
     assert duality.constant_equality_residual(5, 0.75) < 1e-12

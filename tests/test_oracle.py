@@ -448,8 +448,8 @@ def test_fd_spectrum_near_the_box_domain_edges():
 def test_fd_spectrum_ground_state_in_a_huge_box_ends_by_the_stop_rule():
     # At 1e70 oscillator lengths the centre row's diagonal, about 1e-134,
     # is the lowest eigenvalue.  The ladder's top rung sits near 5e133,
-    # some 490 halvings above the 1e-13 stop width; a step cap that
-    # also counted halvings returned 2.8e73 hbar omega.
+    # some 490 halvings above the 1e-13 stop width, and no step cap may
+    # end them first.
     for points in (2001, 2002):
         levels = oracle.fd_oscillator_spectrum(UNIT, 1e70, points, 3)
         assert levels == sorted(levels)
