@@ -228,6 +228,17 @@ def test_kummer_asymptotic_threshold():
     assert math.isfinite(kummer_asymptotic(0.3, 0.8, 30.0).real)
 
 
+def test_kummer_asymptotic_refuses_y_past_the_float_range():
+    # The exponential branch e^y y^(a-b) Gamma(b)/Gamma(a) passes the
+    # largest float near y = 713.2 at (a, b) = (0.3, 0.8); its log at
+    # y = 720 is 715.8.  Past that the domain ends with a ValueError
+    # naming the limit, as log_gamma's does, not an OverflowError.
+    assert math.isfinite(kummer_asymptotic(0.3, 0.8, 713.0).real)
+    for y in (713.3, 720.0, 1e6):
+        with pytest.raises(ValueError, match=r"y = .* is past the float range.* 709\.0"):
+            kummer_asymptotic(0.3, 0.8, y)
+
+
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
 def test_kummer_asymptotic_rejects_nonfinite_upper_parameter(a):
     with pytest.raises(ValueError, match="upper parameter a"):
