@@ -51,7 +51,8 @@ def _is_finite_number(value) -> bool:
     """True for a finite int or float; bool is rejected although it
     subclasses int."""
     # the exact float test first halves the cost of the common case;
-    # log_gamma and kummer_series run these checks on every call
+    # every PhysicalParams and ShootingConfig runs these checks on each
+    # of its fields when it is built
     ok = type(value) is float or isinstance(value, (int, float)) and not isinstance(value, bool)
     return ok and math.isfinite(value)
 
@@ -84,12 +85,12 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
     offending point; a ragged nesting raises ValueError naming the
     argument.
     """
-    # One int or float is checked without numpy: the identities suite
-    # calls specfun.hermite, specfun.laguerre and
-    # anyon.extended_wavefunction one number at a time, and so does a
-    # one-float quadrature integrand such as the benchmark's Laguerre
-    # norm.  bool and the numpy scalars fail this exact type test and go
-    # the array way.
+    # One int or float is checked without numpy.  The one-number callers
+    # that remain are the phase-ratio check of the identities suite
+    # (anyon.extended_wavefunction), the benchmark's one-float Laguerre
+    # norm integrand (specfun.laguerre) and the scalar specfun.log_gamma
+    # calls of anyon and duality.  bool and the numpy scalars fail this
+    # exact type test and go the array way.
     if type(x) is float or type(x) is int:
         if (low < x if open_low else low <= x) and x <= high:
             return float(x), True

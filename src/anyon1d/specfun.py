@@ -3,10 +3,14 @@ function, the classical orthogonal polynomials tied to it, and the
 log-scaled three-term recurrence behind both eigenfunctions.
 
 The confluent series is summed term by term with a recurrence on the
-term ratio, by one loop that runs in floats or in decimals; when the
-float sum loses too many digits to cancellation (alternating series at
-negative argument) the same loop is re-run in 60-digit decimal
-arithmetic, so callers get close to full double precision or an error.
+term ratio, by one masked loop over arrays of points that runs in floats
+or in decimals; where the float sum loses too many digits to
+cancellation (alternating series at negative argument) the same loop is
+re-run on those points in 60-digit decimal arithmetic, so callers get
+close to full double precision or an error.  log_gamma, kummer_series,
+duplication_residual, hermite_kummer_residual, laguerre and hermite take
+one number or an array, and each point of an array gets the bits it
+gets alone.
 """
 
 from __future__ import annotations
@@ -62,45 +66,65 @@ _ZETA = (
     1.0000612481350587048, 1.0000305882363070205, 1.0000152822594086519,
     1.0000076371976378998, 1.0000038172932649998,
 )
+# (zero, shift) of _log_gamma_near_zero about z = 1 and z = 2, used
+# within 0.06 of the zero
+_LOG_GAMMA_ZEROS = ((1.0, 0.0), (2.0, 1.0))
 
 
-def log_gamma(z: float) -> float:
+def log_gamma(z):
     """Natural log of the gamma function for 0 < z <= _LOG_GAMMA_ARG_MAX.
 
-    Near z = 1 and z = 2, where log gamma crosses zero and the library
-    routine loses relative accuracy, a short Taylor series in the
-    distance from the zero keeps the relative error at machine level.
-    Past _LOG_GAMMA_ARG_MAX, log Gamma(z) exceeds the largest float and
-    ValueError names z and the limit.
+    z is one number or an array (see core.check_points); one number
+    gives a float, an array an array of its shape with the bits each
+    point gives alone.  Near z = 1 and z = 2, where log gamma crosses
+    zero and the library routine loses relative accuracy, a short
+    Taylor series in the distance from the zero keeps the relative error
+    at machine level.  NaN, infinity and z <= 0 raise ValueError naming
+    the first such point; past _LOG_GAMMA_ARG_MAX, log Gamma(z) exceeds
+    the largest float and ValueError names the first such z and the
+    limit.
     """
-    check_positive(z, "log_gamma argument z")
-    if z > _LOG_GAMMA_ARG_MAX:
+    z, scalar = check_points(z, "log_gamma argument z", 0.0, open_low=True)
+    past = z > _LOG_GAMMA_ARG_MAX
+    if past if scalar else past.any():
+        first = z if scalar else float(z.flat[np.argmax(past)])
         raise ValueError(f"log_gamma argument z must be at most {_LOG_GAMMA_ARG_MAX!r}, "
-                         f"past which log Gamma(z) overflows the floats, got {z!r}")
-    if abs(z - 1.0) <= 0.06:
-        return _log_gamma_near_zero(z - 1.0, 0.0)
-    if abs(z - 2.0) <= 0.06:
-        return _log_gamma_near_zero(z - 2.0, 1.0)
-    return math.lgamma(z)
+                         f"past which log Gamma(z) overflows the floats, got {first!r}")
+    if scalar:
+        for zero, shift in _LOG_GAMMA_ZEROS:
+            if abs(z - zero) <= 0.06:
+                return _log_gamma_near_zero(z - zero, shift)
+        return math.lgamma(z)
+    value = np.fromiter(map(math.lgamma, z.ravel().tolist()), float, z.size).reshape(z.shape)
+    for zero, shift in _LOG_GAMMA_ZEROS:
+        near = np.abs(z - zero) <= 0.06
+        value[near] = _log_gamma_near_zero(z[near] - zero, shift)
+    return value
 
 
-def _log_gamma_near_zero(t: float, shift: float) -> float:
+def _log_gamma_near_zero(t, shift: float):
     # log Gamma(1+shift+t) = (shift-euler)*t + sum_{k>=2} (-1)^k (zeta(k)-shift) t^k / k
     # about the zeros z = 1 (shift 0) and z = 2 (shift 1); subtracting
-    # 0.0 is exact, so shift 0 gives the bits of the plain series
+    # 0.0 is exact, so shift 0 gives the bits of the plain series.  t is
+    # a float or an array, with the same operations on either.
     acc = 0.0
     for k in range(len(_ZETA) + 1, 1, -1):
         acc = -t * acc + (_ZETA[k - 2] - shift) / k
     return t * ((shift - _EULER) + t * acc)
 
 
-def duplication_residual(z: float) -> float:
+def duplication_residual(z):
     """Absolute defect of the gamma duplication identity at z.
 
     Compares log Gamma(2z) against
     (2z-1) log 2 - (1/2) log pi + log Gamma(z) + log Gamma(z + 1/2),
     all in log space so the comparison stays meaningful at large z.
+    z is one number or an array (see core.check_points) in
+    0 < z <= _LOG_GAMMA_ARG_MAX / 2, where log Gamma(2z) is a float;
+    anything else raises ValueError naming the first such z.
     """
+    z, _ = check_points(z, "log_gamma argument z", 0.0, 0.5 * _LOG_GAMMA_ARG_MAX,
+                        open_low=True)
     lhs = log_gamma(2.0 * z)
     rhs = (2.0 * z - 1.0) * _LN2 - 0.5 * _LNPI + log_gamma(z) + log_gamma(z + 0.5)
     return abs(lhs - rhs)
@@ -112,18 +136,18 @@ def _sinpi(z: float) -> float:
     return math.sin(math.pi * r)
 
 
-def _nonpositive_int(a: float) -> int | None:
-    """Return n when a == -n for an integer n >= 0, else None."""
-    if a <= 0 and a == round(a):
-        return int(-a)
-    return None
+def _nonpositive_int(a):
+    """True where a is 0, -1, -2, ...: the poles of Gamma, and the upper
+    parameters whose confluent series is a polynomial.  a is a float or
+    an array."""
+    return (a <= 0) & (a == np.floor(a))
 
 
 def _log_gamma_signed(z: float) -> tuple[float, float]:
     """(log |Gamma(z)|, sign of Gamma(z)) for any non-pole real z."""
     if z > 0:
         return log_gamma(z), 1.0
-    if _nonpositive_int(z) is not None:
+    if _nonpositive_int(z):
         raise ValueError(f"gamma pole at z = {z}")
     # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
     s = _sinpi(z)
@@ -132,89 +156,170 @@ def _log_gamma_signed(z: float) -> tuple[float, float]:
 
 def _log_rgamma_signed(z: float) -> tuple[float, float]:
     """(log |1/Gamma(z)|, sign), with sign 0 at the poles of Gamma."""
-    if _nonpositive_int(z) is not None:
+    if _nonpositive_int(z):
         return 0.0, 0.0
     lg, sg = _log_gamma_signed(z)
     return -lg, sg
 
 
-def _check_b(b: float) -> None:
-    check_finite(b, "lower parameter b")
-    if _nonpositive_int(b) is not None:
+def _check_b(b):
+    """(b, scalar) as core.check_points reads a finite real b, one number
+    or an array; ValueError names the first point that is a nonpositive
+    integer."""
+    b, scalar = check_points(b, "lower parameter b", -sys.float_info.max)
+    pole = _nonpositive_int(b)
+    if np.count_nonzero(pole):
+        first = b if scalar else float(b.flat[np.argmax(pole)])
         raise ValueError(
-            f"lower parameter b must not be a nonpositive integer, got {b}")
+            f"lower parameter b must not be a nonpositive integer, got {first!r}")
+    return b, scalar
 
 
-def kummer_series(a: float, b: float, y: float) -> float:
+def kummer_series(a, b, y):
     """Confluent hypergeometric function F(a, b, y) by direct summation.
 
+    a, b and y are finite reals, each one number or an array (see
+    core.check_points), and broadcast against each other; b must not be
+    a nonpositive integer.  Three numbers give a float, anything else an
+    array of the broadcast shape, with the bits each point gives alone.
     The sum 1 + (a/b) y + a(a+1)/(b(b+1)) y^2/2! + ... terminates after
     n + 1 terms when a = -n, giving the polynomial case exactly.
     Otherwise it stops once two consecutive terms fall below 1e-17 of
-    the partial sum, and fails with ConvergenceError past 10000 terms.
-    Heavy cancellation triggers a second pass of the same loop in
-    60-digit decimals, which stops at 1e-30 of the partial sum.  When
-    even that pass loses more than 40 of its digits (its largest term
-    exceeds 1e40 times the sum) no digit of the result is known, and it
-    raises ConvergenceError.  A decimal sum of exactly 0 comes back as
-    0.0: terms that cancel exactly, as in F(-1, 1/2, 1/2), do so in
-    every arithmetic.
+    the partial sum, and fails with ConvergenceError past 10000 terms or
+    where a term overflows.  Heavy cancellation (the largest term or
+    partial sum above 300 times the sum, or a sum that is not finite)
+    sends the point to a second pass of the same loop in 60-digit
+    decimals, which stops at 1e-30 of the partial sum.  When even that
+    pass loses more than 40 of its digits (its largest term exceeds
+    1e40 times the sum) no digit of the result is known, and it raises
+    ConvergenceError.  Every error names the first failing point (a, b,
+    y) in array order.  A decimal sum of exactly 0 comes back as 0.0:
+    terms that cancel exactly, as in F(-1, 1/2, 1/2), do so in every
+    arithmetic.
     """
-    _check_b(b)
-    check_finite(a, "upper parameter a")
-    check_finite(y, "argument y")
-    value, peak = _confluent_sum(a, b, y, _STAGNATION)
-    if not math.isfinite(value) or peak > _ESCALATE_RATIO * max(abs(value), 5e-324):
+    b, b_scalar = _check_b(b)
+    a, a_scalar = check_points(a, "upper parameter a", -sys.float_info.max)
+    y, y_scalar = check_points(y, "argument y", -sys.float_info.max)
+    shape = np.broadcast(a, b, y).shape
+    points = np.empty((3,) + shape)
+    points[0], points[1], points[2] = a, b, y
+    a, b, y = points.reshape(3, -1)
+    # n + 1 terms for a = -n; past _MAX_TERMS the loop refuses the point
+    stop = np.where(_nonpositive_int(a), np.minimum(-a, _MAX_TERMS + 1), -1).astype(int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, peak, fail = _confluent_sum(a, b, y, stop, _STAGNATION)
+        escalate = (fail == 0) & (~np.isfinite(value) | (
+            peak > _ESCALATE_RATIO * np.maximum(np.abs(value), 5e-324)))
+    if np.count_nonzero(escalate):
+        at = np.flatnonzero(escalate)
         with localcontext() as ctx:
             ctx.prec = 60
-            total, peak = _confluent_sum(Decimal(a), Decimal(b), Decimal(y), _DECIMAL_FLOOR)
-        if total and peak > _DECIMAL_CANCEL * abs(total):
-            raise ConvergenceError(
-                f"confluent series cancels past 60 digits (a={a}, b={b}, y={y})")
-        value = float(total)
-    return value
+            total, peak, fail[at] = _confluent_sum(
+                _decimals(a[at]), _decimals(b[at]), _decimals(y[at]), stop[at],
+                _DECIMAL_FLOOR)
+        cancelled = (fail[at] == 0) & (total != 0) & (peak > _DECIMAL_CANCEL * np.abs(total))
+        fail[at[cancelled]] = _CANCELLED
+        value[at] = [float(t) for t in total]
+    _raise_first_failure(fail, a, b, y)
+    if a_scalar and b_scalar and y_scalar:
+        return float(value[0])
+    return value.reshape(shape)
 
 
-def _confluent_sum(a, b, y, floor):
-    """(sum, peak) of F(a, b, y) = sum_k t_k, with t_0 = 1 and
+# Terms between two overflow tests of _confluent_sum: a point whose terms
+# overflowed runs at most this many steps on before it stops.
+_OVERFLOW_CHECK_STEPS = 64
+
+# Failure codes of _confluent_sum and kummer_series, with their messages.
+_OVERFLOWED, _UNSETTLED, _CANCELLED = 1, 2, 3
+_FAILURES = {
+    _OVERFLOWED: "terms overflowed",
+    _UNSETTLED: f"did not settle within {_MAX_TERMS} terms",
+    _CANCELLED: "cancels past 60 digits",
+}
+
+
+def _raise_first_failure(fail, a, b, y) -> None:
+    """Raise ConvergenceError for the first point with a nonzero fail code."""
+    if np.count_nonzero(fail):
+        i = int(np.argmax(fail != 0))
+        raise ConvergenceError(f"confluent series {_FAILURES[int(fail[i])]} "
+                               f"(a={a[i]}, b={b[i]}, y={y[i]})")
+
+
+def _decimals(x):
+    """The floats of a 1-d array as an object array of exact Decimals."""
+    return np.array([Decimal(v) for v in x.tolist()], dtype=object)
+
+
+def _confluent_sum(a, b, y, stop, floor):
+    """(sum, peak, fail) of F(a, b, y) = sum_k t_k at every point of the
+    1-d arrays a, b, y, with t_0 = 1 and
     t_(k+1) = t_k (a + k) y / ((b + k)(k + 1)).
 
-    Runs in the arithmetic of its arguments: floats, or Decimals under
-    the caller's context.  It stops after the n + 1 terms of a
-    polynomial (a = -n), or else once two consecutive terms fall below
-    floor times the partial sum.  peak is the largest term or partial
-    sum, so peak / |sum| is the factor lost to cancellation.
+    Runs in the arithmetic of the arrays: float64, or Decimal objects
+    under the caller's context.  A point with stop >= 0 sums the
+    stop + 1 terms of its polynomial (a = -stop); any other stops once
+    two consecutive terms fall below floor times its partial sum.  Each
+    point runs the operations it would run alone and leaves the loop at
+    its own stop, so its bits do not depend on the other points.  peak
+    is the largest term or partial sum, so peak / |sum| is the factor
+    lost to cancellation.  fail is _OVERFLOWED where the last term is
+    not finite, else _UNSETTLED where a point still runs after
+    _MAX_TERMS terms, and 0 elsewhere.  A term that is not finite leaves
+    every later term so and is never small, so the loop tests for one
+    only every _OVERFLOW_CHECK_STEPS terms, stopping such a point there,
+    and once more on every stopped point at the end.  A float caller
+    ignores numpy's overflow and invalid warnings, which fail reports; a
+    Decimal overflow raises.
     """
-    n_stop = _nonpositive_int(a)
-    term = total = peak = y ** 0
-    quiet = 0
+    one = y ** 0
+    # the last term, sum and peak of each point, written when it stops
+    out = np.array([one, one, one])
+    fail = np.zeros(len(y), dtype=np.int8)
+    # k and infinity in the arithmetic of the sum, float or Decimal: a
+    # Decimal array would otherwise convert the int k at every point
+    num = type(floor)
+    inf = num("inf")
+    # a polynomial point is never small (no magnitude is below 0) and
+    # no series point reaches a stop
+    series = stop < 0
+    floor = np.where(series, floor, 0 * floor)
+    live = np.flatnonzero(stop)
+    stop = np.where(series, _MAX_TERMS + 1, stop)[live]
+    state = np.array([a, b, y, floor, one, one, one])[:, live]
+    a, b, y, floor, term, part, top = state
+    small = np.zeros(len(live), dtype=bool)
+    next_stop = stop.min(initial=_MAX_TERMS + 1)
     k = 0
-    while n_stop is None or k < n_stop:
-        if k >= _MAX_TERMS:
-            raise ConvergenceError(
-                f"confluent series did not settle within {_MAX_TERMS} terms "
-                f"(a={a}, b={b}, y={y})")
-        term *= (a + k) * y / ((b + k) * (k + 1))
-        # 0 for a finite term, NaN for inf or NaN; a Decimal overflow raises
-        if term - term:
-            raise ConvergenceError(
-                f"confluent series terms overflowed (a={a}, b={b}, y={y})")
-        total += term
+    while live.size:
+        if k == _MAX_TERMS:
+            out[:, live] = state[4:]
+            fail[live] = _UNSETTLED
+            break
+        at_k = num(k)
+        term *= (a + at_k) * y / ((b + at_k) * num(k + 1))
+        part += term
         k += 1
         mag_t = abs(term)
-        mag_s = abs(total)
-        if mag_s > peak:
-            peak = mag_s
-        if mag_t > peak:
-            peak = mag_t
-        if n_stop is None:
-            if mag_t < floor * mag_s:
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
-    return total, peak
+        mag_s = abs(part)
+        np.maximum(top, np.maximum(mag_s, mag_t), out=top)
+        was_small, small = small, mag_t < floor * mag_s
+        done = small & was_small
+        if k == next_stop:
+            done |= stop == k
+        if k % _OVERFLOW_CHECK_STEPS == 0:
+            done |= ~(mag_t < inf)
+        if np.count_nonzero(done):
+            out[:, live[done]] = state[4:, done]
+            keep = ~done
+            state, live, stop, small = state[:, keep], live[keep], stop[keep], small[keep]
+            a, b, y, floor, term, part, top = state
+            next_stop = stop.min(initial=_MAX_TERMS + 1)
+    last, total, peak = out
+    # inf and NaN fail the < test
+    fail[~(abs(last) < inf)] = _OVERFLOWED
+    return total, peak, fail
 
 
 def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
@@ -233,7 +338,11 @@ def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
         ctx.prec = 60
         ctx.Emax = 10 ** 9
         ctx.Emin = -(10 ** 9)
-        total, _ = _confluent_sum(Decimal(-n), Decimal(b), Decimal(y), _DECIMAL_FLOOR)
+        point = [np.array([Decimal(v)], dtype=object) for v in (-n, b, y)]
+        total, _, fail = _confluent_sum(*point, np.array([min(n, _MAX_TERMS + 1)]),
+                                        _DECIMAL_FLOOR)
+        _raise_first_failure(fail, *point)
+        total = total[0]
         if total == 0:
             return -math.inf, 0.0
         sign = 1.0 if total > 0 else -1.0
@@ -242,6 +351,8 @@ def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
 
 # Below this argument the asymptotic expansion of F is meaningless.
 _ASYMPTOTIC_Y_MIN = 30.0
+# Above this log magnitude the exponential branch overflows the floats.
+_ASYMPTOTIC_LOG_MAX = 709.0
 
 
 def kummer_asymptotic(a: float, b: float, y: float) -> complex:
@@ -252,11 +363,16 @@ def kummer_asymptotic(a: float, b: float, y: float) -> complex:
     the smallest term.  The real part of the result collects the
     algebraic branch y^(-a) cos(pi a) term plus the exponentially large
     e^y term, and is the value of F; the imaginary part is what the
-    (-y)^(-a) branch contributes for non-integer a.  Rejects a
-    non-finite a, a b that kummer_series rejects, and y below 30, where
-    the expansion is meaningless.
+    (-y)^(-a) branch contributes for non-integer a.  a, b and y are
+    numbers.  The domain of y starts at 30, below which the expansion is
+    meaningless, and ends where the log of the exponential branch,
+    y + (a - b) ln y + ln |Gamma(b)/Gamma(a)|, passes _ASYMPTOTIC_LOG_MAX
+    = 709 and e^y overflows the floats (near y = 713.2 for a = 0.3,
+    b = 0.8).  Rejects with ValueError a non-finite a, a b that
+    kummer_series rejects, and a y outside that domain, naming the limit.
     """
     check_finite(a, "upper parameter a")
+    check_finite(b, "lower parameter b")
     _check_b(b)
     check_positive(y, "argument y")
     if y < _ASYMPTOTIC_Y_MIN:
@@ -289,9 +405,11 @@ def kummer_asymptotic(a: float, b: float, y: float) -> complex:
     else:
         s2 = _truncated_sum(lambda k: (b - a + k) * (1.0 - a + k), 1.0 / y)
         exponent = lgb[0] + rg + y + (a - b) * lny
-        if exponent > 709.0:
-            raise OverflowError(
-                f"exponential branch overflows double precision (exponent {exponent:.1f})")
+        if exponent > _ASYMPTOTIC_LOG_MAX:
+            raise ValueError(
+                f"y = {y} is past the float range of the asymptotic expansion: the log "
+                f"of its exponential branch is {exponent:.1f}, above the limit "
+                f"{_ASYMPTOTIC_LOG_MAX}")
         exp_part = math.exp(exponent) * s2 * lgb[1] * rg_sign
 
     return complex(alg_real + exp_part, alg_imag)
@@ -415,15 +533,19 @@ def _scaled_recurrence(coefficients, x, log_start):
     return cur * half * half
 
 
-def hermite_kummer_residual(n: int, s: float, y: float) -> float:
+def hermite_kummer_residual(n: int, s: float, y):
     """Defect of the closed-form link between Hermite and confluent values.
 
     Evaluates |H_{2n+2s}(sqrt y) - (-1)^n ((2n+2s)!/n!) (2 sqrt y)^(2s)
-    F(-n, 2s + 1/2, y)| at y > 0, where s is 0 or 1/2.
+    F(-n, 2s + 1/2, y)| for s = 0 or 1/2 at finite y > 0, one number or
+    an array (see core.check_points); one number gives a float.
+    ValueError names the first y outside that domain or where the
+    Hermite recurrence overflows; ConvergenceError the first where the
+    series terms do (see hermite and kummer_series).
     """
     big_n = make_state(n, s).N
-    check_positive(y, "argument y")
-    root = math.sqrt(y)
+    y, scalar = check_points(y, "argument y", 0.0, open_low=True)
+    root = math.sqrt(y) if scalar else np.sqrt(y)
     lhs = hermite(big_n, root)
     pref = math.factorial(big_n) / math.factorial(n)
     if n % 2:

@@ -1,6 +1,9 @@
 """Special-function kernels: log-gamma, Kummer series, Laguerre, Hermite."""
 
+import decimal
 import math
+import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anyon1d import anyon, duality, specfun
-from anyon1d.core import ConvergenceError, PhysicalParams
+from anyon1d import anyon, duality, specfun, verification
+from anyon1d.core import NU_VALUES, S_VALUES, ConvergenceError, PhysicalParams, make_state
 from anyon1d.specfun import (
     duplication_residual,
     hermite,
@@ -321,3 +324,247 @@ def test_hermite_kummer_identity_property(n, s, y):
     big_n = int(2 * n + 2 * s)
     scale = abs(hermite(big_n, math.sqrt(y)))
     assert hermite_kummer_residual(n, s, y) <= 1e-9 * max(scale, 1.0)
+
+
+# Array calls: every point must get the bits it gets alone.
+
+def _one_at_a_time(f, *arrays):
+    """f at each point of the broadcast arrays, one number per call."""
+    columns = [a.ravel() for a in np.broadcast_arrays(*(np.asarray(a, float) for a in arrays))]
+    values = [f(*point) for point in zip(*(c.tolist() for c in columns))]
+    return np.array(values).reshape(np.broadcast(*arrays).shape)
+
+
+def _same_bits(got, expected):
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def decimal_points(monkeypatch):
+    """The (a, b, y) of every point summed in decimals while the test runs."""
+    seen = []
+    loop = specfun._confluent_sum
+
+    def recorded(a, b, y, stop, floor):
+        if a.dtype == object:
+            seen.extend(zip(*(map(float, v) for v in (a, b, y))))
+        return loop(a, b, y, stop, floor)
+
+    monkeypatch.setattr(specfun, "_confluent_sum", recorded)
+    return seen
+
+
+def test_kummer_series_arrays_match_one_number_calls(decimal_points):
+    # polynomial (a = 0, -3, -10) and non-polynomial a in one call,
+    # broadcast over b and y, with cancelling points that take the
+    # decimal pass (positive a at negative y)
+    a = np.array([-3.0, 0.7, -0.0, 2.5, -10.0, 3.2, 5.5])[:, None, None]
+    b = np.array([0.5, 1.5, 2.25])[None, :, None]
+    y = np.array([-25.0, -5.0, 0.0, 0.3, 7.0, 28.0])
+    got = kummer_series(a, b, y)
+    assert got.shape == (7, 3, 6) and got.dtype == float
+    in_array = len(decimal_points)
+    assert in_array >= 20
+    expected = _one_at_a_time(kummer_series, a, b, y)
+    assert _same_bits(got, expected)
+    assert len(decimal_points) == 2 * in_array
+    # one number, a numpy scalar or a 0-d array included, gives a float;
+    # a list gives an array
+    assert type(kummer_series(3.2, 1.5, -30.0)) is float
+    assert type(kummer_series(np.float64(3.2), 1.5, np.array(-30.0))) is float
+    assert _same_bits(kummer_series([3.2, -2.0], 1.5, -30.0),
+                      np.array([kummer_series(3.2, 1.5, -30.0), kummer_series(-2.0, 1.5, -30.0)]))
+    assert kummer_series(np.array([]), 0.5, 1.0).shape == (0,)
+
+
+def _reference_kummer(a, b, y):
+    """The one-point float and 60-digit decimal sums kummer_series ran
+    before it took arrays, kept as the reference for its bits."""
+    def series(a, b, y, floor):
+        n_stop = -int(a) if a <= 0 and a == round(a) else None
+        term = total = peak = y ** 0
+        quiet = k = 0
+        while n_stop is None or k < n_stop:
+            term *= (a + k) * y / ((b + k) * (k + 1))
+            assert not term - term and k < 10_000
+            total += term
+            k += 1
+            peak = max(peak, abs(total), abs(term))
+            if n_stop is None:
+                quiet = quiet + 1 if abs(term) < floor * abs(total) else 0
+                if quiet == 2:
+                    break
+        return total, peak
+
+    value, peak = series(a, b, y, 1e-17)
+    if not math.isfinite(value) or peak > 300.0 * max(abs(value), 5e-324):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            total, peak = series(*map(decimal.Decimal, (a, b, y)), decimal.Decimal("1e-30"))
+        assert not total or peak <= decimal.Decimal("1e40") * abs(total)
+        value = float(total)
+    return value
+
+
+def test_kummer_series_equals_the_one_point_reference_sums(decimal_points):
+    rng = random.Random(77)
+    draws = [(rng.uniform(-8.0, 8.0), rng.uniform(0.3, 8.0), rng.uniform(-30.0, 30.0))
+             for _ in range(200)]
+    draws += [(b - a, b, -y) for a, b, y in draws]
+    draws += [(-float(n), b, y) for n in range(12) for b in (0.5, 1.5)
+              for y in (-20.0, 0.7, 6.25, 25.0)]
+    a, b, y = np.array(draws).T
+    got = kummer_series(a, b, y)
+    assert len(decimal_points) >= 120
+    assert _same_bits(got, np.array([_reference_kummer(*d) for d in draws]))
+
+
+@pytest.mark.parametrize("a, b, y, first, match", [
+    ([0.5, 1.0, 20.0], [1.5, 2.0, 2.0], [2.0, 1e5, -60.0], 1,
+     r"terms overflowed \(a=1\.0, b=2\.0, y=100000\.0\)"),
+    ([0.5, 20.0, 1.0], [1.5, 2.0, 2.0], [2.0, -60.0, 1e5], 1,
+     r"cancels past 60 digits \(a=20\.0, b=2\.0, y=-60\.0\)"),
+    ([-3.0, -20000.0, 1.0], [1.0, 1.0, 2.0], [1e-3, 1e-3, 1e5], 1,
+     r"did not settle within 10000 terms \(a=-20000\.0, b=1\.0, y=0\.001\)"),
+], ids=["overflow", "cancellation", "unsettled"])
+def test_kummer_series_names_the_first_failing_point(a, b, y, first, match):
+    # the float pass ignores numpy's overflow warnings itself, so a point
+    # whose terms overflow raises the one-number error and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=match):
+            kummer_series(a, b, y)
+        with pytest.raises(ConvergenceError, match=match):
+            kummer_series(a[first], b[first], y[first])
+
+
+@pytest.mark.parametrize("a, b, y, match", [
+    (0.3, [0.5, -2.0, 0.0], 1.0, "lower parameter b must not be a nonpositive integer, got -2.0"),
+    (0.3, [0.5, math.nan], 1.0, "lower parameter b must lie in .* got lower parameter b = nan"),
+    ([0.3, math.inf], 0.5, 1.0, "upper parameter a must lie in .* got upper parameter a = inf"),
+    (0.3, 0.5, [1.0, -math.inf, math.nan], "argument y must lie in .* got argument y = -inf"),
+    (0.3, 0.5, [True, False], "argument y must be real"),
+    ([0.3, 0.4], 0.5, [1.0, 2.0, 3.0], "shape mismatch"),
+])
+def test_kummer_series_domain_errors_name_the_first_bad_point(a, b, y, match):
+    with pytest.raises(ValueError, match=match):
+        kummer_series(a, b, y)
+
+
+def test_log_gamma_arrays_match_one_number_calls():
+    # both series windows |z - 1| <= 0.06 and |z - 2| <= 0.06, their
+    # edges from either side, and math.lgamma elsewhere up to the limit
+    limit = 2.5599833278516383e305
+    near = [z + d for z in (1.0, 2.0) for d in (-0.06, -0.03, 0.0, 0.01, 0.06)]
+    edges = [math.nextafter(z, t) for z in near for t in (0.0, math.inf)]
+    zs = np.array(near + edges + [1e-300, 0.1, 0.5, 3.7, 50.0, 1e10, 2.5e305, limit])
+    got = log_gamma(zs.reshape(2, -1))
+    assert got.shape == (2, 19)
+    assert _same_bits(got, _one_at_a_time(log_gamma, zs).reshape(2, -1))
+    assert type(log_gamma(np.float64(1.0))) is float
+    assert _same_bits(log_gamma([1.0, 2.0]), np.array([-0.0, 0.0]))
+
+
+@pytest.mark.parametrize("z, match", [
+    ([1.0, -1.0, 0.0], r"log_gamma argument z must lie in \(0, .* got log_gamma argument z = -1\.0"),
+    ([1.0, math.nan], "log_gamma argument z = nan"),
+    ([1.0, 3e305, 1e306], r"at most 2\.5599833278516383e\+305.* got 3e\+305"),
+    (["1.0"], "log_gamma argument z must be real"),
+])
+def test_log_gamma_domain_errors_name_the_first_bad_point(z, match):
+    with pytest.raises(ValueError, match=match):
+        log_gamma(z)
+
+
+def test_duplication_and_hermite_link_arrays_match_one_number_calls():
+    rng = random.Random(5)
+    zs = np.array([rng.uniform(1e-9, 50.0) for _ in range(300)] + [0.5, 1.0, 1e5, 1.2e305])
+    assert _same_bits(duplication_residual(zs), _one_at_a_time(duplication_residual, zs))
+    with pytest.raises(ValueError, match=r"log_gamma argument z = 2e\+305"):
+        duplication_residual([1.0, 2e305, 3e305])
+    ys = np.linspace(0.25, 25.0, 37)
+    for n in (0, 3, 10):
+        for s in S_VALUES:
+            got = hermite_kummer_residual(n, s, ys)
+            assert _same_bits(got, _one_at_a_time(lambda y: hermite_kummer_residual(n, s, y), ys))
+    with pytest.raises(ValueError, match=r"argument y must lie in \(0, .* got argument y = -1\.0"):
+        hermite_kummer_residual(1, 0.0, [1.0, -1.0, 0.0])
+
+
+def test_decimal_points_match_mpmath(decimal_points):
+    # The Kummer-transformation draws of the identities suite at y < 0,
+    # where the alternating series cancels and the decimal pass sums it.
+    rng = random.Random(77)
+    draws = [(rng.uniform(-8.0, 8.0), rng.uniform(0.3, 8.0), rng.uniform(-30.0, 30.0))
+             for _ in range(200)]
+    a, b, y = np.array([d for d in draws if d[2] < 0.0]).T
+    kummer_series(a, b, y)
+    flagged = np.array(decimal_points).T
+    assert flagged.shape[1] >= 40
+    got = kummer_series(*flagged)
+    for (pa, pb, py), value in zip(flagged.T.tolist(), got.tolist()):
+        exact = float(mpmath.hyp1f1(pa, pb, py))
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+# The six special-function residuals of `anyon1d verify --suite
+# identities`, as the one-number loops of the suite gave them.
+IDENTITY_RESIDUALS = {
+    "gamma duplication, 1e4 random z in (0, 50]": 1.1368683772161603e-13,
+    "Hermite vs confluent closed form, n <= 10, y in (0, 25]": 2.8294244232539473e-12,
+    "Kummer transformation, 200 random (a, b, y), |y| <= 30": 3.4474240168739415e-14,
+    "large-y asymptotics vs series at (0.3, 0.8, 40)": 6.8422681314919245e-16,
+    "confluent polynomial vs Laguerre, n <= 10": 3.0102349593721695e-14,
+    "parity extension phase ratio e^(i pi nu)": 0.0,
+}
+
+
+def _identity_residuals_one_point_at_a_time():
+    """The identities suite's residuals from one-number calls, in its
+    order: the loops the suite ran before it took arrays."""
+    rng = random.Random(20240816)
+    dup = max(duplication_residual(rng.uniform(1e-9, 50.0)) for _ in range(10_000))
+
+    link = 0.0
+    for n in range(11):
+        for s in S_VALUES:
+            big_n = make_state(n, s).N
+            for y in np.linspace(0.25, 25.0, 100).tolist():
+                scale = abs(hermite(big_n, math.sqrt(y)))
+                link = max(link, hermite_kummer_residual(n, s, y) / max(scale, 1.0))
+
+    rng = random.Random(77)
+    transform = 0.0
+    for _ in range(200):
+        a, b, y = rng.uniform(-8.0, 8.0), rng.uniform(0.3, 8.0), rng.uniform(-30.0, 30.0)
+        lhs = kummer_series(a, b, y)
+        rhs = math.exp(y) * kummer_series(b - a, b, -y)
+        transform = max(transform, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+
+    direct = kummer_series(0.3, 0.8, 40.0)
+    asymptotic = abs(kummer_asymptotic(0.3, 0.8, 40.0).real - direct) / abs(direct)
+
+    cross = 0.0
+    for n in range(11):
+        for nu in NU_VALUES:
+            for y in np.linspace(0.5, 20.0, 40).tolist():
+                f = kummer_series(-float(n), 2.0 * nu, y)
+                conv = math.exp(log_gamma(n + 1.0) + log_gamma(2.0 * nu)
+                                - log_gamma(n + 2.0 * nu))
+                lag = laguerre(n, 2.0 * nu - 1.0, y) * conv
+                cross = max(cross, abs(f - lag) / max(abs(f), abs(lag), 1e-300))
+
+    unit = PhysicalParams(mass=1.0, hbar=1.0, alpha=1.0, omega=1.0)
+    phase = 0.0
+    for nu in NU_VALUES:
+        for y in (0.5, 1.0, 2.5, 7.0):
+            got = (anyon.extended_wavefunction(3, nu, unit, -y)
+                   / anyon.extended_wavefunction(3, nu, unit, y))
+            phase = max(phase, abs(got - complex(math.cos(math.pi * nu), math.sin(math.pi * nu))))
+    return [dup, link, transform, asymptotic, cross, phase]
+
+
+def test_identities_suite_equals_its_one_point_loops():
+    rows = verification.suite_identities()
+    assert {r.check_name: r.residual for r in rows} == IDENTITY_RESIDUALS
+    assert [r.residual for r in rows] == _identity_residuals_one_point_at_a_time()
