@@ -594,6 +594,54 @@ def test_fd_spectrum_ladder_in_a_bare_box_starts_at_its_lowest_level(monkeypatch
     assert len(probes) <= 35 // 2
 
 
+def _full_sweeps_per_level(monkeypatch):
+    """The number of full sweeps each level of the box solver takes from
+    now on, one entry per level in the order the levels are solved."""
+    sweeps = []
+    log_det_sweep = oracle._Sector.log_det_sweep
+    sector_level = oracle._sector_level
+
+    def counted_sweep(self, lam):
+        sweeps[-1] += 1
+        return log_det_sweep(self, lam)
+
+    def counted_level(*args):
+        sweeps.append(0)
+        return sector_level(*args)
+
+    monkeypatch.setattr(oracle._Sector, "log_det_sweep", counted_sweep)
+    monkeypatch.setattr(oracle, "_sector_level", counted_level)
+    return sweeps
+
+
+@pytest.mark.parametrize("points, count, parent_total", [(13330, 10, 48), (4433, 20, 104)])
+def test_fd_spectrum_newton_starts_at_the_predicted_level(points, count, parent_total,
+                                                          monkeypatch):
+    # The levels of the two sectors interlace about one hbar omega apart.
+    # From the third level on, Newton starts at 2 lam_(j-1) - lam_(j-2),
+    # and takes two or three full sweeps where a start at the bracket's
+    # midpoint, up to half a spacing off, took up to 8 (parent_total
+    # sweeps in all).  The first two levels still start at the midpoint.
+    sweeps = _full_sweeps_per_level(monkeypatch)
+    oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
+    assert len(sweeps) == count
+    assert max(sweeps[2:]) <= 3
+    assert sum(sweeps) <= 11 + 3 * (count - 2) < parent_total
+
+
+@pytest.mark.parametrize("points", [2001, 2002])
+def test_fd_spectrum_in_a_huge_box_halves_on_counts(points, monkeypatch):
+    # At 1e70 oscillator lengths the ground state sits at the low end of
+    # its bracket, within the stop width of lo0, so no Newton step lands
+    # strictly inside it.  Halving such a bracket with full sweeps took
+    # 548 of them at 2001 points (62 at 2002); stopped counts, which end
+    # after a row or two here, now do that work.
+    # The levels themselves are checked by the two tests above.
+    sweeps = _full_sweeps_per_level(monkeypatch)
+    oracle.fd_oscillator_spectrum(UNIT, 1e70, points, 3)
+    assert sum(sweeps) <= 20
+
+
 def _sector_pivots(diag, couplings, lam):
     """Pivots of the tridiagonal with the given diagonal and coupling
     products couplings[i] between rows i, i + 1, over every row."""

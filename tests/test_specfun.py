@@ -426,7 +426,11 @@ def test_kummer_series_equals_the_one_point_reference_sums(decimal_points):
      r"cancels past 60 digits \(a=20\.0, b=2\.0, y=-60\.0\)"),
     ([-3.0, -20000.0, 1.0], [1.0, 1.0, 2.0], [1e-3, 1e-3, 1e5], 1,
      r"did not settle within 10000 terms \(a=-20000\.0, b=1\.0, y=0\.001\)"),
-], ids=["overflow", "cancellation", "unsettled"])
+    # F(1, 2, y) = (e^y - 1)/y: at y = 720 every term is finite (the
+    # largest is about 7e307), but the sum, about 4.7e309, is not a float
+    ([0.5, 1.0, 1.0], [1.5, 2.0, 2.0], [2.0, 720.0, 1e5], 1,
+     r"sum exceeds the float range \(a=1\.0, b=2\.0, y=720\.0\)"),
+], ids=["overflow", "cancellation", "unsettled", "sum_out_of_range"])
 def test_kummer_series_names_the_first_failing_point(a, b, y, first, match):
     # the float pass ignores numpy's overflow warnings itself, so a point
     # whose terms overflow raises the one-number error and no warning
