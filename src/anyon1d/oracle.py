@@ -474,13 +474,18 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     matrix: diagonal 1/h^2 + x^2/2, coupling -1/(2h^2).  The box potential is
     even, so the matrix splits into an even and an odd sector of half
     the size: the reduced half-line oscillator of the paper with spin
-    label s = 0 and s = 1/2.  The even sector gives its lowest
-    ceil(count/2) levels and the odd one its lowest floor(count/2), each
-    from one per-sector solve (see _sector_levels), and the result is
-    their union in ascending order, times hbar omega.  In exact
-    arithmetic the parities alternate, level 2j being level j of the
-    even sector, so these are the lowest count levels.  The
-    discretization error is O(h^2).
+    label s = 0 and s = 1/2.  In exact arithmetic the parities
+    alternate, level j being level j // 2 + 1 (from 1) of the even
+    sector for even j and of the odd sector for odd j.  So each sector
+    counts up its own ladder (see _count_ladder), and the levels are
+    solved in that merged order (see _sector_level).  From level 2 on,
+    a level's Newton steps start at 2 lam_(j-1) - lam_(j-2), the linear
+    prediction from the two levels just solved, when that lies strictly
+    inside the level's isolated bracket: the levels of the two sectors
+    interlace at a spacing near one hbar omega, where the bracket's
+    midpoint may be half a spacing off.  The result is the levels in
+    ascending order, times hbar omega.  The discretization error is
+    O(h^2).
 
     Domain, else ValueError: count in 1..20, points in 100.._MAX_POINTS,
     and L > 0 such that the squared coupling 1/(4h^4) is a positive
@@ -506,35 +511,39 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     # x^2/2 >= 0, so no level is below the bare box's lowest,
     # 2 sin^2(pi/(2(points - 1)))/h^2 >= 2/((points - 1) h)^2 = 1/(2 W^2)
     first = max(1.0, 0.5 / (wall * wall))
-    even, odd = _parity_sectors(diag, off)
-    levels = (_sector_levels(even, (count + 1) // 2, lo0, hi0, first)
-              + _sector_levels(odd, count // 2, lo0, hi0, first))
+    sectors = _parity_sectors(diag, off)
+    tops = [_count_ladder(sector, (count + 1 - parity) // 2, lo0, hi0, first)
+            for parity, sector in enumerate(sectors)]
+    levels: list[float] = []
+    for j in range(count):
+        start = 2.0 * levels[-1] - levels[-2] if j >= 2 else math.nan
+        levels.append(_sector_level(sectors[j % 2], j // 2 + 1, lo0, *tops[j % 2], start))
     return [level * quantum for level in sorted(levels)]
 
 
-def _sector_levels(sector: _Sector, wanted: int, lo0: float, hi0: float,
-                   first: float) -> list[float]:
-    """The lowest `wanted` eigenvalues of the sector, ascending; all lie
-    in [lo0, hi0] and none below lo0 + first.
+def _count_ladder(sector: _Sector, wanted: int, lo0: float, hi0: float,
+                  first: float) -> tuple[float, int]:
+    """An energy top with below_top = sector.below(top) >= wanted, as
+    (top, below_top); every eigenvalue of the sector lies in [lo0, hi0]
+    and none below lo0 + first.
 
     Counts up rungs lo0 + first 2^j, j = 0, 1, ..., below hi0 until one
-    holds `wanted` eigenvalues (else the top is hi0), then refines each
-    rank inside [lo0, top] (see _sector_level) on the sector's one record
-    of counts.  A rung a few hbar omega up stops its count at the turning
-    point, so the ladder costs a few short sweeps where bisecting down
-    from hi0 would cost a nearly full sweep per halving.  The top rung is
-    below twice the highest wanted level, and no rung overflows: the step
-    doubles as a float and each rung is compared with hi0.
+    holds `wanted` eigenvalues (else, or when none is wanted, the top is
+    hi0 with every eigenvalue below it).  A rung a few hbar omega up
+    stops its count at the turning point, so the ladder costs a few
+    short sweeps where bisecting down from hi0 would cost a nearly full
+    sweep per halving.  The top rung is below twice the highest wanted
+    level, and no rung overflows: the step doubles as a float and each
+    rung is compared with hi0.  The counts stay in the sector's record,
+    where each level's bisection finds them.
     """
-    top, below_top = hi0, len(sector.diag)
     step = first
     while wanted and lo0 + step < hi0:
         count = sector.below(lo0 + step)
         if count >= wanted:
-            top, below_top = lo0 + step, count
-            break
+            return lo0 + step, count
         step *= 2.0
-    return [_sector_level(sector, rank, lo0, top, below_top) for rank in range(1, wanted + 1)]
+    return hi0, len(sector.diag)
 
 
 _NEWTON_STEPS = 200     # Newton steps inside the bracket one level may take
@@ -549,46 +558,71 @@ def _stop_width(lam: float, abs_off: float) -> float:
                4.0 * sys.float_info.epsilon * (abs(lam) + 2.0 * abs_off))
 
 
-def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: int) -> float:
+def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: int,
+                  start: float) -> float:
     """Eigenvalue number `rank` (from 1) of the sector inside [lo, hi],
     where no eigenvalue is below lo and below_hi >= rank are below hi.
 
     Bisects on the sector's shared count record until [lo, hi] holds
-    that eigenvalue alone, then takes Newton steps lam - 1/slope from
-    log_det_sweep, whose count moves lo or hi as well.  A step that
-    leaves [lo, hi], or a slope that is zero or not finite (a pivot on
-    the floor), falls back to the midpoint.  One rule stops the solve:
-    a step, or the width of [lo, hi], at most _stop_width.  Every
-    midpoint halves [lo, hi], so from the widest float bracket to the
-    1e-13 floor of that width there are at most about 1,070 of them;
-    only Newton steps that stay inside [lo, hi] are capped, at
-    _NEWTON_STEPS.
+    that eigenvalue alone.  Then takes Newton steps lam - 1/slope from
+    log_det_sweep, starting at `start` if it lies strictly inside
+    [lo, hi] and at the midpoint otherwise (NaN included); each sweep's
+    count moves lo or hi as well.  A step that leaves [lo, hi], or a
+    slope that is zero or not finite (a pivot on the floor, taken as a
+    step out through lo), falls back to the midpoint.  When the step
+    from that midpoint leaves [lo, hi] too, [lo, hi] is first halved on
+    stopped counts for as long as they keep the eigenvalue in the half
+    at the end the step left through, so a level that sits at an end,
+    where Newton never lands strictly inside, costs counts and not full
+    sweeps.  One rule stops the solve: a step, or the width of [lo, hi],
+    at most _stop_width.  Every count and every midpoint sweep halves
+    [lo, hi], so from the widest float bracket to the 1e-13 floor of
+    that width there are at most about 1,070 of them; only Newton steps
+    that stay inside [lo, hi] are capped, at _NEWTON_STEPS.
     """
+    abs_off = sector.abs_off
     below_lo = 0
-    lam = 0.5 * (lo + hi)
+
+    def wide() -> bool:
+        return hi - lo > _stop_width(0.5 * (lo + hi), abs_off)
+
+    def halve() -> bool:
+        """Count at the midpoint and keep the half that holds the
+        eigenvalue; True if that is the upper half."""
+        nonlocal lo, hi, below_lo, below_hi
+        mid = 0.5 * (lo + hi)
+        count = sector.below(mid)
+        if count >= rank:
+            hi, below_hi = mid, count
+            return False
+        lo, below_lo = mid, count
+        return True
+
+    while (below_lo < rank - 1 or below_hi > rank) and wide():
+        halve()
+    lam = start if lo < start < hi else 0.5 * (lo + hi)
     newton = 0
-    while hi - lo > _stop_width(0.5 * (lo + hi), sector.abs_off) and newton < _NEWTON_STEPS:
-        if below_lo < rank - 1 or below_hi > rank:
-            count = sector.below(lam)
-            if count >= rank:
-                hi, below_hi = lam, count
-            else:
-                lo, below_lo = lam, count
-            lam = 0.5 * (lo + hi)
-            continue
+    left = False
+    while wide() and newton < _NEWTON_STEPS:
         count, slope = sector.log_det_sweep(lam)
         if count >= rank:
             hi = lam
         else:
             lo = lam
         step = 1.0 / slope if slope and math.isfinite(slope) else math.inf
-        if abs(step) <= _stop_width(lam, sector.abs_off):
+        if abs(step) <= _stop_width(lam, abs_off):
             return lam - step if lo < lam - step < hi else lam
         if lo < lam - step < hi:
             lam -= step
             newton += 1
-        else:
-            lam = 0.5 * (lo + hi)
+            left = False
+            continue
+        if left:
+            toward_hi = lam - step >= hi
+            while wide() and halve() == toward_hi:
+                pass
+        left = True
+        lam = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 

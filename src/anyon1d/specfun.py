@@ -192,10 +192,12 @@ def kummer_series(a, b, y):
     decimals, which stops at 1e-30 of the partial sum.  When even that
     pass loses more than 40 of its digits (its largest term exceeds
     1e40 times the sum) no digit of the result is known, and it raises
-    ConvergenceError.  Every error names the first failing point (a, b,
-    y) in array order.  A decimal sum of exactly 0 comes back as 0.0:
-    terms that cancel exactly, as in F(-1, 1/2, 1/2), do so in every
-    arithmetic.
+    ConvergenceError.  So does a sum whose magnitude exceeds the largest
+    float, about 1.8e308, though every term is finite, as for
+    F(1, 2, 720) = (e^720 - 1)/720.  Every error names the first failing
+    point (a, b, y) in array order.  A decimal sum of exactly 0 comes
+    back as 0.0: terms that cancel exactly, as in F(-1, 1/2, 1/2), do so
+    in every arithmetic.
     """
     b, b_scalar = _check_b(b)
     a, a_scalar = check_points(a, "upper parameter a", -sys.float_info.max)
@@ -220,6 +222,7 @@ def kummer_series(a, b, y):
         cancelled = (fail[at] == 0) & (total != 0) & (peak > _DECIMAL_CANCEL * np.abs(total))
         fail[at[cancelled]] = _CANCELLED
         value[at] = [float(t) for t in total]
+        fail[at[(fail[at] == 0) & np.isinf(value[at])]] = _OUT_OF_RANGE
     _raise_first_failure(fail, a, b, y)
     if a_scalar and b_scalar and y_scalar:
         return float(value[0])
@@ -231,11 +234,12 @@ def kummer_series(a, b, y):
 _OVERFLOW_CHECK_STEPS = 64
 
 # Failure codes of _confluent_sum and kummer_series, with their messages.
-_OVERFLOWED, _UNSETTLED, _CANCELLED = 1, 2, 3
+_OVERFLOWED, _UNSETTLED, _CANCELLED, _OUT_OF_RANGE = 1, 2, 3, 4
 _FAILURES = {
     _OVERFLOWED: "terms overflowed",
     _UNSETTLED: f"did not settle within {_MAX_TERMS} terms",
     _CANCELLED: "cancels past 60 digits",
+    _OUT_OF_RANGE: "sum exceeds the float range",
 }
 
 

@@ -621,10 +621,12 @@ def test_fd_spectrum_newton_starts_at_the_predicted_level(points, count, parent_
     # From the third level on, Newton starts at 2 lam_(j-1) - lam_(j-2),
     # and takes two or three full sweeps where a start at the bracket's
     # midpoint, up to half a spacing off, took up to 8 (parent_total
-    # sweeps in all).  The first two levels still start at the midpoint.
+    # sweeps in all).  The first two levels still start at the midpoint
+    # and take what they took there.
     sweeps = _full_sweeps_per_level(monkeypatch)
     oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
     assert len(sweeps) == count
+    assert sweeps[0] <= 3 and sweeps[1] <= 8
     assert max(sweeps[2:]) <= 3
     assert sum(sweeps) <= 11 + 3 * (count - 2) < parent_total
 
@@ -640,6 +642,32 @@ def test_fd_spectrum_in_a_huge_box_halves_on_counts(points, monkeypatch):
     sweeps = _full_sweeps_per_level(monkeypatch)
     oracle.fd_oscillator_spectrum(UNIT, 1e70, points, 3)
     assert sum(sweeps) <= 20
+
+
+@pytest.mark.parametrize("points", [2001, 2002])
+def test_sector_level_ignores_a_start_it_cannot_use(points):
+    # A start outside the isolated bracket, on one of its ends, or at a
+    # neighbouring level gives the same level as the midpoint start,
+    # within the reference's resolution: the counts, not the start, keep
+    # the solve on its level.
+    diag, off = _box_matrix(points)
+    lo0 = float(diag.min()) - 2.0 * abs(off)
+    hi0 = float(diag.max()) + 2.0 * abs(off)
+    want = _fd_spectrum_reference(UNIT, 10.0, points, 8)
+    for parity, sector in enumerate(oracle._parity_sectors(diag, off)):
+        top, below_top = oracle._count_ladder(sector, 4, lo0, hi0, 1.0)
+        for rank in range(1, 5):
+            level = want[2 * (rank - 1) + parity]
+            lo, hi = lo0, top
+            while not (sector.below(lo) == rank - 1 and sector.below(hi) == rank):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if sector.below(mid) >= rank else (mid, hi)
+            starts = [math.nan, -math.inf, lo0 - 1.0, lo, hi, math.nextafter(lo, hi),
+                      math.nextafter(hi, lo), top, hi0, 2.0 * hi0, level]
+            starts += [w for w in want if w != level]
+            for start in starts:
+                got = oracle._sector_level(sector, rank, lo0, top, below_top, start)
+                assert abs(got - level) <= _reference_bound(points, level), (rank, start)
 
 
 def _sector_pivots(diag, couplings, lam):
