@@ -602,7 +602,7 @@ def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: in
         halve()
     lam = start if lo < start < hi else 0.5 * (lo + hi)
     newton = 0
-    left = False
+    stepped_out = False
     while wide() and newton < _NEWTON_STEPS:
         count, slope = sector.log_det_sweep(lam)
         if count >= rank:
@@ -615,13 +615,13 @@ def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: in
         if lo < lam - step < hi:
             lam -= step
             newton += 1
-            left = False
+            stepped_out = False
             continue
-        if left:
+        if stepped_out:
             toward_hi = lam - step >= hi
             while wide() and halve() == toward_hi:
                 pass
-        left = True
+        stepped_out = True
         lam = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 

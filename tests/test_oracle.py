@@ -614,13 +614,13 @@ def _full_sweeps_per_level(monkeypatch):
     return sweeps
 
 
-@pytest.mark.parametrize("points, count, parent_total", [(13330, 10, 48), (4433, 20, 104)])
-def test_fd_spectrum_newton_starts_at_the_predicted_level(points, count, parent_total,
+@pytest.mark.parametrize("points, count, midpoint_total", [(13330, 10, 48), (4433, 20, 104)])
+def test_fd_spectrum_newton_starts_at_the_predicted_level(points, count, midpoint_total,
                                                           monkeypatch):
     # The levels of the two sectors interlace about one hbar omega apart.
     # From the third level on, Newton starts at 2 lam_(j-1) - lam_(j-2),
     # and takes two or three full sweeps where a start at the bracket's
-    # midpoint, up to half a spacing off, took up to 8 (parent_total
+    # midpoint, up to half a spacing off, took up to 8 (midpoint_total
     # sweeps in all).  The first two levels still start at the midpoint
     # and take what they took there.
     sweeps = _full_sweeps_per_level(monkeypatch)
@@ -628,7 +628,7 @@ def test_fd_spectrum_newton_starts_at_the_predicted_level(points, count, parent_
     assert len(sweeps) == count
     assert sweeps[0] <= 3 and sweeps[1] <= 8
     assert max(sweeps[2:]) <= 3
-    assert sum(sweeps) <= 11 + 3 * (count - 2) < parent_total
+    assert sum(sweeps) <= 11 + 3 * (count - 2) < midpoint_total
 
 
 @pytest.mark.parametrize("points", [2001, 2002])
@@ -637,8 +637,9 @@ def test_fd_spectrum_in_a_huge_box_halves_on_counts(points, monkeypatch):
     # its bracket, within the stop width of lo0, so no Newton step lands
     # strictly inside it.  Halving such a bracket with full sweeps took
     # 548 of them at 2001 points (62 at 2002); stopped counts, which end
-    # after a row or two here, now do that work.
-    # The levels themselves are checked by the two tests above.
+    # after a row or two here, now do that work.  The levels themselves
+    # are checked by test_fd_spectrum_near_the_box_domain_edges and
+    # test_fd_spectrum_ground_state_in_a_huge_box_ends_by_the_stop_rule.
     sweeps = _full_sweeps_per_level(monkeypatch)
     oracle.fd_oscillator_spectrum(UNIT, 1e70, points, 3)
     assert sum(sweeps) <= 20
