@@ -154,6 +154,16 @@ def test_wavefunction_level_past_the_domain_is_refused_at_once(level):
     assert done.returncode == 2
 
 
+@pytest.mark.parametrize("system", ["anyon", "oscillator"])
+def test_spectrum_level_count_past_its_bound_is_refused_at_once(system):
+    # A fresh interpreter with a deadline: --n-max had no upper bound, and
+    # one row per level (200,000 rows took 1.4 s and 93 MB) made 10**9
+    # run for hours until memory ran out.
+    done = run_process("spectrum", "--system", system, "--n-max", "1000000000", timeout=20)
+    assert done.returncode == 2
+    assert b"n_max must be an integer in [0, 1000000]" in done.stderr
+
+
 def test_wavefunction_grid_past_its_count_bound_is_refused_at_once():
     # A fresh interpreter with a deadline: a grid of 10**13 points ended
     # in numpy's allocation error, and 10**9 would allocate 8 GB arrays.
