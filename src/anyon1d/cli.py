@@ -45,6 +45,15 @@ def _nonneg_int(text: str) -> int:
     return _checked(text, int, check_index, "value")
 
 
+# Highest level index of `spectrum`: it writes one row per level, and
+# 10**6 rows take up to about 9 s and 350 MB.
+_SPECTRUM_N_MAX = 10 ** 6
+
+
+def _n_max(text: str) -> int:
+    return _checked(text, int, check_index, "n_max", 0, _SPECTRUM_N_MAX)
+
+
 def _label(text: str) -> Fraction:
     """Read a --nu / --s literal such as 1/4, 0.25 or 0.
 
@@ -90,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="oscillator frequency (oscillator side, default 1)")
     sp.add_argument("--nu", type=_nu_flag, default=0.25,
                     help="origin exponent, 1/4 or 3/4 (anyon side)")
-    sp.add_argument("--n-max", type=_nonneg_int, default=5,
-                    help="highest level index (default 5)")
+    sp.add_argument("--n-max", type=_n_max, default=5,
+                    help=f"highest level index, 0..{_SPECTRUM_N_MAX} (default 5)")
 
     wf = sub.add_parser("wavefunction", parents=[common],
                         help="sample one eigenfunction on a uniform grid")

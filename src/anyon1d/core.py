@@ -50,11 +50,8 @@ def check_s(s) -> None:
 def _is_finite_number(value) -> bool:
     """True for a finite int or float; bool is rejected although it
     subclasses int."""
-    # the exact float test first halves the cost of the common case;
-    # every PhysicalParams and ShootingConfig runs these checks on each
-    # of its fields when it is built
-    ok = type(value) is float or isinstance(value, (int, float)) and not isinstance(value, bool)
-    return ok and math.isfinite(value)
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def check_finite(value, name: str) -> None:

@@ -10,17 +10,18 @@ It offers four ways to check them from first principles:
   up to total - tol, largest first; quadrature() is the same engine for
   an integrand of one float (math.exp and the like),
 * a finite-difference residual of the governing second-order equation,
-* a Sturm-sequence eigensolver for the oscillator on a box, split into
-  the even and odd parity sectors (the spin labels s = 0 and s = 1/2 of
-  the reduced oscillator), each solved on its own and the two merged in
-  ascending order; a sector counts up a ladder 1, 2, 4, ... hbar omega
-  above the bottom of the spectrum until a rung holds every level it
-  must return, each level is bisected below that rung on Sturm counts
-  until it is isolated, then refined by safeguarded Newton steps on the
-  determinant, and one stop width ends both; each sector keeps one
-  record of its counts for all its levels, each such count stops at the
-  classical turning point of its energy, past which no pivot can change
-  sign, and each Newton step is one full sweep that also counts,
+* a Sturm-sequence eigensolver for the oscillator on a box, built as
+  the two spin sectors s = 0 and s = 1/2 of the reduced half-line
+  oscillator on one cell-centred grid, each solved on its own and the
+  two merged in ascending order; a sector counts up a ladder 1, 2, 4,
+  ... hbar omega above the bottom of the spectrum until a rung holds
+  every level it must return, each level is bisected below that rung on
+  Sturm counts until it is isolated, then refined by safeguarded Newton
+  steps on the determinant, and one stop width ends both; each sector
+  keeps one record of its counts for all its levels, each such count
+  stops at the classical turning point of its energy, past which no
+  pivot can change sign, and each Newton step is one full sweep that
+  also counts,
 * a shooting eigensolver for the attractive half-line problem, whose
   RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
   propagator entry is a quadratic in the energy, tabulated once per
@@ -344,23 +345,26 @@ _MAX_POINTS = 10 ** 6   # grid points of one box solve
 
 
 class _Sector:
-    """One parity sector of the box matrix: a tridiagonal whose row 0 is
-    the centre of the box and whose later rows run out toward one wall.
+    """One spin sector of the box matrix on the half line: a tridiagonal
+    on the cell centres u_i = (i + 1/2) h, i = 0, 1, ..., whose row 0
+    sits next to the origin and whose later rows run out to the wall.
 
-    Couplings are off^2 except the first, which is first_scale^-1 off^2
-    (first_scale is 1 or 1/2).  The diagonal from row 1 on must not
-    decrease (it grows as x^2/2 outward), which is what lets a count stop
-    at the first forbidden row.  below(lam) counts the sector's
-    eigenvalues below lam and keeps every count it has made;
-    log_det_sweep(lam) gives one count with the log-determinant's
-    derivative and keeps nothing.
+    diag is the half-line diagonal 1/h^2 + u^2/2 and off the constant
+    coupling -1/(2h^2).  Row 0's neighbour across the origin is its
+    mirror image, psi(-u_0) = psi(u_0) for s = 0 (zero flux at u = 0)
+    and -psi(u_0) for s = 1/2 (psi(0) = 0), so row 0 gains +off or -off.
+    The diagonal from row 1 on must not decrease (it grows as u^2/2),
+    which is what lets a count stop at the first forbidden row.
+    below(lam) counts the sector's eigenvalues below lam and keeps every
+    count it has made; log_det_sweep(lam) gives one count with the
+    log-determinant's derivative and keeps nothing.
     """
 
-    def __init__(self, diag: np.ndarray, off: float, first_scale: float = 1.0):
+    def __init__(self, diag: np.ndarray, off: float, s: float):
         self.diag = diag.tolist()
+        self.diag[0] += -off if s else off
         self.offsq = off * off
         self.abs_off = abs(off)
-        self.first_scale = first_scale
         self.counts: dict[float, int] = {}
 
     def below(self, lam: float) -> int:
@@ -370,7 +374,7 @@ class _Sector:
         return count
 
     def _sweep(self, lam: float) -> int:
-        """Sturm count of the sector at lam, swept outward from the centre.
+        """Sturm count of the sector at lam, swept outward from the origin.
 
         The sweep stops at the first row i >= 1 whose diagonal entry is
         >= lam + 2|off| (the bound is rounded up, so this holds exactly)
@@ -381,7 +385,8 @@ class _Sector:
         count is the one a full sweep would give.  Rounding loosens that
         bound by a few units of roundoff per row, which leaves every
         later pivot above |off|/2.  Past the turning point the pivots
-        clear |off| within a row or two.
+        clear |off| within a row or two.  Row 0 is never tested: at
+        s = 1/2 its diagonal d_0 + |off| may lie above row 1's.
         """
         offsq = self.offsq
         abs_off = self.abs_off
@@ -393,8 +398,6 @@ class _Sector:
             count = 1
             if q > -floor:
                 q = -floor
-        # offsq / (q/2) is 2 offsq / q to the last bit: halving is exact
-        q *= self.first_scale
         for d in islice(self.diag, 1, None):
             if d >= forbidden and q >= abs_off:
                 break
@@ -416,21 +419,15 @@ class _Sector:
         (r_i t_(i-1) - 1)/q_i with r_i = c_i/q_(i-1), the ratio _sweep
         already forms.  The sweep cannot stop at the turning point as
         _sweep does: the zero of the determinant sits in the last pivot.
-        Row 0 and the pivot floor are handled as in _sweep; t_0 is the
-        same with or without first_scale.
+        It starts from q = inf and t = 0, so row 0 gives r_0 = 0,
+        q_0 = d_0 - lam and t_0 = -1/q_0; the pivot floor is as in _sweep.
         """
         offsq = self.offsq
         floor = _PIVOT_FLOOR
         count = 0
-        q = self.diag[0] - lam
-        if q < floor:
-            count = 1
-            if q > -floor:
-                q = -floor
-        t = -1.0 / q
-        slope = t
-        q *= self.first_scale
-        for d in islice(self.diag, 1, None):
+        q = math.inf
+        t = slope = 0.0
+        for d in self.diag:
             r = offsq / q
             q = d - lam - r
             if q < floor:
@@ -442,50 +439,33 @@ class _Sector:
         return count, slope
 
 
-def _parity_sectors(diag: np.ndarray, off: float) -> tuple[_Sector, _Sector]:
-    """The even and odd sectors of the symmetric tridiagonal box matrix
-    with diagonal diag and constant coupling off.
-
-    With an odd number of rows the centre row belongs to the even
-    sector, where it meets its neighbour through both of its couplings
-    (2 off^2), and drops out of the odd sector, where the centre value is
-    zero.  With an even number the two centre rows are mirror images, and
-    folding one onto the other adds +off or -off to the first diagonal
-    entry.  Only the half at x >= 0 is swept.
-    """
-    half = diag.size // 2
-    if diag.size % 2:
-        right = diag[half:]
-        return _Sector(right, off, first_scale=0.5), _Sector(right[1:], off)
-    even = diag[half:].copy()
-    odd = diag[half:].copy()
-    even[0] += off
-    odd[0] -= off
-    return _Sector(even, off), _Sector(odd, off)
-
-
 def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
                            points: int, count: int) -> list[float]:
     """Lowest eigenvalues of the oscillator on [-L, L] with walls.
 
-    In oscillator units the wall sits at W = L / sqrt(hbar/(m omega)),
-    and three-point finite differences on `points` uniform points (walls
-    included), step h = 2W/(points - 1), give a symmetric tridiagonal
-    matrix: diagonal 1/h^2 + x^2/2, coupling -1/(2h^2).  The box potential is
-    even, so the matrix splits into an even and an odd sector of half
-    the size: the reduced half-line oscillator of the paper with spin
-    label s = 0 and s = 1/2.  In exact arithmetic the parities
-    alternate, level j being level j // 2 + 1 (from 1) of the even
-    sector for even j and of the odd sector for odd j.  So each sector
-    counts up its own ladder (see _count_ladder), and the levels are
-    solved in that merged order (see _sector_level).  From level 2 on,
-    a level's Newton steps start at 2 lam_(j-1) - lam_(j-2), the linear
-    prediction from the two levels just solved, when that lies strictly
-    inside the level's isolated bracket: the levels of the two sectors
-    interlace at a spacing near one hbar omega, where the bracket's
-    midpoint may be half a spacing off.  The result is the levels in
-    ascending order, times hbar omega.  The discretization error is
-    O(h^2).
+    In oscillator units the wall sits at W = L / sqrt(hbar/(m omega)).
+    The box potential is even, so its levels are those of the reduced
+    half-line oscillator of the paper with spin label s = 0 (zero slope
+    at u = 0) and s = 1/2 (zero value), and each sector is built on its
+    own on the half line: three-point finite differences on the
+    rows = (points - 1) // 2 cell centres u_i = (i + 1/2) h, with
+    h = W/(rows + 1/2), give a symmetric tridiagonal with diagonal
+    1/h^2 + u^2/2 and coupling -1/(2h^2), and the origin adds +off or
+    -off to row 0 (see _Sector).  For an even point count this is the
+    even and odd half of three-point differences on `points` uniform
+    points of [-W, W] (walls included); an odd count is solved on the
+    grid of points + 1 points.  In exact arithmetic the sectors
+    alternate, level j being level j // 2 + 1 (from 1) of the s = 0
+    sector for even j and of the s = 1/2 sector for odd j.  So each
+    sector counts up its own ladder (see _count_ladder), and the levels
+    are solved in that merged order (see _sector_level).  From level 2
+    on, a level's Newton steps start at 2 lam_(j-1) - lam_(j-2), the
+    linear prediction from the two levels just solved, when that lies
+    strictly inside the level's isolated bracket: the levels of the two
+    sectors interlace at a spacing near one hbar omega, where the
+    bracket's midpoint may be half a spacing off.  The result is the
+    levels in ascending order, times hbar omega.  The discretization
+    error is O(h^2).
 
     Domain, else ValueError: count in 1..20, points in 100.._MAX_POINTS,
     and L > 0 such that the squared coupling 1/(4h^4) is a positive
@@ -497,21 +477,22 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     check_index(count, "eigenvalue count", low=1, high=20)
     wall = box_halfwidth / math.sqrt(p.hbar / (p.mass * p.require_omega()))
     quantum = p.hbar * p.omega
-    h = 2.0 * wall / (points - 1)
+    rows = (points - 1) // 2
+    h = wall / (rows + 0.5)
     kinetic = 1.0 / (h * h) if h * h else math.inf
     off = -0.5 * kinetic
     if not (sys.float_info.min <= off * off <= sys.float_info.max
             and (2.0 * kinetic + 0.5 * wall * wall) * quantum < math.inf):
         raise ValueError(f"box halfwidth {box_halfwidth!r} ({wall:.6g} oscillator lengths) "
                          f"puts the {points}-point box matrix outside the float range")
-    xs = np.linspace(-wall + h, wall - h, points - 2)
-    diag = kinetic + 0.5 * xs * xs
-    lo0 = float(diag.min()) - 2.0 * abs(off)
-    hi0 = float(diag.max()) + 2.0 * abs(off)
-    # x^2/2 >= 0, so no level is below the bare box's lowest,
-    # 2 sin^2(pi/(2(points - 1)))/h^2 >= 2/((points - 1) h)^2 = 1/(2 W^2)
+    us = (np.arange(rows) + 0.5) * h
+    diag = kinetic + 0.5 * us * us
+    lo0 = float(diag[0]) - 2.0 * abs(off)
+    hi0 = float(diag[-1]) + 2.0 * abs(off)
+    # u^2/2 >= 0, so no level is below the bare box's lowest,
+    # 2 sin^2(pi/(2(2 rows + 1)))/h^2 >= 2/((2 rows + 1) h)^2 = 1/(2 W^2)
     first = max(1.0, 0.5 / (wall * wall))
-    sectors = _parity_sectors(diag, off)
+    sectors = [_Sector(diag, off, s) for s in (0.0, 0.5)]
     tops = [_count_ladder(sector, (count + 1 - parity) // 2, lo0, hi0, first)
             for parity, sector in enumerate(sectors)]
     levels: list[float] = []

@@ -194,9 +194,9 @@ def suite_oracle() -> list[VerificationReport]:
     out.append(_report("shooting eigenvalues vs closed form, n <= 3, both nu",
                        worst, 1e-5))
 
-    levels = oracle.fd_oscillator_spectrum(_UNIT, 10.0, 2001, 5)
+    levels = oracle.fd_oscillator_spectrum(_UNIT, 10.0, 2002, 5)
     worst = abs(levels[0] - oscillator.energy(0, _UNIT))
-    out.append(_report("box eigensolver ground state (L=10, 2001 points)",
+    out.append(_report("box eigensolver ground state (L=10, 2002 points)",
                        worst, 1e-4))
     spacing = max(abs((b - a) - _UNIT.hbar * _UNIT.require_omega())
                   for a, b in zip(levels, levels[1:]))

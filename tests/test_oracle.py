@@ -434,36 +434,44 @@ def test_fd_spectrum_refuses_a_box_outside_the_floats_at_once(p, box, points, me
 def test_fd_spectrum_near_the_box_domain_edges():
     # A box of 1e-70 oscillator lengths is a bare particle in a box: the
     # levels are (1 - cos(k pi/(points - 1)))/h^2 of the discrete
-    # Laplacian.  At 1e70 the matrix is nearly diagonal and its levels
-    # are finite and increasing.
+    # Laplacian, on the 2002-point grid that 2001 points are solved on.
+    # At 1e70 the matrix is nearly diagonal and its levels are finite and
+    # increasing.
     small = oracle.fd_oscillator_spectrum(UNIT, 1e-70, 2001, 3)
-    h = 2e-70 / 2000
-    box_levels = [(1.0 - math.cos(k * math.pi / 2000)) / (h * h) for k in (1, 2, 3)]
+    h = 2e-70 / 2001
+    box_levels = [(1.0 - math.cos(k * math.pi / 2001)) / (h * h) for k in (1, 2, 3)]
     assert all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(small, box_levels))
     large = oracle.fd_oscillator_spectrum(UNIT, 1e70, 2001, 3)
     assert all(math.isfinite(level) and level > 0.0 for level in large)
     assert large == sorted(large)
 
 
-def test_fd_spectrum_ground_state_in_a_huge_box_ends_by_the_stop_rule():
-    # At 1e70 oscillator lengths the centre row's diagonal, about 1e-134,
-    # is the lowest eigenvalue.  The ladder's top rung sits near 5e133,
-    # some 490 halvings above the 1e-13 stop width, and no step cap may
-    # end them first.
+def test_fd_spectrum_ground_state_in_a_huge_box_ends_by_the_stop_rule(monkeypatch):
+    # At 1e70 oscillator lengths the couplings, about 5e-135, lie far
+    # below the roundoff of the diagonal, which starts at u_0^2/2 near
+    # 1.2e133: each level is its sector's diagonal entry to within the
+    # stop width, and row 0 of the two sectors gives the lowest two levels
+    # as a degenerate pair.  The ground state sits at the low end of its
+    # bracket, and no step cap may end its halvings first.
     for points in (2001, 2002):
+        sectors = _solver_sectors(points, 1e70, monkeypatch)
         levels = oracle.fd_oscillator_spectrum(UNIT, 1e70, points, 3)
         assert levels == sorted(levels)
-        if points % 2:
-            assert 0.0 < levels[0] <= 1e-13
+        for j, level in enumerate(levels):
+            entry = sectors[j % 2].diag[j // 2]
+            assert abs(level - entry) <= oracle._stop_width(entry, sectors[0].abs_off), j
+        assert abs(levels[1] - levels[0]) <= 1e-13 * levels[0]
 
 
 @pytest.mark.parametrize("points", [2001, 2002])
 @pytest.mark.parametrize("box", [1e-70, 0.2, 10.0, 1e70])
-def test_parity_sector_diagonals_rise_from_row_one(points, box):
+def test_parity_sector_diagonals_rise_from_row_one(points, box, monkeypatch):
     # _Sector._sweep stops at the first forbidden row past row 0; that
     # is the full sweep's count only if the diagonal never falls after it.
-    diag, off = _box_matrix(points, box)
-    for sector in oracle._parity_sectors(diag, off):
+    # Both sectors the solver builds, s = 0 and s = 1/2, must keep that.
+    sectors = _solver_sectors(points, box, monkeypatch)
+    assert len(sectors) == 2
+    for sector in sectors:
         assert all(a <= b for a, b in zip(sector.diag[1:], sector.diag[2:]))
 
 
@@ -491,7 +499,10 @@ def _sturm_count_reference(diag, offsq, lam):
 
 
 def _fd_spectrum_reference(p, box_halfwidth, points, count):
-    """Each level bisected on its own from the full Gershgorin interval."""
+    """Each level of the full-line box matrix bisected on its own from the
+    full Gershgorin interval, on the grid that is solved: an odd point
+    count is rounded up to the next even one."""
+    points += points % 2
     h = 2.0 * box_halfwidth / (points - 1)
     xs = np.linspace(-box_halfwidth + h, box_halfwidth - h, points - 2)
     kinetic = p.hbar ** 2 / (p.mass * h * h)
@@ -516,10 +527,30 @@ def _fd_spectrum_reference(p, box_halfwidth, points, count):
 
 
 def _box_matrix(points, box_halfwidth=10.0):
-    h = 2.0 * box_halfwidth / (points - 1)
-    xs = np.linspace(-box_halfwidth + h, box_halfwidth - h, points - 2)
+    """Diagonal and coupling of the full-line box matrix at unit constants
+    on the grid that is solved: 2 rows interior points x = (k + 1/2) h,
+    k = -rows .. rows - 1, of 2 rows + 2 points with the walls."""
+    rows = (points - 1) // 2
+    h = 2.0 * box_halfwidth / (2 * rows + 1)
+    xs = (np.arange(-rows, rows) + 0.5) * h
     kinetic = 1.0 / (h * h)
     return kinetic + 0.5 * xs * xs, -0.5 * kinetic
+
+
+def _solver_sectors(points, box_halfwidth, monkeypatch):
+    """The s = 0 and s = 1/2 sectors fd_oscillator_spectrum builds for
+    this grid at unit constants, as one level's solve leaves them."""
+    built = []
+    init = oracle._Sector.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle._Sector, "__init__", recorded)
+        oracle.fd_oscillator_spectrum(UNIT, box_halfwidth, points, 1)
+    return built
 
 
 def _reference_bound(points, level, box_halfwidth=10.0):
@@ -636,9 +667,10 @@ def test_fd_spectrum_in_a_huge_box_halves_on_counts(points, monkeypatch):
     # At 1e70 oscillator lengths the ground state sits at the low end of
     # its bracket, within the stop width of lo0, so no Newton step lands
     # strictly inside it.  Halving such a bracket with full sweeps took
-    # 548 of them at 2001 points (62 at 2002); stopped counts, which end
-    # after a row or two here, now do that work.  The levels themselves
-    # are checked by test_fd_spectrum_near_the_box_domain_edges and
+    # 62 of them at 2002 points, the grid 2001 points are solved on too;
+    # stopped counts, which end after a row or two here, now do that
+    # work.  The levels themselves are checked by
+    # test_fd_spectrum_near_the_box_domain_edges and
     # test_fd_spectrum_ground_state_in_a_huge_box_ends_by_the_stop_rule.
     sweeps = _full_sweeps_per_level(monkeypatch)
     oracle.fd_oscillator_spectrum(UNIT, 1e70, points, 3)
@@ -646,7 +678,7 @@ def test_fd_spectrum_in_a_huge_box_halves_on_counts(points, monkeypatch):
 
 
 @pytest.mark.parametrize("points", [2001, 2002])
-def test_sector_level_ignores_a_start_it_cannot_use(points):
+def test_sector_level_ignores_a_start_it_cannot_use(points, monkeypatch):
     # A start outside the isolated bracket, on one of its ends, or at a
     # neighbouring level gives the same level as the midpoint start,
     # within the reference's resolution: the counts, not the start, keep
@@ -655,7 +687,7 @@ def test_sector_level_ignores_a_start_it_cannot_use(points):
     lo0 = float(diag.min()) - 2.0 * abs(off)
     hi0 = float(diag.max()) + 2.0 * abs(off)
     want = _fd_spectrum_reference(UNIT, 10.0, points, 8)
-    for parity, sector in enumerate(oracle._parity_sectors(diag, off)):
+    for parity, sector in enumerate(_solver_sectors(points, 10.0, monkeypatch)):
         top, below_top = oracle._count_ladder(sector, 4, lo0, hi0, 1.0)
         for rank in range(1, 5):
             level = want[2 * (rank - 1) + parity]
@@ -689,18 +721,15 @@ def _sector_count_reference(diag, couplings, lam):
 
 
 def _reference_sectors(points, box):
-    """The box matrix, its coupling, and its even and odd sectors as
-    (diagonal, coupling products) built row by row."""
+    """The full-line box matrix, its coupling, and its even and odd
+    sectors as (diagonal, coupling products), folded row by row: the two
+    centre rows are mirror images, so folding one onto the other adds
+    +off or -off to the first diagonal entry of the half at x > 0."""
     diag, off = _box_matrix(points, box)
-    offsq = off * off
-    half = diag.size // 2
-    if diag.size % 2:        # centre node x = 0 exists
-        even = (diag[half:].tolist(), [2.0 * offsq] + [offsq] * (diag.size - half))
-        odd = (diag[half + 1:].tolist(), [offsq] * (diag.size - half))
-    else:
-        right = diag[half:].tolist()
-        even = ([right[0] + off] + right[1:], [offsq] * half)
-        odd = ([right[0] - off] + right[1:], [offsq] * half)
+    right = diag[diag.size // 2:].tolist()
+    couplings = [off * off] * len(right)
+    even = ([right[0] + off] + right[1:], couplings)
+    odd = ([right[0] - off] + right[1:], couplings)
     return diag, off, (even, odd)
 
 
@@ -708,9 +737,11 @@ SECTOR_GRIDS = [(2001, 10.0), (2002, 10.0), (101, 7.3), (100, 7.3)]
 
 
 @pytest.mark.parametrize("points, box", SECTOR_GRIDS)
-def test_stopped_sector_count_equals_full_sweep(points, box):
+def test_stopped_sector_count_equals_full_sweep(points, box, monkeypatch):
+    # The half-line sectors are the fold of the full-line matrix, bit for
+    # bit, and a stopped count is the count of a sweep over every row.
     diag, off, references = _reference_sectors(points, box)
-    sectors = oracle._parity_sectors(diag, off)
+    sectors = _solver_sectors(points, box, monkeypatch)
     assert [sector.diag for sector in sectors] == [d for d, _ in references]
     lo0 = float(diag.min()) - 2.0 * abs(off)
     hi0 = float(diag.max()) + 2.0 * abs(off)
@@ -731,13 +762,13 @@ def test_stopped_sector_count_equals_full_sweep(points, box):
 
 
 @pytest.mark.parametrize("points, box", SECTOR_GRIDS)
-def test_log_det_sweep_slope_is_the_derivative_of_log_det(points, box):
+def test_log_det_sweep_slope_is_the_derivative_of_log_det(points, box, monkeypatch):
     # log|det| is the sum of log|q_i| over the reference pivots.  At a
     # step of 5e-5, and with every level at least 0.1 away, its central
     # difference is good to about 2e-7 relative: truncation and the
     # rounding of the pivots each give about 1e-7.
-    diag, off, references = _reference_sectors(points, box)
-    sectors = oracle._parity_sectors(diag, off)
+    _, _, references = _reference_sectors(points, box)
+    sectors = _solver_sectors(points, box, monkeypatch)
     levels = oracle.fd_oscillator_spectrum(UNIT, box, points, 20)
     lams = [lam for lam in np.linspace(-5.0, levels[-1] - 0.1, 61).tolist()
             if min(abs(lam - level) for level in levels) >= 0.1]
@@ -756,13 +787,21 @@ def test_log_det_sweep_slope_is_the_derivative_of_log_det(points, box):
 
 @pytest.mark.parametrize("points, count", [(100, 20), (2002, 5), (4434, 20)])
 def test_fd_spectrum_even_point_count(points, count):
-    # An even point count has no centre node; the sectors then start at
-    # d_c + off and d_c - off.  The reference bisects the full matrix, so
+    # The reference bisects the full-line matrix on linspace nodes, so
     # the levels agree to its stop width plus the Sturm count's backward
     # error.
     got = oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
     want = _fd_spectrum_reference(UNIT, 10.0, points, count)
     assert all(abs(a - b) <= _reference_bound(points, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("points", [101, 2001, 4433])
+def test_fd_spectrum_odd_point_count_solves_the_next_even_grid(points):
+    # An odd count has the rows and the step of the next even count.
+    q = PhysicalParams(2.5, 0.3, omega=1.3)
+    for p in (UNIT, q):
+        assert (oracle.fd_oscillator_spectrum(p, 7.3, points, 20)
+                == oracle.fd_oscillator_spectrum(p, 7.3, points + 1, 20))
 
 
 def test_shooting_config_validation():
