@@ -31,14 +31,19 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
-def run_process(*argv, timeout):
-    """Run the command line in a fresh interpreter, as the console script
-    does, with every RuntimeWarning (numpy's included) an error."""
+def _process(*argv):
+    """Arguments of subprocess.run / Popen that run the command line in a
+    fresh interpreter, as the console script does, with every
+    RuntimeWarning (numpy's included) an error."""
     src = str(Path(anyon1d.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
-    return subprocess.run([sys.executable, "-m", "anyon1d.cli", *argv], env=env,
-                          capture_output=True, timeout=timeout)
+    return [sys.executable, "-m", "anyon1d.cli", *argv], env
+
+
+def run_process(*argv, timeout):
+    command, env = _process(*argv)
+    return subprocess.run(command, env=env, capture_output=True, timeout=timeout)
 
 
 def test_spectrum_anyon_defaults(capsys):
@@ -162,6 +167,27 @@ def test_spectrum_level_count_past_its_bound_is_refused_at_once(system):
     done = run_process("spectrum", "--system", system, "--n-max", "1000000000", timeout=20)
     assert done.returncode == 2
     assert b"n_max must be an integer in [0, 1000000]" in done.stderr
+
+
+def test_reader_closing_the_pipe_early_exits_141_without_a_traceback():
+    # As `anyon1d spectrum ... | head -1`: the reader takes one line and
+    # closes its end while 100,001 rows (about 8 MB) are still to come.
+    # That used to end in a BrokenPipeError traceback and exit 1, the code
+    # for a verification failure.
+    command, env = _process("spectrum", "--system", "anyon", "--n-max", "100000")
+    proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert first.startswith(b"# ")
+    assert code == 141
+    assert err == b""
 
 
 def test_wavefunction_grid_past_its_count_bound_is_refused_at_once():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from anyon1d.core import (
     Grid,
     PhysicalParams,
     VerificationReport,
+    check_finite,
     check_index,
     check_points,
     check_positive,
@@ -79,6 +81,24 @@ def test_check_positive_takes_finite_positive_numbers_only():
     for bad in (0, -1.0, math.nan, math.inf, True, "1", None):
         with pytest.raises(ValueError, match="x must be a positive finite number"):
             check_positive(bad, "x")
+
+
+@pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400, 2 ** 1024],
+                         ids=["10^400", "-10^400", "2^1024"])
+def test_ints_past_the_float_range_are_not_finite(huge):
+    # math.isfinite converts an int to float first and raised
+    # OverflowError for these; every caller now gets the ValueError that
+    # names its argument.
+    with pytest.raises(ValueError, match="x must be a finite number"):
+        check_finite(huge, "x")
+    with pytest.raises(ValueError, match="x must be a positive finite number"):
+        check_positive(huge, "x")
+    with pytest.raises(ValueError, match="mass must be a positive finite number"):
+        PhysicalParams(huge, 1.0, omega=1.0)
+    with pytest.raises(ValueError, match="frequency omega must be a positive finite number"):
+        PhysicalParams(1.0, 1.0, omega=huge)
+    check_finite(int(sys.float_info.max), "x")
+    check_finite(-int(sys.float_info.max), "x")
 
 
 _ANYON = PhysicalParams(1.0, 1.0, alpha=1.0)

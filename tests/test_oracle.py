@@ -649,15 +649,16 @@ def _full_sweeps_per_level(monkeypatch):
 def test_fd_spectrum_newton_starts_at_the_predicted_level(points, count, midpoint_total,
                                                           monkeypatch):
     # The levels of the two sectors interlace about one hbar omega apart.
-    # From the third level on, Newton starts at 2 lam_(j-1) - lam_(j-2),
-    # and takes two or three full sweeps where a start at the bracket's
-    # midpoint, up to half a spacing off, took up to 8 (midpoint_total
-    # sweeps in all).  The first two levels still start at the midpoint
-    # and take what they took there.
+    # From the second level on, Newton starts at 2 lam_(j-1) - lam_(j-2),
+    # with lam_(-1) = -lam_0, the ground level's mirror image, so the
+    # second level starts at 3 lam_0.  Each takes two or three full
+    # sweeps where a start at the bracket's midpoint, up to half a
+    # spacing off, took up to 8 (midpoint_total sweeps in all).  The
+    # ground level still starts at the midpoint.
     sweeps = _full_sweeps_per_level(monkeypatch)
     oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
     assert len(sweeps) == count
-    assert sweeps[0] <= 3 and sweeps[1] <= 8
+    assert sweeps[0] <= 3 and sweeps[1] <= 3
     assert max(sweeps[2:]) <= 3
     assert sum(sweeps) <= 11 + 3 * (count - 2) < midpoint_total
 
@@ -950,6 +951,26 @@ def test_illinois_shooting_matches_plain_bisection(nu, monkeypatch):
         want = _plain_bisection(cfg, p)
         assert math.isclose(got, want, rel_tol=oracle._SHOOTING_TOL, abs_tol=0.0)
         assert illinois_calls < len(calls)
+
+
+def test_shooting_evaluation_budget(monkeypatch):
+    # Mismatch evaluations of the level solves for n <= 12 at both nu,
+    # the two bracket ends of each included.  Illinois halving took 255;
+    # Anderson-Bjorck scaling takes 217.
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    levels = [(nu, oracle.scan_level_brackets(nu, p, 12)) for nu in NU_VALUES]
+    calls = []
+    mismatch = oracle._ShootingRun.mismatch
+
+    def counted(run, eps):
+        calls.append(eps)
+        return mismatch(run, eps)
+
+    monkeypatch.setattr(oracle._ShootingRun, "mismatch", counted)
+    for nu, brackets in levels:
+        for n, bracket in enumerate(brackets):
+            oracle.shoot_anyon_energy(oracle.ShootingConfig(nu, bracket), p, n)
+    assert len(calls) <= 220
 
 
 def _rk4_reference(run, eps):
