@@ -4,7 +4,9 @@ Four commands: spectrum, wavefunction, dual, verify.  Output is a
 deterministic table on stdout, or JSON ({"meta": ..., "rows": ...}) /
 CSV (with #-prefixed header lines) when --format/--output are given.
 Exit codes: 0 success, 1 verification failure, 2 usage, domain or
-arithmetic error.
+arithmetic error, 141 (128 + SIGPIPE, as a shell reports a command
+killed by a broken pipe) when the reader closes stdout before the
+output ends, as `anyon1d spectrum ... | head -1` does.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -368,10 +371,17 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[ns.command](ns)
+        code = handlers[ns.command](ns)
+        sys.stdout.flush()
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # What is left in the stdout buffer goes to the null device, so
+        # the flush at exit cannot fail on the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -49,9 +49,14 @@ def check_s(s) -> None:
 
 def _is_finite_number(value) -> bool:
     """True for a finite int or float; bool is rejected although it
-    subclasses int."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    subclasses int, and so is an int outside +-sys.float_info.max, which
+    no float holds (math.isfinite would raise OverflowError on it; an int
+    compares with a float exactly)."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, int):
+        return -sys.float_info.max <= value <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 def check_finite(value, name: str) -> None:

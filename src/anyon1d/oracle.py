@@ -26,8 +26,8 @@ It offers four ways to check them from first principles:
   RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
   propagator entry is a quadratic in the energy, tabulated once per
   run, and the products need a power-of-two rescale only every fourth
-  pass; each level is one Illinois (modified regula falsi) solve of the
-  matching defect, and the energy scan walks the Coulomb variable
+  pass; each level is one Anderson-Bjorck (modified regula falsi) solve
+  of the matching defect, and the energy scan walks the Coulomb variable
   t = (2 |e|)^(-1/2) in half steps, one table per probe.
 
 Both eigensolvers compute in natural units (sqrt(hbar/(m omega)) and
@@ -458,14 +458,15 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     alternate, level j being level j // 2 + 1 (from 1) of the s = 0
     sector for even j and of the s = 1/2 sector for odd j.  So each
     sector counts up its own ladder (see _count_ladder), and the levels
-    are solved in that merged order (see _sector_level).  From level 2
+    are solved in that merged order (see _sector_level).  From level 1
     on, a level's Newton steps start at 2 lam_(j-1) - lam_(j-2), the
-    linear prediction from the two levels just solved, when that lies
-    strictly inside the level's isolated bracket: the levels of the two
-    sectors interlace at a spacing near one hbar omega, where the
-    bracket's midpoint may be half a spacing off.  The result is the
-    levels in ascending order, times hbar omega.  The discretization
-    error is O(h^2).
+    linear prediction from the two levels just solved, with
+    lam_(-1) = -lam_0, the ground level's mirror image (so level 1
+    starts at 3 lam_0), when that lies strictly inside the level's
+    isolated bracket: the levels of the two sectors interlace at a
+    spacing near one hbar omega, where the bracket's midpoint may be half
+    a spacing off.  The result is the levels in ascending order, times
+    hbar omega.  The discretization error is O(h^2).
 
     Domain, else ValueError: count in 1..20, points in 100.._MAX_POINTS,
     and L > 0 such that the squared coupling 1/(4h^4) is a positive
@@ -497,7 +498,8 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
             for parity, sector in enumerate(sectors)]
     levels: list[float] = []
     for j in range(count):
-        start = 2.0 * levels[-1] - levels[-2] if j >= 2 else math.nan
+        # lam_(-1) = -lam_0, the ground level's mirror image
+        start = 2.0 * levels[-1] - (levels[-2] if j >= 2 else -levels[0]) if j else math.nan
         levels.append(_sector_level(sectors[j % 2], j // 2 + 1, lo0, *tops[j % 2], start))
     return [level * quantum for level in sorted(levels)]
 
@@ -641,9 +643,12 @@ def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
     Step doubles per octave of x (anchored at run.x_start) and is capped
     so h times the largest local wavenumber stays below 0.05.  v is the
     e-free part of the coefficient g(x) = 2 (V(x) - e) = vpart(x) - 2e
-    at the start, midpoint and end of each step, in natural units.
-    Raises ValueError, before building an octave, when the steps would
-    exceed _MAX_STEPS: the bracket is too shallow.
+    at the start, midpoint and end of each step, in natural units.  A
+    loop over the octaves fixes each one's step count m and length h;
+    the arrays are then built in one pass, step k of the octave starting
+    at a running from a + h k to a + h (k + 1).  Raises ValueError,
+    before building any array, when the steps would exceed _MAX_STEPS:
+    the bracket is too shallow.
     """
     vcoef = run.cfg.nu * (1.0 - run.cfg.nu)  # identical for both nu branches
     g_energy = 2.0 * abs(run.bracket[0])
@@ -651,7 +656,7 @@ def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
     def vpart(x):
         return -2.0 / x - vcoef / (x * x)
 
-    steps, counts, starts, ends = [], [], [], []
+    steps, counts, starts = [], [], []
     total = 0
     a = lo_x
     j = max(0, int(math.floor(math.log2(lo_x / run.x_start))))
@@ -668,17 +673,16 @@ def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
             raise ValueError(
                 f"energy bracket {run.cfg.energy_bracket} is too shallow: a sweep to "
                 f"x = {hi_x:.6g} hbar^2/(m alpha) needs more than {_MAX_STEPS} RK4 steps")
-        h = (edge - a) / m
-        nodes = a + h * np.arange(m + 1)
-        steps.append(h)
+        steps.append((edge - a) / m)
         counts.append(m)
-        starts.append(nodes[:-1])
-        ends.append(nodes[1:])
+        starts.append(a)
         a = edge
         j += 1
     h = np.repeat(steps, counts)
-    x0 = np.concatenate(starts)
-    return np.stack([h, vpart(x0), vpart(x0 + 0.5 * h), vpart(np.concatenate(ends))])
+    a = np.repeat(starts, counts)
+    k = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    x0 = a + h * k
+    return np.stack([h, vpart(x0), vpart(x0 + 0.5 * h), vpart(a + h * (k + 1))])
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -877,16 +881,18 @@ _SOLVE_STEPS = 100         # mismatch evaluations one shooting solve may take
 _SCAN_STEP = 0.5           # step of the scan in t = (2 |e|)^(-1/2), natural units
 
 
-def _illinois(f, a: float, f_a: float, b: float, f_b: float, tol: float) -> float:
+def _anderson_bjorck(f, a: float, f_a: float, b: float, f_b: float, tol: float) -> float:
     """Zero of f inside (a, b), where f(a) and f(b) have opposite signs.
 
-    Each probe is the regula falsi root of (a, b) and replaces the end
-    whose sign it shares; when the same end is kept twice in a row, the
-    value at the other end is halved (the Illinois method, Dowell and
-    Jarratt, BIT 11, 1971).  The probe is pushed tol |mid| / 8 off that
-    root toward the longer side of (a, b), so its sign is never rounding
-    noise and the bracket closes from both sides.  Returns a probe where
-    f is exactly 0, or the midpoint once b - a <= tol |mid|.
+    Each probe x is the regula falsi root of (a, b) and replaces the end
+    whose sign it shares; when it replaces the same end twice in a row,
+    the value at the kept end is scaled by m = 1 - f(x)/f(replaced end),
+    or by 1/2 when m <= 0 (Anderson and Bjorck, BIT 13, 1973; the
+    Illinois method of Dowell and Jarratt, BIT 11, 1971, always halves).
+    The probe is pushed tol |mid| / 8 off that root toward the longer
+    side of (a, b), so its sign is never rounding noise and the bracket
+    closes from both sides.  Returns a probe where f is exactly 0, or the
+    midpoint once b - a <= tol |mid|.
     """
     a_positive = f_a > 0
     last = 0                 # -1: the last probe replaced a; +1: it replaced b
@@ -902,27 +908,34 @@ def _illinois(f, a: float, f_a: float, b: float, f_b: float, tol: float) -> floa
         if f_x == 0.0:
             return x
         if (f_x > 0) == a_positive:
-            a, f_a = x, f_x
             if last == -1:
-                f_b *= 0.5
+                f_b *= _ab_scale(f_x, f_a)
+            a, f_a = x, f_x
             last = -1
         else:
-            b, f_b = x, f_x
             if last == 1:
-                f_a *= 0.5
+                f_a *= _ab_scale(f_x, f_b)
+            b, f_b = x, f_x
             last = 1
     raise ConvergenceError(
         f"shooting solve did not reach relative width {tol:.1e} "
         f"in {_SOLVE_STEPS} evaluations")
 
 
+def _ab_scale(f_x: float, f_replaced: float) -> float:
+    """Anderson-Bjorck factor 1 - f_x/f_replaced for the kept end's value,
+    or 1/2 when that is not positive."""
+    m = 1.0 - f_x / f_replaced
+    return m if m > 0.0 else 0.5
+
+
 def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     """Eigenvalue of the half-line problem with Phi ~ x^nu at the origin.
 
     Solves for the zero of the Wronskian mismatch inside
-    cfg.energy_bracket to relative width _SHOOTING_TOL by the Illinois
-    method (see _illinois), and then verifies the converged shape has
-    exactly n interior nodes.  Raises ValueError when the bracket is too
+    cfg.energy_bracket to relative width _SHOOTING_TOL by the
+    Anderson-Bjorck method (see _anderson_bjorck), and then verifies the
+    converged shape has exactly n interior nodes.  Raises ValueError when the bracket is too
     deep for the geometry, too shallow for _MAX_STEPS steps per sweep, or
     does not straddle a sign change, and
     ConvergenceError when the search does not converge or the node
@@ -942,7 +955,7 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
             "energy bracket does not straddle an eigenvalue: the matching "
             f"defect has the same sign at both ends ({w_lo:.3e}, {w_hi:.3e})")
     else:
-        eps = _illinois(run.mismatch, lo, w_lo, hi, w_hi, _SHOOTING_TOL)
+        eps = _anderson_bjorck(run.mismatch, lo, w_lo, hi, w_hi, _SHOOTING_TOL)
     found = run.nodes(eps)
     if found != n:
         raise ConvergenceError(

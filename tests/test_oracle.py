@@ -946,11 +946,11 @@ def test_illinois_shooting_matches_plain_bisection(nu, monkeypatch):
         cfg = oracle.ShootingConfig(nu, bracket)
         calls.clear()
         got = oracle.shoot_anyon_energy(cfg, p, n)
-        illinois_calls = len(calls)
+        solve_calls = len(calls)
         calls.clear()
         want = _plain_bisection(cfg, p)
         assert math.isclose(got, want, rel_tol=oracle._SHOOTING_TOL, abs_tol=0.0)
-        assert illinois_calls < len(calls)
+        assert solve_calls < len(calls)
 
 
 def test_shooting_evaluation_budget(monkeypatch):
@@ -1108,6 +1108,47 @@ def test_shooting_table_is_as_wide_as_the_longer_sweep():
             assert min(steps) < max(steps)
 
 
+def _steps_by_octave(run, lo_x, hi_x):
+    """The step table of oracle._steps built octave by octave, each
+    octave's step ends from one a + h arange(m + 1)."""
+    vcoef = run.cfg.nu * (1.0 - run.cfg.nu)
+    g_energy = 2.0 * abs(run.bracket[0])
+
+    def vpart(x):
+        return -2.0 / x - vcoef / (x * x)
+
+    rows = []
+    a = lo_x
+    j = max(0, int(math.floor(math.log2(lo_x / run.x_start))))
+    while a < hi_x:
+        edge = min(run.x_start * 2.0 ** (j + 1), hi_x)
+        if edge > a:
+            g_bound = 2.0 / a + vcoef / (a * a) + g_energy
+            h = min(run.x_start / oracle._START_STEPS * 2.0 ** j, 0.05 / math.sqrt(g_bound))
+            m = max(1, int(math.ceil((edge - a) / h)))
+            h = (edge - a) / m
+            nodes = a + h * np.arange(m + 1)
+            rows.append(np.stack([np.full(m, h), vpart(nodes[:-1]),
+                                  vpart(nodes[:-1] + 0.5 * h), vpart(nodes[1:])]))
+            a = edge
+        j += 1
+    return np.concatenate(rows, axis=1)
+
+
+@pytest.mark.parametrize("nu", NU_VALUES)
+def test_step_table_equals_the_octave_by_octave_build(nu):
+    # _steps builds its arrays in one pass from the per-octave step
+    # lengths and starts; every entry has the bits of the octave-by-octave
+    # build, on both sweeps of every level n <= 30.
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    for bracket in oracle.scan_level_brackets(nu, p, 30):
+        run = oracle._ShootingRun(oracle.ShootingConfig(nu, bracket), p)
+        x_match = max(0.6 / math.sqrt(run.bracket[0] * run.bracket[1]), 2.0 * run.x_start)
+        for lo_x, hi_x in ((run.x_start, x_match), (x_match, run.x_end)):
+            assert np.array_equal(oracle._steps(run, lo_x, hi_x),
+                                  _steps_by_octave(run, lo_x, hi_x))
+
+
 def test_shooting_boundary_exponent_is_the_only_difference():
     # Same bracket, same potential, same grid geometry: only the origin
     # exponent differs, and it alone selects which tower the eigenvalue
@@ -1128,13 +1169,13 @@ def test_shooting_boundary_exponent_is_the_only_difference():
     assert abs(eps_t - (-8.0 / 9.0)) <= 1e-5 * (8.0 / 9.0)
 
 
-def test_illinois_solve_and_its_step_cap():
-    root = oracle._illinois(lambda x: x * x - 2.0, 1.0, -1.0, 2.0, 2.0, 1e-12)
+def test_anderson_bjorck_solve_and_its_step_cap():
+    root = oracle._anderson_bjorck(lambda x: x * x - 2.0, 1.0, -1.0, 2.0, 2.0, 1e-12)
     assert abs(root - math.sqrt(2.0)) <= 1e-12 * math.sqrt(2.0)
     # No float has x * x == 2 and no bracket is 1e-300 relative wide,
     # so the solve runs into its cap.
     with pytest.raises(ConvergenceError, match="relative width"):
-        oracle._illinois(lambda x: x * x - 2.0, 1.0, -1.0, 2.0, 2.0, 1e-300)
+        oracle._anderson_bjorck(lambda x: x * x - 2.0, 1.0, -1.0, 2.0, 2.0, 1e-300)
 
 
 def test_shooting_rejects_empty_bracket():
