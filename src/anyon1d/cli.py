@@ -372,14 +372,16 @@ def main(argv=None) -> int:
     }
     try:
         code = handlers[ns.command](ns)
-        sys.stdout.flush()
+        sys.stdout.flush()      # a pipe closed before the last buffered write
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # What is left in the stdout buffer goes to the null device, so
         # the flush at exit cannot fail on the closed pipe again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     return code
 

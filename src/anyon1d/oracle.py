@@ -935,11 +935,11 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     Solves for the zero of the Wronskian mismatch inside
     cfg.energy_bracket to relative width _SHOOTING_TOL by the
     Anderson-Bjorck method (see _anderson_bjorck), and then verifies the
-    converged shape has exactly n interior nodes.  Raises ValueError when the bracket is too
-    deep for the geometry, too shallow for _MAX_STEPS steps per sweep, or
-    does not straddle a sign change, and
-    ConvergenceError when the search does not converge or the node
-    count disagrees with n.
+    converged shape has exactly n interior nodes.  Raises ValueError
+    when the bracket is too deep for the geometry, too shallow for
+    _MAX_STEPS steps per sweep, or does not straddle a sign change, and
+    ConvergenceError when the search does not converge or the node count
+    disagrees with n.
     """
     check_index(n, "node count n")
     run = _ShootingRun(cfg, p)
