@@ -69,3 +69,20 @@ def test_norm_and_oracle_suites_call_the_evaluators_on_arrays_only(monkeypatch):
     for name, seen in calls.items():
         assert seen, name
         assert all(seen), f"{name}: {seen.count(False)} of {len(seen)} calls on one point"
+
+
+def test_normalization_suite_integrand_call_budget(monkeypatch):
+    # Each norm integrand calls one evaluator once, so counting evaluator
+    # calls counts integrand calls.  The tail search of a semi-infinite
+    # integral probes eight candidate cuts per call: at one candidate per
+    # call the suite made 369 calls.
+    calls = 0
+    for module, name in ((anyon, "wavefunction"), (anyon, "extended_wavefunction"),
+                         (oscillator, "wavefunction")):
+        def counted(*args, original=getattr(module, name)):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+    verification.suite_normalization()
+    assert 0 < calls <= 200

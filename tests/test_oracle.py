@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import itertools
 import math
 import re
 import sys
@@ -213,6 +214,23 @@ def test_tail_cutoff_refuses_a_nan_in_any_probe():
         with pytest.raises(ValueError, match=rf"not finite at the tail probe {probe}$"):
             oracle.quadrature(f, 0.0, math.inf)
         assert len(calls) == 3
+
+
+def test_exponential_tail_is_found_in_one_call():
+    # exp(-t) decays below 0.1 tol at the sixth candidate, 32; one call
+    # probes the first eight, 1, 2, ..., 128, three points each.
+    calls = []
+
+    def F(t):
+        calls.append(t.tolist())
+        return np.exp(-t)
+
+    oracle.integrate(F, 0.0, math.inf)
+    # the adaptive rounds start near 0, the tail probes at 1
+    tail = list(itertools.takewhile(lambda t: min(t) >= 1.0, calls))
+    assert tail == [[c * f for c in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+                     for f in (1.0, 1.37, 1.93)]]
+    assert len(calls) > len(tail)
 
 
 def test_quadrature_reports_nonconvergence():
