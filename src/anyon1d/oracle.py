@@ -7,8 +7,10 @@ It offers four ways to check them from first principles:
   array rounds: integrate() calls its integrand once per round on the
   nodes of every cell the round evaluates, all graded initial cells
   first, then the halves of the fewest cells whose error estimates add
-  up to total - tol, largest first; quadrature() is the same engine for
-  an integrand of one float (math.exp and the like),
+  up to total - tol, largest first; an infinite end is first cut where
+  the integrand has decayed, found by probing doubling candidates eight
+  to a call; quadrature() is the same engine for an integrand of one
+  float (math.exp and the like),
 * a finite-difference residual of the governing second-order equation,
 * a Sturm-sequence eigensolver for the oscillator on a box, built as
   the two spin sectors s = 0 and s = 1/2 of the reduced half-line
@@ -80,6 +82,7 @@ _NODE_X = np.array([_x for _x, _, _ in _NODES])
 
 _GRADE_DEPTH = 28          # dyadic grading depth toward each graded endpoint
 _TAIL_CAP_DOUBLINGS = 60   # give up on tail truncation after this many
+_TAIL_BATCH = 8            # tail truncation candidates probed per integrand call
 _MAX_INTERVALS = 4096      # refinement cap of one adaptive integral
 # Bound on |finite end| and on the tail truncation point: half the
 # largest float, so every cell width and midpoint is a float.
@@ -197,27 +200,41 @@ def _adaptive(F, a: float, b: float, tol: float, grade_b: bool, sign: float) -> 
 def _tail_cutoff(F, start: float, tol: float, sign: float) -> float:
     """Smallest probed B with |F| small enough beyond B to ignore the tail.
 
-    Probes three incommensurate points per candidate, in one call of F,
-    so an accidental zero of an oscillatory integrand cannot fake decay.
-    Raises ValueError naming the first probe where F is not finite, and
-    ValueError when a candidate B would pass _RANGE_LIMIT.  F takes the
-    integration variable t; messages name the caller's x = sign * t.
+    The candidates are B = start, 2 start, 4 start, ..., at most
+    _TAIL_CAP_DOUBLINGS of them.  Each is probed at three incommensurate
+    points B, 1.37 B and 1.93 B, so an accidental zero of an oscillatory
+    integrand cannot fake decay, and one call of F probes the next
+    _TAIL_BATCH candidates at once: F sees up to _TAIL_BATCH - 1
+    candidates past the one returned, at points up to 2^7 x 1.93 times
+    it.  The batch is then read in candidate order, and nothing past the
+    returned candidate counts.  Raises ValueError naming the first probe
+    in that order where F is not finite, and ValueError on reaching a
+    candidate whose 1.93 B would pass _RANGE_LIMIT, which is never
+    probed.  F takes the integration variable t; messages name the
+    caller's x = sign * t.
     """
     cut = start
-    for _ in range(_TAIL_CAP_DOUBLINGS):
-        if not 1.93 * cut <= _RANGE_LIMIT:
+    left = _TAIL_CAP_DOUBLINGS
+    while left:
+        cuts = []
+        while len(cuts) < min(_TAIL_BATCH, left) and 1.93 * cut <= _RANGE_LIMIT:
+            cuts.append(cut)
+            cut *= 2.0
+        if cuts:
+            probes = (np.array(cuts)[:, None] * [1.0, 1.37, 1.93]).ravel()
+            v = np.abs(_evaluate(F, probes).reshape(len(cuts), 3))
+            bad = ~np.isfinite(v)
+            for i, c in enumerate(cuts):
+                if bad[i].any():
+                    x = float(probes[3 * i + np.argmax(bad[i])])
+                    raise ValueError(f"integrand is not finite at the tail probe {sign * x!r}")
+                if float(np.max(v[i])) * c <= 0.1 * tol:
+                    return 1.93 * c
+        left -= len(cuts)
+        if left and not 1.93 * cut <= _RANGE_LIMIT:
             raise ValueError(
                 f"the tail truncation point would pass {sign * _RANGE_LIMIT:.6g}, "
                 "half the largest float, where cell widths and midpoints overflow")
-        probes = np.array([cut, 1.37 * cut, 1.93 * cut])
-        v = _evaluate(F, probes)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            x = float(probes[np.argmax(bad)])
-            raise ValueError(f"integrand is not finite at the tail probe {sign * x!r}")
-        if float(np.max(np.abs(v))) * cut <= 0.1 * tol:
-            return 1.93 * cut
-        cut *= 2.0
     raise ConvergenceError(
         f"integrand does not decay fast enough past {sign * cut:.3e} for tail truncation")
 
@@ -228,22 +245,27 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     F takes a 1-d float array of points and returns one float per
     point; each round of refinement calls it once on the nodes of all
     the cells that round evaluates, at most 4096 x 15 points.
-    Endpoints may be +-inf; infinite tails are truncated where the
-    integrand has decayed below the tolerance (three probes per
-    candidate, in one call) and the finite core is handled by global
-    adaptive 15-point Gauss-Kronrod. Its initial cells are graded
-    dyadically toward each finite endpoint the caller gave: both ends
-    of a finite [a, b], only the finite end of a semi-infinite range,
-    never the truncation point. Each later round halves the fewest
-    cells whose error estimates add up to at least total - tol, largest
-    first; a round that would hold more than 4096 cells raises
-    ConvergenceError.
+    Endpoints may be +-inf.  An infinite tail is cut at 1.93 B for the
+    first of the candidates B = B0, 2 B0, 4 B0, ... (at most 60) where
+    max |F| over the probes B, 1.37 B and 1.93 B, times B, is at most
+    0.1 tol.  One call of F probes the next eight candidates, 24 points,
+    and they are read in candidate order: F is also called at up to
+    seven candidates past the chosen one, at points up to 2^7 x 1.93
+    times it, and those values are ignored, finite or not.  The finite
+    core is handled by global adaptive 15-point Gauss-Kronrod. Its
+    initial cells are graded dyadically toward each finite endpoint the
+    caller gave: both ends of a finite [a, b], only the finite end of a
+    semi-infinite range, never the truncation point. Each later round
+    halves the fewest cells whose error estimates add up to at least
+    total - tol, largest first; a round that would hold more than 4096
+    cells raises ConvergenceError.
 
     Endpoint values are never evaluated, so integrable power
     singularities at the ends are fine; a cell too narrow to keep its
     nodes off its ends raises ConvergenceError. An endpoint that is
     neither +-inf nor finite (NaN, bool) raises ValueError, and so does
-    a cell or a tail probe where the integrand is not finite.
+    a cell, or a tail probe up to the chosen candidate, where the
+    integrand is not finite.
 
     Domain: every finite end must satisfy |end| <= 8.99e307, half the
     largest float, so that every cell width and midpoint is a float;
@@ -279,8 +301,8 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
 
 def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     """integrate() for an integrand f of one float: f is called at each
-    node in turn, in the order integrate() passes them, with the same
-    result, rules and messages.
+    node and tail probe in turn, in the order integrate() passes them,
+    with the same result, rules and messages.
 
     For integrands that cannot take arrays, such as ones built from
     math.exp (the perfbench oracle_solve norm integrand is one); an

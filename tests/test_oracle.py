@@ -171,8 +171,9 @@ def test_quadrature_rejects_a_non_finite_integrand_at_once():
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_quadrature_rejects_a_non_finite_tail_probe(sign):
     # NaN past |x| = 5 must not read as "not decayed yet": the first
-    # probe there is refused by name instead of doubling the cut 60 times.
-    # The three probes of a candidate are evaluated in one call.
+    # probe there in candidate order is refused by name instead of
+    # doubling the cut 60 times.  The three probes of each of the first
+    # eight candidates 1, 2, ..., 128 are evaluated in one call.
     probes = []
 
     def f(x):
@@ -180,10 +181,10 @@ def test_quadrature_rejects_a_non_finite_tail_probe(sign):
         return math.nan if abs(x) > 5.0 else math.exp(-abs(x))
 
     ends = (0.0, math.inf) if sign > 0 else (-math.inf, 0.0)
-    with pytest.raises(ValueError, match="not finite at the tail probe"):
+    with pytest.raises(ValueError, match=rf"not finite at the tail probe {sign * 5.48}$"):
         oracle.quadrature(f, *ends)
-    assert probes[3:] == [sign * 2.0, sign * 2.74, sign * 3.86,
-                          sign * 4.0, sign * 5.48, sign * 7.72]
+    assert probes == [sign * c * k for c in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+                      for k in (1.0, 1.37, 1.93)]
 
 
 def test_quadrature_messages_name_the_callers_point():
@@ -202,8 +203,9 @@ def test_quadrature_messages_name_the_callers_point():
 
 
 def test_tail_cutoff_refuses_a_nan_in_any_probe():
-    # The three probes of the first candidate come in one call, which is
-    # refused before any later candidate, naming the probe that was NaN.
+    # The first eight candidates come in one call of 24 probes, which is
+    # refused at the first candidate, before the later ones are read,
+    # naming the probe that was NaN.
     for bad, probe in enumerate((1.0, 1.37, 1.93)):
         calls = []
 
@@ -213,7 +215,7 @@ def test_tail_cutoff_refuses_a_nan_in_any_probe():
 
         with pytest.raises(ValueError, match=rf"not finite at the tail probe {probe}$"):
             oracle.quadrature(f, 0.0, math.inf)
-        assert len(calls) == 3
+        assert len(calls) == 24
 
 
 def test_exponential_tail_is_found_in_one_call():
@@ -295,6 +297,119 @@ def test_array_rounds_give_the_one_point_bits_on_evaluator_integrands():
     got = oracle.integrate(lambda u: np.exp(-u * u), -math.inf, math.inf, tol=1e-12)
     assert got == oracle.quadrature(lambda u: math.exp(-u * u), -math.inf, math.inf,
                                     tol=1e-12)
+
+
+def _tail_cutoff_one_candidate_per_call(F, start, tol, sign):
+    """The tail search as it was before the batches: one call of F per
+    candidate, on its three probes."""
+    cut = start
+    for _ in range(oracle._TAIL_CAP_DOUBLINGS):
+        if not 1.93 * cut <= oracle._RANGE_LIMIT:
+            raise ValueError(
+                f"the tail truncation point would pass {sign * oracle._RANGE_LIMIT:.6g}, "
+                "half the largest float, where cell widths and midpoints overflow")
+        probes = np.array([cut, 1.37 * cut, 1.93 * cut])
+        v = oracle._evaluate(F, probes)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            x = float(probes[np.argmax(bad)])
+            raise ValueError(f"integrand is not finite at the tail probe {sign * x!r}")
+        if float(np.max(np.abs(v))) * cut <= 0.1 * tol:
+            return 1.93 * cut
+        cut *= 2.0
+    raise ConvergenceError(
+        f"integrand does not decay fast enough past {sign * cut:.3e} for tail truncation")
+
+
+def _integrate_with_tail_search(monkeypatch, search, F, a, b, tol):
+    """integrate() with the tail search replaced by search: its result or
+    error, and per tail search the probes of each call of F."""
+    searches = []
+
+    def traced(G, start, tol, sign):
+        calls = []
+        searches.append(calls)
+
+        def H(t):
+            calls.append(t.tolist())
+            return G(t)
+        return search(H, start, tol, sign)
+
+    monkeypatch.setattr(oracle, "_tail_cutoff", traced)
+    try:
+        out = repr(oracle.integrate(F, a, b, tol))
+    except (ValueError, ConvergenceError) as exc:
+        out = (type(exc), str(exc))
+    return out, searches
+
+
+def _tail_cases():
+    """Integrands with ranges and tolerances whose tail searches end in
+    every way a search can end."""
+    for tol in (1e-10, 1e-14):
+        yield f"exp(-t) {tol}", lambda t: np.exp(-t), 0.0, math.inf, tol
+        yield f"exp(-t) from 3 {tol}", lambda t: np.exp(-t), 3.0, math.inf, tol
+        # 17 candidates: three calls, the last one candidate long
+        yield f"exp(-t/1000) {tol}", lambda t: np.exp(-t / 1000.0), 0.0, math.inf, tol
+        for k in (1, 4, 12):
+            yield f"t^{k} exp(-t) {tol}", lambda t, k=k: t ** k * np.exp(-t), 0.0, math.inf, tol
+        yield f"exp(t) to 0 {tol}", lambda t: np.exp(t), -math.inf, 0.0, tol
+        yield f"exp(t) to 2.5 {tol}", lambda t: np.exp(t), -math.inf, 2.5, tol
+        yield f"t^4 exp(t) to -7 {tol}", lambda t: t ** 4 * np.exp(t), -math.inf, -7.0, tol
+    # anyon n=10 takes ten candidates, two calls
+    for label, f, a, b, tol in _evaluator_integrands():
+        if label in {"anyon n=0 nu=0.25", "anyon n=10 nu=0.75", "extended nu=0.75",
+                     "oscillator N=0", "oscillator N=8", "oscillator u^2 N=6"}:
+            yield label, f, a, b, tol
+    # NaN past the returned cut, 61.76, but inside its batch: not read
+    yield ("NaN past the cut", lambda t: np.where(t > 100.0, np.nan, np.exp(-t)),
+           0.0, math.inf, 1e-10)
+    yield ("NaN at the fifth candidate", lambda t: np.where(t > 20.0, np.nan, 0.5 / t),
+           0.0, math.inf, 1e-10)
+    yield "no decay", lambda t: np.ones_like(t), 0.0, math.inf, 1e-10
+    yield "no decay to -2", lambda t: np.ones_like(t), -math.inf, -2.0, 1e-10
+    # 25 candidates below the range limit, the 26th past it
+    yield "no decay near the limit", lambda t: np.ones_like(t), 1e300, math.inf, 1e-10
+    yield "no decay near -limit", lambda t: np.ones_like(t), -math.inf, -1e300, 1e-10
+
+
+def test_batched_tail_search_equals_one_candidate_per_call(monkeypatch):
+    # Each call probes the next eight candidates and the batch is read in
+    # candidate order, so the cut, the integral and every error are those
+    # of one call per candidate: k candidates take ceil(k / 8) calls, the
+    # probes begin with the reference's and go on doubling, and none
+    # passes the range limit.
+    batched = oracle._tail_cutoff
+    outcomes = {}
+    for label, F, a, b, tol in _tail_cases():
+        got, searches = _integrate_with_tail_search(monkeypatch, batched, F, a, b, tol)
+        want, ref_searches = _integrate_with_tail_search(
+            monkeypatch, _tail_cutoff_one_candidate_per_call, F, a, b, tol)
+        assert got == want, label
+        assert len(searches) == len(ref_searches), label
+        for calls, ref_calls in zip(searches, ref_searches):
+            assert len(calls) == -(-len(ref_calls) // oracle._TAIL_BATCH), label
+            probes = [x for call in calls for x in call]
+            ref_probes = [x for call in ref_calls for x in call]
+            assert probes[:len(ref_probes)] == ref_probes, label
+            start = ref_probes[0]
+            assert probes == [start * 2.0 ** j * k for j in range(len(probes) // 3)
+                              for k in (1.0, 1.37, 1.93)], label
+            assert max(probes) <= oracle._RANGE_LIMIT, label
+        outcomes[label] = want
+    assert float(outcomes["NaN past the cut"]) == oracle.integrate(
+        lambda t: np.exp(-t), 0.0, math.inf)
+    assert outcomes["NaN at the fifth candidate"] == (
+        ValueError, "integrand is not finite at the tail probe 21.92")
+    assert outcomes["no decay"] == (
+        ConvergenceError,
+        "integrand does not decay fast enough past 1.153e+18 for tail truncation")
+    assert outcomes["no decay to -2"][0] is ConvergenceError
+    for label, limit in (("no decay near the limit", "8.98847e+307"),
+                         ("no decay near -limit", "-8.98847e+307")):
+        assert outcomes[label] == (
+            ValueError, f"the tail truncation point would pass {limit}, half the "
+            "largest float, where cell widths and midpoints overflow")
 
 
 def test_quadrature_takes_an_integrand_that_refuses_arrays():
