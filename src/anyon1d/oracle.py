@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 
@@ -197,46 +198,56 @@ def _adaptive(F, a: float, b: float, tol: float, grade_b: bool, sign: float) -> 
         val, err = np.concatenate((val, v[1::2])), np.concatenate((err, e[1::2]))
 
 
+def _batch_values(F, probes: np.ndarray) -> np.ndarray | None:
+    """|F| at the 2-d array of tail probes, from one call of F on all of
+    them, or None if that call raised or warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            v = _evaluate(F, probes.ravel())
+        except Exception:
+            return None
+    return None if caught else np.abs(v).reshape(probes.shape)
+
+
 def _tail_cutoff(F, start: float, tol: float, sign: float) -> float:
     """Smallest probed B with |F| small enough beyond B to ignore the tail.
 
     The candidates are B = start, 2 start, 4 start, ..., at most
-    _TAIL_CAP_DOUBLINGS of them.  Each is probed at three incommensurate
+    _TAIL_CAP_DOUBLINGS of them, each probed at three incommensurate
     points B, 1.37 B and 1.93 B, so an accidental zero of an oscillatory
-    integrand cannot fake decay, and one call of F probes the next
-    _TAIL_BATCH candidates at once: F sees up to _TAIL_BATCH - 1
-    candidates past the one returned, at points up to 2^7 x 1.93 times
-    it.  The batch is then read in candidate order, and nothing past the
-    returned candidate counts.  Raises ValueError naming the first probe
-    in that order where F is not finite, and ValueError on reaching a
-    candidate whose 1.93 B would pass _RANGE_LIMIT, which is never
-    probed.  F takes the integration variable t; messages name the
-    caller's x = sign * t.
+    integrand cannot fake decay.  One call of F probes the next
+    _TAIL_BATCH candidates, and the batch is read in candidate order, so
+    nothing past the returned candidate counts.  A batch call that
+    raises or warns is made again one candidate per call, so errors and
+    warnings come only from the probes a search of one candidate per
+    call makes.  Raises ValueError naming the first probe in candidate
+    order where F is not finite, and ValueError on reaching a candidate
+    whose 1.93 B would pass _RANGE_LIMIT, which is never probed.  F
+    takes the integration variable t; messages name the caller's
+    x = sign * t.
     """
-    cut = start
-    left = _TAIL_CAP_DOUBLINGS
-    while left:
-        cuts = []
-        while len(cuts) < min(_TAIL_BATCH, left) and 1.93 * cut <= _RANGE_LIMIT:
-            cuts.append(cut)
-            cut *= 2.0
-        if cuts:
-            probes = (np.array(cuts)[:, None] * [1.0, 1.37, 1.93]).ravel()
-            v = np.abs(_evaluate(F, probes).reshape(len(cuts), 3))
-            bad = ~np.isfinite(v)
-            for i, c in enumerate(cuts):
-                if bad[i].any():
-                    x = float(probes[3 * i + np.argmax(bad[i])])
-                    raise ValueError(f"integrand is not finite at the tail probe {sign * x!r}")
-                if float(np.max(v[i])) * c <= 0.1 * tol:
-                    return 1.93 * c
-        left -= len(cuts)
-        if left and not 1.93 * cut <= _RANGE_LIMIT:
-            raise ValueError(
-                f"the tail truncation point would pass {sign * _RANGE_LIMIT:.6g}, "
-                "half the largest float, where cell widths and midpoints overflow")
+    with np.errstate(over="ignore"):
+        cuts = start * 2.0 ** np.arange(_TAIL_CAP_DOUBLINGS)
+        cuts = cuts[1.93 * cuts <= _RANGE_LIMIT].tolist()
+    for i in range(0, len(cuts), _TAIL_BATCH):
+        probes = np.multiply.outer(cuts[i:i + _TAIL_BATCH], [1.0, 1.37, 1.93])
+        v = _batch_values(F, probes)
+        for j, cut in enumerate(cuts[i:i + _TAIL_BATCH]):
+            w = np.abs(_evaluate(F, probes[j])) if v is None else v[j]
+            bad = ~np.isfinite(w)
+            if bad.any():
+                x = float(probes[j][np.argmax(bad)])
+                raise ValueError(f"integrand is not finite at the tail probe {sign * x!r}")
+            if float(np.max(w)) * cut <= 0.1 * tol:
+                return 1.93 * cut
+    if len(cuts) < _TAIL_CAP_DOUBLINGS:
+        raise ValueError(
+            f"the tail truncation point would pass {sign * _RANGE_LIMIT:.6g}, "
+            "half the largest float, where cell widths and midpoints overflow")
     raise ConvergenceError(
-        f"integrand does not decay fast enough past {sign * cut:.3e} for tail truncation")
+        f"integrand does not decay fast enough past "
+        f"{sign * start * 2.0 ** _TAIL_CAP_DOUBLINGS:.3e} for tail truncation")
 
 
 def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
@@ -251,7 +262,10 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     0.1 tol.  One call of F probes the next eight candidates, 24 points,
     and they are read in candidate order: F is also called at up to
     seven candidates past the chosen one, at points up to 2^7 x 1.93
-    times it, and those values are ignored, finite or not.  The finite
+    times it, and those values are ignored, finite or not.  A call on
+    eight candidates that raises or warns is made again one candidate
+    per call, so the search raises or warns only where one call per
+    candidate would.  The finite
     core is handled by global adaptive 15-point Gauss-Kronrod. Its
     initial cells are graded dyadically toward each finite endpoint the
     caller gave: both ends of a finite [a, b], only the finite end of a
@@ -305,7 +319,9 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     with the same result, rules and messages.
 
     For integrands that cannot take arrays, such as ones built from
-    math.exp (the perfbench oracle_solve norm integrand is one); an
+    math.exp (the perfbench oracle_solve norm integrand is one); one that
+    overflows at a far tail probe is called again one candidate at a
+    time, as integrate() does with any batch that raises; an
     array integrand should call integrate() directly.
     """
     return integrate(lambda ts: np.array([f(t) for t in ts.tolist()], dtype=float), a, b, tol)

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,9 +322,10 @@ def _tail_cutoff_one_candidate_per_call(F, start, tol, sign):
         f"integrand does not decay fast enough past {sign * cut:.3e} for tail truncation")
 
 
-def _integrate_with_tail_search(monkeypatch, search, F, a, b, tol):
+def _integrate_with_tail_search(monkeypatch, search, F, a, b, tol, seen=None):
     """integrate() with the tail search replaced by search: its result or
-    error, and per tail search the probes of each call of F."""
+    error, and per tail search the probes of each call of F.  The
+    messages of the warnings integrate() lets out go to the list seen."""
     searches = []
 
     def traced(G, start, tol, sign):
@@ -336,10 +338,14 @@ def _integrate_with_tail_search(monkeypatch, search, F, a, b, tol):
         return search(H, start, tol, sign)
 
     monkeypatch.setattr(oracle, "_tail_cutoff", traced)
-    try:
-        out = repr(oracle.integrate(F, a, b, tol))
-    except (ValueError, ConvergenceError) as exc:
-        out = (type(exc), str(exc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(oracle.integrate(F, a, b, tol))
+        except Exception as exc:
+            out = (type(exc), str(exc))
+    if seen is not None:
+        seen.extend(str(w.message) for w in caught)
     return out, searches
 
 
@@ -410,6 +416,81 @@ def test_batched_tail_search_equals_one_candidate_per_call(monkeypatch):
         assert outcomes[label] == (
             ValueError, f"the tail truncation point would pass {limit}, half the "
             "largest float, where cell widths and midpoints overflow")
+
+
+def _warn_on_3_5_to_100(t):
+    inside = t[(t > 3.5) & (t < 100.0)]
+    if inside.size:
+        warnings.warn(f"probed at {inside[0]}")
+    return np.exp(-t)
+
+
+def _raise_past_9(t):
+    if max(t) > 9.0:
+        raise ArithmeticError(f"probed up to {max(t)}")
+    return np.exp(-t)
+
+
+def _tail_cases_that_raise_or_warn_in_the_first_batch():
+    """Integrands whose first batch of tail probes raises or warns, with
+    their ranges and tolerances."""
+    # math.exp overflows past 709.78; the batch from 5 reaches 1235
+    yield ("math.exp overflow", lambda t: np.array([1.0 / (1.0 + math.exp(x))
+                                                    for x in t.tolist()]),
+           2.0, math.inf, 1e-10)
+    # np.exp warns of the same overflow
+    yield "np.exp overflow", lambda t: 1.0 / (1.0 + np.exp(t)), 2.0, math.inf, 1e-10
+    # the domain of the anyon wavefunction ends at 1.25e149 at unit
+    # constants, and the batch from 2e147 reaches 2.5e149
+    yield ("anyon past its domain", lambda x: anyon.wavefunction(0, 0.25, UNIT, x) ** 2,
+           1e147, math.inf, 1e-10)
+    # raises at the fourth candidate, 8, which one call per candidate reaches
+    yield "raises at a reached probe", _raise_past_9, 0.0, math.inf, 1e-10
+    # warns from the second candidate, 2, on
+    yield "warns at reached probes", _warn_on_3_5_to_100, 0.0, math.inf, 1e-10
+
+
+_RAISE_OR_WARN_CASES = list(_tail_cases_that_raise_or_warn_in_the_first_batch())
+
+
+@pytest.mark.parametrize("label, F, a, b, tol", _RAISE_OR_WARN_CASES,
+                         ids=[case[0] for case in _RAISE_OR_WARN_CASES])
+def test_tail_batch_that_raises_or_warns_is_probed_again_one_candidate_per_call(
+        monkeypatch, label, F, a, b, tol):
+    # Only the probes of one call per candidate may raise or warn: the
+    # batch that did is probed again one candidate per call, so the
+    # result, the error and the warnings are the reference's, and the
+    # calls after the batch are the reference's calls.
+    got_warnings, want_warnings = [], []
+    got, searches = _integrate_with_tail_search(monkeypatch, oracle._tail_cutoff,
+                                                F, a, b, tol, got_warnings)
+    want, ref_searches = _integrate_with_tail_search(
+        monkeypatch, _tail_cutoff_one_candidate_per_call, F, a, b, tol, want_warnings)
+    assert got == want
+    assert got_warnings == want_warnings
+    [calls], [ref_calls] = searches, ref_searches
+    start = ref_calls[0][0]
+    assert calls[0] == [start * 2.0 ** j * k for j in range(oracle._TAIL_BATCH)
+                        for k in (1.0, 1.37, 1.93)]
+    assert calls[1:] == ref_calls
+
+
+def test_tail_probes_past_the_cut_raise_and_warn_nothing_new():
+    # The first batch from 5 probes up to 1235, where exp overflows; one
+    # call per candidate stops at the third candidate, 20.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = oracle.quadrature(lambda x: 1.0 / (1.0 + math.exp(x)), 2.0, math.inf)
+        array = oracle.integrate(lambda t: 1.0 / (1.0 + np.exp(t)), 2.0, math.inf)
+    assert scalar == array == pytest.approx(math.log1p(math.exp(-2.0)), rel=1e-10, abs=0.0)
+    # the fourth candidate, 8, is probed at 8, 10.96 and 15.44
+    with pytest.raises(ArithmeticError, match=r"probed up to 15\.44$"):
+        oracle.integrate(_raise_past_9, 0.0, math.inf)
+    # the second candidate, 2, is probed at 2, 2.74 and 3.86
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        oracle.integrate(_warn_on_3_5_to_100, 0.0, math.inf)
+    assert str(caught[0].message) == "probed at 3.86"
 
 
 def test_quadrature_takes_an_integrand_that_refuses_arrays():
