@@ -217,15 +217,16 @@ def _tail_cutoff(F, start: float, tol: float, sign: float) -> float:
     _TAIL_CAP_DOUBLINGS of them, each probed at three incommensurate
     points B, 1.37 B and 1.93 B, so an accidental zero of an oscillatory
     integrand cannot fake decay.  One call of F probes the next
-    _TAIL_BATCH candidates, and the batch is read in candidate order, so
-    nothing past the returned candidate counts.  A batch call that
-    raises or warns is made again one candidate per call, so errors and
-    warnings come only from the probes a search of one candidate per
-    call makes.  Raises ValueError naming the first probe in candidate
-    order where F is not finite, and ValueError on reaching a candidate
-    whose 1.93 B would pass _RANGE_LIMIT, which is never probed.  F
-    takes the integration variable t; messages name the caller's
-    x = sign * t.
+    _TAIL_BATCH candidates, so F sees up to _TAIL_BATCH - 1 candidates
+    past the one returned, at points up to 2^7 x 1.93 times it; the
+    batch is read in candidate order, so nothing past the returned
+    candidate counts.  A batch call that raises or warns is made again
+    one candidate per call, so errors and warnings come only from the
+    probes a search of one candidate per call makes.  Raises ValueError
+    naming the first probe in candidate order where F is not finite,
+    and ValueError on reaching a candidate whose 1.93 B would pass
+    _RANGE_LIMIT, which is never probed.  F takes the integration
+    variable t; messages name the caller's x = sign * t.
     """
     with np.errstate(over="ignore"):
         cuts = start * 2.0 ** np.arange(_TAIL_CAP_DOUBLINGS)
