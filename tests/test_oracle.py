@@ -236,6 +236,23 @@ def test_exponential_tail_is_found_in_one_call():
     assert len(calls) > len(tail)
 
 
+@pytest.mark.parametrize("centre, ends", [(200.0, (0.0, math.inf)),
+                                           (-200.0, (-math.inf, 0.0))])
+def test_mass_far_from_the_finite_end_is_integrated(centre, ends):
+    # The bump is below 1e-17000 at the finite end and at every point a
+    # few units from it: no rule that reads decay near the end may see it.
+    got = oracle.integrate(lambda t: np.exp(-(t - centre) ** 2), *ends, tol=1e-12)
+    assert abs(got - math.sqrt(math.pi)) <= 1e-12
+
+
+def test_mass_past_the_first_doublings_is_integrated():
+    # t^60 e^-t / 60!, written in logs so that no factor overflows, peaks
+    # at t = 60 and integrates to 1.
+    got = oracle.integrate(lambda t: np.exp(60.0 * np.log(t) - t - math.lgamma(61.0)),
+                           0.0, math.inf)
+    assert abs(got - 1.0) <= 1e-12
+
+
 def test_quadrature_reports_nonconvergence():
     with pytest.raises(ConvergenceError):
         oracle.quadrature(lambda y: 1.0, 0.0, math.inf, tol=1e-10)
