@@ -7,10 +7,10 @@ It offers four ways to check them from first principles:
   array rounds: integrate() calls its integrand once per round on the
   nodes of every cell the round evaluates, all graded initial cells
   first, then the halves of the fewest cells whose error estimates add
-  up to total - tol, largest first; an infinite end is first cut where
-  the integrand has decayed, found by probing doubling candidates eight
-  to a call; quadrature() is the same engine for an integrand of one
-  float (math.exp and the like),
+  up to total - tol, largest first; a half-line is first mapped onto
+  [0, 1) by the change of variable of QUADPACK's QAGI, and a full line
+  is split at 0 into two; quadrature() is the same engine for an
+  integrand of one float (math.exp and the like),
 * a finite-difference residual of the governing second-order equation,
 * a Sturm-sequence eigensolver for the oscillator on a box, built as
   the two spin sectors s = 0 and s = 1/2 of the reduced half-line
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from itertools import islice
 
@@ -81,57 +80,76 @@ for _i, _x in enumerate(_XGK):
         _NODES.append((-_x, _WGK[_i], _wg))
 _NODE_X = np.array([_x for _x, _, _ in _NODES])
 
-_GRADE_DEPTH = 28          # dyadic grading depth toward each graded endpoint
-_TAIL_CAP_DOUBLINGS = 60   # give up on tail truncation after this many
-_TAIL_BATCH = 8            # tail truncation candidates probed per integrand call
+_GRADE_DEPTH = 28          # dyadic grading depth toward each finite endpoint
+_FAR_DEPTH = 8             # dyadic grading depth toward the infinite end of a half-line
 _MAX_INTERVALS = 4096      # refinement cap of one adaptive integral
-# Bound on |finite end| and on the tail truncation point: half the
-# largest float, so every cell width and midpoint is a float.
+# Bound on |finite end| and on every weight dx/dt of a half-line's map:
+# half the largest float, so every cell width, midpoint and node is a float.
 _RANGE_LIMIT = 0.5 * sys.float_info.max
 
 
-def _caller_cell(lo: float, hi: float, sign: float) -> str:
-    """The cell [lo, hi] of the integration variable t as the caller's
-    x = sign * t, for messages."""
-    return f"[{lo}, {hi}]" if sign > 0 else f"[{-hi}, {-lo}]"
+def _unmapped(c, d) -> tuple[np.ndarray, np.ndarray]:
+    """The map of a finite range: x = t = c + d, with weight dx/dt = 1."""
+    x = c + d
+    return x, np.ones_like(x)
 
 
-def _evaluate(F, t: np.ndarray) -> np.ndarray:
-    """F at the 1-d float array t, as one float per point."""
-    v = np.asarray(F(t), dtype=float)
-    if v.shape != t.shape:
+def _caller_cell(x_lo: float, x_hi: float) -> str:
+    """The cell of the caller's x between x_lo and x_hi, for messages."""
+    return f"[{min(x_lo, x_hi)}, {max(x_lo, x_hi)}]"
+
+
+def _evaluate(F, x: np.ndarray) -> np.ndarray:
+    """F at the 1-d float array x, as one float per point."""
+    v = np.asarray(F(x), dtype=float)
+    if v.shape != x.shape:
         raise ValueError(f"integrand must return one value per point: "
-                         f"got shape {v.shape} for {t.size} points")
+                         f"got shape {v.shape} for {x.size} points")
     return v
 
 
-def _gk15(F, lo: np.ndarray, hi: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+def _gk15(F, to_x, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod values and |Kronrod - Gauss| error estimates on the cells
-    [lo[i], hi[i]], from one call of F on all their nodes.
+    [lo[i], hi[i]] of t, from one call of F on all their nodes.
 
-    Each cell is summed node by node in _NODES order, so its value and
-    estimate do not depend on the other cells of the round.  Raises
-    ConvergenceError for the first cell whose outermost nodes do not
-    fall strictly inside it, so no endpoint is ever evaluated, and
-    ValueError naming the first cell whose Kronrod value is not finite;
-    either names the first bad cell in order.  F takes the integration
-    variable t; messages name the cell in the caller's x = sign * t.
+    to_x(c, d) maps the points t = c + d, cell midpoints c and offsets d
+    passed apart, to the caller's x and gives the weights dx/dt; each
+    node's value is F(x) times its weight.  Each cell is summed node by
+    node in _NODES order, so its value and estimate do not depend on the
+    other cells of the round.  Raises ConvergenceError for the first cell
+    whose outermost nodes do not map strictly inside it, so no endpoint
+    is ever evaluated; ValueError naming the first cell with a weight
+    past _RANGE_LIMIT, before F is called; and ValueError naming the
+    first cell whose Kronrod value is not finite.  Messages name the
+    cell in the caller's x.
     """
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
-    tight = ~((lo < c - r * _XGK[0]) & (c + r * _XGK[0] < hi))
+    x, weight = to_x(c[:, None], r[:, None] * _NODE_X)
+    x_lo, x_hi = to_x(lo, 0.0)[0], to_x(hi, 0.0)[0]
+    # _NODE_X starts with the outermost pair, and to_x is monotone
+    outer, left, right = x[:, :2], x_lo[:, None], x_hi[:, None]
+    tight = ~np.all(((left < outer) & (outer < right)) | ((right < outer) & (outer < left)),
+                    axis=1)
     if tight.any():
         first = int(np.argmax(tight))
         if first:
-            _gk15(F, lo[:first], hi[:first], sign)
+            _gk15(F, to_x, lo[:first], hi[:first])
         raise ConvergenceError(
-            f"quadrature cell {_caller_cell(float(lo[first]), float(hi[first]), sign)} "
+            f"quadrature cell {_caller_cell(x_lo[first], x_hi[first])} "
             "cannot be refined further: its outermost nodes do not fall strictly inside it")
-    t = c[:, None] + r[:, None] * _NODE_X
-    v = _evaluate(F, t.ravel()).reshape(t.shape)
+    far = ~np.all(weight <= _RANGE_LIMIT, axis=1)
+    if far.any():
+        first = int(np.argmax(far))
+        raise ValueError(
+            f"the map of the half-line onto [0, 1) has weights dx/dt past "
+            f"{_RANGE_LIMIT:.6g}, half the largest float, on the quadrature cell "
+            f"{_caller_cell(x_lo[first], x_hi[first])}")
+    v = _evaluate(F, x.ravel()).reshape(x.shape)
     acc_k = np.zeros(len(lo))
     acc_g = np.zeros(len(lo))
     with np.errstate(over="ignore", invalid="ignore"):
+        v = v * weight
         for j, (_, wk, wg) in enumerate(_NODES):
             acc_k += wk * v[:, j]
             if wg:
@@ -140,30 +158,28 @@ def _gk15(F, lo: np.ndarray, hi: np.ndarray, sign: float) -> tuple[np.ndarray, n
         if bad.any():
             first = int(np.argmax(bad))
             raise ValueError("integrand is not finite on the quadrature cell "
-                             f"{_caller_cell(float(lo[first]), float(hi[first]), sign)}")
+                             f"{_caller_cell(x_lo[first], x_hi[first])}")
         return r * acc_k, np.abs(r * (acc_k - acc_g))
 
 
-def _initial_cells(a: float, b: float, grade_b: bool) -> list[float]:
-    """Interval boundaries graded dyadically toward a, and toward b when
-    grade_b is set.
+def _initial_cells(a: float, b: float, depth_b: int) -> list[float]:
+    """Interval boundaries graded dyadically, _GRADE_DEPTH levels toward
+    a and depth_b levels toward b.
 
     Integrable endpoint singularities (fractional powers) then converge
     geometrically cell by cell without the refinement loop having to
-    discover them one bisection at a time. Only an endpoint the caller
-    gave can hold one: b is not graded when it is a tail truncation
-    point, past which the integrand is already negligible.
+    discover them one bisection at a time.
     """
     width = b - a
     cuts = {a, b}
     for j in range(1, _GRADE_DEPTH + 1):
         cuts.add(a + width * 2.0 ** (-j))
-        if grade_b:
-            cuts.add(b - width * 2.0 ** (-j))
+    for j in range(1, depth_b + 1):
+        cuts.add(b - width * 2.0 ** (-j))
     return sorted(c for c in cuts if a <= c <= b)
 
 
-def _adaptive(F, a: float, b: float, tol: float, grade_b: bool, sign: float) -> float:
+def _adaptive(F, to_x, a: float, b: float, tol: float, depth_b: int) -> float:
     """Global adaptive Gauss-Kronrod on [a, b], one call of F per round.
 
     The first round evaluates every initial cell.  Each later round
@@ -172,9 +188,9 @@ def _adaptive(F, a: float, b: float, tol: float, grade_b: bool, sign: float) -> 
     among equals; a left half takes its parent's place and a right half
     goes to the end, in split order.
     """
-    bounds = np.array(_initial_cells(a, b, grade_b))
+    bounds = np.array(_initial_cells(a, b, depth_b))
     lo, hi = bounds[:-1], bounds[1:].copy()
-    val, err = _gk15(F, lo, hi, sign)
+    val, err = _gk15(F, to_x, lo, hi)
     while True:
         total_err = math.fsum(err.tolist())
         if total_err <= tol:
@@ -190,65 +206,12 @@ def _adaptive(F, a: float, b: float, tol: float, grade_b: bool, sign: float) -> 
         split = order[:k]
         s_lo, s_hi = lo[split], hi[split]
         mid = 0.5 * (s_lo + s_hi)
-        v, e = _gk15(F, np.column_stack((s_lo, mid)).ravel(),
-                     np.column_stack((mid, s_hi)).ravel(), sign)
+        v, e = _gk15(F, to_x, np.column_stack((s_lo, mid)).ravel(),
+                     np.column_stack((mid, s_hi)).ravel())
         hi[split] = mid
         val[split], err[split] = v[0::2], e[0::2]
         lo, hi = np.concatenate((lo, mid)), np.concatenate((hi, s_hi))
         val, err = np.concatenate((val, v[1::2])), np.concatenate((err, e[1::2]))
-
-
-def _batch_values(F, probes: np.ndarray) -> np.ndarray | None:
-    """|F| at the 2-d array of tail probes, from one call of F on all of
-    them, or None if that call raised or warned."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            v = _evaluate(F, probes.ravel())
-        except Exception:
-            return None
-    return None if caught else np.abs(v).reshape(probes.shape)
-
-
-def _tail_cutoff(F, start: float, tol: float, sign: float) -> float:
-    """Smallest probed B with |F| small enough beyond B to ignore the tail.
-
-    The candidates are B = start, 2 start, 4 start, ..., at most
-    _TAIL_CAP_DOUBLINGS of them, each probed at three incommensurate
-    points B, 1.37 B and 1.93 B, so an accidental zero of an oscillatory
-    integrand cannot fake decay.  One call of F probes the next
-    _TAIL_BATCH candidates, so F sees up to _TAIL_BATCH - 1 candidates
-    past the one returned, at points up to 2^7 x 1.93 times it; the
-    batch is read in candidate order, so nothing past the returned
-    candidate counts.  A batch call that raises or warns is made again
-    one candidate per call, so errors and warnings come only from the
-    probes a search of one candidate per call makes.  Raises ValueError
-    naming the first probe in candidate order where F is not finite,
-    and ValueError on reaching a candidate whose 1.93 B would pass
-    _RANGE_LIMIT, which is never probed.  F takes the integration
-    variable t; messages name the caller's x = sign * t.
-    """
-    with np.errstate(over="ignore"):
-        cuts = start * 2.0 ** np.arange(_TAIL_CAP_DOUBLINGS)
-        cuts = cuts[1.93 * cuts <= _RANGE_LIMIT].tolist()
-    for i in range(0, len(cuts), _TAIL_BATCH):
-        probes = np.multiply.outer(cuts[i:i + _TAIL_BATCH], [1.0, 1.37, 1.93])
-        v = _batch_values(F, probes)
-        for j, cut in enumerate(cuts[i:i + _TAIL_BATCH]):
-            w = np.abs(_evaluate(F, probes[j])) if v is None else v[j]
-            bad = ~np.isfinite(w)
-            if bad.any():
-                x = float(probes[j][np.argmax(bad)])
-                raise ValueError(f"integrand is not finite at the tail probe {sign * x!r}")
-            if float(np.max(w)) * cut <= 0.1 * tol:
-                return 1.93 * cut
-    if len(cuts) < _TAIL_CAP_DOUBLINGS:
-        raise ValueError(
-            f"the tail truncation point would pass {sign * _RANGE_LIMIT:.6g}, "
-            "half the largest float, where cell widths and midpoints overflow")
-    raise ConvergenceError(
-        f"integrand does not decay fast enough past "
-        f"{sign * start * 2.0 ** _TAIL_CAP_DOUBLINGS:.3e} for tail truncation")
 
 
 def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
@@ -256,38 +219,42 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
 
     F takes a 1-d float array of points and returns one float per
     point; each round of refinement calls it once on the nodes of all
-    the cells that round evaluates, at most 4096 x 15 points.
-    Endpoints may be +-inf.  An infinite tail is cut at 1.93 B for the
-    first of the candidates B = B0, 2 B0, 4 B0, ... (at most 60) where
-    max |F| over the probes B, 1.37 B and 1.93 B, times B, is at most
-    0.1 tol.  One call of F probes the next eight candidates, 24 points,
-    and they are read in candidate order: F is also called at up to
-    seven candidates past the chosen one, at points up to 2^7 x 1.93
-    times it, and those values are ignored, finite or not.  A call on
-    eight candidates that raises or warns is made again one candidate
-    per call, so the search raises or warns only where one call per
-    candidate would.  The finite
-    core is handled by global adaptive 15-point Gauss-Kronrod. Its
-    initial cells are graded dyadically toward each finite endpoint the
-    caller gave: both ends of a finite [a, b], only the finite end of a
-    semi-infinite range, never the truncation point. Each later round
-    halves the fewest cells whose error estimates add up to at least
-    total - tol, largest first; a round that would hold more than 4096
-    cells raises ConvergenceError.
+    the cells that round evaluates, at most 4096 x 15 points.  The
+    rounds are global adaptive 15-point Gauss-Kronrod: the first
+    evaluates every initial cell, each later one halves the fewest cells
+    whose error estimates add up to at least total - tol, largest first,
+    and a round that would hold more than 4096 cells raises
+    ConvergenceError.
 
-    Endpoint values are never evaluated, so integrable power
-    singularities at the ends are fine; a cell too narrow to keep its
-    nodes off its ends raises ConvergenceError. An endpoint that is
-    neither +-inf nor finite (NaN, bool) raises ValueError, and so does
-    a cell, or a tail probe up to the chosen candidate, where the
-    integrand is not finite.
+    A finite [a, b] is integrated in x, its initial cells graded
+    dyadically 28 levels toward each end.  A half-line is mapped onto
+    [0, 1) by the change of variable of QUADPACK's QAGI (Piessens et
+    al. 1983, section 2.2): x = a + L t/(1 - t) for [a, inf) and
+    x = b - L t/(1 - t) for (-inf, b], with L = max(1, 2|s|, 2s + 1)
+    for s = a or -b.  F(x) L/(1 - t)^2 is integrated over t, graded 28
+    levels toward the finite end t = 0 and 8 toward t = 1, which covers
+    the shells out to x = 255 L.  QAGI writes the map as
+    x = a + L (1 - t)/t; here the finite end sits at t = 0, where floats
+    are densest, so an endpoint singularity such as x^(-1/2) is resolved
+    as finely as on a finite range.  A full line is split at 0 into two
+    half-lines.
+
+    F is called only at the nodes of the cells the rounds evaluate, and
+    it must be finite there and raise or warn nothing: on a half-line
+    the first round reaches x = 6e4 L past the finite end, and each
+    split of the far cell doubles that reach.  No endpoint is ever
+    evaluated, so integrable power singularities at the ends are fine;
+    a cell too narrow to keep its nodes off its ends in x raises
+    ConvergenceError.  A cell where the integrand is not finite raises
+    ValueError, and so does an endpoint that is neither +-inf nor finite
+    (NaN, bool).  Messages name cells by the x that F is called with.
 
     Domain: every finite end must satisfy |end| <= 8.99e307, half the
-    largest float, so that every cell width and midpoint is a float;
-    an end beyond it, or a tail search whose truncation point would
-    pass it, raises ValueError naming the limit.  A range (-inf, b] is
-    integrated as t -> F(-t) over [-b, inf), but every message names
-    cells and probes by the x that F is called with.
+    largest float, so that every cell width and midpoint is a float.  A
+    half-line's weights L/(1 - t)^2 must stay within that limit too, so
+    F is never called at a non-finite x; they reach 3.6e9 L in the first
+    round, so a finite end past about 1.2e298 is refused at once.
+    Either raises ValueError naming the limit.
     """
     check_positive(tol, "tolerance")
     for end, name in ((a, "lower limit a"), (b, "upper limit b")):
@@ -305,24 +272,28 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     if neg_inf and pos_inf:
         return integrate(F, a, 0.0, 0.5 * tol) + integrate(F, 0.0, b, 0.5 * tol)
     if neg_inf or pos_inf:
-        # (-inf, b] is integrated as t -> F(-t) over [-b, inf)
-        sign = -1.0 if neg_inf else 1.0
-        G = (lambda t: F(-t)) if neg_inf else F
-        start = -b if neg_inf else a
-        cut = _tail_cutoff(G, max(1.0, 2.0 * abs(start), 2.0 * start + 1.0), tol, sign)
-        return _adaptive(G, start, cut, tol, grade_b=False, sign=sign)
-    return _adaptive(F, a, b, tol, grade_b=True, sign=1.0)
+        end = b if neg_inf else a
+        s = -end if neg_inf else end
+        length = max(1.0, 2.0 * abs(s), 2.0 * s + 1.0)
+        step = -length if neg_inf else length
+
+        def to_x(c, d):
+            # 1 - c is exact for c >= 1/2, so u = 1 - t keeps its digits
+            # toward t = 1, where t itself has none to spare
+            u = (1.0 - c) - d
+            with np.errstate(divide="ignore", over="ignore"):
+                return end + step * ((c + d) / u), length / (u * u)
+        return _adaptive(F, to_x, 0.0, 1.0, tol, _FAR_DEPTH)
+    return _adaptive(F, _unmapped, a, b, tol, _GRADE_DEPTH)
 
 
 def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     """integrate() for an integrand f of one float: f is called at each
-    node and tail probe in turn, in the order integrate() passes them,
-    with the same result, rules and messages.
+    node in turn, in the order integrate() passes them, with the same
+    result, rules and messages.
 
     For integrands that cannot take arrays, such as ones built from
-    math.exp (the perfbench oracle_solve norm integrand is one); one that
-    overflows at a far tail probe is called again one candidate at a
-    time, as integrate() does with any batch that raises; an
+    math.exp (the perfbench oracle_solve norm integrand is one); an
     array integrand should call integrate() directly.
     """
     return integrate(lambda ts: np.array([f(t) for t in ts.tolist()], dtype=float), a, b, tol)
@@ -911,8 +882,8 @@ class _ShootingRun:
             d *= 2
         phi0, dphi0 = self._starts(e)[:, :, None]
         phi = np.concatenate([phi0, m[0, 0] * phi0 + m[0, 1] * dphi0], axis=1)
-        sign = np.sign(phi)
-        return int(np.count_nonzero(sign[:, 1:] * sign[:, :-1] < 0))
+        signs = np.sign(phi)
+        return int(np.count_nonzero(signs[:, 1:] * signs[:, :-1] < 0))
 
 
 _SHOOTING_TOL = 1e-9       # relative width at which a shooting solve stops
@@ -1024,14 +995,14 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
     t_stop = (n_max + 3.0) / math.sqrt(0.2)
     brackets = []
     prev_eps = None
-    prev_sign = None
+    prev_positive = None
     while t < t_stop and len(brackets) <= n_max:
         eps = -0.5 * unit / (t * t)
         run = _ShootingRun(ShootingConfig(nu, (1.01 * eps, 0.99 * eps)), p)
-        sign = run.mismatch(eps) > 0
-        if prev_sign is not None and sign != prev_sign:
+        positive = run.mismatch(eps) > 0
+        if prev_positive is not None and positive != prev_positive:
             brackets.append((prev_eps, eps))
-        prev_eps, prev_sign = eps, sign
+        prev_eps, prev_positive = eps, positive
         t += _SCAN_STEP
     if len(brackets) <= n_max:
         raise ConvergenceError(

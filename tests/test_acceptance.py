@@ -73,9 +73,9 @@ def test_norm_and_oracle_suites_call_the_evaluators_on_arrays_only(monkeypatch):
 
 def test_normalization_suite_integrand_call_budget(monkeypatch):
     # Each norm integrand calls one evaluator once, so counting evaluator
-    # calls counts integrand calls.  The tail search of a semi-infinite
-    # integral probes eight candidate cuts per call: at one candidate per
-    # call the suite made 369 calls.
+    # calls counts integrand calls.  A half-line is mapped onto [0, 1),
+    # so each integral takes one call per round of refinement and no
+    # other: the suite makes 112.
     calls = 0
     for module, name in ((anyon, "wavefunction"), (anyon, "extended_wavefunction"),
                          (oscillator, "wavefunction")):
@@ -85,4 +85,4 @@ def test_normalization_suite_integrand_call_budget(monkeypatch):
             return original(*args)
         monkeypatch.setattr(module, name, counted)
     verification.suite_normalization()
-    assert 0 < calls <= 200
+    assert 0 < calls <= 120
