@@ -233,8 +233,8 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     x = b - L t/(1 - t) for (-inf, b], with L = max(1, 2|s|, 2s + 1)
     for s = a or -b.  F(x) L/(1 - t)^2 is integrated over t, graded 28
     levels toward the finite end t = 0 and 8 toward t = 1, which covers
-    the shells out to x = 255 L.  QAGI writes the map as
-    x = a + L (1 - t)/t; here the finite end sits at t = 0, where floats
+    the shells out to x = 255 L.  QAGI's own map, x = a + (1 - t)/t,
+    puts the finite end at t = 1; here it sits at t = 0, where floats
     are densest, so an endpoint singularity such as x^(-1/2) is resolved
     as finely as on a finite range.  A full line is split at 0 into two
     half-lines.
@@ -242,7 +242,9 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     F is called only at the nodes of the cells the rounds evaluate, and
     it must be finite there and raise or warn nothing: on a half-line
     the first round reaches x = 6e4 L past the finite end, and each
-    split of the far cell doubles that reach.  No endpoint is ever
+    split of the far cell doubles that reach, up to about 4.5e15 L,
+    where t runs out of floats below 1; a tail that still matters there,
+    such as (1 + x)^(-3/2), raises ConvergenceError.  No endpoint is ever
     evaluated, so integrable power singularities at the ends are fine;
     a cell too narrow to keep its nodes off its ends in x raises
     ConvergenceError.  A cell where the integrand is not finite raises

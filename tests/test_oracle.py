@@ -64,6 +64,10 @@ def test_quadrature_endpoint_power_singularity():
     assert abs(got - 2.0 / 3.0) <= 1e-11
     got = oracle.quadrature(lambda x: x ** 1.5, 0.0, 1.0, tol=1e-12)
     assert abs(got - 0.4) <= 1e-12
+    # A half-line keeps its finite end at t = 0 of its map, where floats
+    # are as dense as at the end of a finite range.
+    got = oracle.quadrature(lambda x: x ** -0.5 * math.exp(-x), 0.0, math.inf)
+    assert abs(got - math.sqrt(math.pi)) <= 1e-10
 
 
 def test_quadrature_laguerre_norm_closed_form():
@@ -96,7 +100,8 @@ def test_finite_range_quadrature_is_bit_identical(f, recorded):
 
 @pytest.mark.parametrize("ends, finite_end, length", [
     ((0.0, math.inf), 0.0, 1.0), ((3.0, math.inf), 3.0, 7.0),
-    ((-math.inf, 0.0), 0.0, 1.0), ((-math.inf, -2.5), -2.5, 6.0)])
+    ((-math.inf, 0.0), 0.0, 1.0), ((-math.inf, -2.5), -2.5, 6.0)],
+    ids=["0-inf", "3-inf", "-inf-0", "-inf--2.5"])
 def test_half_line_first_round_is_graded_toward_both_ends_of_its_map(ends, finite_end,
                                                                     length):
     # The first round evaluates 36 cells: 28 levels toward the finite end
@@ -285,27 +290,27 @@ def test_array_rounds_give_the_one_point_bits_on_evaluator_integrands():
                                     tol=1e-12)
 
 
-def _fermi(x):
-    return math.exp(-x) / (1.0 + math.exp(-x))
-
-
-@pytest.mark.parametrize("label, integrate, f", [
-    ("math.exp", oracle.quadrature, _fermi),
-    ("np.exp", oracle.integrate, lambda t: np.exp(-t) / (1.0 + np.exp(-t)))])
-def test_fermi_function_in_an_overflow_safe_form(label, integrate, f):
+@pytest.mark.parametrize("integrate, f", [
+    (oracle.quadrature, lambda x: math.exp(-x) / (1.0 + math.exp(-x))),
+    (oracle.integrate, lambda t: np.exp(-t) / (1.0 + np.exp(-t)))],
+    ids=["math.exp", "np.exp"])
+def test_fermi_function_in_an_overflow_safe_form(integrate, f):
+    # 1/(1 + e^x) over [2, inf) is log1p(e^-2); written with e^-x it
+    # overflows nowhere, however far out it is called.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = integrate(f, 2.0, math.inf)
     assert got == pytest.approx(math.log1p(math.exp(-2.0)), rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("label, integrate, f, a, error", [
-    ("math.exp", oracle.quadrature, lambda x: 1.0 / (1.0 + math.exp(x)), 2.0, OverflowError),
-    ("np.exp", oracle.integrate, lambda t: 1.0 / (1.0 + np.exp(t)), 2.0, RuntimeWarning),
+@pytest.mark.parametrize("integrate, f, a, error", [
+    (oracle.quadrature, lambda x: 1.0 / (1.0 + math.exp(x)), 2.0, OverflowError),
+    (oracle.integrate, lambda t: 1.0 / (1.0 + np.exp(t)), 2.0, RuntimeWarning),
     # the domain of the wavefunction ends at 1.25e149 at unit constants
-    ("anyon past its domain", oracle.integrate,
-     lambda x: anyon.wavefunction(0, 0.25, UNIT, x) ** 2, 1e147, ValueError)])
-def test_integrand_that_overflows_far_out_raises(label, integrate, f, a, error):
+    (oracle.integrate, lambda x: anyon.wavefunction(0, 0.25, UNIT, x) ** 2, 1e147,
+     ValueError)],
+    ids=["math.exp", "np.exp", "anyon_past_its_domain"])
+def test_integrand_that_overflows_far_out_raises(integrate, f, a, error):
     # The first round reaches 6e4 L past the finite end, so an integrand
     # that raises or warns there fails loudly instead of returning a number.
     with warnings.catch_warnings():
@@ -315,13 +320,18 @@ def test_integrand_that_overflows_far_out_raises(label, integrate, f, a, error):
 
 
 @pytest.mark.parametrize("f, a, b", [
-    (lambda x: 1.0, 0.0, math.inf),                                # no decay
+    (lambda x: 1.0, 0.0, math.inf),
     (lambda x: 1.0, -math.inf, -2.0),
-    (lambda x: (1.0 + abs(x)) ** -1.5, -math.inf, math.inf),       # slow decay
+    (lambda x: (1.0 + abs(x)) ** -1.5, -math.inf, math.inf),
     (lambda x: math.exp(-abs(x - 3.0)) / math.sqrt(abs(x - 3.0)), -math.inf, 3.0),
-    (lambda x: (x / 1e280) ** -1.5 / 1e280, 1e280, math.inf),      # refined past the limit
-    (lambda x: math.exp(-x * x), -math.inf, math.inf)])
+    (lambda x: (x / 1e280) ** -1.5 / 1e280, 1e280, math.inf),
+    (lambda x: math.exp(-x * x), -math.inf, math.inf)],
+    ids=["no_decay", "no_decay_to_-2", "slow_decay", "singular_end_3",
+         "weights_past_the_limit", "gaussian"])
 def test_integrand_is_called_only_at_finite_points_inside_the_range(f, a, b):
+    # Whether the integral converges, stops with ConvergenceError or is
+    # refused for its weights, f sees only finite points strictly inside
+    # the range: never an end, never infinity.
     seen = []
 
     def g(x):
