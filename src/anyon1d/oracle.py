@@ -126,11 +126,11 @@ def _gk15(F, to_x, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
     x, weight = to_x(c[:, None], r[:, None] * _NODE_X)
-    x_lo, x_hi = to_x(lo, 0.0)[0], to_x(hi, 0.0)[0]
-    # _NODE_X starts with the outermost pair, and to_x is monotone
-    outer, left, right = x[:, :2], x_lo[:, None], x_hi[:, None]
-    tight = ~np.all(((left < outer) & (outer < right)) | ((right < outer) & (outer < left)),
-                    axis=1)
+    x_lo, x_hi = np.split(to_x(np.concatenate((lo, hi)), 0.0)[0], 2)
+    # _NODE_X starts with the nodes nearest hi and lo, and to_x is
+    # monotone, increasing or decreasing
+    near_hi, near_lo = x[:, 0], x[:, 1]
+    tight = ~((x_lo < near_lo) & (near_hi < x_hi) | (x_hi < near_hi) & (near_lo < x_lo))
     if tight.any():
         first = int(np.argmax(tight))
         if first:
@@ -138,9 +138,8 @@ def _gk15(F, to_x, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
         raise ConvergenceError(
             f"quadrature cell {_caller_cell(x_lo[first], x_hi[first])} "
             "cannot be refined further: its outermost nodes do not fall strictly inside it")
-    far = ~np.all(weight <= _RANGE_LIMIT, axis=1)
-    if far.any():
-        first = int(np.argmax(far))
+    if not weight.max() <= _RANGE_LIMIT:
+        first = int(np.argmax(~np.all(weight <= _RANGE_LIMIT, axis=1)))
         raise ValueError(
             f"the map of the half-line onto [0, 1) has weights dx/dt past "
             f"{_RANGE_LIMIT:.6g}, half the largest float, on the quadrature cell "
@@ -884,8 +883,8 @@ class _ShootingRun:
             d *= 2
         phi0, dphi0 = self._starts(e)[:, :, None]
         phi = np.concatenate([phi0, m[0, 0] * phi0 + m[0, 1] * dphi0], axis=1)
-        signs = np.sign(phi)
-        return int(np.count_nonzero(signs[:, 1:] * signs[:, :-1] < 0))
+        sign = np.sign(phi)
+        return int(np.count_nonzero(sign[:, 1:] * sign[:, :-1] < 0))
 
 
 _SHOOTING_TOL = 1e-9       # relative width at which a shooting solve stops
@@ -997,14 +996,14 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
     t_stop = (n_max + 3.0) / math.sqrt(0.2)
     brackets = []
     prev_eps = None
-    prev_positive = None
+    prev_sign = None
     while t < t_stop and len(brackets) <= n_max:
         eps = -0.5 * unit / (t * t)
         run = _ShootingRun(ShootingConfig(nu, (1.01 * eps, 0.99 * eps)), p)
-        positive = run.mismatch(eps) > 0
-        if prev_positive is not None and positive != prev_positive:
+        sign = run.mismatch(eps) > 0
+        if prev_sign is not None and sign != prev_sign:
             brackets.append((prev_eps, eps))
-        prev_eps, prev_positive = eps, positive
+        prev_eps, prev_sign = eps, sign
         t += _SCAN_STEP
     if len(brackets) <= n_max:
         raise ConvergenceError(

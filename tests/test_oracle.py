@@ -214,6 +214,24 @@ def test_quadrature_messages_name_the_callers_point():
         oracle.quadrature(lambda x: (3.0 - x) ** -0.5 * math.exp(x - 3.0), -math.inf, 3.0)
 
 
+@pytest.mark.parametrize("centre, ends", [(200.0, (0.0, math.inf)),
+                                           (-200.0, (-math.inf, 0.0))],
+                         ids=["+200", "-200"])
+def test_mass_far_from_the_finite_end_is_integrated(centre, ends):
+    # The bump is below 1e-17000 at the finite end and at every point a
+    # few units from it: no rule that reads decay near the end may see it.
+    got = oracle.integrate(lambda t: np.exp(-(t - centre) ** 2), *ends, tol=1e-12)
+    assert abs(got - math.sqrt(math.pi)) <= 1e-12
+
+
+def test_mass_past_the_first_doublings_is_integrated():
+    # t^60 e^-t / 60!, written in logs so that no factor overflows, peaks
+    # at t = 60 and integrates to 1.
+    got = oracle.integrate(lambda t: np.exp(60.0 * np.log(t) - t - math.lgamma(61.0)),
+                           0.0, math.inf)
+    assert abs(got - 1.0) <= 1e-12
+
+
 def test_quadrature_reports_nonconvergence():
     with pytest.raises(ConvergenceError):
         oracle.quadrature(lambda y: 1.0, 0.0, math.inf, tol=1e-10)
@@ -319,16 +337,20 @@ def test_integrand_that_overflows_far_out_raises(integrate, f, a, error):
             integrate(f, a, math.inf)
 
 
-@pytest.mark.parametrize("f, a, b", [
-    (lambda x: 1.0, 0.0, math.inf),
-    (lambda x: 1.0, -math.inf, -2.0),
-    (lambda x: (1.0 + abs(x)) ** -1.5, -math.inf, math.inf),
-    (lambda x: math.exp(-abs(x - 3.0)) / math.sqrt(abs(x - 3.0)), -math.inf, 3.0),
-    (lambda x: (x / 1e280) ** -1.5 / 1e280, 1e280, math.inf),
-    (lambda x: math.exp(-x * x), -math.inf, math.inf)],
+@pytest.mark.parametrize("f, a, b, outcome", [
+    (lambda x: 1.0, 0.0, math.inf, (ConvergenceError, r"exceeded 4096 intervals")),
+    (lambda x: 1.0, -math.inf, -2.0, (ConvergenceError, r"exceeded 4096 intervals")),
+    (lambda x: (1.0 + abs(x)) ** -1.5, -math.inf, math.inf,
+     (ConvergenceError, r"cell \[-9007199254740991\.0, -4503599627370495\.0\] "
+                        "cannot be refined further")),
+    (lambda x: math.exp(-abs(x - 3.0)) / math.sqrt(abs(x - 3.0)), -math.inf, 3.0,
+     (ConvergenceError, r"cell \[2\.99999999999995\d*, 3\.0\] cannot be refined further")),
+    (lambda x: (x / 1e280) ** -1.5 / 1e280, 1e280, math.inf,
+     (ValueError, r"weights dx/dt past 8\.98847e\+307")),
+    (lambda x: math.exp(-x * x), -math.inf, math.inf, math.sqrt(math.pi))],
     ids=["no_decay", "no_decay_to_-2", "slow_decay", "singular_end_3",
          "weights_past_the_limit", "gaussian"])
-def test_integrand_is_called_only_at_finite_points_inside_the_range(f, a, b):
+def test_integrand_is_called_only_at_finite_points_inside_the_range(f, a, b, outcome):
     # Whether the integral converges, stops with ConvergenceError or is
     # refused for its weights, f sees only finite points strictly inside
     # the range: never an end, never infinity.
@@ -338,10 +360,12 @@ def test_integrand_is_called_only_at_finite_points_inside_the_range(f, a, b):
         seen.append(x)
         return f(x)
 
-    try:
-        oracle.quadrature(g, a, b)
-    except (ValueError, ConvergenceError):
-        pass
+    if isinstance(outcome, float):
+        assert abs(oracle.quadrature(g, a, b) - outcome) <= 1e-10
+    else:
+        error, message = outcome
+        with pytest.raises(error, match=message):
+            oracle.quadrature(g, a, b)
     assert seen
     assert all(math.isfinite(x) and a < x < b for x in seen)
 
