@@ -126,7 +126,8 @@ def _gk15(F, to_x, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
     x, weight = to_x(c[:, None], r[:, None] * _NODE_X)
-    x_lo, x_hi = np.split(to_x(np.concatenate((lo, hi)), 0.0)[0], 2)
+    ends = to_x(np.concatenate((lo, hi)), 0.0)[0]
+    x_lo, x_hi = ends[:len(lo)], ends[len(lo):]
     # _NODE_X starts with the nodes nearest hi and lo, and to_x is
     # monotone, increasing or decreasing
     near_hi, near_lo = x[:, 0], x[:, 1]
