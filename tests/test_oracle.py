@@ -1109,6 +1109,20 @@ def test_propagator_products_match_sequential_rk4(nu):
             assert run.nodes(eps) == nodes
 
 
+@pytest.mark.parametrize("phi, changes", [
+    ([[1.0, 0.0, -1.0]], 1),
+    ([[1.0, 0.0, 0.0, -2.0, 0.0, 3.0]], 2),
+    ([[1.0, 0.0, 1.0]], 0),
+    ([[0.0, -1.0, 1.0], [2.0, -0.0, -2.0]], 2),
+    ([[0.0, 0.0, 0.0]], 0)],
+    ids=["node_on_a_step_end", "zero_runs", "touch_without_crossing", "both_sweeps",
+         "all_zero"])
+def test_a_node_on_a_step_end_is_counted(phi, changes):
+    # np.sign gives 0 at an exact zero, and 0 * x < 0 is false, so a
+    # product-of-signs count misses a node that falls on a step end.
+    assert oracle._sign_changes(np.array(phi)) == changes
+
+
 def _reference_propagators(h, a, b, c):
     """Every step's RK4 propagator of (phi, phi') from the per-step
     formula the run evaluated at each energy before its coefficient
