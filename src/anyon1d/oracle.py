@@ -27,9 +27,11 @@ It offers four ways to check them from first principles:
 * a shooting eigensolver for the attractive half-line problem, whose
   RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
   propagator entry is a quadratic in the energy, tabulated once per
-  run, and the products need a power-of-two rescale only every fourth
-  pass; each level is one Anderson-Bjorck (modified regula falsi) solve
-  of the matching defect, and the energy scan walks the Coulomb variable
+  run, and the products need a power-of-two rescale only every sixth
+  pass; the node count samples the solution at the ends of 32-step
+  blocks, the products of the tree's first five passes; each level is
+  one Anderson-Bjorck (modified regula falsi) solve of the matching
+  defect, and the energy scan walks the Coulomb variable
   t = (2 |e|)^(-1/2) in half steps, one table per probe.
 
 Both eigensolvers compute in natural units (sqrt(hbar/(m omega)) and
@@ -199,11 +201,13 @@ def _adaptive(F, to_x, a: float, b: float, tol: float, depth_b: int) -> float:
         with np.errstate(over="ignore"):
             reach = np.cumsum(err[order])
         k = min(int(np.searchsorted(reach, total_err - tol)) + 1, len(order))
+        split = order[:k]
         if len(lo) + k > _MAX_INTERVALS:
+            x_lo, x_hi = to_x(np.array([lo[split[0]], hi[split[0]]]), 0.0)[0]
             raise ConvergenceError(
                 f"quadrature exceeded {_MAX_INTERVALS} intervals "
-                f"(error estimate {total_err:.3e}, target {tol:.3e})")
-        split = order[:k]
+                f"(error estimate {total_err:.3e}, target {tol:.3e}); the largest "
+                f"estimate is on the cell {_caller_cell(x_lo, x_hi)}")
         s_lo, s_hi = lo[split], hi[split]
         mid = 0.5 * (s_lo + s_hi)
         v, e = _gk15(F, to_x, np.column_stack((s_lo, mid)).ravel(),
@@ -224,7 +228,7 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     evaluates every initial cell, each later one halves the fewest cells
     whose error estimates add up to at least total - tol, largest first,
     and a round that would hold more than 4096 cells raises
-    ConvergenceError.
+    ConvergenceError naming the cell with the largest estimate.
 
     A finite [a, b] is integrated in x, its initial cells graded
     dyadically 28 levels toward each end.  A half-line is mapped onto
@@ -647,27 +651,31 @@ _START_STEPS = 48          # RK4 steps in the first octave [x_start, 2 x_start]
 # RK4 steps one sweep may take; the scan and the level solves for
 # n <= 100 take at most 8619
 _MAX_STEPS = 2 ** 16
+# Deepest lower bracket end, in natural units.  The step rule keeps
+# h^2 |g| <= 0.0025, so a raw step propagator has diagonal entries below
+# 1.002, M01 below 1.001 h and M10 below 1.001 h |g| <= 0.0501 sqrt(G),
+# with G = 2/x_start + nu(1 - nu)/x_start^2 + 2|lo| the largest bound on
+# |g| of the run; lo >= -5e10 keeps that below 15,900.  On the octave
+# from a, h <= 0.05 sqrt(a/2), and the octave [a/2, a] before it takes
+# at least 20 sqrt(a) of the two sweeps' 2 _MAX_STEPS steps, so
+# a < 4.3e7 and h < 240.  Every raw entry is then below 2^14, the bound
+# _RESCALE_PERIOD rests on.  A bracket past -5e10 that the step cap
+# would pass has x_end - x_match <= 2^16 0.05/sqrt(2|lo|) < 0.011, so
+# hi < -7e6: it holds no level.
+_DEEPEST = 5e10
 
 
-def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
-    """RK4 steps covering [lo_x, hi_x], as the rows (h, v_start, v_mid, v_end).
+def _octaves(run: _ShootingRun, lo_x: float, hi_x: float) -> tuple[list, list, list]:
+    """Step length, step count and start of each octave of one sweep over
+    [lo_x, hi_x].
 
     Step doubles per octave of x (anchored at run.x_start) and is capped
-    so h times the largest local wavenumber stays below 0.05.  v is the
-    e-free part of the coefficient g(x) = 2 (V(x) - e) = vpart(x) - 2e
-    at the start, midpoint and end of each step, in natural units.  A
-    loop over the octaves fixes each one's step count m and length h;
-    the arrays are then built in one pass, step k of the octave starting
-    at a running from a + h k to a + h (k + 1).  Raises ValueError,
-    before building any array, when the steps would exceed _MAX_STEPS:
-    the bracket is too shallow.
+    so h times the largest local wavenumber stays below 0.05.  Raises
+    ValueError, before any array is built, when the sweep would take
+    more than _MAX_STEPS steps: the bracket is too shallow.
     """
     vcoef = run.cfg.nu * (1.0 - run.cfg.nu)  # identical for both nu branches
     g_energy = 2.0 * abs(run.bracket[0])
-
-    def vpart(x):
-        return -2.0 / x - vcoef / (x * x)
-
     steps, counts, starts = [], [], []
     total = 0
     a = lo_x
@@ -690,16 +698,45 @@ def _steps(run: _ShootingRun, lo_x: float, hi_x: float) -> np.ndarray:
         starts.append(a)
         a = edge
         j += 1
+    return steps, counts, starts
+
+
+def _steps(run: _ShootingRun, x_match: float) -> np.ndarray:
+    """RK4 step table of both sweeps, shape (4, 2, width): rows h, v_start,
+    v_mid, v_end, sweep 0 outward x_start -> x_match and sweep 1 inward
+    x_end -> x_match (h < 0), the shorter one padded with zeros.
+
+    v is the e-free part of the coefficient g(x) = 2 (V(x) - e) =
+    vpart(x) - 2e at the start, midpoint and end of each step, in
+    natural units; an inward step runs from its end back to its start.
+    _octaves fixes each octave's step count m and length h; the steps of
+    both sweeps are then built in one array pass, step k of the octave
+    starting at a running from a + h k to a + h (k + 1).
+    """
+    vcoef = run.cfg.nu * (1.0 - run.cfg.nu)
+    out = _octaves(run, run.x_start, x_match)
+    inward = _octaves(run, x_match, run.x_end)
+    steps, counts, starts = (o + i for o, i in zip(out, inward))
+    n_out, n_in = sum(out[1]), sum(inward[1])
     h = np.repeat(steps, counts)
     a = np.repeat(starts, counts)
-    k = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = np.arange(n_out + n_in) - np.repeat(np.cumsum(counts) - counts, counts)
     x0 = a + h * k
-    return np.stack([h, vpart(x0), vpart(x0 + 0.5 * h), vpart(a + h * (k + 1))])
+    x = np.stack([x0, x0 + 0.5 * h, a + h * (k + 1)])
+    v = -2.0 / x - vcoef / (x * x)
+    table = np.zeros((4, 2, max(n_out, n_in)))
+    table[0, 0, :n_out] = h[:n_out]
+    table[1:, 0, :n_out] = v[:, :n_out]
+    table[0, 1, :n_in] = -h[n_out:][::-1]
+    table[1:, 1, :n_in] = v[::-1, n_out:][..., ::-1]
+    return table
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products a_i b_i of 2x2 matrices stored entry-first, shape (2, 2, ...)."""
-    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+    product = a[:, :1] * b[:1]
+    product += a[:, 1:] * b[1:]
+    return product
 
 
 # one identity matrix per sweep, entry-first as the step propagators
@@ -712,13 +749,47 @@ def _rescaled(m: np.ndarray) -> np.ndarray:
     return np.ldexp(m, -np.frexp(np.abs(m).max(axis=(0, 1)))[1])
 
 
-# Product passes between two rescales.  A rescale leaves every entry
-# below 1 (an appended identity column has entries of at most 1), and a
-# 2x2 product obeys max|AB| <= 2 max|A| max|B|, so the bound goes
-# 2, 8, 128, 2^15 over four passes: far from overflow.  Every rescale is
-# by a power of two, so the products carry the same bits as with a
-# rescale after every pass.
-_RESCALE_PERIOD = 4
+# Product passes between two rescales.  A 2x2 product obeys
+# max|AB| <= 2 max|A| max|B|, so entries below 2^14 (every raw step
+# propagator of a run, see _DEEPEST) grow to at most 2^29, 2^59, 2^119,
+# 2^239, 2^479 and 2^959 over six passes, and entries below 1 (after a
+# rescale; an appended identity column has entries of at most 1) to at
+# most 2^63: below overflow either way.  Every rescale is by a power of
+# two, so the products carry the same bits as with a rescale after
+# every pass.
+_RESCALE_PERIOD = 6
+_BLOCK_PASSES = 5          # pairwise passes that form the 32-step blocks nodes() samples
+
+
+def _pairwise(m: np.ndarray, passes: int) -> np.ndarray:
+    """Pairwise products of m, entry-first 2x2 matrices in step order
+    along the last axis, for `passes` passes or until one is left.
+
+    Each pass replaces the blocks 2i and 2i + 1 by their product, later
+    times earlier, an odd last block times the identity, and the blocks
+    are rescaled after every _RESCALE_PERIOD-th pass.  After p passes
+    block i is the product of steps 2^p i to 2^p (i + 1) - 1, up to a
+    power of two per matrix.
+    """
+    for done in range(1, passes + 1):
+        if m.shape[-1] == 1:
+            break
+        if m.shape[-1] % 2:
+            m = np.concatenate([m, _IDENTITY], axis=-1)
+        m = _matmul(m[..., 1::2], m[..., 0::2])
+        if done % _RESCALE_PERIOD == 0:
+            m = _rescaled(m)
+    return m
+
+
+def _sign_changes(phi: np.ndarray) -> int:
+    """Sign changes along each row of phi, summed over the rows; exact
+    zeros are skipped, so (+, 0, -) counts one change and (+, 0, +) none."""
+    changes = 0
+    for row in phi:
+        positive = row[row != 0.0] > 0.0
+        changes += int(np.count_nonzero(positive[1:] != positive[:-1]))
+    return changes
 
 
 def _quadratic_propagators(h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -769,6 +840,7 @@ class _ShootingRun:
     nodes divide their eps by it.  Sweeps run out from x_start = _X_START,
     first step x_start/_START_STEPS, and in from x_end, 42 decay lengths
     past the turning point of hi, to x_match = max(0.6/sqrt(lo hi), 2 x_start).
+    A bracket with lo below -_DEEPEST is refused as too deep.
 
     Row 0 of the step table (h, and v = the e-free coefficient values)
     is the outward sweep x_start -> x_match, row 1 the inward sweep
@@ -776,7 +848,10 @@ class _ShootingRun:
     steps, whose propagator is exactly the identity.  One RK4 step of
     the linear ODE is a 2x2 propagator whose entries are quadratics in
     2e (see _quadratic_propagators); coef holds their coefficients, so a
-    propagator table at any energy is c0 + 2e (c1 + 2e c2).
+    propagator table at any energy is c0 + 2e (c1 + 2e c2).  At every
+    energy in the bracket its entries are below 2^14 (see _DEEPEST), so
+    mismatch and nodes multiply the raw table, and one tree of pairwise
+    products (_pairwise) serves both.
     """
 
     def __init__(self, cfg: ShootingConfig, p: PhysicalParams):
@@ -790,17 +865,11 @@ class _ShootingRun:
         self.x_start = x_start = _X_START
         x_match = max(0.6 / math.sqrt(lo * hi), 2.0 * x_start)
         self.x_end = 1.0 / abs(hi) + 42.0 / math.sqrt(-2.0 * hi)
-        if not (x_start < x_match < self.x_end and -math.inf < 2.0 * lo):
+        if not (x_start < x_match < self.x_end and -_DEEPEST <= lo):
             raise ValueError(f"energy bracket {cfg.energy_bracket} is too deep: need x_start < "
-                             f"x_match < x_end and 2 lo finite in natural units, got "
-                             f"{x_start}, {x_match}, {self.x_end} and lo = {lo}")
-        out = _steps(self, x_start, x_match)
-        h, v_start, v_mid, v_end = _steps(self, x_match, self.x_end)[:, ::-1]
-        inward = np.stack([-h, v_end, v_mid, v_start])
-        width = max(out.shape[1], inward.shape[1])
-        table = np.zeros((4, 2, width))
-        table[:, 0, :out.shape[1]] = out
-        table[:, 1, :inward.shape[1]] = inward
+                             f"x_match < x_end and lo >= -{_DEEPEST:.0e} in natural units, "
+                             f"got {x_start}, {x_match}, {self.x_end} and lo = {lo}")
+        table = _steps(self, x_match)
         self.h = table[0]
         self.v = table[1:]
         self.coef = _quadratic_propagators(self.h, self.v)
@@ -809,7 +878,12 @@ class _ShootingRun:
         """Every step's RK4 propagator at e, shape (2, 2, 2, width)."""
         e2 = 2.0 * e
         c0, c1, c2 = self.coef
-        return c0 + e2 * (c1 + e2 * c2)
+        # c0 + e2 (c1 + e2 c2), in one array
+        m = c2 * e2
+        m += c1
+        m *= e2
+        m += c0
+        return m
 
     def _starts(self, e: float) -> np.ndarray:
         """Starting values at e: row 0 is phi, row 1 phi'; column 0 starts
@@ -832,23 +906,14 @@ class _ShootingRun:
         """Scaled Wronskian of the outward and inward solutions at x_match.
 
         Zero exactly at eigenvalues; its sign flips when eps crosses one.
-        The step propagators are multiplied pairwise, ceil(log2(width))
-        passes in all; a pass over an odd number of blocks multiplies the
-        last one by the identity.  The propagators are rescaled by powers
-        of two once, and the products after every _RESCALE_PERIOD-th
-        pass, which keeps every entry below 2^15; the scaled Wronskian is
-        homogeneous in each solution, so rescaling cannot change it.
+        The raw step propagators are multiplied pairwise down to one
+        product per sweep (see _pairwise), ceil(log2(width)) passes; the
+        scaled Wronskian is homogeneous in each solution, so the
+        power-of-two rescales cannot change it.
         """
         e = eps / self.energy_unit
-        m = _rescaled(self._propagators(e))
-        passes = 0
-        while m.shape[-1] > 1:
-            if m.shape[-1] % 2:
-                m = np.concatenate([m, _IDENTITY], axis=-1)
-            m = _matmul(m[..., 1::2], m[..., 0::2])
-            passes += 1
-            if passes % _RESCALE_PERIOD == 0:
-                m = _rescaled(m)
+        # width.bit_length() >= ceil(log2(width)) passes leave one block
+        m = _pairwise(self._propagators(e), self.h.shape[1].bit_length())
         return self._wronskian(m[..., 0], e)
 
     def _wronskian(self, m: np.ndarray, e: float) -> float:
@@ -865,32 +930,34 @@ class _ShootingRun:
 
     def nodes(self, eps: float) -> int:
         """Interior node count of the matched shape at eps: the sign
-        changes of phi across the step ends of both sweeps.
+        changes of phi across the 32-step block ends of both sweeps.
 
-        phi at every step end comes from the prefix products of the
-        propagators, formed by doubling and rescaled by positive powers
-        of two as in mismatch, which keeps the signs.
+        The first _BLOCK_PASSES passes of mismatch's pairwise tree give
+        the product of each block of 32 steps; the blocks, rescaled, are
+        prefix-multiplied by doubling, with a rescale every
+        _RESCALE_PERIOD-th pass, and give phi at every block end.  The
+        block ends see every node: h k <= 0.05 for the local wavenumber
+        k, so by Sturm comparison two zeros of phi lie at least
+        pi/0.05 > 62 steps apart, and no block holds two of them.
         """
         e = eps / self.energy_unit
-        m = _rescaled(self._propagators(e))
-        width = m.shape[-1]
+        m = _rescaled(_pairwise(self._propagators(e), _BLOCK_PASSES))
         d = 1
         passes = 0
-        while d < width:
+        while d < m.shape[-1]:
             m[..., d:] = _matmul(m[..., d:], m[..., :-d])
             passes += 1
             if passes % _RESCALE_PERIOD == 0:
                 m = _rescaled(m)
             d *= 2
         phi0, dphi0 = self._starts(e)[:, :, None]
-        phi = np.concatenate([phi0, m[0, 0] * phi0 + m[0, 1] * dphi0], axis=1)
-        sign = np.sign(phi)
-        return int(np.count_nonzero(sign[:, 1:] * sign[:, :-1] < 0))
+        return _sign_changes(np.concatenate([phi0, m[0, 0] * phi0 + m[0, 1] * dphi0], axis=1))
 
 
 _SHOOTING_TOL = 1e-9       # relative width at which a shooting solve stops
 _SOLVE_STEPS = 100         # mismatch evaluations one shooting solve may take
 _SCAN_STEP = 0.5           # step of the scan in t = (2 |e|)^(-1/2), natural units
+_WIDEST_BRACKET = 4.0      # end-energy ratio past which the scan splits a bracket once
 
 
 def _anderson_bjorck(f, a: float, f_a: float, b: float, f_b: float, tol: float) -> float:
@@ -986,25 +1053,38 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
     count of states of a -alpha/x tail grows by one per unit, a property
     of the potential and not of any spectrum, so a half-unit step puts
     a probe between any two neighbouring levels at every n_max <= 100.
-    A level the scan missed anyway still cannot pass: shoot_anyon_energy
-    checks the node count of the state each bracket converges to.
+    A bracket whose deep end is more than _WIDEST_BRACKET times its
+    shallow one is split once, by one more probe at its midpoint in t,
+    and keeps the half that holds the sign change: a level solve's step
+    table grows with the depth of its lower end, and the deep start
+    gives the first bracket of nu = 1/4 an end ratio of 11 (4.7 after
+    the split).  A level the scan missed anyway still cannot pass:
+    shoot_anyon_energy checks the node count of the state each bracket
+    converges to.
     """
     check_nu(nu)
     check_index(n_max, "n_max", high=100)
     alpha = p.require_alpha()
     unit = p.mass * alpha * alpha / p.hbar ** 2
+
+    def probe(t):
+        eps = -0.5 * unit / (t * t)
+        run = _ShootingRun(ShootingConfig(nu, (1.01 * eps, 0.99 * eps)), p)
+        return eps, run.mismatch(eps) > 0
+
     t = nu / math.sqrt(1.35)               # strictly below the deepest level
     t_stop = (n_max + 3.0) / math.sqrt(0.2)
     brackets = []
-    prev_eps = None
-    prev_sign = None
+    prev_t = prev_eps = prev_sign = None
     while t < t_stop and len(brackets) <= n_max:
-        eps = -0.5 * unit / (t * t)
-        run = _ShootingRun(ShootingConfig(nu, (1.01 * eps, 0.99 * eps)), p)
-        sign = run.mismatch(eps) > 0
+        eps, sign = probe(t)
         if prev_sign is not None and sign != prev_sign:
-            brackets.append((prev_eps, eps))
-        prev_eps, prev_sign = eps, sign
+            lo, hi = prev_eps, eps
+            if lo < _WIDEST_BRACKET * hi:
+                mid, mid_sign = probe(0.5 * (prev_t + t))
+                lo, hi = (lo, mid) if mid_sign != prev_sign else (mid, hi)
+            brackets.append((lo, hi))
+        prev_t, prev_eps, prev_sign = t, eps, sign
         t += _SCAN_STEP
     if len(brackets) <= n_max:
         raise ConvergenceError(

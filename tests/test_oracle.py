@@ -338,8 +338,13 @@ def test_integrand_that_overflows_far_out_raises(integrate, f, a, error):
 
 
 @pytest.mark.parametrize("f, a, b, outcome", [
-    (lambda x: 1.0, 0.0, math.inf, (ConvergenceError, r"exceeded 4096 intervals")),
-    (lambda x: 1.0, -math.inf, -2.0, (ConvergenceError, r"exceeded 4096 intervals")),
+    # the far cell, which holds the weight that never decays, is named
+    (lambda x: 1.0, 0.0, math.inf,
+     (ConvergenceError, r"exceeded 4096 intervals .*the largest estimate is on the cell "
+                        r"\[\d+\.\d+, inf\]$")),
+    (lambda x: 1.0, -math.inf, -2.0,
+     (ConvergenceError, r"exceeded 4096 intervals .*the largest estimate is on the cell "
+                        r"\[-inf, -\d+\.\d+\]$")),
     (lambda x: (1.0 + abs(x)) ** -1.5, -math.inf, math.inf,
      (ConvergenceError, r"cell \[-9007199254740991\.0, -4503599627370495\.0\] "
                         "cannot be refined further")),
@@ -1180,6 +1185,94 @@ def test_sparse_rescaling_changes_no_bit(nu, mass, hbar, alpha):
             assert run.mismatch(eps) == run._wronskian(m[..., 0], e)
 
 
+@pytest.mark.parametrize("bracket, width", [
+    # deepest: lo at -_DEEPEST, hi just short of x_match >= x_end
+    ((-5e10, -2.2e10), 633),
+    # shallowest: 1 percent shallower needs more than _MAX_STEPS = 65536 steps
+    ((-7.5e-7, -7.43e-7), 65515)],
+    ids=["deepest", "shallowest"])
+def test_raw_propagator_entries_stay_below_2_to_the_14(bracket, width):
+    # _RESCALE_PERIOD = 6 rests on raw entries below 2^14 on every
+    # bracket a run accepts; these two sit at the edges of that domain.
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    run = oracle._ShootingRun(oracle.ShootingConfig(0.25, bracket), p)
+    assert run.h.shape[1] == width
+    for eps in np.linspace(*bracket, 5).tolist():
+        assert np.abs(run._propagators(eps)).max() < 2.0 ** 14
+        assert math.isfinite(run.mismatch(eps))
+    lo, hi = bracket
+    past = [((lo * 1.0001, hi), "too deep"), ((lo, hi * 1.05), "too deep")] if lo < -1.0 \
+        else [((lo * 0.99, hi * 0.99), "too shallow")]
+    for refused, message in past:
+        with pytest.raises(ValueError, match=message):
+            oracle._ShootingRun(oracle.ShootingConfig(0.25, refused), p)
+
+
+def _phi_at_step_ends(run, eps):
+    """phi at every step end of both sweeps, from per-step prefix
+    products of the propagators formed by doubling, each pass rescaled."""
+    e = eps / run.energy_unit
+    m = oracle._rescaled(run._propagators(e))
+    d = 1
+    while d < m.shape[-1]:
+        m[..., d:] = oracle._rescaled(oracle._matmul(m[..., d:], m[..., :-d]))
+        d *= 2
+    phi0, dphi0 = run._starts(e)[:, :, None]
+    return np.concatenate([phi0, m[0, 0] * phi0 + m[0, 1] * dphi0], axis=1)
+
+
+@pytest.mark.parametrize("mass, hbar, alpha", [(1.0, 1.0, 1.0), (2.5, 0.3, 1.7)])
+@pytest.mark.parametrize("nu", NU_VALUES)
+def test_block_node_count_is_the_per_step_count(nu, mass, hbar, alpha):
+    # nodes() samples phi at the ends of 32-step blocks only.  That sees
+    # every sign change while two of them lie more than a block apart;
+    # the step rule keeps them at least twice that far apart, at the two
+    # ends and the midpoint of every bracket of the scan domain.
+    block = 2 ** oracle._BLOCK_PASSES
+    p = PhysicalParams(mass, hbar, alpha=alpha)
+    closest = math.inf
+    for bracket in oracle.scan_level_brackets(nu, p, anyon.LEVEL_MAX):
+        run = oracle._ShootingRun(oracle.ShootingConfig(nu, bracket), p)
+        for eps in (bracket[0], 0.5 * (bracket[0] + bracket[1]), bracket[1]):
+            phi = _phi_at_step_ends(run, eps)
+            assert run.nodes(eps) == oracle._sign_changes(phi)
+            for row in phi:
+                ends = np.flatnonzero(row)
+                positive = row[ends] > 0.0
+                changes = ends[1:][positive[1:] != positive[:-1]]
+                if len(changes) > 1:
+                    closest = min(closest, np.diff(changes).min())
+    # measured: 66 steps
+    assert 2 * block <= closest < math.inf
+
+
+def test_node_count_multiplies_at_most_twice_what_mismatch_does(monkeypatch):
+    # The block products come from the first passes of mismatch's own
+    # tree, so one node count costs about one mismatch; prefix products
+    # over every step, W log2 W matrices, would cost 10 to 12 of them
+    # (measured: 1.12 to 1.19 at n = 0, 12 and 100).
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    brackets = oracle.scan_level_brackets(0.25, p, 100)
+    elements = []
+    matmul = oracle._matmul
+
+    def counted(a, b):
+        product = matmul(a, b)
+        elements.append(product.size)
+        return product
+
+    monkeypatch.setattr(oracle, "_matmul", counted)
+    for n in (0, 12, 100):
+        run = oracle._ShootingRun(oracle.ShootingConfig(0.25, brackets[n]), p)
+        eps = 0.5 * (brackets[n][0] + brackets[n][1])
+        elements.clear()
+        run.mismatch(eps)
+        tree = sum(elements)
+        elements.clear()
+        run.nodes(eps)
+        assert sum(elements) <= 2 * tree
+
+
 @functools.cache
 def _unit_table_widths(nu):
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
@@ -1242,16 +1335,23 @@ def _steps_by_octave(run, lo_x, hi_x):
 
 @pytest.mark.parametrize("nu", NU_VALUES)
 def test_step_table_equals_the_octave_by_octave_build(nu):
-    # _steps builds its arrays in one pass from the per-octave step
-    # lengths and starts; every entry has the bits of the octave-by-octave
-    # build, on both sweeps of every level n <= 30.
+    # _steps builds the rows of both sweeps in one array pass from the
+    # per-octave step lengths and starts; every entry has the bits of the
+    # octave-by-octave build, the inward sweep reversed and padded as the
+    # run's table holds it, for every level n <= 30.
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     for bracket in oracle.scan_level_brackets(nu, p, 30):
         run = oracle._ShootingRun(oracle.ShootingConfig(nu, bracket), p)
         x_match = max(0.6 / math.sqrt(run.bracket[0] * run.bracket[1]), 2.0 * run.x_start)
-        for lo_x, hi_x in ((run.x_start, x_match), (x_match, run.x_end)):
-            assert np.array_equal(oracle._steps(run, lo_x, hi_x),
-                                  _steps_by_octave(run, lo_x, hi_x))
+        out = _steps_by_octave(run, run.x_start, x_match)
+        h, v_start, v_mid, v_end = _steps_by_octave(run, x_match, run.x_end)[:, ::-1]
+        inward = np.stack([-h, v_end, v_mid, v_start])
+        want = np.zeros((4, 2, max(out.shape[1], inward.shape[1])))
+        want[:, 0, :out.shape[1]] = out
+        want[:, 1, :inward.shape[1]] = inward
+        got = oracle._steps(run, x_match)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_shooting_boundary_exponent_is_the_only_difference():
@@ -1357,6 +1457,34 @@ def test_oracle_imports_no_closed_form_module():
             imported.update((node.module or "").split("."))
             imported.update(alias.name for alias in node.names)
     assert not imported & closed_forms
+
+
+@pytest.mark.parametrize("nu, split", [(0.25, True), (0.75, False)])
+def test_scan_splits_an_over_wide_bracket_once(nu, split, monkeypatch):
+    # The deep start t0 = nu/sqrt(1.35) gives nu = 1/4 a first bracket
+    # from t0 = 0.215 to t0 + 1/2, an end ratio of 11; one more probe at
+    # t0 + 1/4 leaves 4.7.  For nu = 3/4 the ratio is 3.15, and no
+    # bracket of either nu is split past the first.
+    probes = []
+    mismatch = oracle._ShootingRun.mismatch
+
+    def counted(run, eps):
+        probes.append(eps)
+        return mismatch(run, eps)
+
+    monkeypatch.setattr(oracle._ShootingRun, "mismatch", counted)
+    brackets = oracle.scan_level_brackets(nu, UNIT, 20)
+    t0 = nu / math.sqrt(1.35)
+    walk = [-0.5 / t ** 2 for t in t0 + 0.5 * np.arange(len(probes) - split)]
+    assert np.allclose(probes[:2] + probes[2 + split:], walk, rtol=1e-15, atol=0.0)
+    ratios = [lo / hi for lo, hi in brackets]
+    if split:
+        assert math.isclose(probes[2], -0.5 / (t0 + 0.25) ** 2, rel_tol=1e-15)
+        assert brackets[0] == (walk[0], probes[2])
+        assert 4.0 < ratios[0] < 4.7
+    else:
+        assert 3.1 < ratios[0] < 3.2
+    assert max(ratios[1:]) < 2.0
 
 
 def test_scan_level_brackets_contain_the_spectrum():
