@@ -201,13 +201,14 @@ def _adaptive(F, to_x, a: float, b: float, tol: float, depth_b: int) -> float:
         with np.errstate(over="ignore"):
             reach = np.cumsum(err[order])
         k = min(int(np.searchsorted(reach, total_err - tol)) + 1, len(order))
-        split = order[:k]
         if len(lo) + k > _MAX_INTERVALS:
-            x_lo, x_hi = to_x(np.array([lo[split[0]], hi[split[0]]]), 0.0)[0]
+            worst = order[0]
+            x_lo, x_hi = to_x(np.array([lo[worst], hi[worst]]), 0.0)[0]
             raise ConvergenceError(
                 f"quadrature exceeded {_MAX_INTERVALS} intervals "
                 f"(error estimate {total_err:.3e}, target {tol:.3e}); the largest "
                 f"estimate is on the cell {_caller_cell(x_lo, x_hi)}")
+        split = order[:k]
         s_lo, s_hi = lo[split], hi[split]
         mid = 0.5 * (s_lo + s_hi)
         v, e = _gk15(F, to_x, np.column_stack((s_lo, mid)).ravel(),
