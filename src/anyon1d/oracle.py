@@ -564,46 +564,31 @@ def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: in
     where no eigenvalue is below lo and below_hi >= rank are below hi.
 
     Bisects on the sector's shared count record until [lo, hi] holds
-    that eigenvalue alone.  Then takes Newton steps lam - 1/slope from
-    log_det_sweep, starting at `start` if it lies strictly inside
-    [lo, hi] and at the midpoint otherwise (NaN included); each sweep's
-    count moves lo or hi as well.  A step that leaves [lo, hi], or a
-    slope that is zero or not finite (a pivot on the floor, taken as a
-    step out through lo), falls back to the midpoint.  When the step
-    from that midpoint leaves [lo, hi] too, [lo, hi] is first halved on
-    stopped counts for as long as they keep the eigenvalue in the half
-    at the end the step left through, so a level that sits at an end,
-    where Newton never lands strictly inside, costs counts and not full
-    sweeps.  One rule stops the solve: a step, or the width of [lo, hi],
-    at most _stop_width.  Every count and every midpoint sweep halves
-    [lo, hi], so from the widest float bracket to the 1e-13 floor of
-    that width there are at most about 1,070 of them; only Newton steps
-    that stay inside [lo, hi] are capped, at _NEWTON_STEPS.
+    that eigenvalue alone, then takes safeguarded Newton steps
+    lam - 1/slope from log_det_sweep, starting at `start` if it lies
+    strictly inside [lo, hi] and at the midpoint otherwise (NaN
+    included); each sweep's count moves lo or hi as well.  A step that
+    leaves [lo, hi], or a slope that is zero or not finite (a pivot on
+    the floor), falls back to the midpoint.  One rule stops the solve: a
+    step, or the width of [lo, hi], at most _stop_width.  Every count
+    and every midpoint sweep halves [lo, hi], so from the widest float
+    bracket to the 1e-13 floor of that width there are at most about
+    1,070 of them; only Newton steps that stay inside are capped, at
+    _NEWTON_STEPS.
     """
     abs_off = sector.abs_off
     below_lo = 0
-
-    def wide() -> bool:
-        return hi - lo > _stop_width(0.5 * (lo + hi), abs_off)
-
-    def halve() -> bool:
-        """Count at the midpoint and keep the half that holds the
-        eigenvalue; True if that is the upper half."""
-        nonlocal lo, hi, below_lo, below_hi
+    while ((below_lo < rank - 1 or below_hi > rank)
+           and hi - lo > _stop_width(0.5 * (lo + hi), abs_off)):
         mid = 0.5 * (lo + hi)
         count = sector.below(mid)
         if count >= rank:
             hi, below_hi = mid, count
-            return False
-        lo, below_lo = mid, count
-        return True
-
-    while (below_lo < rank - 1 or below_hi > rank) and wide():
-        halve()
+        else:
+            lo, below_lo = mid, count
     lam = start if lo < start < hi else 0.5 * (lo + hi)
     newton = 0
-    stepped_out = False
-    while wide() and newton < _NEWTON_STEPS:
+    while hi - lo > _stop_width(0.5 * (lo + hi), abs_off) and newton < _NEWTON_STEPS:
         count, slope = sector.log_det_sweep(lam)
         if count >= rank:
             hi = lam
@@ -615,14 +600,8 @@ def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: in
         if lo < lam - step < hi:
             lam -= step
             newton += 1
-            stepped_out = False
-            continue
-        if stepped_out:
-            toward_hi = lam - step >= hi
-            while wide() and halve() == toward_hi:
-                pass
-        stepped_out = True
-        lam = 0.5 * (lo + hi)
+        else:
+            lam = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 

@@ -548,7 +548,7 @@ def test_fd_spectrum_ground_state_in_a_huge_box_ends_by_the_stop_rule(monkeypatc
     # 1.2e133: each level is its sector's diagonal entry to within the
     # stop width, and row 0 of the two sectors gives the lowest two levels
     # as a degenerate pair.  The ground state sits at the low end of its
-    # bracket, and no step cap may end its halvings first.
+    # bracket, and no step cap may end its midpoint sweeps first.
     for points in (2001, 2002):
         sectors = _solver_sectors(points, 1e70, monkeypatch)
         levels = oracle.fd_oscillator_spectrum(UNIT, 1e70, points, 3)
@@ -759,19 +759,15 @@ def test_fd_spectrum_newton_starts_at_the_predicted_level(points, count, midpoin
     assert sum(sweeps) <= 11 + 3 * (count - 2) < midpoint_total
 
 
-@pytest.mark.parametrize("points", [2001, 2002])
-def test_fd_spectrum_in_a_huge_box_halves_on_counts(points, monkeypatch):
-    # At 1e70 oscillator lengths the ground state sits at the low end of
-    # its bracket, within the stop width of lo0, so no Newton step lands
-    # strictly inside it.  Halving such a bracket with full sweeps took
-    # 62 of them at 2002 points, the grid 2001 points are solved on too;
-    # stopped counts, which end after a row or two here, now do that
-    # work.  The levels themselves are checked by
-    # test_fd_spectrum_near_the_box_domain_edges and
-    # test_fd_spectrum_ground_state_in_a_huge_box_ends_by_the_stop_rule.
-    sweeps = _full_sweeps_per_level(monkeypatch)
-    oracle.fd_oscillator_spectrum(UNIT, 1e70, points, 3)
-    assert sum(sweeps) <= 20
+@pytest.mark.parametrize("box, points", [(30.0, 100), (100.0, 100), (1000.0, 100),
+                                         (1000.0, 2001)])
+def test_fd_spectrum_of_a_coarse_box_matches_the_per_level_bisection(box, points):
+    # On these grids some levels sit at an end of their isolated bracket,
+    # where no Newton step lands strictly inside it, so they are bisected
+    # by midpoint sweeps until the stop rule ends them.
+    got = oracle.fd_oscillator_spectrum(UNIT, box, points, 20)
+    want = _fd_spectrum_reference(UNIT, box, points, 20)
+    assert all(abs(a - b) <= _reference_bound(points, b, box) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("points", [2001, 2002])
