@@ -102,6 +102,41 @@ def test_extended_wavefunction_accepts_arrays(nu):
                                    for y in ys.tolist()]
 
 
+def _anyon_reference_at(n, nu, p, x):
+    """Phi_n(x) at the constants p, with y = beta x formed in mpmath."""
+    nu = mpmath.mpf(nu)
+    lam = n + nu
+    mass_alpha = mpmath.mpf(p.mass) * mpmath.mpf(p.alpha)
+    y = 2 * mass_alpha / (mpmath.mpf(p.hbar) ** 2 * lam) * mpmath.mpf(x)
+    log_c = (0.5 * mpmath.log(mass_alpha) - mpmath.log(p.hbar) - mpmath.log(lam)
+             - mpmath.loggamma(2 * nu) + 0.5 * (mpmath.loggamma(n + 2 * nu)
+                                                - mpmath.loggamma(n + 1)))
+    return mpmath.exp(log_c - y / 2) * y ** nu * mpmath.hyp1f1(-n, 2 * nu, y)
+
+
+# beta = 6.2e-201 here, so beta x is subnormal or 0.0 as a float for
+# x <= 1e-120, though every value is a normal float near 1e-182.
+TINY_BETA = PhysicalParams(1e-100, 1e100, alpha=1e100)
+
+
+@pytest.mark.parametrize("n, nu, p, xs", [
+    (3, 0.25, TINY_BETA, [1e-130, 2.50000000075e-121, 5.0000000005e-121, 1e-120]),
+    (1, 0.25, UNIT, [1e-320, 5e-324, 1e-310]),
+])
+def test_anyon_wavefunction_where_beta_x_is_below_the_floats(n, nu, p, xs):
+    # y = beta x enters only through log y = log beta + log x and through
+    # the recurrence, where a y this small is negligible: each value keeps
+    # its relative accuracy, alone and inside an array, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = anyon.wavefunction(n, nu, p, np.array(xs)).tolist()
+        scalars = [anyon.wavefunction(n, nu, p, x) for x in xs]
+    with mpmath.workdps(DIGITS):
+        exact = [float(_anyon_reference_at(n, nu, p, x)) for x in xs]
+    for got in (values, scalars):
+        assert all(abs(a - b) <= RELATIVE_TOL * b for a, b in zip(got, exact)), (got, exact)
+
+
 def test_domain_ends_underflow_and_beyond_them_raise():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
