@@ -104,16 +104,19 @@ def _laguerre_coefficients(n: int, nu: float) -> tuple[tuple, float]:
     return tuple(steps), 0.5 * log_gamma(2.0 * nu)
 
 
-def _shape(n: int, nu: float, y, log_factor: float):
-    """exp(log_factor) sqrt(y) l_n(y) for 0 < y <= RECURRENCE_ARG_MAX.
+def _shape(n: int, nu: float, y, log_y, log_factor: float):
+    """exp(log_factor) sqrt(y) l_n(y) for 0 < y <= RECURRENCE_ARG_MAX,
+    given log_y = log y.
 
     l_k(y) = sqrt(k!/Gamma(k + 2 nu)) y^(nu - 1/2) e^(-y/2) L_k^(2nu-1)(y)
     are the unit-norm Laguerre functions, so sqrt(y) l_n(y) is the
     y^nu e^(-y/2) F(-n, 2 nu, y) shape with integral of y l_n^2 equal to
-    2 (n + nu).  Works on a float or an array y.
+    2 (n + nu).  Works on a float or an array y.  y enters the power
+    only through log_y, so a y that is subnormal or 0.0 as a float (the
+    recurrence needs only y << 1 there) keeps every digit of y^nu.
     """
     steps, half_log_gamma = _laguerre_coefficients(n, nu)
-    log_start = log_factor - half_log_gamma + nu * np.log(y) - 0.5 * y
+    log_start = log_factor - half_log_gamma + nu * log_y - 0.5 * y
     return _scaled_recurrence(steps, y, log_start)
 
 
@@ -122,16 +125,17 @@ def wavefunction(n: int, nu: float, p: PhysicalParams, x):
     (see core.check_points).
 
     Phi_n(x) = sqrt(m alpha)/(hbar (n + nu)) sqrt(y) l_n(y) with y = beta x
-    (see _shape).  Defined for n <= LEVEL_MAX and 0 < y <= 1e150; far
-    in the tail the value underflows to exactly 0.0, which is part of
-    the contract.
+    (see _shape).  Defined for n <= LEVEL_MAX and 0 < y <= 1e150; y may
+    fall below the floats (log y is log beta + log x), and far in the
+    tail the value underflows to exactly 0.0, which is part of the
+    contract.
     """
     check_index(n, "radial index n", high=LEVEL_MAX)
     b = beta(n, nu, p)  # validates nu, alpha
     x, scalar = check_points(x, "x", 0.0, RECURRENCE_ARG_MAX / b, open_low=True)
     log_factor = (0.5 * math.log(p.mass * p.require_alpha()) - math.log(p.hbar)
                   - math.log(n + nu))
-    values = _shape(n, nu, b * x, log_factor)
+    values = _shape(n, nu, b * x, math.log(b) + np.log(x), log_factor)
     return float(values) if scalar else values
 
 
@@ -159,7 +163,7 @@ def extended_wavefunction(n: int, nu: float, p: PhysicalParams, y):
         raise ValueError("y must not be 0: y = 0 is the singular point")
     # phi = sqrt(y) l_n(y) / sqrt(2 (n + nu)); with the 1/sqrt(2) that is
     # a factor 1/(2 sqrt(n + nu))
-    r = _shape(n, nu, size, -0.5 * math.log(4.0 * (n + nu)))
+    r = _shape(n, nu, size, np.log(size), -0.5 * math.log(4.0 * (n + nu)))
     twist = cmath.exp(1j * math.pi * nu)
     if scalar:
         return complex(r, 0.0) if y > 0 else twist * float(r)
