@@ -113,15 +113,13 @@ def constant_equality_residual(n: int, nu: float) -> float:
     return abs(math.expm1(log_tilde - log_direct))
 
 
-def reduction_chain_residual(n: int, s: float, p: PhysicalParams, grid: Grid,
-                             *, energy_scale: float = 1.0) -> float:
+def reduction_chain_residual(n: int, s: float, p: PhysicalParams, grid: Grid) -> float:
     """Run the oscillator state through the variable change and test the result.
 
     Builds Phi on the grid with map_oscillator_to_anyon at the dual
     constants alpha = E/4 and omega, then returns the finite-difference
     residual of the attractive problem at that alpha and
-    eps = -m omega^2/8.  energy_scale != 1 deliberately detunes eps for
-    sensitivity checks.
+    eps = -m omega^2/8.
     """
     state = make_state(n, s)
     omega = p.require_omega()
@@ -132,4 +130,4 @@ def reduction_chain_residual(n: int, s: float, p: PhysicalParams, grid: Grid,
     xs = grid.points()
     return oracle.ode_residual(
         xs, map_oscillator_to_anyon(n, s, dual, xs),
-        lambda x: anyon.potential(x, state.nu, dual), eps * energy_scale, p)
+        lambda x: anyon.potential(x, state.nu, dual), eps, p)

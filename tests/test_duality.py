@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anyon1d import anyon, duality, oscillator
+from anyon1d import anyon, duality, oracle, oscillator
 from anyon1d.core import Grid, PhysicalParams, make_state, state_from_nu
 
 UNIT = PhysicalParams(1.0, 1.0, alpha=1.0)
@@ -131,12 +131,18 @@ def test_reduction_chain_detects_wrong_eigenvalue():
     # the singular part of the potential, which would mute the probe.
     cases = [(0, 0.0, Grid(0.1, 10.0, 9901)),
              (2, 0.5, Grid(3.78, 16.6, 4001))]
+    # The detuned control feeds the same mapped function to the residual
+    # at 1.01 eps.
     for n, s, grid in cases:
         nu = s + 0.25
         p = UNIT.with_omega(duality.dual_frequency(n, nu, UNIT))
         assert duality.reduction_chain_residual(n, s, p, grid) <= 1e-5
-        assert duality.reduction_chain_residual(
-            n, s, p, grid, energy_scale=1.01) > 1e-3
+        alpha, eps = duality.to_anyon_params(oscillator.energy(make_state(n, s).N, p), p.omega, p)
+        dual = PhysicalParams(p.mass, p.hbar, alpha=alpha, omega=p.omega)
+        xs = grid.points()
+        assert oracle.ode_residual(
+            xs, duality.map_oscillator_to_anyon(n, s, dual, xs),
+            lambda x: anyon.potential(x, nu, dual), 1.01 * eps, p) > 1e-3
 
 
 def test_reduction_chain_rejects_grid_touching_zero():
