@@ -90,6 +90,7 @@ def log_gamma(z):
         first = z if scalar else float(z.flat[np.argmax(past)])
         raise ValueError(f"log_gamma argument z must be at most {_LOG_GAMMA_ARG_MAX!r}, "
                          f"past which log Gamma(z) overflows the floats, got {first!r}")
+    # array path: 95 us for one number, not 0.75 us; +30 ms a verify pass (2-core host)
     if scalar:
         for zero, shift in _LOG_GAMMA_ZEROS:
             if abs(z - zero) <= 0.06:
@@ -208,6 +209,7 @@ def kummer_series(a, b, y):
     a, b, y = points.reshape(3, -1)
     # n + 1 terms for a = -n; past _MAX_TERMS the loop refuses the point
     stop = np.where(_nonpositive_int(a), np.minimum(-a, _MAX_TERMS + 1), -1).astype(int)
+    # all-decimal: 135-151 ms of Kummer time a verify pass, not 42-68 ms (2-core host)
     with np.errstate(over="ignore", invalid="ignore"):
         value, peak, fail = _confluent_sum(a, b, y, stop, _STAGNATION)
         escalate = (fail == 0) & (~np.isfinite(value) | (
@@ -231,6 +233,7 @@ def kummer_series(a, b, y):
 
 # Terms between two overflow tests of _confluent_sum: a point whose terms
 # overflowed runs at most this many steps on before it stops.
+# A test at every term: +12 % Kummer time a verify pass (2-core host).
 _OVERFLOW_CHECK_STEPS = 64
 
 # Failure codes of _confluent_sum and kummer_series, with their messages.
@@ -448,6 +451,7 @@ def _polynomial(recurrence, x, name: str, degree: str, order: int):
     scalar call runs the recurrence in exact floats.
     """
     x, scalar = check_points(x, name, -sys.float_info.max)
+    # with np.errstate: 10.9 us a laguerre(6, ...), not 3.2; +35 ms an oracle_solve pass
     if scalar:
         value = recurrence(x)
         if math.isfinite(value):
