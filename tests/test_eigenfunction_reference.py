@@ -32,12 +32,15 @@ def _oscillator_reference(big_n, u):
     return mpmath.exp(log_norm - z * z / 2) * mpmath.hermite(big_n, z)
 
 
-def _anyon_reference(n, nu, x):
+def _anyon_reference(n, nu, x, p=UNIT):
+    """Phi_n(x) at the constants p, with y = beta x formed in mpmath."""
     nu = mpmath.mpf(nu)
     lam = n + nu
-    y = 2 / lam * mpmath.mpf(x)
-    log_c = (-mpmath.log(lam) - mpmath.loggamma(2 * nu)
-             + 0.5 * (mpmath.loggamma(n + 2 * nu) - mpmath.loggamma(n + 1)))
+    mass_alpha = mpmath.mpf(p.mass) * mpmath.mpf(p.alpha)
+    y = 2 * mass_alpha / (mpmath.mpf(p.hbar) ** 2 * lam) * mpmath.mpf(x)
+    log_c = (0.5 * mpmath.log(mass_alpha) - mpmath.log(p.hbar) - mpmath.log(lam)
+             - mpmath.loggamma(2 * nu) + 0.5 * (mpmath.loggamma(n + 2 * nu)
+                                                - mpmath.loggamma(n + 1)))
     return mpmath.exp(log_c - y / 2) * y ** nu * mpmath.hyp1f1(-n, 2 * nu, y)
 
 
@@ -102,18 +105,6 @@ def test_extended_wavefunction_accepts_arrays(nu):
                                    for y in ys.tolist()]
 
 
-def _anyon_reference_at(n, nu, p, x):
-    """Phi_n(x) at the constants p, with y = beta x formed in mpmath."""
-    nu = mpmath.mpf(nu)
-    lam = n + nu
-    mass_alpha = mpmath.mpf(p.mass) * mpmath.mpf(p.alpha)
-    y = 2 * mass_alpha / (mpmath.mpf(p.hbar) ** 2 * lam) * mpmath.mpf(x)
-    log_c = (0.5 * mpmath.log(mass_alpha) - mpmath.log(p.hbar) - mpmath.log(lam)
-             - mpmath.loggamma(2 * nu) + 0.5 * (mpmath.loggamma(n + 2 * nu)
-                                                - mpmath.loggamma(n + 1)))
-    return mpmath.exp(log_c - y / 2) * y ** nu * mpmath.hyp1f1(-n, 2 * nu, y)
-
-
 # beta = 6.2e-201 here, so beta x is subnormal or 0.0 as a float for
 # x <= 1e-120, though every value is a normal float near 1e-182.
 TINY_BETA = PhysicalParams(1e-100, 1e100, alpha=1e100)
@@ -132,7 +123,7 @@ def test_anyon_wavefunction_where_beta_x_is_below_the_floats(n, nu, p, xs):
         values = anyon.wavefunction(n, nu, p, np.array(xs)).tolist()
         scalars = [anyon.wavefunction(n, nu, p, x) for x in xs]
     with mpmath.workdps(DIGITS):
-        exact = [float(_anyon_reference_at(n, nu, p, x)) for x in xs]
+        exact = [float(_anyon_reference(n, nu, x, p)) for x in xs]
     for got in (values, scalars):
         assert all(abs(a - b) <= RELATIVE_TOL * b for a, b in zip(got, exact)), (got, exact)
 
