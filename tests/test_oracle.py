@@ -1455,6 +1455,35 @@ def test_oracle_imports_no_closed_form_module():
     assert not imported & closed_forms
 
 
+def _recorded_scan(nu, p, n_max, monkeypatch):
+    """The brackets of scan_level_brackets(nu, p, n_max), the runs it
+    built, and each probe as (energy bracket of its run, eps)."""
+    runs, probes = [], []
+    init, mismatch = oracle._ShootingRun.__init__, oracle._ShootingRun.mismatch
+
+    def built(run, cfg, p):
+        init(run, cfg, p)
+        runs.append(run)
+
+    def probed(run, eps):
+        probes.append((run.cfg.energy_bracket, eps))
+        return mismatch(run, eps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle._ShootingRun, "__init__", built)
+        patch.setattr(oracle._ShootingRun, "mismatch", probed)
+        brackets = oracle.scan_level_brackets(nu, p, n_max)
+    return brackets, runs, probes
+
+
+@pytest.mark.parametrize("nu", NU_VALUES)
+def test_scan_builds_fewer_runs_than_half_its_probes(nu, monkeypatch):
+    # A run is valid at every energy inside its bracket, so one run
+    # serves every probe of its energy window.
+    _, runs, probes = _recorded_scan(nu, UNIT, 20, monkeypatch)
+    assert 2 * len(runs) < len(probes)
+
+
 @pytest.mark.parametrize("nu, split", [(0.25, True), (0.75, False)])
 def test_scan_splits_an_over_wide_bracket_once(nu, split, monkeypatch):
     # The deep start t0 = nu/sqrt(1.35) gives nu = 1/4 a first bracket
