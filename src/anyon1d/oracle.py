@@ -1056,9 +1056,12 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
     t = nu / math.sqrt(1.35)               # strictly below the deepest level
     t_stop = (n_max + 3.0) / math.sqrt(0.2)
     brackets = []
-    prev_t = prev_eps = prev_sign = None
+    run = prev_t = prev_eps = prev_sign = None
     while t < t_stop and len(brackets) <= n_max:
-        eps, sign = probe(t)
+        eps = -0.5 * unit / (t * t)
+        if run is None or eps > run.cfg.energy_bracket[1]:
+            run = _ShootingRun(ShootingConfig(nu, (1.01 * eps, 0.5 * eps)), p)
+        sign = run.mismatch(eps) > 0
         if prev_sign is not None and sign != prev_sign:
             lo, hi = prev_eps, eps
             if lo < _WIDEST_BRACKET * hi:
