@@ -32,7 +32,8 @@ It offers four ways to check them from first principles:
   blocks, the products of the tree's first five passes; each level is
   one Anderson-Bjorck (modified regula falsi) solve of the matching
   defect, and the energy scan walks the Coulomb variable
-  t = (2 |e|)^(-1/2) in half steps, one table per probe.
+  t = (2 |e|)^(-1/2) in half steps, one table per energy window
+  (1.01 e, 0.5 e) of its probes.
 
 Both eigensolvers compute in natural units (sqrt(hbar/(m omega)) and
 hbar omega, hbar^2/(m alpha) and m alpha^2/hbar^2), so the constants
@@ -629,7 +630,7 @@ class ShootingConfig:
 _X_START = 1e-4            # start of the outward sweep, in units of hbar^2/(m alpha)
 _START_STEPS = 48          # RK4 steps in the first octave [x_start, 2 x_start]
 # RK4 steps one sweep may take; the scan and the level solves for
-# n <= 100 take at most 8619
+# n <= 100 take at most 8595
 _MAX_STEPS = 2 ** 16
 # Deepest lower bracket end, in natural units.  The step rule keeps
 # h^2 |g| <= 0.0025, so a raw step propagator has diagonal entries below
@@ -938,7 +939,6 @@ class _ShootingRun:
 _SHOOTING_TOL = 1e-9       # relative width at which a shooting solve stops
 _SOLVE_STEPS = 100         # mismatch evaluations one shooting solve may take
 _SCAN_STEP = 0.5           # step of the scan in t = (2 |e|)^(-1/2), natural units
-_WIDEST_BRACKET = 4.0      # end-energy ratio past which the scan splits a bracket once
 
 
 def _anderson_bjorck(f, a: float, f_a: float, b: float, f_b: float, tol: float) -> float:
@@ -1029,17 +1029,16 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
     Walks t = (2 |eps| / E)^(-1/2), E = m alpha^2/hbar^2, upward in steps
     of _SCAN_STEP, from t = nu/sqrt(1.35), well below the deepest
     possible bound state, and records every sign change of the shooting
-    mismatch; each probe gets a run of its own, with the config
-    (1.01 eps, 0.99 eps).  t is the variable in which the semiclassical
-    count of states of a -alpha/x tail grows by one per unit, a property
-    of the potential and not of any spectrum, so a half-unit step puts
-    a probe between any two neighbouring levels at every n_max <= 100.
-    A bracket whose deep end is more than _WIDEST_BRACKET times its
-    shallow one is split once, by one more probe at its midpoint in t,
-    and keeps the half that holds the sign change: a level solve's step
-    table grows with the depth of its lower end, and the deep start
-    gives the first bracket of nu = 1/4 an end ratio of 11 (4.7 after
-    the split).  A level the scan missed anyway still cannot pass:
+    mismatch; each bracket is the pair of consecutive probes around one.
+    t is the variable in which the semiclassical count of states of a
+    -alpha/x tail grows by one per unit, a property of the potential and
+    not of any spectrum, so a half-unit step puts a probe between any two
+    neighbouring levels at every n_max <= 100.  One run serves every
+    probe inside its bracket, and the first probe past its shallow end
+    builds the next on (1.01 eps, 0.5 eps): a run takes its step rule
+    from its deep end and its x_end from its shallow one, and the
+    mismatch is a scaled Wronskian, whose sign does not depend on
+    x_match.  A level the scan missed anyway still cannot pass:
     shoot_anyon_energy checks the node count of the state each bracket
     converges to.
     """
@@ -1047,28 +1046,18 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
     check_index(n_max, "n_max", high=100)
     alpha = p.require_alpha()
     unit = p.mass * alpha * alpha / p.hbar ** 2
-
-    def probe(t):
-        eps = -0.5 * unit / (t * t)
-        run = _ShootingRun(ShootingConfig(nu, (1.01 * eps, 0.99 * eps)), p)
-        return eps, run.mismatch(eps) > 0
-
     t = nu / math.sqrt(1.35)               # strictly below the deepest level
     t_stop = (n_max + 3.0) / math.sqrt(0.2)
     brackets = []
-    run = prev_t = prev_eps = prev_sign = None
+    run = prev_eps = prev_sign = None
     while t < t_stop and len(brackets) <= n_max:
         eps = -0.5 * unit / (t * t)
         if run is None or eps > run.cfg.energy_bracket[1]:
             run = _ShootingRun(ShootingConfig(nu, (1.01 * eps, 0.5 * eps)), p)
         sign = run.mismatch(eps) > 0
         if prev_sign is not None and sign != prev_sign:
-            lo, hi = prev_eps, eps
-            if lo < _WIDEST_BRACKET * hi:
-                mid, mid_sign = probe(0.5 * (prev_t + t))
-                lo, hi = (lo, mid) if mid_sign != prev_sign else (mid, hi)
-            brackets.append((lo, hi))
-        prev_t, prev_eps, prev_sign = t, eps, sign
+            brackets.append((prev_eps, eps))
+        prev_eps, prev_sign = eps, sign
         t += _SCAN_STEP
     if len(brackets) <= n_max:
         raise ConvergenceError(

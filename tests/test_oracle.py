@@ -1484,32 +1484,48 @@ def test_scan_builds_fewer_runs_than_half_its_probes(nu, monkeypatch):
     assert 2 * len(runs) < len(probes)
 
 
-@pytest.mark.parametrize("nu, split", [(0.25, True), (0.75, False)])
-def test_scan_splits_an_over_wide_bracket_once(nu, split, monkeypatch):
-    # The deep start t0 = nu/sqrt(1.35) gives nu = 1/4 a first bracket
-    # from t0 = 0.215 to t0 + 1/2, an end ratio of 11; one more probe at
-    # t0 + 1/4 leaves 4.7.  For nu = 3/4 the ratio is 3.15, and no
-    # bracket of either nu is split past the first.
-    probes = []
-    mismatch = oracle._ShootingRun.mismatch
-
-    def counted(run, eps):
-        probes.append(eps)
-        return mismatch(run, eps)
-
-    monkeypatch.setattr(oracle._ShootingRun, "mismatch", counted)
-    brackets = oracle.scan_level_brackets(nu, UNIT, 20)
+@pytest.mark.parametrize("nu", NU_VALUES)
+def test_scan_probes_are_the_t_walk_each_inside_its_run(nu, monkeypatch):
+    # The probes are t0, t0 + 1/2, ... with t0 = nu/sqrt(1.35) and no
+    # other, each evaluated on a run whose bracket holds it, and each
+    # bracket is a pair of consecutive probes.
+    brackets, runs, probes = _recorded_scan(nu, UNIT, 20, monkeypatch)
+    energies = [eps for _, eps in probes]
     t0 = nu / math.sqrt(1.35)
-    walk = [-0.5 / t ** 2 for t in t0 + 0.5 * np.arange(len(probes) - split)]
-    assert np.allclose(probes[:2] + probes[2 + split:], walk, rtol=1e-15, atol=0.0)
-    ratios = [lo / hi for lo, hi in brackets]
-    if split:
-        assert math.isclose(probes[2], -0.5 / (t0 + 0.25) ** 2, rel_tol=1e-15)
-        assert brackets[0] == (walk[0], probes[2])
-        assert 4.0 < ratios[0] < 4.7
-    else:
-        assert 3.1 < ratios[0] < 3.2
-    assert max(ratios[1:]) < 2.0
+    walk = [-0.5 / t ** 2 for t in t0 + 0.5 * np.arange(len(probes))]
+    assert np.allclose(energies, walk, rtol=1e-15, atol=0.0)
+    assert all(lo <= eps <= hi for (lo, hi), eps in probes)
+    assert [run.cfg.energy_bracket for run in runs] == list(dict.fromkeys(
+        bracket for bracket, _ in probes))
+    assert all(bracket in zip(energies, energies[1:]) for bracket in brackets)
+
+
+def _per_probe_brackets(nu, p, n_max):
+    """The scan's t walk with one run on (1.01 eps, 0.99 eps) per probe."""
+    unit = p.mass * p.alpha * p.alpha / p.hbar ** 2
+    t = nu / math.sqrt(1.35)
+    brackets = []
+    prev = None
+    while len(brackets) <= n_max:
+        eps = -0.5 * unit / (t * t)
+        run = oracle._ShootingRun(oracle.ShootingConfig(nu, (1.01 * eps, 0.99 * eps)), p)
+        sign = run.mismatch(eps) > 0
+        if prev is not None and sign != prev[1]:
+            brackets.append((prev[0], eps))
+        prev = eps, sign
+        t += 0.5
+    return brackets
+
+
+@pytest.mark.parametrize("nu, n_max, mass, hbar, alpha", [
+    (0.25, 100, 1.0, 1.0, 1.0), (0.75, 100, 1.0, 1.0, 1.0),
+    (0.25, 12, 2.5, 0.3, 1.7), (0.75, 12, 2.5, 0.3, 1.7),
+    (0.25, 12, 1.3, 1.0, 0.8), (0.75, 12, 1.3, 1.0, 0.8)])
+def test_window_runs_give_the_brackets_of_per_probe_runs(nu, n_max, mass, hbar, alpha):
+    # A run is valid at every energy inside its bracket, and the sign of
+    # the scaled Wronskian does not depend on where the sweeps meet.
+    p = PhysicalParams(mass, hbar, alpha=alpha)
+    assert oracle.scan_level_brackets(nu, p, n_max) == _per_probe_brackets(nu, p, n_max)
 
 
 def test_scan_level_brackets_contain_the_spectrum():
