@@ -199,6 +199,20 @@ def test_wavefunction_grid_past_its_count_bound_is_refused_at_once():
     assert b"grid count" in done.stderr
 
 
+@pytest.mark.parametrize("target", [Path("missing", "x.txt"), Path(".")],
+                         ids=["missing-directory", "directory"])
+def test_output_path_that_cannot_be_opened_exits_2_without_a_traceback(target, tmp_path):
+    # A missing directory or a directory used to end in a FileNotFoundError
+    # or IsADirectoryError traceback and exit 1, the code for a
+    # verification failure.
+    done = run_process("spectrum", "--system", "anyon", "--output", str(tmp_path / target),
+                       timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"error: ")
+    assert b"Traceback" not in done.stderr
+    assert done.stdout == b""
+
+
 def test_wavefunction_domain_validation(capsys):
     code, _, err = run(capsys, "wavefunction", "--system", "anyon", "--n", "0",
                        "--x-min", "0", "--x-max", "5", "--points", "10")
