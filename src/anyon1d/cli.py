@@ -4,9 +4,10 @@ Four commands: spectrum, wavefunction, dual, verify.  Output is a
 deterministic table on stdout, or JSON ({"meta": ..., "rows": ...}) /
 CSV (with #-prefixed header lines) when --format/--output are given.
 Exit codes: 0 success, 1 verification failure, 2 usage, domain or
-arithmetic error, 141 (128 + SIGPIPE, as a shell reports a command
-killed by a broken pipe) when the reader closes stdout before the
-output ends, as `anyon1d spectrum ... | head -1` does.
+arithmetic error or an --output file that cannot be opened, 141
+(128 + SIGPIPE, as a shell reports a command killed by a broken pipe)
+when the reader closes stdout before the output ends, as
+`anyon1d spectrum ... | head -1` does.
 """
 
 from __future__ import annotations
@@ -383,6 +384,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except OSError as err:      # an --output path that cannot be opened
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return code
 
 
