@@ -352,6 +352,24 @@ def test_verify_csv_stdout_holds_only_csv_lines(capsys):
     assert err == "5/5 checks passed\n"
 
 
+@pytest.mark.parametrize("flag, value", [("--hbar", "1e-200"), ("--hbar", "2"),
+                                         ("--mu", "0.5")])
+def test_verify_refuses_constants_that_no_suite_reads(capsys, flag, value):
+    # Every suite runs at unit constants; verify used to echo these in
+    # its header and exit 0, 1e-200 outside PhysicalParams' own domain.
+    code, out, err = run(capsys, "verify", "--suite", "duality", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert flag in err
+
+
+def test_verify_takes_unit_constants_as_the_default(capsys):
+    default = run(capsys, "verify", "--suite", "duality")
+    assert default[0] == 0
+    assert run(capsys, "verify", "--suite", "duality", "--mu", "1", "--hbar", "1.0") == default
+
+
 def test_verify_tol_override_can_fail(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "identities",
                        "--tol", "1e-300")
