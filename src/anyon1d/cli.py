@@ -347,6 +347,10 @@ def cmd_dual(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    for flag, value in (("--mu", ns.mu), ("--hbar", ns.hbar)):
+        if value != 1.0:
+            raise ValueError(f"{flag} must be 1 for verify, whose suites all run at "
+                             f"unit constants, got {value!r}")
     suites = ns.suite or ["all"]
     reports = verification.run_suites(suites, ns.tol)
     meta = _meta(ns, suites=",".join(suites),
