@@ -1461,8 +1461,8 @@ def _recorded_scan(nu, p, n_max, monkeypatch):
     runs, probes = [], []
     init, mismatch = oracle._ShootingRun.__init__, oracle._ShootingRun.mismatch
 
-    def built(run, cfg, p):
-        init(run, cfg, p)
+    def built(run, *args):
+        init(run, *args)
         runs.append(run)
 
     def probed(run, eps):
