@@ -65,6 +65,29 @@ def test_spectrum_oscillator_defaults(capsys):
     assert payload["rows"][0][0] == 0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--system", "oscillator", "--alpha", "7", "--nu", "3/4", "--n-max", "1"], "--alpha"),
+    (["--system", "oscillator", "--nu", "3/4"], "--nu"),
+    (["--system", "anyon", "--omega", "7"], "--omega"),
+], ids=["oscillator-alpha", "oscillator-nu", "anyon-omega"])
+def test_spectrum_refuses_flags_of_the_other_system(capsys, argv, flag):
+    # Each system reads only its own constants; spectrum used to exit 0
+    # with such a flag, which showed in neither the header nor a row.
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert flag in err
+
+
+def test_spectrum_takes_its_own_flags_at_their_defaults(capsys):
+    for system, flags in (("anyon", ["--alpha", "1", "--nu", "1/4"]),
+                          ("oscillator", ["--omega", "1.0"])):
+        default = run(capsys, "spectrum", "--system", system)
+        assert default[0] == 0
+        assert run(capsys, "spectrum", "--system", system, *flags) == default
+
+
 def test_spectrum_rejects_unlisted_nu(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--system", "anyon", "--nu", "0.3"])
