@@ -300,6 +300,16 @@ def test_reference_polynomials_never_return_nan_or_inf(call, match):
         call()
 
 
+@pytest.mark.parametrize("alpha", [True, math.inf, -math.inf, math.nan, "0.5", None, -1.0],
+                         ids=["bool", "inf", "-inf", "nan", "str", "none", "-1"])
+def test_laguerre_refuses_an_alpha_outside_its_domain(alpha):
+    # A bool used to be read as 1 (laguerre(2, True, 1.0) gave 0.5), an
+    # infinite alpha raised an overflow that blamed y, and a str or None
+    # raised TypeError.
+    with pytest.raises(ValueError, match="alpha"):
+        laguerre(2, alpha, 1.0)
+
+
 def test_reference_polynomials_take_any_finite_real():
     assert hermite(3, -2.0) == -40.0
     assert laguerre(1, -0.5, -2.0) == 2.5
