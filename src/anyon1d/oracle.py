@@ -15,15 +15,15 @@ It offers four ways to check them from first principles:
 * a Sturm-sequence eigensolver for the oscillator on a box, built as
   the two spin sectors s = 0 and s = 1/2 of the reduced half-line
   oscillator on one cell-centred grid, each solved on its own and the
-  two merged in ascending order; a sector counts up a ladder 1, 2, 4,
-  ... hbar omega above the bottom of the spectrum until a rung holds
-  every level it must return, each level is bisected below that rung on
-  Sturm counts until it is isolated, then refined by safeguarded Newton
-  steps on the determinant, and one stop width ends both; each sector
-  keeps one record of its counts for all its levels, each such count
-  stops at the classical turning point of its energy, past which no
-  pivot can change sign, and each Newton step is one full sweep that
-  also counts,
+  two merged in ascending order; each level counts up a ladder 1, 2,
+  4, ... hbar omega above the bottom of the spectrum until a rung holds
+  it, is bisected below that rung on Sturm counts until it is
+  isolated, then refined by safeguarded Newton steps on the
+  determinant, and one stop width ends both; each sector keeps one
+  record of its counts, rungs included, for all its levels, each such
+  count stops at the classical turning point of its energy, past which
+  no pivot can change sign, and each Newton step is one full sweep
+  that also counts,
 * a shooting eigensolver for the attractive half-line problem, whose
   RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
   propagator entry is a quadratic in the energy, tabulated once per
@@ -475,11 +475,12 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     points of [-W, W] (walls included); an odd count is solved on the
     grid of points + 1 points.  In exact arithmetic the sectors
     alternate, level j being level j // 2 + 1 (from 1) of the s = 0
-    sector for even j and of the s = 1/2 sector for odd j.  So each
-    sector counts up its own ladder (see _count_ladder), and the levels
-    are solved in that merged order (see _sector_level).  From level 1
-    on, a level's Newton steps start at 2 lam_(j-1) - lam_(j-2), the
-    linear prediction from the two levels just solved, with
+    sector for even j and of the s = 1/2 sector for odd j, and the
+    levels are solved in that merged order, each counting up its own
+    ladder from the bottom of the Gershgorin interval (see
+    _sector_level).  From level 1 on, a level's Newton steps start at
+    2 lam_(j-1) - lam_(j-2), the linear prediction from the two levels
+    just solved, with
     lam_(-1) = -lam_0, the ground level's mirror image (so level 1
     starts at 3 lam_0), when that lies strictly inside the level's
     isolated bracket: the levels of the two sectors interlace at a
@@ -513,39 +514,12 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     # 2 sin^2(pi/(2(2 rows + 1)))/h^2 >= 2/((2 rows + 1) h)^2 = 1/(2 W^2)
     first = max(1.0, 0.5 / (wall * wall))
     sectors = [_Sector(diag, off, s) for s in (0.0, 0.5)]
-    tops = [_count_ladder(sector, (count + 1 - parity) // 2, lo0, hi0, first)
-            for parity, sector in enumerate(sectors)]
     levels: list[float] = []
     for j in range(count):
         # lam_(-1) = -lam_0, the ground level's mirror image
         start = 2.0 * levels[-1] - (levels[-2] if j >= 2 else -levels[0]) if j else math.nan
-        levels.append(_sector_level(sectors[j % 2], j // 2 + 1, lo0, *tops[j % 2], start))
+        levels.append(_sector_level(sectors[j % 2], j // 2 + 1, lo0, hi0, first, start))
     return [level * quantum for level in sorted(levels)]
-
-
-def _count_ladder(sector: _Sector, wanted: int, lo0: float, hi0: float,
-                  first: float) -> tuple[float, int]:
-    """An energy top with below_top = sector.below(top) >= wanted, as
-    (top, below_top); every eigenvalue of the sector lies in [lo0, hi0]
-    and none below lo0 + first.
-
-    Counts up rungs lo0 + first 2^j, j = 0, 1, ..., below hi0 until one
-    holds `wanted` eigenvalues (else, or when none is wanted, the top is
-    hi0 with every eigenvalue below it).  A rung a few hbar omega up
-    stops its count at the turning point, so the ladder costs a few
-    short sweeps where bisecting down from hi0 would cost a nearly full
-    sweep per halving.  The top rung is below twice the highest wanted
-    level, and no rung overflows: the step doubles as a float and each
-    rung is compared with hi0.  The counts stay in the sector's record,
-    where each level's bisection finds them.
-    """
-    step = first
-    while wanted and lo0 + step < hi0:
-        count = sector.below(lo0 + step)
-        if count >= wanted:
-            return lo0 + step, count
-        step *= 2.0
-    return hi0, len(sector.diag)
 
 
 _NEWTON_STEPS = 200     # Newton steps inside the bracket one level may take
@@ -560,25 +534,45 @@ def _stop_width(lam: float, abs_off: float) -> float:
                4.0 * sys.float_info.epsilon * (abs(lam) + 2.0 * abs_off))
 
 
-def _sector_level(sector: _Sector, rank: int, lo: float, hi: float, below_hi: int,
+def _sector_level(sector: _Sector, rank: int, lo0: float, hi0: float, first: float,
                   start: float) -> float:
-    """Eigenvalue number `rank` (from 1) of the sector inside [lo, hi],
-    where no eigenvalue is below lo and below_hi >= rank are below hi.
+    """Eigenvalue number `rank` (from 1) of the sector, every eigenvalue
+    of which lies in [lo0, hi0].
 
-    Bisects on the sector's shared count record until [lo, hi] holds
-    that eigenvalue alone, then takes safeguarded Newton steps
-    lam - 1/slope from log_det_sweep, starting at `start` if it lies
-    strictly inside [lo, hi] and at the midpoint otherwise (NaN
-    included); each sweep's count moves lo or hi.  A step that leaves
-    [lo, hi], or a slope that is zero or not finite (a pivot on the
-    floor), falls back to the midpoint.  A step, or the width of
-    [lo, hi], at most _stop_width ends the solve.  Every count and every
-    midpoint sweep halves [lo, hi], at most about 1,070 times from the
-    widest float bracket to the 1e-13 floor of that width, so only
-    Newton steps that stay inside are capped, at _NEWTON_STEPS.
+    First counts up rungs lo0 + first 2^j, j = 0, 1, ..., below hi0
+    until one holds `rank` eigenvalues, and takes that rung as hi (hi0
+    if none does; fd_oscillator_spectrum chooses first).  A rung a few
+    hbar omega up stops its count at the turning point, so the ladder
+    costs a few short sweeps where bisecting down from hi0 would cost a
+    nearly full sweep per halving.  The rung lies below twice the level
+    plus first, and none overflows: the rise doubles as a float and each
+    rung is compared with hi0.  The counts stay in the sector's record,
+    where a later level finds the rungs below its own, so the ladder
+    adds no sweep there; a level depends on its rank alone, not on how
+    many levels the caller wants.
+
+    Then bisects [lo0, hi] on that record until it holds the eigenvalue
+    alone, and takes safeguarded Newton steps lam - 1/slope from
+    log_det_sweep, starting at `start` if it lies strictly inside
+    [lo, hi] and at the midpoint otherwise (NaN included); each sweep's
+    count moves lo or hi.  A step that leaves [lo, hi], or a slope that
+    is zero or not finite (a pivot on the floor), falls back to the
+    midpoint.  A step, or the width of [lo, hi], at most _stop_width
+    ends the solve.  Every count and every midpoint sweep halves
+    [lo, hi], at most about 1,070 times from the widest float bracket to
+    the 1e-13 floor of that width, so only Newton steps that stay inside
+    are capped, at _NEWTON_STEPS.
     """
     abs_off = sector.abs_off
-    below_lo = 0
+    lo, below_lo = lo0, 0
+    hi, below_hi = hi0, len(sector.diag)
+    rise = first
+    while lo0 + rise < hi0:
+        count = sector.below(lo0 + rise)
+        if count >= rank:
+            hi, below_hi = lo0 + rise, count
+            break
+        rise *= 2.0
     while ((below_lo < rank - 1 or below_hi > rank)
            and hi - lo > _stop_width(0.5 * (lo + hi), abs_off)):
         mid = 0.5 * (lo + hi)

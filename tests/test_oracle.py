@@ -670,9 +670,9 @@ def test_fd_spectrum_matches_the_per_level_bisection(points, count):
 @pytest.mark.parametrize("points", [2001, 2002])
 def test_fd_spectrum_long_ladder_matches_the_per_level_bisection(points):
     # A box of 0.2 oscillator lengths is nearly a bare box: level 19 sits
-    # near 12,336 hbar omega, so each sector's count ladder climbs 11
-    # rungs, from 1/(2 W^2) = 12.5 to 12,800 hbar omega, before one holds
-    # every wanted level.
+    # near 12,336 hbar omega, so the count ladder of each sector's top
+    # level climbs 11 rungs, from 1/(2 W^2) = 12.5 to 12,800 hbar omega,
+    # before one holds it.
     got = oracle.fd_oscillator_spectrum(UNIT, 0.2, points, 20)
     want = _fd_spectrum_reference(UNIT, 0.2, points, 20)
     assert want[-1] > 1e4
@@ -696,10 +696,9 @@ def _recorded_counts(monkeypatch):
                          [(4433, 20, 49131.5), (13330, 10, 444180.6)])
 def test_fd_spectrum_counts_from_the_bottom_of_the_spectrum(points, count, bisected_top,
                                                            monkeypatch):
-    # Each sector counts at 1, 2, 4, ... hbar omega above the bottom of
-    # the Gershgorin interval until a rung holds its highest wanted level,
-    # so no count lands above twice the highest level plus one hbar
-    # omega.  Bisecting the whole Gershgorin interval instead counted at
+    # Each level counts at 1, 2, 4, ... hbar omega above the bottom of
+    # the Gershgorin interval until a rung holds it, so no count lands
+    # above twice the highest level plus one hbar omega.  Bisecting the whole Gershgorin interval instead counted at
     # bisected_top first, and took 42 counts on the 13,330-point grid
     # against 16 for the ladder.
     probes = _recorded_counts(monkeypatch)
@@ -794,23 +793,29 @@ def test_sector_level_ignores_a_start_it_cannot_use(points, monkeypatch):
     # neighbouring level gives the same level as the midpoint start,
     # within the reference's resolution: the counts, not the start, keep
     # the solve on its level.
+    # The isolated bracket is the one the solver bisects to: below the
+    # first rung lo0 + 2^j (a box of 10 oscillator lengths starts the
+    # ladder at 1 hbar omega) that holds the level.
     diag, off = _box_matrix(points)
     lo0 = float(diag.min()) - 2.0 * abs(off)
     hi0 = float(diag.max()) + 2.0 * abs(off)
     want = _fd_spectrum_reference(UNIT, 10.0, points, 8)
     for parity, sector in enumerate(_solver_sectors(points, 10.0, monkeypatch)):
-        top, below_top = oracle._count_ladder(sector, 4, lo0, hi0, 1.0)
         for rank in range(1, 5):
             level = want[2 * (rank - 1) + parity]
-            lo, hi = lo0, top
+            rise = 1.0
+            while sector.below(lo0 + rise) < rank:
+                rise *= 2.0
+            rung = lo0 + rise
+            lo, hi = lo0, rung
             while not (sector.below(lo) == rank - 1 and sector.below(hi) == rank):
                 mid = 0.5 * (lo + hi)
                 lo, hi = (lo, mid) if sector.below(mid) >= rank else (mid, hi)
             starts = [math.nan, -math.inf, lo0 - 1.0, lo, hi, math.nextafter(lo, hi),
-                      math.nextafter(hi, lo), top, hi0, 2.0 * hi0, level]
+                      math.nextafter(hi, lo), rung, hi0, 2.0 * hi0, level]
             starts += [w for w in want if w != level]
             for start in starts:
-                got = oracle._sector_level(sector, rank, lo0, top, below_top, start)
+                got = oracle._sector_level(sector, rank, lo0, hi0, 1.0, start)
                 assert abs(got - level) <= _reference_bound(points, level), (rank, start)
 
 
