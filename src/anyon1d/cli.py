@@ -97,12 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", parents=[common],
                         help="bound-state energies with their dual quantities")
     sp.add_argument("--system", choices=("oscillator", "anyon"), required=True)
-    sp.add_argument("--alpha", type=_positive_float, default=1.0,
-                    help="coupling of -alpha/x (anyon side, default 1)")
-    sp.add_argument("--omega", type=_positive_float, default=1.0,
-                    help="oscillator frequency (oscillator side, default 1)")
-    sp.add_argument("--nu", type=_nu_flag, default=0.25,
-                    help="origin exponent, 1/4 or 3/4 (anyon side)")
+    sp.add_argument("--alpha", type=_positive_float,
+                    help="coupling of -alpha/x (anyon side only, default 1)")
+    sp.add_argument("--omega", type=_positive_float,
+                    help="oscillator frequency (oscillator side only, default 1)")
+    sp.add_argument("--nu", type=_nu_flag,
+                    help="origin exponent, 1/4 or 3/4 (anyon side only, default 1/4)")
     sp.add_argument("--n-max", type=_n_max, default=5,
                     help=f"highest level index, 0..{_SPECTRUM_N_MAX} (default 5)")
 
@@ -258,23 +258,31 @@ def _state_flags(ns):
 
 def cmd_spectrum(ns) -> int:
     if ns.system == "anyon":
-        p = PhysicalParams(ns.mu, ns.hbar, alpha=ns.alpha)
+        if ns.omega is not None:
+            raise ValueError("--omega applies to the oscillator system only")
+        alpha = ns.alpha if ns.alpha is not None else 1.0
+        nu = ns.nu if ns.nu is not None else 0.25
+        p = PhysicalParams(ns.mu, ns.hbar, alpha=alpha)
         columns = ["n", "energy", "dual_omega", "dual_E"]
         rows = []
         for n in range(ns.n_max + 1):
-            eps = anyon.energy(n, ns.nu, p)
-            dual_e = duality.to_oscillator_params(ns.alpha, eps, p)[0]
-            rows.append([n, eps, duality.dual_frequency(n, ns.nu, p), dual_e])
-        meta = _meta(ns, system="anyon", alpha=ns.alpha, nu=ns.nu, n_max=ns.n_max)
+            eps = anyon.energy(n, nu, p)
+            dual_e = duality.to_oscillator_params(alpha, eps, p)[0]
+            rows.append([n, eps, duality.dual_frequency(n, nu, p), dual_e])
+        meta = _meta(ns, system="anyon", alpha=alpha, nu=nu, n_max=ns.n_max)
     else:
-        p = PhysicalParams(ns.mu, ns.hbar, omega=ns.omega)
+        for flag, value in (("--alpha", ns.alpha), ("--nu", ns.nu)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to the anyon system only")
+        omega = ns.omega if ns.omega is not None else 1.0
+        p = PhysicalParams(ns.mu, ns.hbar, omega=omega)
         columns = ["N", "energy", "dual_alpha", "dual_epsilon"]
         rows = []
         for big_n in range(ns.n_max + 1):
             e_osc = oscillator.energy(big_n, p)
-            alpha, eps = duality.to_anyon_params(e_osc, ns.omega, p)
+            alpha, eps = duality.to_anyon_params(e_osc, omega, p)
             rows.append([big_n, e_osc, alpha, eps])
-        meta = _meta(ns, system="oscillator", omega=ns.omega, n_max=ns.n_max)
+        meta = _meta(ns, system="oscillator", omega=omega, n_max=ns.n_max)
     _emit(ns, meta, columns, list(zip(*rows)))
     return 0
 
