@@ -471,12 +471,14 @@ def _polynomial(recurrence, x, name: str, degree: str, order: int):
 def laguerre(n: int, alpha: float, y):
     """Generalized Laguerre polynomial L_n^(alpha)(y), alpha > -1.
 
-    Three-term recurrence at any finite real y, a float or a numpy
-    array; raises ValueError where the value overflows (see _polynomial).
+    alpha is a finite int or float (not bool).  Three-term recurrence at
+    any finite real y, a float or a numpy array; raises ValueError where
+    the value overflows (see _polynomial).
     """
     check_index(n, "degree n")
+    check_finite(alpha, "parameter alpha")
     if not alpha > -1.0:
-        raise ValueError(f"laguerre parameter must exceed -1, got {alpha}")
+        raise ValueError(f"parameter alpha must exceed -1, got {alpha!r}")
 
     def recurrence(y):
         p_prev = 1.0 + 0.0 * y  # promotes to the dtype/shape of y
