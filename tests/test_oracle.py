@@ -698,9 +698,10 @@ def test_fd_spectrum_counts_from_the_bottom_of_the_spectrum(points, count, bisec
                                                            monkeypatch):
     # Each level counts at 1, 2, 4, ... hbar omega above the bottom of
     # the Gershgorin interval until a rung holds it, so no count lands
-    # above twice the highest level plus one hbar omega.  Bisecting the whole Gershgorin interval instead counted at
-    # bisected_top first, and took 42 counts on the 13,330-point grid
-    # against 16 for the ladder.
+    # above twice the highest level plus one hbar omega.  Bisecting the
+    # whole Gershgorin interval instead counted at bisected_top first,
+    # and took 42 counts on the 13,330-point grid against 16 for the
+    # ladder.
     probes = _recorded_counts(monkeypatch)
     levels = oracle.fd_oscillator_spectrum(UNIT, 10.0, points, count)
     assert max(probes) <= 2.0 * levels[-1] + 1.0 < bisected_top
@@ -792,10 +793,9 @@ def test_sector_level_ignores_a_start_it_cannot_use(points, monkeypatch):
     # A start outside the isolated bracket, on one of its ends, or at a
     # neighbouring level gives the same level as the midpoint start,
     # within the reference's resolution: the counts, not the start, keep
-    # the solve on its level.
-    # The isolated bracket is the one the solver bisects to: below the
-    # first rung lo0 + 2^j (a box of 10 oscillator lengths starts the
-    # ladder at 1 hbar omega) that holds the level.
+    # the solve on its level.  The isolated bracket is the one the solver
+    # bisects to, below the first rung lo0 + 2^j that holds the level (a
+    # box of 10 oscillator lengths starts the ladder at 1 hbar omega).
     diag, off = _box_matrix(points)
     lo0 = float(diag.min()) - 2.0 * abs(off)
     hi0 = float(diag.max()) + 2.0 * abs(off)
