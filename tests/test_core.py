@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyon1d import anyon, duality, oscillator
+from anyon1d import anyon, duality, oracle, oscillator, specfun
 from anyon1d.core import (
     NU_VALUES,
     Grid,
@@ -149,6 +149,87 @@ def test_check_points_returns_a_float_or_a_float_array():
                          (np.array([True]), "x must be real, got x = True")):
         with pytest.raises(ValueError, match=re.escape(message)):
             check_points(bad, "x", 0.0, 1.0, open_low=True)
+
+
+_GAUSSIAN = lambda x: np.exp(-x * x)  # noqa: E731
+_RESIDUAL_XS = np.linspace(0.05, 18.0, 101)
+_RESIDUAL_PHI = anyon.wavefunction(0, 0.25, _ANYON, _RESIDUAL_XS)
+_UNIT_OMEGA = PhysicalParams(1.0, 1.0, omega=1.0)
+
+# Every public scalar parameter: a call that reads it, the name its
+# messages use, and a value in its domain that float32 holds exactly,
+# integer-valued where an integer is a natural input.
+SCALAR_PARAMETERS = {
+    "PhysicalParams.mass": (
+        lambda v: (PhysicalParams(v, 1.0, alpha=1.0),
+                   anyon.energy(2, 0.25, PhysicalParams(v, 1.0, alpha=1.0))), "mass", 2),
+    "PhysicalParams.hbar": (
+        lambda v: (PhysicalParams(1.0, v, omega=1.0),
+                   oscillator.energy(2, PhysicalParams(1.0, v, omega=1.0))), "hbar", 2),
+    "PhysicalParams.alpha": (
+        lambda v: (PhysicalParams(1.0, 1.0, alpha=v),
+                   anyon.energy(2, 0.25, PhysicalParams(1.0, 1.0, alpha=v))),
+        "coupling alpha", 2),
+    "PhysicalParams.omega": (
+        lambda v: (PhysicalParams(1.0, 1.0, omega=v),
+                   oscillator.energy(2, PhysicalParams(1.0, 1.0, omega=v))),
+        "frequency omega", 2),
+    "Grid.x_min": (lambda v: (Grid(v, 3.0, 5), Grid(v, 3.0, 5).points().tolist()),
+                   "grid x_min", 1),
+    "Grid.x_max": (lambda v: (Grid(0.0, v, 5), Grid(0.0, v, 5).points().tolist()),
+                   "grid x_max", 3),
+    "duality.to_anyon_params.E": (
+        lambda v: duality.to_anyon_params(v, 2.0, _UNIT_OMEGA), "oscillator energy E", 4),
+    "duality.to_anyon_params.omega": (
+        lambda v: duality.to_anyon_params(4.0, v, _UNIT_OMEGA), "frequency omega", 2),
+    "duality.to_oscillator_params.alpha": (
+        lambda v: duality.to_oscillator_params(v, -8.0, _ANYON), "coupling alpha", 2),
+    "duality.to_oscillator_params.epsilon": (
+        lambda v: duality.to_oscillator_params(1.0, v, _ANYON),
+        "bound-state energy epsilon", -8),
+    "oracle.integrate.tol": (
+        lambda v: oracle.integrate(_GAUSSIAN, 0.5, 2.0, v), "tolerance", 2.0 ** -30),
+    "oracle.integrate.a": (
+        lambda v: oracle.integrate(_GAUSSIAN, v, 2.0), "lower limit a", 1),
+    "oracle.integrate.b": (
+        lambda v: oracle.integrate(_GAUSSIAN, 0.5, v), "upper limit b", 2),
+    "oracle.ode_residual.epsilon": (
+        lambda v: oracle.ode_residual(_RESIDUAL_XS, _RESIDUAL_PHI,
+                                      lambda x: anyon.potential(x, 0.25, _ANYON), v, _ANYON),
+        "energy epsilon", -8),
+    "oracle.fd_oscillator_spectrum.box_halfwidth": (
+        lambda v: oracle.fd_oscillator_spectrum(_UNIT_OMEGA, v, 100, 2), "box halfwidth", 8),
+    "oracle.ShootingConfig.lo": (
+        lambda v: oracle.ShootingConfig(0.25, (v, -4.0)), "energy bracket lower end", -10),
+    "oracle.ShootingConfig.hi": (
+        lambda v: oracle.ShootingConfig(0.25, (-10.0, v)), "energy bracket upper end", -4),
+    "specfun.kummer_asymptotic.a": (
+        lambda v: specfun.kummer_asymptotic(v, 0.75, 40.0), "upper parameter a", 0.25),
+    "specfun.kummer_asymptotic.b": (
+        lambda v: specfun.kummer_asymptotic(0.25, v, 40.0), "lower parameter b", 2),
+    "specfun.kummer_asymptotic.y": (
+        lambda v: specfun.kummer_asymptotic(0.25, 0.75, v), "argument y", 40),
+    "specfun.laguerre.alpha": (
+        lambda v: specfun.laguerre(2, v, 1.5), "parameter alpha", 1),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SCALAR_PARAMETERS))
+def test_scalar_parameters_follow_one_rule(site):
+    call, name, good = SCALAR_PARAMETERS[site]
+    # a numpy real scalar gives the same result, types and reprs included,
+    # as the Python float it holds
+    kinds = [np.float64, np.float32] + ([np.int64] if good == int(good) else [])
+    for kind in kinds:
+        value = kind(good)
+        assert repr(call(value)) == repr(call(float(value))), kind
+    ends_may_be_infinite = site in ("oracle.integrate.a", "oracle.integrate.b")
+    bad_values = [True, np.bool_(True), "1", None, math.nan, [1.0], np.array([1.0, 2.0])]
+    if not ends_may_be_infinite:
+        bad_values += [math.inf, -math.inf]
+    for bad in bad_values:
+        with pytest.raises(ValueError, match=re.escape(name)):
+            call(bad)
 
 
 def test_validate_params_accepts_unit_system():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anyon1d import anyon, duality, oracle, oscillator
+from anyon1d import anyon, duality, oracle, oscillator, specfun
 from anyon1d.core import Grid, PhysicalParams, make_state, state_from_nu
 
 UNIT = PhysicalParams(1.0, 1.0, alpha=1.0)
@@ -110,6 +110,27 @@ def test_map_rejects_nonpositive_x():
     p = UNIT.with_omega(duality.dual_frequency(0, 0.25, UNIT))
     with pytest.raises(ValueError):
         duality.map_oscillator_to_anyon(0, 0.0, p, 0.0)
+
+
+def test_map_names_x_past_its_upper_bound():
+    # x maps to u = sqrt(x), which the oscillator reads up to
+    # u_max = RECURRENCE_ARG_MAX / sqrt(m omega/hbar); the bound on x is
+    # u_max^2, and the message names x, the argument the caller gave
+    p = UNIT.with_omega(duality.dual_frequency(0, 0.25, UNIT))
+    scale = math.sqrt(p.mass * p.omega / p.hbar)
+    u_max = specfun.RECURRENCE_ARG_MAX / scale
+    x_max = u_max * u_max
+    assert math.isfinite(duality.map_oscillator_to_anyon(0, 0.0, p, x_max))
+    for bad in (1e301, [1.0, 1e301]):
+        with pytest.raises(ValueError, match=r"^x must lie in \(0, .*got x = 1e\+301$"):
+            duality.map_oscillator_to_anyon(0, 0.0, p, bad)
+    # at the smallest m omega/hbar, u_max^2 is past the float range and
+    # every finite x is read, while an infinite one is still refused by name
+    tiny = PhysicalParams(1e-100, 1e100, alpha=1e100)
+    tiny = tiny.with_omega(duality.dual_frequency(0, 0.25, tiny))
+    assert duality.map_oscillator_to_anyon(0, 0.0, tiny, 1e308) == 0.0
+    with pytest.raises(ValueError, match=r"^x must lie in \(0, .*got x = inf$"):
+        duality.map_oscillator_to_anyon(0, 0.0, tiny, math.inf)
 
 
 def test_constant_equality_examples():
