@@ -22,8 +22,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__, anyon, duality, oscillator, verification
-from .core import (Grid, PhysicalParams, check_index, check_nu, check_positive,
-                   check_s, make_state, state_from_nu)
+from .core import (Grid, PhysicalParams, check_index, check_nu, check_number, check_s,
+                   make_state, state_from_nu)
 
 
 def _checked(text: str, parse, check, *names):
@@ -42,7 +42,8 @@ def _checked(text: str, parse, check, *names):
 
 
 def _positive_float(text: str) -> float:
-    return _checked(text, float, check_positive, "value")
+    return _checked(text, float, lambda value, name: check_number(value, name, 0.0, open_low=True),
+                    "value")
 
 
 def _nonneg_int(text: str) -> int:

@@ -9,7 +9,6 @@ and N = 2n + 2s hold by construction.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -45,32 +44,6 @@ def check_nu(nu) -> None:
 def check_s(s) -> None:
     if s not in S_VALUES:
         raise ValueError(f"s must be 0 or 1/2, got {s}")
-
-
-def _is_finite_number(value) -> bool:
-    """True for a finite int or float; bool is rejected although it
-    subclasses int, and so is an int outside +-sys.float_info.max, which
-    no float holds (math.isfinite would raise OverflowError on it; an int
-    compares with a float exactly)."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, int):
-        return -sys.float_info.max <= value <= sys.float_info.max
-    return isinstance(value, float) and math.isfinite(value)
-
-
-def check_finite(value, name: str) -> None:
-    """Raise ValueError naming the argument unless value is a finite
-    int or float (not bool)."""
-    if not _is_finite_number(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def check_positive(value, name: str) -> None:
-    """Raise ValueError naming the argument unless value is a finite
-    int or float > 0 (not bool)."""
-    if not _is_finite_number(value) or value <= 0:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
@@ -118,6 +91,25 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
     raise ValueError(f"{name} must lie in {interval}, got {name} = {first!r}")
 
 
+def check_number(value, name: str, low: float = -sys.float_info.max,
+                 high: float = sys.float_info.max, *, open_low: bool = False) -> float:
+    """Read value as one real number in [low, high], or (low, high] with
+    open_low, and return it as a Python float.
+
+    The rule is check_points' for one point: an int, a float, a numpy
+    real scalar or a 0-d array, not a bool.  Anything else, NaN and a
+    number outside the range raise ValueError naming the argument; so
+    does an array or list, even of one number.  The default range is
+    every finite float.  Callers use the float returned, so a numpy
+    dtype never reaches their arithmetic (float32 would stay float32).
+    """
+    number, scalar = check_points(value, name, low, high, open_low=open_low)
+    if not scalar:
+        raise ValueError(f"{name} must be one real number, got an array of shape "
+                         f"{number.shape}")
+    return number
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Physical constants of the problem.
@@ -158,27 +150,23 @@ class PhysicalParams:
 _MAGNITUDE_RANGE = (1e-100, 1e100)
 
 
-def _check_magnitude(value: float, what: str) -> None:
-    low, high = _MAGNITUDE_RANGE
-    if not low <= value <= high:
-        raise ValueError(f"{what} must lie in [{low:g}, {high:g}], got {value!r}")
-
-
 def validate_params(p: PhysicalParams) -> None:
-    """Check every physical constant that is set.
+    """Read every physical constant of p through check_number and store
+    the Python float it returns on p.
 
-    Each must be a finite number in _MAGNITUDE_RANGE, and so must the
-    anyon energy scale m alpha^2/hbar^2 when alpha is set.  Raises
-    ValueError naming the offending field.
+    mass and hbar, and alpha and omega when set, must lie in
+    _MAGNITUDE_RANGE, and so must the anyon energy scale
+    m alpha^2/hbar^2 when alpha is set.  Raises ValueError naming the
+    offending field.
     """
-    for value, name in ((p.mass, "mass"), (p.hbar, "hbar"),
-                        (p.alpha, "coupling alpha"), (p.omega, "frequency omega")):
-        if value is not None:
-            check_positive(value, name)
-            _check_magnitude(value, name)
+    for attr, name in (("mass", "mass"), ("hbar", "hbar"),
+                       ("alpha", "coupling alpha"), ("omega", "frequency omega")):
+        value = getattr(p, attr)
+        if value is not None or attr in ("mass", "hbar"):
+            object.__setattr__(p, attr, check_number(value, name, *_MAGNITUDE_RANGE))
     if p.alpha is not None:
-        _check_magnitude(p.mass * p.alpha * p.alpha / p.hbar ** 2,
-                         "the energy scale m alpha^2/hbar^2 of coupling alpha")
+        check_number(p.mass * p.alpha * p.alpha / p.hbar ** 2,
+                     "the energy scale m alpha^2/hbar^2 of coupling alpha", *_MAGNITUDE_RANGE)
 
 
 @dataclass(frozen=True)
@@ -233,8 +221,8 @@ class Grid:
 
     def __post_init__(self):
         check_index(self.count, "grid count", low=3, high=_GRID_COUNT_MAX)
-        check_finite(self.x_min, "grid x_min")
-        check_finite(self.x_max, "grid x_max")
+        object.__setattr__(self, "x_min", check_number(self.x_min, "grid x_min"))
+        object.__setattr__(self, "x_max", check_number(self.x_max, "grid x_max"))
         if not self.x_min < self.x_max:
             raise ValueError(
                 f"grid needs x_min < x_max, got [{self.x_min}, {self.x_max}]")

@@ -12,13 +12,13 @@ omega_n = 2 alpha / (hbar (n + nu)).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from . import anyon, oracle, oscillator
-from .core import (Grid, PhysicalParams, check_finite, check_points, check_positive,
-                   make_state, state_from_nu)
-from .specfun import log_gamma
+from .core import Grid, PhysicalParams, check_number, check_points, make_state, state_from_nu
+from .specfun import RECURRENCE_ARG_MAX, log_gamma
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -40,8 +40,8 @@ def to_anyon_params(E: float, omega: float, p: PhysicalParams) -> tuple[float, f
 
     Raises ValueError naming omega when epsilon overflows.
     """
-    check_positive(E, "oscillator energy E")
-    check_positive(omega, "frequency omega")
+    E = check_number(E, "oscillator energy E", 0.0, open_low=True)
+    omega = check_number(omega, "frequency omega", 0.0, open_low=True)
     return 0.25 * E, _mapped(-p.mass * omega * omega / 8.0, "frequency omega", omega)
 
 
@@ -50,8 +50,8 @@ def to_oscillator_params(alpha: float, epsilon: float, p: PhysicalParams) -> tup
 
     Raises ValueError naming alpha or epsilon when its image overflows.
     """
-    check_positive(alpha, "coupling alpha")
-    check_finite(epsilon, "bound-state energy epsilon")
+    alpha = check_number(alpha, "coupling alpha", 0.0, open_low=True)
+    epsilon = check_number(epsilon, "bound-state energy epsilon")
     if not epsilon < 0:
         raise ValueError(f"bound-state energy epsilon must be negative, got {epsilon!r}")
     return (_mapped(4.0 * alpha, "coupling alpha", alpha),
@@ -73,10 +73,12 @@ def map_oscillator_to_anyon(n: int, s: float, p: PhysicalParams, x):
                * x^(1/4) * Psi_N(sqrt(x)),
 
     with N = 2n + 2s <= oscillator.LEVEL_MAX and nu = s + 1/4, at the
-    finite position x > 0 (see core.check_points).  Both alpha and omega
-    must be set on p, and omega must equal the quantized dual frequency
-    of state (n, nu); anything else is an error rather than a silent
-    recompute.
+    position 0 < x <= (RECURRENCE_ARG_MAX / sqrt(m omega/hbar))^2, the
+    square of the oscillator's bound on u = sqrt(x), or at every finite
+    x > 0 where that square is past the float range (see
+    core.check_points).  Both alpha and omega must be set on p, and
+    omega must equal the quantized dual frequency of state (n, nu);
+    anything else is an error rather than a silent recompute.
     """
     state = make_state(n, s)
     omega = p.require_omega()
@@ -86,7 +88,11 @@ def map_oscillator_to_anyon(n: int, s: float, p: PhysicalParams, x):
             f"omega = {omega!r} is not the dual frequency of state "
             f"(n={state.n}, nu={state.nu}); expected {expected!r}. "
             "Set omega = dual_frequency(n, nu, p); it is not recomputed silently.")
-    x, scalar = check_points(x, "x", 0.0, open_low=True)
+    # u_max ** 2 would raise OverflowError where the square passes the
+    # float range; there every finite x is read, and an infinite one refused
+    u_max = RECURRENCE_ARG_MAX / math.sqrt(p.mass * omega / p.hbar)
+    x, scalar = check_points(x, "x", 0.0, min(u_max * u_max, sys.float_info.max),
+                             open_low=True)
     pref = 0.5 * math.sqrt(p.mass * omega / (p.hbar * (state.n + state.nu)))
     if state.n % 2:
         pref = -pref

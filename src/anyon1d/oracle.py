@@ -52,8 +52,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import (ConvergenceError, PhysicalParams, check_finite, check_index, check_nu,
-                   check_positive)
+from .core import ConvergenceError, PhysicalParams, check_index, check_nu, check_number
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1]; abscissas and
 # weights are the standard published values.
@@ -264,13 +263,13 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     round, so a finite end past about 1.2e298 is refused at once.
     Either raises ValueError naming the limit.
     """
-    check_positive(tol, "tolerance")
+    tol = check_number(tol, "tolerance", 0.0, open_low=True)
+    a = check_number(a, "lower limit a", -math.inf, math.inf)
+    b = check_number(b, "upper limit b", -math.inf, math.inf)
     for end, name in ((a, "lower limit a"), (b, "upper limit b")):
-        if not (isinstance(end, float) and math.isinf(end)):
-            check_finite(end, name)
-            if abs(end) > _RANGE_LIMIT:
-                raise ValueError(f"{name} must lie within +-{_RANGE_LIMIT:.6g}, half the "
-                                 f"largest float, got {end!r}")
+        if _RANGE_LIMIT < abs(end) < math.inf:
+            raise ValueError(f"{name} must lie within +-{_RANGE_LIMIT:.6g}, half the "
+                             f"largest float, got {end!r}")
     if a == b:
         return 0.0
     if a > b:
@@ -322,7 +321,7 @@ def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> fl
     over interior points, so an eigenpair gives a small value and a 1
     percent energy error is clearly visible.  NaN or inf anywhere raises.
     """
-    check_finite(epsilon, "energy epsilon")
+    epsilon = check_number(epsilon, "energy epsilon")
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
     if xs.ndim != 1 or vs.shape != xs.shape:
@@ -493,7 +492,7 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     normal float (then so is W^2/2) and the Gershgorin top times
     hbar omega is finite.
     """
-    check_positive(box_halfwidth, "box halfwidth")
+    box_halfwidth = check_number(box_halfwidth, "box halfwidth", 0.0, open_low=True)
     check_index(points, "point count", low=100, high=_MAX_POINTS)
     check_index(count, "eigenvalue count", low=1, high=20)
     wall = box_halfwidth / math.sqrt(p.hbar / (p.mass * p.require_omega()))
@@ -614,11 +613,12 @@ class ShootingConfig:
     def __post_init__(self):
         check_nu(self.nu)
         lo, hi = self.energy_bracket
-        check_finite(lo, "energy bracket lower end")
-        check_finite(hi, "energy bracket upper end")
+        lo = check_number(lo, "energy bracket lower end")
+        hi = check_number(hi, "energy bracket upper end")
         if not (lo < hi < 0.0):
             raise ValueError(
                 f"energy bracket must satisfy lo < hi < 0, got ({lo}, {hi})")
+        object.__setattr__(self, "energy_bracket", (lo, hi))
 
 
 _X_START = 1e-4            # start of the outward sweep, in units of hbar^2/(m alpha)

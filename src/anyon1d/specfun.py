@@ -21,8 +21,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .core import (ConvergenceError, check_finite, check_index, check_points, check_positive,
-                   make_state)
+from .core import ConvergenceError, check_index, check_number, check_points, make_state
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -163,17 +162,14 @@ def _log_rgamma_signed(z: float) -> tuple[float, float]:
     return -lg, sg
 
 
-def _check_b(b):
-    """(b, scalar) as core.check_points reads a finite real b, one number
-    or an array; ValueError names the first point that is a nonpositive
-    integer."""
-    b, scalar = check_points(b, "lower parameter b", -sys.float_info.max)
+def _check_b(b) -> None:
+    """ValueError naming the first point of b, a float or an array as
+    read, that is a nonpositive integer."""
     pole = _nonpositive_int(b)
     if np.count_nonzero(pole):
-        first = b if scalar else float(b.flat[np.argmax(pole)])
+        first = float(np.ravel(b)[np.argmax(pole)])
         raise ValueError(
             f"lower parameter b must not be a nonpositive integer, got {first!r}")
-    return b, scalar
 
 
 def kummer_series(a, b, y):
@@ -200,7 +196,8 @@ def kummer_series(a, b, y):
     back as 0.0: terms that cancel exactly, as in F(-1, 1/2, 1/2), do so
     in every arithmetic.
     """
-    b, b_scalar = _check_b(b)
+    b, b_scalar = check_points(b, "lower parameter b", -sys.float_info.max)
+    _check_b(b)
     a, a_scalar = check_points(a, "upper parameter a", -sys.float_info.max)
     y, y_scalar = check_points(y, "argument y", -sys.float_info.max)
     shape = np.broadcast(a, b, y).shape
@@ -371,17 +368,18 @@ def kummer_asymptotic(a: float, b: float, y: float) -> complex:
     algebraic branch y^(-a) cos(pi a) term plus the exponentially large
     e^y term, and is the value of F; the imaginary part is what the
     (-y)^(-a) branch contributes for non-integer a.  a, b and y are
-    numbers.  The domain of y starts at 30, below which the expansion is
-    meaningless, and ends where the log of the exponential branch,
+    each one real number (see core.check_number).  The domain of y
+    starts at 30, below which the expansion is meaningless, and ends
+    where the log of the exponential branch,
     y + (a - b) ln y + ln |Gamma(b)/Gamma(a)|, passes _ASYMPTOTIC_LOG_MAX
     = 709 and e^y overflows the floats (near y = 713.2 for a = 0.3,
     b = 0.8).  Rejects with ValueError a non-finite a, a b that
     kummer_series rejects, and a y outside that domain, naming the limit.
     """
-    check_finite(a, "upper parameter a")
-    check_finite(b, "lower parameter b")
+    a = check_number(a, "upper parameter a")
+    b = check_number(b, "lower parameter b")
     _check_b(b)
-    check_positive(y, "argument y")
+    y = check_number(y, "argument y", 0.0, open_low=True)
     if y < _ASYMPTOTIC_Y_MIN:
         raise ValueError(
             f"y = {y} is below the asymptotic threshold {_ASYMPTOTIC_Y_MIN}")
@@ -471,14 +469,12 @@ def _polynomial(recurrence, x, name: str, degree: str, order: int):
 def laguerre(n: int, alpha: float, y):
     """Generalized Laguerre polynomial L_n^(alpha)(y), alpha > -1.
 
-    alpha is a finite int or float (not bool).  Three-term recurrence at
-    any finite real y, a float or a numpy array; raises ValueError where
-    the value overflows (see _polynomial).
+    alpha is one real number (see core.check_number).  Three-term
+    recurrence at any finite real y, a float or a numpy array; raises
+    ValueError where the value overflows (see _polynomial).
     """
     check_index(n, "degree n")
-    check_finite(alpha, "parameter alpha")
-    if not alpha > -1.0:
-        raise ValueError(f"parameter alpha must exceed -1, got {alpha!r}")
+    alpha = check_number(alpha, "parameter alpha", -1.0, open_low=True)
 
     def recurrence(y):
         p_prev = 1.0 + 0.0 * y  # promotes to the dtype/shape of y

@@ -286,9 +286,11 @@ def test_dual_requires_exactly_one_side(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["--n", "0", "--s", "0", "--omega", "1e-99", "--hbar", "1e-99"],
-     "coupling alpha must lie in [1e-100, 1e+100], got 1.2500000000000001e-199"),
+     "coupling alpha must lie in [1e-100, 1e+100], "
+     "got coupling alpha = 1.2500000000000001e-199"),
     (["--n", "60", "--nu", "1/4", "--alpha", "1e-100", "--mu", "1e100"],
-     "frequency omega must lie in [1e-100, 1e+100], got 3.3195020746887967e-102"),
+     "frequency omega must lie in [1e-100, 1e+100], "
+     "got frequency omega = 3.3195020746887967e-102"),
 ])
 def test_dual_refuses_a_derived_side_outside_the_domain(capsys, argv, message):
     # the given side is in the constants' domain, the one derived from it is not

@@ -15,10 +15,9 @@ from anyon1d.core import (
     Grid,
     PhysicalParams,
     VerificationReport,
-    check_finite,
     check_index,
+    check_number,
     check_points,
-    check_positive,
     make_state,
     state_from_nu,
     validate_params,
@@ -76,29 +75,30 @@ def test_state_from_nu():
 
 
 def test_check_positive_takes_finite_positive_numbers_only():
-    check_positive(1, "x")
-    check_positive(2.5, "x")
+    # a positive constant is read by check_number over (0, max float]
+    for good in (1, 2.5, np.int64(1), np.float32(2.5)):
+        number = check_number(good, "x", 0.0, open_low=True)
+        assert type(number) is float and number == good
     for bad in (0, -1.0, math.nan, math.inf, True, "1", None):
-        with pytest.raises(ValueError, match="x must be a positive finite number"):
-            check_positive(bad, "x")
+        with pytest.raises(ValueError, match=r"^x must (lie in \(0, |be real, got x = )"):
+            check_number(bad, "x", 0.0, open_low=True)
 
 
 @pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400, 2 ** 1024],
                          ids=["10^400", "-10^400", "2^1024"])
 def test_ints_past_the_float_range_are_not_finite(huge):
-    # math.isfinite converts an int to float first and raised
-    # OverflowError for these; every caller now gets the ValueError that
-    # names its argument.
-    with pytest.raises(ValueError, match="x must be a finite number"):
-        check_finite(huge, "x")
-    with pytest.raises(ValueError, match="x must be a positive finite number"):
-        check_positive(huge, "x")
-    with pytest.raises(ValueError, match="mass must be a positive finite number"):
+    # an int compares with the float range ends exactly, so one past them
+    # is refused by name, with no OverflowError from a float conversion
+    with pytest.raises(ValueError, match=r"^x must lie in \[-1.79769e\+308, "):
+        check_number(huge, "x")
+    with pytest.raises(ValueError, match=r"^x must lie in \(0, "):
+        check_number(huge, "x", 0.0, open_low=True)
+    with pytest.raises(ValueError, match=r"^mass must lie in \[1e-100, 1e\+100\]"):
         PhysicalParams(huge, 1.0, omega=1.0)
-    with pytest.raises(ValueError, match="frequency omega must be a positive finite number"):
+    with pytest.raises(ValueError, match=r"^frequency omega must lie in \[1e-100, 1e\+100\]"):
         PhysicalParams(1.0, 1.0, omega=huge)
-    check_finite(int(sys.float_info.max), "x")
-    check_finite(-int(sys.float_info.max), "x")
+    assert check_number(int(sys.float_info.max), "x") == sys.float_info.max
+    assert check_number(-int(sys.float_info.max), "x") == -sys.float_info.max
 
 
 _ANYON = PhysicalParams(1.0, 1.0, alpha=1.0)
