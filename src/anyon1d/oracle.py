@@ -866,7 +866,11 @@ class _ShootingRun:
         the outward sweep at x_start, column 1 the inward sweep at x_end."""
         # Power-series start of the x^nu branch.  The leading power alone
         # leaks an x^(1-nu) admixture of order x_start^(2 nu), far too big
-        # for nu = 1/4; two correction terms push the leak below 1e-9.
+        # for nu = 1/4.  Two correction terms leave one of order
+        # |c3| x_start^(2 nu + 2), and c3, the first term left out, grows
+        # with |e|: at nu = 1/4, e = -8 (level n = 0) that leak shifts the
+        # level by 5e-9 relative, a floor that three step halvings leave in
+        # place and that a third term, or x_start = 1e-5, removes.
         nu = self.cfg.nu
         x0 = self.x_start
         c1 = -1.0 / nu
