@@ -5,6 +5,11 @@ The two systems are tied together by one set of physical constants
 frequency omega and the attractive coupling alpha.  Quantum numbers
 travel as a single state object so the exact relations nu = s + 1/4
 and N = 2n + 2s hold by construction.
+
+Arguments are read by three rules: check_index for an integer,
+check_points for positions (one number or an array) and check_number
+for one real number, which returns the Python float that the caller
+then computes with.
 """
 
 from __future__ import annotations
@@ -61,13 +66,14 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
     argument.
     """
     # One int or float is checked without numpy.  The one-number callers
-    # that remain are the phase-ratio check of the identities suite
-    # (anyon.extended_wavefunction), the benchmark's one-float Laguerre
-    # norm integrand (specfun.laguerre), the scalar specfun.log_gamma
+    # that remain are check_number, the phase-ratio check of the
+    # identities suite (anyon.extended_wavefunction), the benchmark's
+    # one-float Laguerre norm integrand (specfun.laguerre, its y and,
+    # through check_number, its alpha), the scalar specfun.log_gamma
     # calls of anyon, duality and the verify suites, and the scalar a and
     # b of their kummer_series calls.  bool and the numpy scalars fail
     # this exact type test and go the array way.
-    # Through numpy: 6.0 us a call, not 0.31 us; +26 ms an oracle_solve pass (2-core host).
+    # Through numpy: 6.0 us a call, not 0.31 us; +50 ms an oracle_solve pass (2-core host).
     if type(x) is float or type(x) is int:
         if (low < x if open_low else low <= x) and x <= high:
             return float(x), True
@@ -117,7 +123,8 @@ class PhysicalParams:
     mass and hbar are always required.  alpha (the coupling of the
     attractive -alpha/x term) and omega (the oscillator frequency) are
     optional because each operation needs only one side.  validate_params
-    states the magnitudes every constant that is set must have.
+    states the magnitudes every constant that is set must have.  Each is
+    read by check_number and stored as the Python float it returns.
     """
 
     mass: float
@@ -213,7 +220,8 @@ _GRID_COUNT_MAX = 10 ** 7
 @dataclass(frozen=True)
 class Grid:
     """Uniform sampling grid [x_min, x_max] with count points inclusive,
-    3 <= count <= 10**7."""
+    3 <= count <= 10**7.  The ends are read by check_number and stored
+    as the Python floats it returns."""
 
     x_min: float
     x_max: float
