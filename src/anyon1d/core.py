@@ -5,11 +5,8 @@ The two systems are tied together by one set of physical constants
 frequency omega and the attractive coupling alpha.  Quantum numbers
 travel as a single state object so the exact relations nu = s + 1/4
 and N = 2n + 2s hold by construction.
-
-Arguments are read by three rules: check_index for an integer,
-check_points for positions (one number or an array) and check_number
-for one real number, which returns the Python float that the caller
-then computes with.
+Arguments are read by check_index (an integer), check_points
+(positions) and check_number (one real number, returned as a float).
 """
 
 from __future__ import annotations
@@ -99,16 +96,11 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
 
 def check_number(value, name: str, low: float = -sys.float_info.max,
                  high: float = sys.float_info.max, *, open_low: bool = False) -> float:
-    """Read value as one real number in [low, high], or (low, high] with
-    open_low, and return it as a Python float.
-
-    The rule is check_points' for one point: an int, a float, a numpy
-    real scalar or a 0-d array, not a bool.  Anything else, NaN and a
-    number outside the range raise ValueError naming the argument; so
-    does an array or list, even of one number.  The default range is
-    every finite float.  Callers use the float returned, so a numpy
-    dtype never reaches their arithmetic (float32 would stay float32).
-    """
+    """Read value by check_points' rule as one number in [low, high]
+    (every finite float by default), or (low, high] with open_low, and
+    return it as a Python float for the caller to compute with, so that
+    no numpy dtype such as float32 reaches its arithmetic.  A list or an
+    array, even of one number, raises ValueError naming the argument."""
     number, scalar = check_points(value, name, low, high, open_low=open_low)
     if not scalar:
         raise ValueError(f"{name} must be one real number, got an array of shape "
@@ -123,8 +115,7 @@ class PhysicalParams:
     mass and hbar are always required.  alpha (the coupling of the
     attractive -alpha/x term) and omega (the oscillator frequency) are
     optional because each operation needs only one side.  validate_params
-    states the magnitudes every constant that is set must have.  Each is
-    read by check_number and stored as the Python float it returns.
+    reads each constant that is set, by check_number, as a Python float.
     """
 
     mass: float
@@ -220,8 +211,7 @@ _GRID_COUNT_MAX = 10 ** 7
 @dataclass(frozen=True)
 class Grid:
     """Uniform sampling grid [x_min, x_max] with count points inclusive,
-    3 <= count <= 10**7.  The ends are read by check_number and stored
-    as the Python floats it returns."""
+    3 <= count <= 10**7; check_number reads the ends as Python floats."""
 
     x_min: float
     x_max: float

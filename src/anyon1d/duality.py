@@ -74,9 +74,8 @@ def map_oscillator_to_anyon(n: int, s: float, p: PhysicalParams, x):
 
     with N = 2n + 2s <= oscillator.LEVEL_MAX and nu = s + 1/4, at the
     position 0 < x <= (RECURRENCE_ARG_MAX / sqrt(m omega/hbar))^2, the
-    square of the oscillator's bound on u = sqrt(x), or at every finite
-    x > 0 where that square is past the float range (see
-    core.check_points).  Both alpha and omega must be set on p, and
+    square of the oscillator's bound on u = sqrt(x), or any finite x > 0
+    if that square is past the float range (see core.check_points).  Both alpha and omega must be set on p, and
     omega must equal the quantized dual frequency of state (n, nu);
     anything else is an error rather than a silent recompute.
     """
@@ -88,8 +87,7 @@ def map_oscillator_to_anyon(n: int, s: float, p: PhysicalParams, x):
             f"omega = {omega!r} is not the dual frequency of state "
             f"(n={state.n}, nu={state.nu}); expected {expected!r}. "
             "Set omega = dual_frequency(n, nu, p); it is not recomputed silently.")
-    # u_max ** 2 would raise OverflowError where the square passes the
-    # float range; there every finite x is read, and an infinite one refused
+    # u_max ** 2 would raise OverflowError past the float range
     u_max = RECURRENCE_ARG_MAX / math.sqrt(p.mass * omega / p.hbar)
     x, scalar = check_points(x, "x", 0.0, min(u_max * u_max, sys.float_info.max),
                              open_low=True)

@@ -151,7 +151,10 @@ def test_check_points_returns_a_float_or_a_float_array():
             check_points(bad, "x", 0.0, 1.0, open_low=True)
 
 
-_GAUSSIAN = lambda x: np.exp(-x * x)  # noqa: E731
+def _gaussian(x):
+    return np.exp(-x * x)
+
+
 _RESIDUAL_XS = np.linspace(0.05, 18.0, 101)
 _RESIDUAL_PHI = anyon.wavefunction(0, 0.25, _ANYON, _RESIDUAL_XS)
 _UNIT_OMEGA = PhysicalParams(1.0, 1.0, omega=1.0)
@@ -188,11 +191,11 @@ SCALAR_PARAMETERS = {
         lambda v: duality.to_oscillator_params(1.0, v, _ANYON),
         "bound-state energy epsilon", -8),
     "oracle.integrate.tol": (
-        lambda v: oracle.integrate(_GAUSSIAN, 0.5, 2.0, v), "tolerance", 2.0 ** -30),
+        lambda v: oracle.integrate(_gaussian, 0.5, 2.0, v), "tolerance", 2.0 ** -30),
     "oracle.integrate.a": (
-        lambda v: oracle.integrate(_GAUSSIAN, v, 2.0), "lower limit a", 1),
+        lambda v: oracle.integrate(_gaussian, v, 2.0), "lower limit a", 1),
     "oracle.integrate.b": (
-        lambda v: oracle.integrate(_GAUSSIAN, 0.5, v), "upper limit b", 2),
+        lambda v: oracle.integrate(_gaussian, 0.5, v), "upper limit b", 2),
     "oracle.ode_residual.epsilon": (
         lambda v: oracle.ode_residual(_RESIDUAL_XS, _RESIDUAL_PHI,
                                       lambda x: anyon.potential(x, 0.25, _ANYON), v, _ANYON),
