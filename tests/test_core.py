@@ -212,6 +212,10 @@ SCALAR_PARAMETERS = {
         lambda v: specfun.kummer_asymptotic(0.25, v, 40.0), "lower parameter b", 2),
     "specfun.kummer_asymptotic.y": (
         lambda v: specfun.kummer_asymptotic(0.25, 0.75, v), "argument y", 40),
+    "specfun.log_kummer_polynomial.b": (
+        lambda v: specfun.log_kummer_polynomial(3, v, 1.5), "lower parameter b", 2),
+    "specfun.log_kummer_polynomial.y": (
+        lambda v: specfun.log_kummer_polynomial(3, 0.5, v), "argument y", 2),
     "specfun.laguerre.alpha": (
         lambda v: specfun.laguerre(2, v, 1.5), "parameter alpha", 1),
 }
