@@ -327,17 +327,16 @@ def _confluent_sum(a, b, y, stop, floor):
 
 
 def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
-    """(log |F(-n, b, y)|, sign) for the terminating case with b > 0, y > 0.
+    """(log |F(-n, b, y)|, sign) for the terminating case with b > 0, y > 0,
+    each one real number (see core.check_number).
 
     The n + 1 terms are summed in 60-digit decimals, whose exponent range
     is wide enough that no rescaling is needed even where y**n overflows
     binary floats.
     """
     check_index(n, "n")
-    if not b > 0:
-        raise ValueError("log_kummer_polynomial needs b > 0")
-    if not y > 0:
-        raise ValueError("log_kummer_polynomial needs y > 0")
+    b = check_number(b, "lower parameter b", 0.0, open_low=True)
+    y = check_number(y, "argument y", 0.0, open_low=True)
     with localcontext() as ctx:
         ctx.prec = 60
         ctx.Emax = 10 ** 9
