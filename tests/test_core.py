@@ -16,6 +16,7 @@ from anyon1d.core import (
     PhysicalParams,
     VerificationReport,
     check_index,
+    check_nu,
     check_number,
     check_points,
     make_state,
@@ -99,6 +100,37 @@ def test_ints_past_the_float_range_are_not_finite(huge):
         PhysicalParams(1.0, 1.0, omega=huge)
     assert check_number(int(sys.float_info.max), "x") == sys.float_info.max
     assert check_number(-int(sys.float_info.max), "x") == -sys.float_info.max
+
+
+@pytest.mark.parametrize("call, start", [
+    (lambda: check_number(10 ** 400, "x"), "x must lie in "),
+    (lambda: PhysicalParams(10 ** 5000, 1.0), "mass must lie in "),
+    (lambda: check_index(10 ** 5000, "n", high=5), "n must be an integer in [0, 5], got "),
+    (lambda: check_nu(10 ** 5000), "nu must be 1/4 or 3/4, got "),
+    (lambda: make_state(0, 10 ** 5000), "s must be 0 or 1/2, got "),
+    (lambda: check_points("a" * 100_000, "x", 0.0), "x must be real, got x = 'aaa"),
+    (lambda: check_index("a" * 100_000, "n"), "n must be an integer >= 0, got 'aaa"),
+], ids=["check_number-10^400", "PhysicalParams-10^5000", "check_index-10^5000",
+        "check_nu-10^5000", "make_state-10^5000", "check_points-long-str",
+        "check_index-long-str"])
+def test_a_rejected_value_is_shown_in_bounded_length(call, start):
+    # A long int is never converted by str() (slow, and refused past 4300
+    # digits) nor by float() (OverflowError), and no repr is echoed whole.
+    with pytest.raises(ValueError) as err:
+        call()
+    message = str(err.value)
+    assert message.startswith(start)
+    assert len(message) <= 200, len(message)
+
+
+@pytest.mark.parametrize("huge, shown, digits", [
+    (10 ** 400, "1000", 401), (-10 ** 400, "-1000", 401), (-7 * 10 ** 5000, "-7000", 5001),
+    (2 ** 1024, "17976931348623159077", 309), (10 ** 400 - 1, "9999", 400)],
+    ids=["10^400", "-10^400", "-7x10^5000", "2^1024", "10^400-1"])
+def test_an_int_past_the_float_range_is_shown_by_sign_and_digit_count(huge, shown, digits):
+    with pytest.raises(ValueError, match=re.escape(f"got x = {shown}")) as err:
+        check_number(huge, "x")
+    assert str(err.value).endswith(f"({digits} digits)")
 
 
 _ANYON = PhysicalParams(1.0, 1.0, alpha=1.0)
