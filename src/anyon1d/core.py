@@ -11,6 +11,7 @@ Arguments are read by check_index (an integer), check_points
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -26,6 +27,27 @@ class ConvergenceError(RuntimeError):
     """An iterative numerical routine failed to reach its target."""
 
 
+# Characters of a rejected value's repr that a message shows.
+_SHOWN_MAX = 60
+
+
+def _shown(value, form=repr) -> str:
+    """form(value) for an error message, cut to _SHOWN_MAX characters.
+
+    An int past the float range is shown by its sign, its leading digits
+    and its digit count instead: str() of a long int takes time
+    quadratic in its length, and Python refuses it past 4300 digits.
+    """
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        # the estimate is within one of the digits skipped; lead corrects it
+        skipped = int(abs(value).bit_length() * math.log10(2)) - 20
+        lead = str(abs(value) // 10 ** skipped)
+        sign = "-" if value < 0 else ""
+        return f"{sign}{lead[:20]}... ({skipped + len(lead)} digits)"
+    text = form(value)
+    return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX] + "..."
+
+
 def check_index(value, name: str, low: int = 0, high: int | None = None) -> None:
     """Raise ValueError naming the argument unless value is an int in
     [low, high], or an int >= low when high is None.
@@ -35,17 +57,17 @@ def check_index(value, name: str, low: int = 0, high: int | None = None) -> None
     if (not isinstance(value, int) or isinstance(value, bool) or value < low
             or high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+        raise ValueError(f"{name} must be an integer {bound}, got {_shown(value)}")
 
 
 def check_nu(nu) -> None:
     if nu not in NU_VALUES:
-        raise ValueError(f"nu must be 1/4 or 3/4, got {nu}")
+        raise ValueError(f"nu must be 1/4 or 3/4, got {_shown(nu, str)}")
 
 
 def check_s(s) -> None:
     if s not in S_VALUES:
-        raise ValueError(f"s must be 0 or 1/2, got {s}")
+        raise ValueError(f"s must be 0 or 1/2, got {_shown(s, str)}")
 
 
 def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
@@ -83,7 +105,7 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
                              f"shape, got a ragged sequence") from None
         if points.dtype.kind not in "iuf":
             first = points.ravel()[:1].tolist()[0] if points.size else x
-            raise ValueError(f"{name} must be real, got {name} = {first!r}")
+            raise ValueError(f"{name} must be real, got {name} = {_shown(first)}")
         points = points.astype(float, copy=False)
         inside = (low < points) if open_low else (low <= points)
         inside &= points <= high
@@ -91,7 +113,7 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
             return (float(points), True) if points.ndim == 0 else (points, False)
         first = float(points.flat[np.argmin(inside)])
     interval = f"{'(' if open_low else '['}{low:.6g}, {high:.6g}]"
-    raise ValueError(f"{name} must lie in {interval}, got {name} = {first!r}")
+    raise ValueError(f"{name} must lie in {interval}, got {name} = {_shown(first)}")
 
 
 def check_number(value, name: str, low: float = -sys.float_info.max,
@@ -192,6 +214,7 @@ class QuantumState:
 
 def make_state(n: int, s: float) -> QuantumState:
     """Build a validated QuantumState from the radial index and spin label."""
+    check_s(s)      # before float() meets an int past the float range
     if isinstance(s, int) and not isinstance(s, bool):
         s = float(s)
     return QuantumState(n=n, s=s)
