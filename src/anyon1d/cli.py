@@ -85,17 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="1D oscillator / Coulomb-anyon duality: spectra, "
                     "wavefunctions, and verification oracles.")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mu", type=_positive_float, default=1.0,
-                        help="particle mass (default 1)")
-    common.add_argument("--hbar", type=_positive_float, default=1.0,
-                        help="reduced Planck constant (default 1)")
-    common.add_argument("--output", help="write to this file instead of stdout")
-    common.add_argument("--format", choices=("table", "json", "csv"),
+    # two flat parents: verify takes only the output flags
+    constants = argparse.ArgumentParser(add_help=False)
+    constants.add_argument("--mu", type=_positive_float, default=1.0,
+                           help="particle mass (default 1)")
+    constants.add_argument("--hbar", type=_positive_float, default=1.0,
+                           help="reduced Planck constant (default 1)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write to this file instead of stdout")
+    output.add_argument("--format", choices=("table", "json", "csv"),
                         default="table", help="output format (default table)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", parents=[common],
+    sp = sub.add_parser("spectrum", parents=[constants, output],
                         help="bound-state energies with their dual quantities")
     sp.add_argument("--system", choices=("oscillator", "anyon"), required=True)
     sp.add_argument("--alpha", type=_positive_float,
@@ -107,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=_n_max, default=5,
                     help=f"highest level index, 0..{_SPECTRUM_N_MAX} (default 5)")
 
-    wf = sub.add_parser("wavefunction", parents=[common],
+    wf = sub.add_parser("wavefunction", parents=[constants, output],
                         help="sample one eigenfunction on a uniform grid")
     wf.add_argument("--system", choices=("oscillator", "anyon"), required=True)
     wf.add_argument("--n", type=_nonneg_int, required=True,
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--extended", action="store_true",
                     help="parity-extended complex wavefunction (anyon only)")
 
-    du = sub.add_parser("dual", parents=[common],
+    du = sub.add_parser("dual", parents=[constants, output],
                         help="print the full dictionary entry of one state")
     du.add_argument("--n", type=_nonneg_int, required=True)
     group = du.add_mutually_exclusive_group()
@@ -137,14 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     side.add_argument("--omega", type=_positive_float,
                       help="fix the oscillator frequency and derive the anyon side")
 
-    ve = sub.add_parser("verify", parents=[common],
+    ve = sub.add_parser("verify", parents=[output],
                         help="run verification suites and report pass/fail")
     ve.add_argument("--suite", action="append", default=None,
                     choices=sorted(verification.SUITES) + ["all"],
                     help="suite to run (repeatable; default all)")
-    ve.add_argument("--tol", type=_positive_float, default=None,
-                    help="override every check tolerance but the sensitivity "
-                         "control's (default: per-check values)")
+    # the constants every suite runs at, for the header
+    ve.set_defaults(mu=1.0, hbar=1.0)
     return parser
 
 
@@ -356,14 +357,9 @@ def cmd_dual(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    for flag, value in (("--mu", ns.mu), ("--hbar", ns.hbar)):
-        if value != 1.0:
-            raise ValueError(f"{flag} must be 1 for verify, whose suites all run at "
-                             f"unit constants, got {value!r}")
     suites = ns.suite or ["all"]
-    reports = verification.run_suites(suites, ns.tol)
-    meta = _meta(ns, suites=",".join(suites),
-                 tol="per-check" if ns.tol is None else ns.tol)
+    reports = verification.run_suites(suites)
+    meta = _meta(ns, suites=",".join(suites), tol="per-check")
     columns = ["status", "check", "residual", "tolerance"]
     rows = [["PASS" if r.passed else "FAIL", r.check_name, r.residual, r.tolerance]
             for r in reports]

@@ -7,7 +7,6 @@ line `verify` command and the acceptance tests.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -17,9 +16,6 @@ from . import anyon, duality, oracle, oscillator, specfun
 from .core import NU_VALUES, S_VALUES, Grid, PhysicalParams, VerificationReport, make_state
 
 _UNIT = PhysicalParams(mass=1.0, hbar=1.0, alpha=1.0, omega=1.0)
-
-# The one check whose tolerance a run-wide override leaves alone.
-SENSITIVITY_CONTROL = "residual sensitivity control (1 percent detuning)"
 
 
 def _report(name: str, residual: float, tolerance: float) -> VerificationReport:
@@ -274,8 +270,9 @@ def suite_oracle() -> list[VerificationReport]:
                        worst, 1e-6))
     # sensitivity control: a 1 percent energy error must NOT pass; the
     # report inverts the scale so "residual below tolerance" means the
-    # control stayed loud, and its tolerance 1.0 takes no override
-    out.append(_report(SENSITIVITY_CONTROL, 1e-3 / perturbed_min, 1.0))
+    # control stayed loud, above 1e-3
+    out.append(_report("residual sensitivity control (1 percent detuning)",
+                       1e-3 / perturbed_min, 1.0))
 
     return out
 
@@ -288,11 +285,11 @@ SUITES = {
 }
 
 
-def run_suites(names, tol: float | None = None) -> list[VerificationReport]:
+def run_suites(names) -> list[VerificationReport]:
     """Run the named suites (or all of them) and concatenate the reports.
 
-    A tol other than None replaces the tolerance of every report but the
-    sensitivity control's; VerificationReport rejects one that is not > 0.
+    names is one name or a list of them, each a key of SUITES or 'all';
+    a suite named twice runs once.  Every check keeps its own tolerance.
     """
     if isinstance(names, str):
         names = [names]
@@ -312,7 +309,4 @@ def run_suites(names, tol: float | None = None) -> list[VerificationReport]:
             continue
         seen.add(name)
         reports.extend(SUITES[name]())
-    if tol is not None:
-        reports = [r if r.check_name == SENSITIVITY_CONTROL
-                   else dataclasses.replace(r, tolerance=tol) for r in reports]
     return reports

@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anyon1d
+from anyon1d import verification
 from anyon1d.cli import main
+from anyon1d.core import VerificationReport
 
 
 def run(capsys, *argv):
@@ -329,28 +331,8 @@ def test_verify_rejects_unknown_suite(capsys):
 
 
 def test_run_suites_rejects_unknown_name():
-    from anyon1d import verification
-
     with pytest.raises(ValueError, match="unknown suite"):
         verification.run_suites(["everything"])
-
-
-def test_run_suites_rejects_a_zero_tolerance_override():
-    from anyon1d import verification
-
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        verification.run_suites("duality", tol=0.0)
-
-
-def test_tol_override_leaves_the_sensitivity_control_alone():
-    # The control's residual is an inverted ratio, so its tolerance 1.0
-    # is what defines a loud response; an override must not move it.
-    from anyon1d import verification
-
-    control = verification.run_suites("oracle", tol=1e-6)[-1]
-    assert control.check_name.startswith("residual sensitivity control")
-    assert control.tolerance == 1.0
-    assert control.passed
 
 
 def test_verify_json_stdout_is_one_document(capsys):
@@ -378,32 +360,38 @@ def test_verify_csv_stdout_holds_only_csv_lines(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--hbar", "1e-200"), ("--hbar", "2"),
-                                         ("--mu", "0.5")])
+                                         ("--mu", "0.5"), ("--tol", "1e-300"),
+                                         ("--mu", "1")])
 def test_verify_refuses_constants_that_no_suite_reads(capsys, flag, value):
-    # Every suite runs at unit constants; verify used to echo these in
-    # its header and exit 0, 1e-200 outside PhysicalParams' own domain.
-    code, out, err = run(capsys, "verify", "--suite", "duality", flag, value)
-    assert code == 2
+    # Every suite runs at unit constants and its own tolerances, so verify
+    # takes no --mu, --hbar or --tol, not even at the value it runs at.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "duality", flag, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
     assert out == ""
-    assert err.startswith("error: ")
-    assert flag in err
+    assert f"unrecognized arguments: {flag} {value}" in err
 
 
-def test_verify_takes_unit_constants_as_the_default(capsys):
-    default = run(capsys, "verify", "--suite", "duality")
-    assert default[0] == 0
-    assert run(capsys, "verify", "--suite", "duality", "--mu", "1", "--hbar", "1.0") == default
+def _failing_duality():
+    return [VerificationReport("a check that fails", residual=2.0, tolerance=1.0)]
 
 
-def test_verify_tol_override_can_fail(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "identities",
-                       "--tol", "1e-300")
+def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
+    monkeypatch.setitem(verification.SUITES, "duality", _failing_duality)
+    code, out, err = run(capsys, "verify", "--suite", "duality")
     assert code == 1
-    assert "FAIL" in out
+    rows = [re.split(r" {2,}", line.rstrip()) for line in out.splitlines()]
+    assert rows[-2:] == [["FAIL", "a check that fails", "2.0", "1.0"], ["0/1 checks passed"]]
+    assert err == ""
+    code, out, err = run(capsys, "verify", "--suite", "duality", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["rows"] == [["FAIL", "a check that fails", 2.0, 1.0]]
+    assert err == "0/1 checks passed\n"
 
 
 def test_verify_ignores_environment_tol(capsys, monkeypatch):
-    # Only --tol overrides a tolerance, so no environment variable can
+    # No flag or environment variable moves a tolerance, so none can
     # move a check unseen.
     monkeypatch.setenv("ANYON_DEFAULT_TOL", "1e-300")
     code, out, _ = run(capsys, "verify", "--suite", "identities")
