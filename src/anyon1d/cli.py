@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="1D oscillator / Coulomb-anyon duality: spectra, "
                     "wavefunctions, and verification oracles.")
     parser.add_argument("--version", action="version", version=__version__)
-    # two flat parents: verify takes only the output flags
     constants = argparse.ArgumentParser(add_help=False)
     constants.add_argument("--mu", type=_positive_float, default=1.0,
                            help="particle mass (default 1)")

@@ -303,10 +303,6 @@ def run_suites(names) -> list[VerificationReport]:
             raise ValueError(
                 f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     reports = []
-    seen = set()
-    for name in expanded:
-        if name in seen:
-            continue
-        seen.add(name)
+    for name in dict.fromkeys(expanded):    # each suite once, in order
         reports.extend(SUITES[name]())
     return reports
