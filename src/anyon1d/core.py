@@ -27,25 +27,16 @@ class ConvergenceError(RuntimeError):
     """An iterative numerical routine failed to reach its target."""
 
 
-# Characters of a rejected value's repr that a message shows.
-_SHOWN_MAX = 60
-
-
 def _shown(value, form=repr) -> str:
-    """form(value) for an error message, cut to _SHOWN_MAX characters.
-
-    An int past the float range is shown by its sign, its leading digits
-    and its digit count instead: str() of a long int takes time
-    quadratic in its length, and Python refuses it past 4300 digits.
-    """
+    """form(value) for an error message, cut to 60 characters; an int past
+    the float range as its sign, leading digits and digit count, since
+    str() of a long int is quadratic and refused past 4300 digits."""
     if isinstance(value, int) and abs(value) > sys.float_info.max:
-        # the estimate is within one of the digits skipped; lead corrects it
         skipped = int(abs(value).bit_length() * math.log10(2)) - 20
-        lead = str(abs(value) // 10 ** skipped)
-        sign = "-" if value < 0 else ""
-        return f"{sign}{lead[:20]}... ({skipped + len(lead)} digits)"
+        lead = str(abs(value) // 10 ** skipped)     # 20 or 21 digits
+        return f"{'-' * (value < 0)}{lead[:20]}... ({skipped + len(lead)} digits)"
     text = form(value)
-    return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX] + "..."
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def check_index(value, name: str, low: int = 0, high: int | None = None) -> None:
@@ -214,10 +205,8 @@ class QuantumState:
 
 def make_state(n: int, s: float) -> QuantumState:
     """Build a validated QuantumState from the radial index and spin label."""
-    check_s(s)      # before float() meets an int past the float range
-    if isinstance(s, int) and not isinstance(s, bool):
-        s = float(s)
-    return QuantumState(n=n, s=s)
+    check_s(s)      # so that float() never meets an int past the float range
+    return QuantumState(n=n, s=float(s))
 
 
 def state_from_nu(n: int, nu: float) -> QuantumState:
