@@ -373,12 +373,9 @@ def test_verify_refuses_constants_that_no_suite_reads(capsys, flag, value):
     assert f"unrecognized arguments: {flag} {value}" in err
 
 
-def _failing_duality():
-    return [VerificationReport("a check that fails", residual=2.0, tolerance=1.0)]
-
-
 def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch):
-    monkeypatch.setitem(verification.SUITES, "duality", _failing_duality)
+    monkeypatch.setitem(verification.SUITES, "duality", lambda: [
+        VerificationReport("a check that fails", residual=2.0, tolerance=1.0)])
     code, out, err = run(capsys, "verify", "--suite", "duality")
     assert code == 1
     rows = [re.split(r" {2,}", line.rstrip()) for line in out.splitlines()]
