@@ -120,6 +120,18 @@ def test_wavefunction_array_matches_scalar():
         assert v == anyon.wavefunction(3, 0.75, UNIT, x)
 
 
+def test_a_float32_nu_leaves_the_coefficient_cache_alone():
+    # The coefficient cache is keyed on (n, nu), and np.float32(0.25)
+    # hashes and compares equal to 0.25: a float32 nu reaching it would
+    # store float32 steps that every later call with nu = 0.25 reads.
+    xs = np.linspace(0.05, 30.0, 23)
+    anyon._laguerre_coefficients.cache_clear()
+    fresh = anyon.wavefunction(5, 0.25, UNIT, xs)
+    anyon._laguerre_coefficients.cache_clear()
+    anyon.wavefunction(5, np.float32(0.25), UNIT, xs)
+    assert anyon.wavefunction(5, 0.25, UNIT, xs).tobytes() == fresh.tobytes()
+
+
 def test_schroedinger_residual_on_canonical_window():
     # n = 2 and 4 complete the verification suite's n = 0, 1, 3, 5.
     xs = Grid(0.05, 20.0, 19951).points()

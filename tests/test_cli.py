@@ -122,6 +122,17 @@ def test_label_flags_refuse_long_literals_at_once(capsys, flag, message, text):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, text", [("--nu", "0.2500000000000000000001"),
+                                        ("--s", "0.5000000000000000000001")])
+def test_label_flags_refuse_a_literal_that_only_rounds_to_a_label(capsys, flag, text):
+    # As a float this text is the label itself; the literal is compared
+    # exactly, before any conversion.
+    with pytest.raises(SystemExit) as exc:
+        main(["dual", "--n", "0", flag, text, "--alpha", "1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
 def test_wavefunction_anyon_peak_location(capsys):
     payload = run_json(capsys, "wavefunction", "--system", "anyon",
                        "--n", "0", "--x-min", "0.01", "--x-max", "10",

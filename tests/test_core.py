@@ -3,6 +3,8 @@
 import math
 import re
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from anyon1d.core import (
     NU_VALUES,
     Grid,
     PhysicalParams,
+    QuantumState,
     VerificationReport,
     check_index,
     check_nu,
@@ -110,9 +113,11 @@ def test_ints_past_the_float_range_are_not_finite(huge):
     (lambda: make_state(0, 10 ** 5000), "s must be 0 or 1/2, got "),
     (lambda: check_points("a" * 100_000, "x", 0.0), "x must be real, got x = 'aaa"),
     (lambda: check_index("a" * 100_000, "n"), "n must be an integer >= 0, got 'aaa"),
+    (lambda: check_index([10 ** 5000], "n"), "n must be an integer >= 0, got "),
+    (lambda: check_nu([10 ** 5000]), "nu must be 1/4 or 3/4, got "),
 ], ids=["check_number-10^400", "PhysicalParams-10^5000", "check_index-10^5000",
         "check_nu-10^5000", "make_state-10^5000", "check_points-long-str",
-        "check_index-long-str"])
+        "check_index-long-str", "check_index-list-10^5000", "check_nu-list-10^5000"])
 def test_a_rejected_value_is_shown_in_bounded_length(call, start):
     # A long int is never converted by str() (slow, and refused past 4300
     # digits) nor by float() (OverflowError), and no repr is echoed whole.
@@ -250,6 +255,10 @@ SCALAR_PARAMETERS = {
         lambda v: specfun.log_kummer_polynomial(3, 0.5, v), "argument y", 2),
     "specfun.laguerre.alpha": (
         lambda v: specfun.laguerre(2, v, 1.5), "parameter alpha", 1),
+    "VerificationReport.residual": (
+        lambda v: VerificationReport("a check", v, 1.0), "residual", 2),
+    "VerificationReport.tolerance": (
+        lambda v: VerificationReport("a check", 0.5, v), "tolerance", 1),
 }
 
 
@@ -262,13 +271,136 @@ def test_scalar_parameters_follow_one_rule(site):
     for kind in kinds:
         value = kind(good)
         assert repr(call(value)) == repr(call(float(value))), kind
-    ends_may_be_infinite = site in ("oracle.integrate.a", "oracle.integrate.b")
+    # integrate's ends may be infinite, and a diverged check's residual
+    infinite = {"oracle.integrate.a": (math.inf, -math.inf),
+                "oracle.integrate.b": (math.inf, -math.inf),
+                "VerificationReport.residual": (math.inf,)}.get(site, ())
     bad_values = [True, np.bool_(True), "1", None, math.nan, [1.0], np.array([1.0, 2.0])]
-    if not ends_may_be_infinite:
-        bad_values += [math.inf, -math.inf]
+    bad_values += [end for end in (math.inf, -math.inf) if end not in infinite]
     for bad in bad_values:
         with pytest.raises(ValueError, match=re.escape(name)):
             call(bad)
+
+
+def _dual(n, nu):
+    return _ANYON.with_omega(duality.dual_frequency(n, nu, _ANYON))
+
+
+_SHOT = oracle.ShootingConfig(0.25, (-10.0, -4.0))     # holds level 0 alone
+_CHAIN_GRID = Grid(0.1, 10.0, 201)
+
+# Every public integer parameter: a call that reads it, the name its
+# messages use, and a value in its domain that np.uint8 holds.
+INDEX_PARAMETERS = {
+    "anyon.energy.n": (lambda v: anyon.energy(v, 0.25, _ANYON), "radial index n", 2),
+    "anyon.beta.n": (lambda v: anyon.beta(v, 0.25, _ANYON), "radial index n", 2),
+    "anyon.log_normalization.n": (
+        lambda v: anyon.log_normalization(v, 0.25, _ANYON), "radial index n", 2),
+    "anyon.wavefunction.n": (
+        lambda v: anyon.wavefunction(v, 0.25, _ANYON, [0.5, 3.0]).tolist(), "radial index n", 2),
+    "anyon.extended_wavefunction.n": (
+        lambda v: anyon.extended_wavefunction(v, 0.25, _ANYON, -1.5), "radial index n", 2),
+    "oscillator.energy.N": (lambda v: oscillator.energy(v, _UNIT_OMEGA), "level N", 2),
+    "oscillator.wavefunction.N": (
+        lambda v: oscillator.wavefunction(v, _UNIT_OMEGA, [0.5, 3.0]).tolist(), "level N", 2),
+    "oscillator.mean_square_displacement.N": (
+        lambda v: oscillator.mean_square_displacement(v, _UNIT_OMEGA), "level N", 2),
+    "duality.dual_frequency.n": (
+        lambda v: duality.dual_frequency(v, 0.25, _ANYON), "radial index n", 2),
+    "duality.map_oscillator_to_anyon.n": (
+        lambda v: duality.map_oscillator_to_anyon(v, 0.0, _dual(2, 0.25), 1.5),
+        "radial index n", 2),
+    "duality.constant_equality_residual.n": (
+        lambda v: duality.constant_equality_residual(v, 0.75), "radial index n", 2),
+    "duality.reduction_chain_residual.n": (
+        lambda v: duality.reduction_chain_residual(v, 0.0, _dual(2, 0.25), _CHAIN_GRID),
+        "radial index n", 2),
+    "specfun.log_kummer_polynomial.n": (
+        lambda v: specfun.log_kummer_polynomial(v, 0.5, 1.5), "n", 2),
+    "specfun.laguerre.n": (lambda v: specfun.laguerre(v, 1.0, 1.5), "degree n", 2),
+    "specfun.hermite.N": (lambda v: specfun.hermite(v, 1.5), "degree N", 2),
+    "specfun.hermite_kummer_residual.n": (
+        lambda v: specfun.hermite_kummer_residual(v, 0.5, 1.5), "radial index n", 2),
+    "oracle.fd_oscillator_spectrum.points": (
+        lambda v: oracle.fd_oscillator_spectrum(_UNIT_OMEGA, 8.0, v, 2), "point count", 100),
+    "oracle.fd_oscillator_spectrum.count": (
+        lambda v: oracle.fd_oscillator_spectrum(_UNIT_OMEGA, 8.0, 100, v),
+        "eigenvalue count", 2),
+    "oracle.shoot_anyon_energy.n": (
+        lambda v: oracle.shoot_anyon_energy(_SHOT, _ANYON, v), "node count n", 0),
+    "oracle.scan_level_brackets.n_max": (
+        lambda v: oracle.scan_level_brackets(0.25, _ANYON, v), "n_max", 2),
+    "Grid.count": (lambda v: Grid(0.0, 1.0, v), "grid count", 5),
+    "QuantumState.n": (lambda v: QuantumState(v, 0.5), "radial index n", 2),
+    "make_state.n": (lambda v: make_state(v, 0.5), "radial index n", 2),
+    "state_from_nu.n": (lambda v: state_from_nu(v, 0.75), "radial index n", 2),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INDEX_PARAMETERS))
+def test_index_parameters_follow_one_rule(site):
+    call, name, good = INDEX_PARAMETERS[site]
+    # a numpy integer gives the same result, types and reprs included,
+    # as the int it holds
+    for kind in (np.int64, np.int32, np.uint8):
+        assert repr(call(kind(good))) == repr(call(good)), kind
+    for bad in (True, np.bool_(True), 2.0, "1", None, [1], np.array([1, 2])):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
+            call(bad)
+
+
+# Every public statistics label, nu or s: a call that reads it, the
+# label's name and an allowed value.
+LABEL_PARAMETERS = {
+    "anyon.potential.nu": (lambda v: anyon.potential(1.5, v, _ANYON), "nu", 0.75),
+    "anyon.energy.nu": (lambda v: anyon.energy(2, v, _ANYON), "nu", 0.75),
+    "anyon.beta.nu": (lambda v: anyon.beta(2, v, _ANYON), "nu", 0.75),
+    "anyon.log_normalization.nu": (lambda v: anyon.log_normalization(2, v, _ANYON), "nu", 0.75),
+    "anyon.wavefunction.nu": (
+        lambda v: anyon.wavefunction(5, v, _ANYON, [0.5, 3.0]).tolist(), "nu", 0.75),
+    "anyon.extended_wavefunction.nu": (
+        lambda v: anyon.extended_wavefunction(2, v, _ANYON, -1.5), "nu", 0.75),
+    "duality.dual_frequency.nu": (lambda v: duality.dual_frequency(2, v, _ANYON), "nu", 0.75),
+    "duality.map_oscillator_to_anyon.s": (
+        lambda v: duality.map_oscillator_to_anyon(2, v, _dual(2, 0.75), 1.5), "s", 0.5),
+    "duality.constant_equality_residual.nu": (
+        lambda v: duality.constant_equality_residual(2, v), "nu", 0.75),
+    "duality.reduction_chain_residual.s": (
+        lambda v: duality.reduction_chain_residual(2, v, _dual(2, 0.75), _CHAIN_GRID), "s", 0.5),
+    "specfun.hermite_kummer_residual.s": (
+        lambda v: specfun.hermite_kummer_residual(2, v, 1.5), "s", 0.5),
+    "oracle.ShootingConfig.nu": (lambda v: oracle.ShootingConfig(v, (-10.0, -4.0)), "nu", 0.75),
+    "oracle.shooting_config_for_level.nu": (
+        lambda v: oracle.shooting_config_for_level(v, _ANYON, 0, (-10.0, -4.0)), "nu", 0.75),
+    "oracle.scan_level_brackets.nu": (
+        lambda v: oracle.scan_level_brackets(v, _ANYON, 2), "nu", 0.75),
+    "QuantumState.s": (lambda v: QuantumState(2, v), "s", 0.5),
+    "make_state.s": (lambda v: make_state(2, v), "s", 0.5),
+    "state_from_nu.nu": (lambda v: state_from_nu(2, v), "nu", 0.75),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LABEL_PARAMETERS))
+def test_label_parameters_follow_one_rule(site):
+    call, name, good = LABEL_PARAMETERS[site]
+    # every exact spelling of an allowed label gives the same result,
+    # types and reprs included, as the Python float
+    for kind in (np.float32, np.float64, Fraction, Decimal):
+        assert repr(call(kind(good))) == repr(call(good)), kind
+    # one that only rounds to it is refused, and so is a bool
+    near = (Fraction(good) + Fraction(1, 10 ** 22), Decimal(good) + Decimal("1e-22"),
+            math.nextafter(good, 1.0))
+    for bad in (False, True, np.bool_(False), np.bool_(True), str(good), None, math.nan,
+                [good], np.array([good]), *near):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(bad)
+
+
+def test_readers_return_python_values():
+    assert type(check_index(np.int64(3), "k")) is int
+    assert type(check_nu(Fraction(3, 4))) is float
+    report = VerificationReport("a check", np.float32(1e-3), np.int64(1))
+    assert repr(report) == repr(VerificationReport("a check", float(np.float32(1e-3)), 1.0))
 
 
 def test_validate_params_accepts_unit_system():

@@ -975,6 +975,13 @@ def test_shooting_at_non_unit_constants():
             assert abs(got - expected) <= 1e-5 * abs(expected)
 
 
+def test_a_float32_nu_scans_as_the_float_it_holds():
+    # float32 probes would put the shot levels up to 9e-7 off
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    assert (repr(oracle.scan_level_brackets(np.float32(0.25), p, 3))
+            == repr(oracle.scan_level_brackets(0.25, p, 3)))
+
+
 def test_shooting_geometry_follows_the_constants_it_runs_with():
     # A config built for alpha = 1 carries no geometry, so a run at
     # alpha = 30 gets the alpha = 30 geometry; a geometry fixed at
