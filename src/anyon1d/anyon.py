@@ -45,7 +45,7 @@ def potential(x, nu: float, p: PhysicalParams):
     Note nu(1-nu) = 3/16 for both allowed nu: the two towers live in the
     same potential and differ only through the boundary behavior at 0.
     """
-    check_nu(nu)
+    nu = check_nu(nu)
     alpha = p.require_alpha()
     xs, scalar = check_points(x, "x", 0.0, open_low=True)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -61,8 +61,7 @@ def potential(x, nu: float, p: PhysicalParams):
 
 def energy(n: int, nu: float, p: PhysicalParams) -> float:
     """epsilon_n = -m alpha^2 / (2 hbar^2 (n + nu)^2)."""
-    check_nu(nu)
-    check_index(n, "radial index n")
+    nu, n = check_nu(nu), check_index(n, "radial index n")
     alpha = p.require_alpha()
     lam = n + nu
     return -p.mass * alpha * alpha / (2.0 * p.hbar ** 2 * lam * lam)
@@ -70,16 +69,14 @@ def energy(n: int, nu: float, p: PhysicalParams) -> float:
 
 def beta(n: int, nu: float, p: PhysicalParams) -> float:
     """Inverse length scale of state (n, nu): beta = 2 m alpha / (hbar^2 (n+nu))."""
-    check_nu(nu)
-    check_index(n, "radial index n")
+    nu, n = check_nu(nu), check_index(n, "radial index n")
     return 2.0 * p.mass * p.require_alpha() / (p.hbar ** 2 * (n + nu))
 
 
 def log_normalization(n: int, nu: float, p: PhysicalParams) -> float:
     """log of C_n = (sqrt(m alpha)/hbar) (n+nu)^-1 Gamma(2 nu)^-1
     sqrt(Gamma(n + 2 nu)/n!)."""
-    check_nu(nu)
-    check_index(n, "radial index n")
+    nu, n = check_nu(nu), check_index(n, "radial index n")
     alpha = p.require_alpha()
     return (0.5 * math.log(p.mass * alpha) - math.log(p.hbar)
             - math.log(n + nu) - log_gamma(2.0 * nu)
@@ -130,8 +127,8 @@ def wavefunction(n: int, nu: float, p: PhysicalParams, x):
     tail the value underflows to exactly 0.0, which is part of the
     contract.
     """
-    check_index(n, "radial index n", high=LEVEL_MAX)
-    b = beta(n, nu, p)  # validates nu, alpha
+    n, nu = check_index(n, "radial index n", high=LEVEL_MAX), check_nu(nu)
+    b = beta(n, nu, p)  # validates alpha
     x, scalar = check_points(x, "x", 0.0, RECURRENCE_ARG_MAX / b, open_low=True)
     log_factor = (0.5 * math.log(p.mass * p.require_alpha()) - math.log(p.hbar)
                   - math.log(n + nu))
@@ -154,8 +151,7 @@ def extended_wavefunction(n: int, nu: float, p: PhysicalParams, y):
     and is rejected, as are |y| > 1e150 and n > LEVEL_MAX.  One point
     (see core.check_points) gives a complex, an array a complex array.
     """
-    check_nu(nu)
-    check_index(n, "radial index n", high=LEVEL_MAX)
+    nu, n = check_nu(nu), check_index(n, "radial index n", high=LEVEL_MAX)
     p.require_alpha()
     y, scalar = check_points(y, "y", -RECURRENCE_ARG_MAX, RECURRENCE_ARG_MAX)
     size = abs(y)

@@ -35,10 +35,9 @@ def _checked(text: str, parse, check, *names):
     except (ValueError, ZeroDivisionError):
         value = text
     try:
-        check(value, *names)
+        return check(value, *names)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
-    return value
 
 
 def _positive_float(text: str) -> float:
@@ -72,11 +71,11 @@ def _label(text: str) -> Fraction:
 
 
 def _nu_flag(text: str) -> float:
-    return float(_checked(text, _label, check_nu))
+    return _checked(text, _label, check_nu)
 
 
 def _s_flag(text: str) -> float:
-    return float(_checked(text, _label, check_s))
+    return _checked(text, _label, check_s)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,15 +5,17 @@ The two systems are tied together by one set of physical constants
 frequency omega and the attractive coupling alpha.  Quantum numbers
 travel as a single state object so the exact relations nu = s + 1/4
 and N = 2n + 2s hold by construction.
-Arguments are read by check_index (an integer), check_points
-(positions) and check_number (one real number, returned as a float).
+Arguments are read, and returned as Python values, by check_index (an
+int), check_nu and check_s (a float label), check_points and check_number.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -35,30 +37,41 @@ def _shown(value, form=repr) -> str:
         skipped = int(abs(value).bit_length() * math.log10(2)) - 20
         lead = str(abs(value) // 10 ** skipped)     # 20 or 21 digits
         return f"{'-' * (value < 0)}{lead[:20]}... ({skipped + len(lead)} digits)"
-    text = form(value)
+    try:
+        text = form(value)
+    except Exception:       # a list holding an int past 4300 digits
+        return f"a {type(value).__name__} that cannot be shown"
     return text if len(text) <= 60 else text[:60] + "..."
 
 
-def check_index(value, name: str, low: int = 0, high: int | None = None) -> None:
-    """Raise ValueError naming the argument unless value is an int in
-    [low, high], or an int >= low when high is None.
-
-    bool is rejected although it subclasses int.
-    """
-    if (not isinstance(value, int) or isinstance(value, bool) or value < low
-            or high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {_shown(value)}")
+def check_index(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """Return value, an int or a numpy integer but no bool, as a Python int if
+    it lies in [low, high] (>= low if high is None); else raise ValueError."""
+    if type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low <= value and (high is None or value <= high):
+            return int(value)
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {_shown(value)}")
 
 
-def check_nu(nu) -> None:
-    if nu not in NU_VALUES:
-        raise ValueError(f"nu must be 1/4 or 3/4, got {_shown(nu, str)}")
+def _label(value, name: str, allowed: tuple, spelled: str) -> float:
+    # compared before the conversion, so that Fraction("0.2500000000000000000001")
+    # is refused; Decimal is no numbers.Real, and bool is one
+    if type(value) is float or (isinstance(value, (numbers.Real, Decimal))
+                                and not isinstance(value, bool)):
+        if value in allowed:
+            return float(value)
+    raise ValueError(f"{name} must be {spelled}, got {_shown(value, str)}")
 
 
-def check_s(s) -> None:
-    if s not in S_VALUES:
-        raise ValueError(f"s must be 0 or 1/2, got {_shown(s, str)}")
+def check_nu(nu) -> float:
+    """Return the origin exponent nu, a real number equal to 1/4 or 3/4, as a float."""
+    return _label(nu, "nu", NU_VALUES, "1/4 or 3/4")
+
+
+def check_s(s) -> float:
+    """Return the spin label s, a real number equal to 0 or 1/2, as a float."""
+    return _label(s, "s", S_VALUES, "0 or 1/2")
 
 
 def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
@@ -196,8 +209,8 @@ class QuantumState:
     N: int = field(init=False)
 
     def __post_init__(self):
-        check_index(self.n, "radial index n")
-        check_s(self.s)
+        object.__setattr__(self, "n", check_index(self.n, "radial index n"))
+        object.__setattr__(self, "s", check_s(self.s))
         # 0.25 and 0.5 are exact in binary, so these hold with no roundoff
         object.__setattr__(self, "nu", self.s + 0.25)
         object.__setattr__(self, "N", 2 * self.n + int(2 * self.s))
@@ -205,14 +218,12 @@ class QuantumState:
 
 def make_state(n: int, s: float) -> QuantumState:
     """Build a validated QuantumState from the radial index and spin label."""
-    check_s(s)      # so that float() never meets an int past the float range
-    return QuantumState(n=n, s=float(s))
+    return QuantumState(n=n, s=s)
 
 
 def state_from_nu(n: int, nu: float) -> QuantumState:
     """Same as make_state but keyed on the origin exponent nu = s + 1/4."""
-    check_nu(nu)
-    return make_state(n, nu - 0.25)
+    return make_state(n, check_nu(nu) - 0.25)
 
 
 # Points of one grid: 10**7 floats are 80 MB per array, and a CSV grid
@@ -230,7 +241,8 @@ class Grid:
     count: int
 
     def __post_init__(self):
-        check_index(self.count, "grid count", low=3, high=_GRID_COUNT_MAX)
+        object.__setattr__(self, "count",
+                           check_index(self.count, "grid count", low=3, high=_GRID_COUNT_MAX))
         object.__setattr__(self, "x_min", check_number(self.x_min, "grid x_min"))
         object.__setattr__(self, "x_max", check_number(self.x_max, "grid x_max"))
         if not self.x_min < self.x_max:
@@ -243,7 +255,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one named check; passed is derived, never set by hand."""
+    """Outcome of one named check; passed is derived, never set by hand.
+    The residual may be inf, so that a check that diverged fails."""
 
     check_name: str
     residual: float
@@ -251,8 +264,7 @@ class VerificationReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if not self.residual >= 0:
-            raise ValueError(f"residual must be nonnegative, got {self.residual}")
+        object.__setattr__(self, "residual", check_number(self.residual, "residual", 0, math.inf))
+        object.__setattr__(self, "tolerance",
+                           check_number(self.tolerance, "tolerance", 0.0, open_low=True))
         object.__setattr__(self, "passed", self.residual <= self.tolerance)

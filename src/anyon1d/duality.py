@@ -110,10 +110,10 @@ def constant_equality_residual(n: int, nu: float) -> float:
     hbar, so both routes run with unit constants.
     """
     state = state_from_nu(n, nu)
-    log_tilde = (-(n - state.nu + 0.25) * _LN2
-                 + 0.5 * log_gamma(2.0 * n + 2.0 * state.nu + 0.5)
-                 - 0.25 * _LNPI - log_gamma(n + 1.0) - math.log(state.n + state.nu))
-    log_direct = anyon.log_normalization(n, state.nu, PhysicalParams(1.0, 1.0, alpha=1.0))
+    n, nu = state.n, state.nu
+    log_tilde = (-(n - nu + 0.25) * _LN2 + 0.5 * log_gamma(2.0 * n + 2.0 * nu + 0.5)
+                 - 0.25 * _LNPI - log_gamma(n + 1.0) - math.log(n + nu))
+    log_direct = anyon.log_normalization(n, nu, PhysicalParams(1.0, 1.0, alpha=1.0))
     return abs(math.expm1(log_tilde - log_direct))
 
 
@@ -133,5 +133,5 @@ def reduction_chain_residual(n: int, s: float, p: PhysicalParams, grid: Grid) ->
     dual = PhysicalParams(p.mass, p.hbar, alpha=alpha, omega=omega)
     xs = grid.points()
     return oracle.ode_residual(
-        xs, map_oscillator_to_anyon(n, s, dual, xs),
+        xs, map_oscillator_to_anyon(state.n, state.s, dual, xs),
         lambda x: anyon.potential(x, state.nu, dual), eps, p)

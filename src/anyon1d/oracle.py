@@ -493,8 +493,8 @@ def fd_oscillator_spectrum(p: PhysicalParams, box_halfwidth: float,
     hbar omega is finite.
     """
     box_halfwidth = check_number(box_halfwidth, "box halfwidth", 0.0, open_low=True)
-    check_index(points, "point count", low=100, high=_MAX_POINTS)
-    check_index(count, "eigenvalue count", low=1, high=20)
+    points = check_index(points, "point count", low=100, high=_MAX_POINTS)
+    count = check_index(count, "eigenvalue count", low=1, high=20)
     wall = box_halfwidth / math.sqrt(p.hbar / (p.mass * p.require_omega()))
     quantum = p.hbar * p.omega
     rows = (points - 1) // 2
@@ -611,7 +611,7 @@ class ShootingConfig:
     energy_bracket: tuple[float, float]
 
     def __post_init__(self):
-        check_nu(self.nu)
+        object.__setattr__(self, "nu", check_nu(self.nu))
         lo, hi = self.energy_bracket
         lo = check_number(lo, "energy bracket lower end")
         hi = check_number(hi, "energy bracket upper end")
@@ -999,7 +999,7 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     ConvergenceError when the search does not converge or the node count
     disagrees with n.
     """
-    check_index(n, "node count n")
+    n = check_index(n, "node count n")
     run = _ShootingRun(cfg, p)
     lo, hi = cfg.energy_bracket
     w_lo = run.mismatch(lo)
@@ -1040,8 +1040,7 @@ def scan_level_brackets(nu: float, p: PhysicalParams, n_max: int) -> list[tuple[
     shoot_anyon_energy checks the node count of the state each bracket
     converges to.
     """
-    check_nu(nu)
-    check_index(n_max, "n_max", high=100)
+    nu, n_max = check_nu(nu), check_index(n_max, "n_max", high=100)
     alpha = p.require_alpha()
     unit = p.mass * alpha * alpha / p.hbar ** 2
     t = nu / math.sqrt(1.35)               # strictly below the deepest level

@@ -22,7 +22,7 @@ LEVEL_MAX = 400
 
 def energy(N: int, p: PhysicalParams) -> float:
     """E_N = hbar omega (N + 1/2)."""
-    check_index(N, "level N")
+    N = check_index(N, "level N")
     return p.hbar * p.require_omega() * (N + 0.5)
 
 
@@ -47,7 +47,7 @@ def wavefunction(N: int, p: PhysicalParams, u):
     equals 1.  Defined for N <= LEVEL_MAX and 0 <= z <= 1e150; far in
     the tail the value underflows to exactly 0.0.
     """
-    check_index(N, "level N", high=LEVEL_MAX)
+    N = check_index(N, "level N", high=LEVEL_MAX)
     omega = p.require_omega()
     scale = math.sqrt(p.mass * omega / p.hbar)
     u, scalar = check_points(u, "u", 0.0, RECURRENCE_ARG_MAX / scale)
@@ -59,5 +59,5 @@ def wavefunction(N: int, p: PhysicalParams, u):
 
 def mean_square_displacement(N: int, p: PhysicalParams) -> float:
     """<u^2> in level N of the full-line oscillator: (N + 1/2) hbar / (m w)."""
-    check_index(N, "level N")
+    N = check_index(N, "level N")
     return (N + 0.5) * p.hbar / (p.mass * p.require_omega())

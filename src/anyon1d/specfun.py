@@ -334,7 +334,7 @@ def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
     is wide enough that no rescaling is needed even where y**n overflows
     binary floats.
     """
-    check_index(n, "n")
+    n = check_index(n, "n")
     b = check_number(b, "lower parameter b", 0.0, open_low=True)
     y = check_number(y, "argument y", 0.0, open_low=True)
     with localcontext() as ctx:
@@ -472,7 +472,7 @@ def laguerre(n: int, alpha: float, y):
     recurrence at any finite real y, a float or a numpy array; raises
     ValueError where the value overflows (see _polynomial).
     """
-    check_index(n, "degree n")
+    n = check_index(n, "degree n")
     alpha = check_number(alpha, "parameter alpha", -1.0, open_low=True)
 
     def recurrence(y):
@@ -495,7 +495,7 @@ def hermite(N: int, z):
     float or a numpy array; raises ValueError where the value overflows
     (see _polynomial).
     """
-    check_index(N, "degree N")
+    N = check_index(N, "degree N")
 
     def recurrence(z):
         h_prev = 1.0 + 0.0 * z
@@ -548,14 +548,14 @@ def hermite_kummer_residual(n: int, s: float, y):
     Hermite recurrence overflows; ConvergenceError the first where the
     series terms do (see hermite and kummer_series).
     """
-    big_n = make_state(n, s).N
+    state = make_state(n, s)
     y, scalar = check_points(y, "argument y", 0.0, open_low=True)
     root = math.sqrt(y) if scalar else np.sqrt(y)
-    lhs = hermite(big_n, root)
-    pref = math.factorial(big_n) / math.factorial(n)
-    if n % 2:
+    lhs = hermite(state.N, root)
+    pref = math.factorial(state.N) / math.factorial(state.n)
+    if state.n % 2:
         pref = -pref
-    if s == 0.5:
+    if state.s == 0.5:
         pref *= 2.0 * root
-    rhs = pref * kummer_series(-float(n), 2.0 * s + 0.5, y)
+    rhs = pref * kummer_series(-float(state.n), 2.0 * state.s + 0.5, y)
     return abs(lhs - rhs)

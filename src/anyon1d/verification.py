@@ -18,11 +18,6 @@ from .core import NU_VALUES, S_VALUES, Grid, PhysicalParams, VerificationReport,
 _UNIT = PhysicalParams(mass=1.0, hbar=1.0, alpha=1.0, omega=1.0)
 
 
-def _report(name: str, residual: float, tolerance: float) -> VerificationReport:
-    return VerificationReport(check_name=name, residual=float(residual),
-                              tolerance=tolerance)
-
-
 def suite_identities() -> list[VerificationReport]:
     """Special-function identities: duplication, Hermite link, Kummer
     transformation, asymptotics, and the Laguerre cross-check."""
@@ -33,7 +28,7 @@ def suite_identities() -> list[VerificationReport]:
     rng = random.Random(20240816)
     zs = np.array([rng.uniform(1e-9, 50.0) for _ in range(10_000)])
     worst = np.max(specfun.duplication_residual(zs))
-    out.append(_report("gamma duplication, 1e4 random z in (0, 50]", worst, 1e-12))
+    out.append(VerificationReport("gamma duplication, 1e4 random z in (0, 50]", worst, 1e-12))
 
     ys = np.linspace(0.25, 25.0, 100)
     worst = 0.0
@@ -42,8 +37,8 @@ def suite_identities() -> list[VerificationReport]:
             scale = np.abs(specfun.hermite(make_state(n, s).N, np.sqrt(ys)))
             r = specfun.hermite_kummer_residual(n, s, ys)
             worst = max(worst, np.max(r / np.maximum(scale, 1.0)))
-    out.append(_report("Hermite vs confluent closed form, n <= 10, y in (0, 25]",
-                       worst, 1e-9))
+    out.append(VerificationReport("Hermite vs confluent closed form, n <= 10, y in (0, 25]",
+                                  worst, 1e-9))
 
     rng = random.Random(77)
     a, b, y = np.array([(rng.uniform(-8.0, 8.0), rng.uniform(0.3, 8.0),
@@ -53,13 +48,13 @@ def suite_identities() -> list[VerificationReport]:
     # math.exp per point, as the scalar check had it; np.exp may round differently
     rhs = np.array([math.exp(v) for v in y.tolist()]) * flipped
     worst = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs)))
-    out.append(_report("Kummer transformation, 200 random (a, b, y), |y| <= 30",
-                       worst, 1e-10))
+    out.append(VerificationReport("Kummer transformation, 200 random (a, b, y), |y| <= 30",
+                                  worst, 1e-10))
 
     asym = specfun.kummer_asymptotic(0.3, 0.8, 40.0)
     direct = specfun.kummer_series(0.3, 0.8, 40.0)
-    out.append(_report("large-y asymptotics vs series at (0.3, 0.8, 40)",
-                       abs(asym.real - direct) / abs(direct), 1e-6))
+    out.append(VerificationReport("large-y asymptotics vs series at (0.3, 0.8, 40)",
+                                  abs(asym.real - direct) / abs(direct), 1e-6))
 
     ys = np.linspace(0.5, 20.0, 40)
     levels = [(n, nu) for n in range(11) for nu in NU_VALUES]
@@ -72,7 +67,7 @@ def suite_identities() -> list[VerificationReport]:
                     for n, nu in levels])
     r = np.abs(f - lag) / np.maximum(np.maximum(np.abs(f), np.abs(lag)), 1e-300)
     worst = np.max(r)
-    out.append(_report("confluent polynomial vs Laguerre, n <= 10", worst, 1e-12))
+    out.append(VerificationReport("confluent polynomial vs Laguerre, n <= 10", worst, 1e-12))
 
     worst = 0.0
     for nu in NU_VALUES:
@@ -81,7 +76,7 @@ def suite_identities() -> list[VerificationReport]:
                 / anyon.extended_wavefunction(3, nu, _UNIT, y)
             worst = max(worst, abs(got - complex(math.cos(math.pi * nu),
                                                  math.sin(math.pi * nu))))
-    out.append(_report("parity extension phase ratio e^(i pi nu)", worst, 1e-12))
+    out.append(VerificationReport("parity extension phase ratio e^(i pi nu)", worst, 1e-12))
 
     return out
 
@@ -98,7 +93,7 @@ def suite_normalization() -> list[VerificationReport]:
                 lambda x: anyon.wavefunction(n, nu, p, x) ** 2, 0.0, math.inf,
                 tol=1e-10)
             worst = max(worst, abs(norm - 1.0))
-    out.append(_report("anyon norm over (0, inf), n <= 10, both nu", worst, 1e-8))
+    out.append(VerificationReport("anyon norm over (0, inf), n <= 10, both nu", worst, 1e-8))
 
     worst = 0.0
     for big_n in range(9):
@@ -106,7 +101,7 @@ def suite_normalization() -> list[VerificationReport]:
             lambda u: oscillator.wavefunction(big_n, _UNIT, u) ** 2, 0.0, math.inf,
             tol=1e-12)
         worst = max(worst, abs(norm - 1.0))
-    out.append(_report("oscillator half-line norm, N <= 8", worst, 1e-10))
+    out.append(VerificationReport("oscillator half-line norm, N <= 8", worst, 1e-10))
 
     worst = 0.0
     for big_n in (0, 1, 3, 6):
@@ -115,7 +110,7 @@ def suite_normalization() -> list[VerificationReport]:
             0.0, math.inf, tol=1e-12)
         expected = oscillator.mean_square_displacement(big_n, _UNIT)
         worst = max(worst, abs(got - expected) / expected)
-    out.append(_report("oscillator <u^2> vs closed form", worst, 1e-9))
+    out.append(VerificationReport("oscillator <u^2> vs closed form", worst, 1e-9))
 
     worst = 0.0
     for nu in NU_VALUES:
@@ -124,7 +119,7 @@ def suite_normalization() -> list[VerificationReport]:
             lambda y: abs(anyon.extended_wavefunction(2, nu, p, y)) ** 2,
             -math.inf, math.inf, tol=1e-10)
         worst = max(worst, abs(norm - 1.0))
-    out.append(_report("parity extension full-line norm", worst, 1e-8))
+    out.append(VerificationReport("parity extension full-line norm", worst, 1e-8))
 
     return out
 
@@ -140,12 +135,12 @@ def suite_duality() -> list[VerificationReport]:
             omega = duality.dual_frequency(n, nu, _UNIT)
             worst = max(worst, abs(eps - (-_UNIT.mass * omega * omega / 8.0))
                         / abs(eps))
-    out.append(_report("spectrum dictionary eps = -m omega_n^2/8, n <= 20",
-                       worst, 1e-14))
+    out.append(VerificationReport("spectrum dictionary eps = -m omega_n^2/8, n <= 20",
+                                  worst, 1e-14))
 
     worst = max(duality.constant_equality_residual(n, nu)
                 for nu in NU_VALUES for n in range(21))
-    out.append(_report("normalization constant equality, n <= 20", worst, 1e-11))
+    out.append(VerificationReport("normalization constant equality, n <= 20", worst, 1e-11))
 
     worst = 0.0
     xs = np.linspace(0.01, 15.0, 1500)
@@ -155,16 +150,15 @@ def suite_duality() -> list[VerificationReport]:
             p = _UNIT.with_omega(duality.dual_frequency(n, nu, _UNIT))
             direct = anyon.wavefunction(n, nu, p, xs)
             mapped = duality.map_oscillator_to_anyon(n, s, p, xs)
-            worst = max(worst, float(np.max(np.abs(mapped - direct))
-                                     / np.max(np.abs(direct))))
-    out.append(_report("wavefunction map vs direct form on [0.01, 15]",
-                       worst, 1e-8))
+            worst = max(worst, np.max(np.abs(mapped - direct)) / np.max(np.abs(direct)))
+    out.append(VerificationReport("wavefunction map vs direct form on [0.01, 15]",
+                                  worst, 1e-8))
 
     grid = Grid(0.05, 18.0, 7001)
     worst = max(duality.reduction_chain_residual(n, s, _UNIT, grid)
                 for n in (0, 2) for s in S_VALUES)
-    out.append(_report("variable-change chain solves the dual equation",
-                       worst, 1e-5))
+    out.append(VerificationReport("variable-change chain solves the dual equation",
+                                  worst, 1e-5))
 
     worst = 0.0
     for n in (0, 3):
@@ -173,7 +167,7 @@ def suite_duality() -> list[VerificationReport]:
             e_osc, omega = duality.to_oscillator_params(alpha, eps, _UNIT)
             alpha2, eps2 = duality.to_anyon_params(e_osc, omega, _UNIT)
             worst = max(worst, abs(alpha2 - alpha), abs(eps2 - eps) / abs(eps))
-    out.append(_report("parameter map round trip", worst, 1e-14))
+    out.append(VerificationReport("parameter map round trip", worst, 1e-14))
 
     return out
 
@@ -189,21 +183,21 @@ def suite_oracle() -> list[VerificationReport]:
             got = oracle.shoot_anyon_energy(oracle.ShootingConfig(nu, bracket), _UNIT, n)
             expected = anyon.energy(n, nu, _UNIT)
             worst = max(worst, abs(got - expected) / abs(expected))
-    out.append(_report("shooting eigenvalues vs closed form, n <= 3, both nu",
-                       worst, 1e-5))
+    out.append(VerificationReport("shooting eigenvalues vs closed form, n <= 3, both nu",
+                                  worst, 1e-5))
 
     levels = oracle.fd_oscillator_spectrum(_UNIT, 10.0, 2002, 5)
     worst = abs(levels[0] - oscillator.energy(0, _UNIT))
-    out.append(_report("box eigensolver ground state (L=10, 2002 points)",
-                       worst, 1e-4))
+    out.append(VerificationReport("box eigensolver ground state (L=10, 2002 points)",
+                                  worst, 1e-4))
     spacing = max(abs((b - a) - _UNIT.hbar * _UNIT.require_omega())
                   for a, b in zip(levels, levels[1:]))
-    out.append(_report("box eigensolver level spacing hbar omega", spacing, 1e-3))
+    out.append(VerificationReport("box eigensolver level spacing hbar omega", spacing, 1e-3))
 
     got = oracle.integrate(lambda u: np.exp(-u * u), -math.inf, math.inf,
                            tol=1e-12)
-    out.append(_report("quadrature: full-line Gaussian vs sqrt(pi)",
-                       abs(got - math.sqrt(math.pi)), 1e-10))
+    out.append(VerificationReport("quadrature: full-line Gaussian vs sqrt(pi)",
+                                  abs(got - math.sqrt(math.pi)), 1e-10))
 
     worst = 0.0
     for nu in NU_VALUES:
@@ -217,8 +211,8 @@ def suite_oracle() -> list[VerificationReport]:
                       * math.exp(specfun.log_gamma(n + two_nu)
                                  - specfun.log_gamma(n + 1.0)))
             worst = max(worst, abs(val - closed) / closed)
-    out.append(_report("quadrature: Laguerre norm integral vs closed form",
-                       worst, 1e-8))
+    out.append(VerificationReport("quadrature: Laguerre norm integral vs closed form",
+                                  worst, 1e-8))
 
     def anyon_residual(n, nu, grid, detune=1.0):
         p = _UNIT.with_omega(duality.dual_frequency(n, nu, _UNIT))
@@ -266,13 +260,13 @@ def suite_oracle() -> list[VerificationReport]:
             worst = max(worst, anyon_residual(n, nu, window))
             perturbed_min = min(perturbed_min,
                                 anyon_residual(n, nu, window, detune=1.01))
-    out.append(_report("differential equation residual of closed forms",
-                       worst, 1e-6))
+    out.append(VerificationReport("differential equation residual of closed forms",
+                                  worst, 1e-6))
     # sensitivity control: a 1 percent energy error must NOT pass; the
     # report inverts the scale so "residual below tolerance" means the
     # control stayed loud, above 1e-3
-    out.append(_report("residual sensitivity control (1 percent detuning)",
-                       1e-3 / perturbed_min, 1.0))
+    out.append(VerificationReport("residual sensitivity control (1 percent detuning)",
+                                  1e-3 / perturbed_min, 1.0))
 
     return out
 
