@@ -5,8 +5,8 @@ The two systems are tied together by one set of physical constants
 frequency omega and the attractive coupling alpha.  Quantum numbers
 travel as a single state object so the exact relations nu = s + 1/4
 and N = 2n + 2s hold by construction.
-Arguments are read, and returned as Python values, by check_index (an
-int), check_nu and check_s (a float label), check_points and check_number.
+Each argument reader returns what it read: check_index an int, check_nu
+and check_s a float label, check_number a float, check_points positions.
 """
 
 from __future__ import annotations
