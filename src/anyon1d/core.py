@@ -54,7 +54,7 @@ def check_index(value, name: str, low: int = 0, high: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer {bound}, got {_shown(value)}")
 
 
-def _label(value, name: str, allowed: tuple, spelled: str) -> float:
+def _check_label(value, name: str, allowed: tuple, spelled: str) -> float:
     # compared before the conversion, so that Fraction("0.2500000000000000000001")
     # is refused; Decimal is no numbers.Real, and bool is one
     if type(value) is float or (isinstance(value, (numbers.Real, Decimal))
@@ -66,12 +66,12 @@ def _label(value, name: str, allowed: tuple, spelled: str) -> float:
 
 def check_nu(nu) -> float:
     """Return the origin exponent nu, a real number equal to 1/4 or 3/4, as a float."""
-    return _label(nu, "nu", NU_VALUES, "1/4 or 3/4")
+    return _check_label(nu, "nu", NU_VALUES, "1/4 or 3/4")
 
 
 def check_s(s) -> float:
     """Return the spin label s, a real number equal to 0 or 1/2, as a float."""
-    return _label(s, "s", S_VALUES, "0 or 1/2")
+    return _check_label(s, "s", S_VALUES, "0 or 1/2")
 
 
 def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
