@@ -391,8 +391,10 @@ def test_label_parameters_follow_one_rule(site):
     # one that only rounds to it is refused, and so is a bool
     near = (Fraction(good) + Fraction(1, 10 ** 22), Decimal(good) + Decimal("1e-22"),
             math.nextafter(good, 1.0))
+    # a signalling Decimal NaN raises InvalidOperation on ==, and must be
+    # refused by name as a quiet one is
     for bad in (False, True, np.bool_(False), np.bool_(True), str(good), None, math.nan,
-                [good], np.array([good]), *near):
+                Decimal("NaN"), Decimal("sNaN"), [good], np.array([good]), *near):
         with pytest.raises(ValueError, match=f"^{name} must be "):
             call(bad)
 
