@@ -56,9 +56,10 @@ def check_index(value, name: str, low: int = 0, high: int | None = None) -> int:
 
 def _check_label(value, name: str, allowed: tuple, spelled: str) -> float:
     # compared before the conversion, so that Fraction("0.2500000000000000000001")
-    # is refused; Decimal is no numbers.Real, and bool is one
-    if type(value) is float or (isinstance(value, (numbers.Real, Decimal))
-                                and not isinstance(value, bool)):
+    # is refused; Decimal is no numbers.Real, and bool is one; a signalling
+    # Decimal NaN raises InvalidOperation on ==, so it is refused before that
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                                or isinstance(value, Decimal) and not value.is_snan()):
         if value in allowed:
             return float(value)
     raise ValueError(f"{name} must be {spelled}, got {_shown(value, str)}")
