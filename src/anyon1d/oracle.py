@@ -25,15 +25,17 @@ It offers four ways to check them from first principles:
   no pivot can change sign, and each Newton step is one full sweep
   that also counts,
 * a shooting eigensolver for the attractive half-line problem, whose
-  RK4 steps are 2x2 propagators multiplied pairwise with numpy; each
-  propagator entry is a quadratic in the energy, tabulated once per
-  run, and the products need a power-of-two rescale only every sixth
-  pass; the node count samples the solution at the ends of 32-step
-  blocks, the products of the tree's first five passes; each level is
-  one Anderson-Bjorck (modified regula falsi) solve of the matching
-  defect, and the energy scan walks the Coulomb variable
-  t = (2 |e|)^(-1/2) in half steps, one table per energy window
-  (1.01 e, 0.5 e) of its probes.
+  RK4 steps are 2x2 propagators multiplied pairwise with numpy; the
+  outward sweep starts on the x^nu Frobenius series at x_start = 1e-2,
+  the inward one where the WKB action of the tail past the turning
+  point of the bracket's shallow end reaches 12; each propagator entry
+  is a quadratic in the energy, tabulated once per run, and the
+  products need a power-of-two rescale only every sixth pass; the node
+  count samples the solution at the ends of 32-step blocks, the
+  products of the tree's first five passes; each level is one
+  Anderson-Bjorck (modified regula falsi) solve of the matching defect,
+  and the energy scan walks the Coulomb variable t = (2 |e|)^(-1/2) in
+  half steps, one table per energy window (1.01 e, 0.5 e) of its probes.
 
 Both eigensolvers compute in natural units (sqrt(hbar/(m omega)) and
 hbar omega, hbar^2/(m alpha) and m alpha^2/hbar^2), so the constants
@@ -621,30 +623,70 @@ class ShootingConfig:
         object.__setattr__(self, "energy_bracket", (lo, hi))
 
 
-_X_START = 1e-4            # start of the outward sweep, in units of hbar^2/(m alpha)
+_X_START = 1e-2            # start of the outward sweep, in units of hbar^2/(m alpha)
 _START_STEPS = 48          # RK4 steps in the first octave [x_start, 2 x_start]
+# WKB action of the inward sweep's tail, from the turning point of hi to
+# x_end; 15 moves no level n <= 100 by more than 1e-13 relative
+_TAIL_ACTION = 12.0
+_TAIL_NEWTON = 6           # Newton steps that place x_end
 # RK4 steps one sweep may take; the scan and the level solves for
-# n <= 100 take at most 8595
+# n <= 100 take at most 8257
 _MAX_STEPS = 2 ** 16
-# Deepest lower bracket end, in natural units.  The step rule keeps
-# h^2 |g| <= 0.0025, so a raw step propagator has diagonal entries below
-# 1.002, M01 below 1.001 h and M10 below 1.001 h |g| <= 0.0501 sqrt(G),
-# with G = 2/x_start + nu(1 - nu)/x_start^2 + 2|lo| the largest bound on
-# |g| of the run; lo >= -5e10 keeps that below 15,900.  On the octave
-# from a, h <= 0.05 sqrt(a/2), and the octave [a/2, a] before it takes
-# at least 20 sqrt(a) of the two sweeps' 2 _MAX_STEPS steps, so
-# a < 4.3e7 and h < 240.  Every raw entry is then below 2^14, the bound
-# _RESCALE_PERIOD rests on.  A bracket past -5e10 that the step cap
-# would pass has x_end - x_match <= 2^16 0.05/sqrt(2|lo|) < 0.011, so
-# hi < -7e6: it holds no level.
-_DEEPEST = 5e10
+# Deepest lower bracket end, in natural units.  _starts sums a series
+# that grows as e^(kappa x_start), to e^447 at lo = -1e9, well inside the
+# floats (e^709 would overflow).  The step rule keeps h^2 |g| <= 0.0025,
+# so a raw step propagator has diagonal entries below 1.002, M01 below
+# 1.001 h and M10 below 1.001 h |g| <= 0.0501 sqrt(G), with
+# G = 2/x_start + nu(1 - nu)/x_start^2 + 2|lo| the largest bound on |g|
+# of the run; lo >= -1e9 keeps that below 2,300.  On the octave from a,
+# h <= 0.05 sqrt(a/2), and the octave [a/2, a] before it takes at least
+# 20 sqrt(a) of the two sweeps' 2 _MAX_STEPS steps, so a < 4.3e7 and
+# h < 240.  Every raw entry is then below 2^14, the bound _RESCALE_PERIOD
+# rests on.
+_DEEPEST = 1e9
+
+
+def _tail_end(hi: float, ell: float) -> float:
+    """Where the inward sweep of a run with shallow end hi < 0 starts, in
+    natural units: the x past the turning point of hi at which the WKB
+    action reaches _TAIL_ACTION.
+
+    With k^2 = -2 hi and g = k^2 - 2/x - ell/x^2, the turning point is
+    x_t = (1 + root)/k^2, root = sqrt(1 + ell k^2), and the action
+    A(x) = int_{x_t}^x sqrt(g) is, with d = x - x_t and
+    R = x^2 g = k^2 d (x + ell/(1 + root)),
+
+        A(x) = sqrt(R) - acosh(1 + k^2 d/root)/k
+               - 2 sqrt(ell) asin(sqrt(ell d/(2 x_t x root))),
+
+    each term written in d, so that none is rounded out of its domain
+    near x_t.  The action is a property of the potential, like the
+    scan's t, not of any spectrum.  A is convex and increasing past x_t,
+    and from 2 x_t on g >= k^2 (x - x_t)/x >= k^2/2, so A >= _TAIL_ACTION
+    at 2 x_t + sqrt(2) _TAIL_ACTION/k.  _TAIL_NEWTON Newton steps from
+    there move down toward the root and do not pass it.
+    """
+    k2 = -2.0 * hi
+    k = math.sqrt(k2)
+    root = math.sqrt(1.0 + ell * k2)
+    x_t = (1.0 + root) / k2
+    x = 2.0 * x_t + math.sqrt(2.0) * _TAIL_ACTION / k
+    for _ in range(_TAIL_NEWTON):
+        d = x - x_t
+        r = math.sqrt(k2 * d * (x + ell / (1.0 + root)))
+        action = (r - math.acosh(1.0 + k2 * d / root) / k
+                  - 2.0 * math.sqrt(ell) * math.asin(math.sqrt(0.5 * ell * (d / x_t) / (x * root))))
+        x -= (action - _TAIL_ACTION) / (r / x)
+    return x
 
 
 def _octaves(run: _ShootingRun, lo_x: float, hi_x: float) -> tuple[list, list, list]:
     """Step length, step count and start of each octave of one sweep over
     [lo_x, hi_x].
 
-    Step doubles per octave of x (anchored at run.x_start) and is capped
+    Step doubles per octave of x, anchored at run.x_start, from
+    x_start/_START_STEPS on the first octave [x_start, 2 x_start]; the
+    series start leaves nothing nearer the origin to sweep.  It is capped
     so h times the largest local wavenumber stays below 0.05.  Raises
     ValueError, before any array is built, when the sweep would take
     more than _MAX_STEPS steps: the bracket is too shallow.
@@ -812,10 +854,15 @@ class _ShootingRun:
     m alpha^2/hbar^2 and lengths in hbar^2/(m alpha), where the equation
     is phi'' = (-2/x + nu(1 - nu)/x^2 - 2e) phi.  Only __init__ reads the
     constants: it divides the bracket by energy_unit, and mismatch and
-    nodes divide their eps by it.  Sweeps run out from x_start = _X_START,
-    first step x_start/_START_STEPS, and in from x_end, 42 decay lengths
-    past the turning point of hi, to x_match = max(0.6/sqrt(lo hi), 2 x_start).
-    A bracket with lo below -_DEEPEST is refused as too deep.
+    nodes divide their eps by it.  Sweeps run out from x_start = _X_START
+    on the x^nu series (see _starts), first step x_start/_START_STEPS, and
+    in from x_end, where the WKB action past the turning point of hi
+    reaches _TAIL_ACTION (see _tail_end), to
+    x_match = max(0.6/sqrt(lo hi), 2 x_start).  Both ends are set by the
+    potential and the error they leave, not by a spectrum: a longer tail
+    or a start nearer the origin moves no level by more than the RK4 step
+    error.  A bracket with lo below -_DEEPEST, or whose x_end does not
+    pass x_match (hi below about -2e5), is refused as too deep.
 
     Row 0 of the step table (h, and v = the e-free coefficient values)
     is the outward sweep x_start -> x_match, row 1 the inward sweep
@@ -834,12 +881,13 @@ class _ShootingRun:
         alpha = p.require_alpha()
         self.energy_unit = unit = p.mass * alpha * alpha / p.hbar ** 2
         self.bracket = lo, hi = tuple(end / unit for end in cfg.energy_bracket)
-        if not lo * hi > 0.0:
-            raise ValueError(f"energy bracket {cfg.energy_bracket} is too shallow: lo hi "
+        # then lo hi > 0, and x_match and x_end, about 1/|hi|, lie far inside the floats
+        if not hi * hi > 0.0:
+            raise ValueError(f"energy bracket {cfg.energy_bracket} is too shallow: hi^2 "
                              "underflows to 0 in units of m alpha^2/hbar^2")
         self.x_start = x_start = _X_START
         x_match = max(0.6 / math.sqrt(lo * hi), 2.0 * x_start)
-        self.x_end = 1.0 / abs(hi) + 42.0 / math.sqrt(-2.0 * hi)
+        self.x_end = _tail_end(hi, cfg.nu * (1.0 - cfg.nu))
         if not (x_start < x_match < self.x_end and -_DEEPEST <= lo):
             raise ValueError(f"energy bracket {cfg.energy_bracket} is too deep: need x_start < "
                              f"x_match < x_end and lo >= -{_DEEPEST:.0e} in natural units, "
@@ -863,24 +911,29 @@ class _ShootingRun:
 
     def _starts(self, e: float) -> np.ndarray:
         """Starting values at e: row 0 is phi, row 1 phi'; column 0 starts
-        the outward sweep at x_start, column 1 the inward sweep at x_end."""
-        # Power-series start of the x^nu branch.  The leading power alone
-        # leaks an x^(1-nu) admixture of order x_start^(2 nu), far too big
-        # for nu = 1/4.  Two correction terms leave one of order
-        # |c3| x_start^(2 nu + 2), and c3, the first term left out, grows
-        # with |e|: at nu = 1/4, e = -8 (level n = 0) that leak shifts the
-        # level by 5e-9 relative, a floor that three step halvings leave in
-        # place and that a third term, or x_start = 1e-5, removes.
+        the outward sweep at x_start, column 1 the inward sweep at x_end.
+
+        The outward start is the x^nu Frobenius solution, phi = x^nu sum
+        c_k x^k with c_0 = 1 and c_k = -2 (c_(k-1) + e c_(k-2)) /
+        (k (k + 2 nu - 1)), summed until two terms in a row fall below
+        half an ulp of the sum, so no x^(1 - nu) part leaks in.  It is
+        scaled to phi = 1, as the inward start is: the sum grows to about
+        e^(kappa x_start), e^447 at e = -_DEEPEST.  The inward start has
+        the decaying WKB slope phi'/phi = -kappa + 1/(kappa x_end).
+        """
         nu = self.cfg.nu
         x0 = self.x_start
-        c1 = -1.0 / nu
-        c2 = -(c1 + e) / (2.0 * nu + 1.0)
-        phi0 = x0 ** nu * (1.0 + x0 * (c1 + x0 * c2))
-        dphi0 = x0 ** (nu - 1.0) * (nu + x0 * ((nu + 1.0) * c1
-                                               + x0 * (nu + 2.0) * c2))
+        term, before = 1.0, 0.0            # c_k x0^k and c_(k-1) x0^(k-1)
+        total, weighted = 1.0, nu          # sum c_k x0^k and sum (nu + k) c_k x0^k
+        k = 0
+        while abs(term) + abs(before) > 0.5 * sys.float_info.epsilon * abs(total):
+            k += 1
+            term, before = -2.0 * x0 * (term + e * x0 * before) / (k * (k + 2.0 * nu - 1.0)), term
+            total += term
+            weighted += (nu + k) * term
         kappa = math.sqrt(-2.0 * e)
-        slope = -kappa + 1.0 / (kappa * self.x_end)
-        return np.array([[phi0, 1.0], [dphi0, slope]])
+        return np.array([[1.0, 1.0],
+                         [weighted / (x0 * total), -kappa + 1.0 / (kappa * self.x_end)]])
 
     def mismatch(self, eps: float) -> float:
         """Scaled Wronskian of the outward and inward solutions at x_match.

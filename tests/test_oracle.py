@@ -17,20 +17,21 @@ from anyon1d.core import NU_VALUES, ConvergenceError, Grid, PhysicalParams
 
 UNIT = PhysicalParams(1.0, 1.0, alpha=1.0, omega=1.0)
 
-# Shooting eigenvalues with mass = hbar = alpha = 1, n = 0..12, as the
-# scalar step-by-step RK4 integrator gave them before the propagator
-# products replaced it.
+# Shooting eigenvalues with mass = hbar = alpha = 1, n = 0..12: the
+# plain bisection of _rk4_reference, a scalar step-by-step RK4 sweep, on
+# each level's own run (series start at x_start = 1e-2, inward tail to
+# WKB action 12).
 SHOOTING_LEVELS = {
-    0.25: [-8.000000528788707, -0.32000000409651824, -0.09876543232829946,
-           -0.04733727790885933, -0.027681660643262888, -0.018140589343927226,
-           -0.012799999816707708, -0.009512484980325392, -0.007346189029460052,
-           -0.005843681406183987, -0.0047590718863550485, -0.003950617201717544,
-           -0.003331944950413749],
-    0.75: [-0.8888888887609462, -0.16326530559041585, -0.06611570192190028,
-           -0.0355555550978283, -0.022160664478748135, -0.01512287307807822,
-           -0.010973936689907895, -0.008324661634867102, -0.006530612103790436,
-           -0.005259697451513502, -0.0043266629607003814, -0.003621548125722652,
-           -0.003075740025513468],
+    0.25: [-8.000000053323442, -0.31999999953323743, -0.0987654315672489,
+           -0.04733727760245432, -0.02768166050852798, -0.018140589268850794,
+           -0.012799999761125839, -0.009512484949655134, -0.007346189005170405,
+           -0.005843681388402511, -0.0047590718732052825, -0.003950617190952991,
+           -0.003331944942625684],
+    0.75: [-0.8888888883183748, -0.1632653055122249, -0.06611570186176663,
+           -0.03555555509262396, -0.022160664464079383, -0.01512287307598758,
+           -0.010973936691579544, -0.008324661643762662, -0.006530612106028068,
+           -0.005259697452249684, -0.004326662961730251, -0.0036215481274849857,
+           -0.003075740026668652],
 }
 
 
@@ -1003,7 +1004,7 @@ def test_shooting_rejects_a_too_deep_bracket():
 
 def test_shooting_rejects_a_too_shallow_bracket():
     # With unit constants both sweeps reach x ~ alpha/|hi|: this bracket
-    # would plan 480,163 outward and 324,599 inward RK4 steps.
+    # would plan 484,422 outward and 332,692 inward RK4 steps.
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"too shallow"):
@@ -1012,7 +1013,7 @@ def test_shooting_rejects_a_too_shallow_bracket():
 
 
 @pytest.mark.parametrize("consts, bracket, message", [
-    # lo * hi underflows to 0
+    # hi^2 underflows to 0
     ((1.0, 1.0, 1.0), (-1e-300, -1e-301), "too shallow"),
     # over the energy unit 1e100 both ends underflow to 0
     ((1e100, 1.0, 1.0), (-1e-300, -1e-301), "too shallow"),
@@ -1020,6 +1021,8 @@ def test_shooting_rejects_a_too_shallow_bracket():
     ((1e-100, 1.0, 1.0), (-1e300, -1e299), "too deep"),
     # 2 lo, the deepest coefficient of the steps, overflows
     ((1.0, 1.0, 1.0), (-1e308, -1.0), "too deep"),
+    # hi^2 underflows to 0 while lo hi does not: x_end would pass 1e170
+    ((1.0, 1.0, 1.0), (-1.0, -1e-170), "too shallow"),
 ])
 def test_shooting_refuses_a_bracket_outside_the_floats(consts, bracket, message):
     mass, hbar, alpha = consts
@@ -1029,6 +1032,22 @@ def test_shooting_refuses_a_bracket_outside_the_floats(consts, bracket, message)
         oracle.shoot_anyon_energy(oracle.ShootingConfig(0.25, bracket), p, 0)
     assert str(bracket) in str(refused.value)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("hi", [-2e5, -10.9, -1.3, -0.5, -3.2e-3, -4.9e-5, -7.25e-7])
+def test_tail_end_is_where_the_wkb_action_reaches_its_target(hi):
+    # From the deep edge of the domain to its shallow one, the action
+    # int sqrt(g) dx from the turning point of hi to x_end, by mpmath's
+    # quadrature, is the target (measured: within 1.2e-11).
+    mpmath = pytest.importorskip("mpmath")
+    ell = 0.25 * 0.75
+    x_end = oracle._tail_end(hi, ell)
+    with mpmath.workdps(30):
+        k2 = -2 * mpmath.mpf(hi)
+        x_t = (1 + mpmath.sqrt(1 + ell * k2)) / k2
+        action = mpmath.quad(lambda x: mpmath.sqrt(k2 - 2 / x - ell / x ** 2),
+                             [x_t, (x_t + x_end) / 2, x_end])
+    assert abs(action - oracle._TAIL_ACTION) <= 1e-9 * oracle._TAIL_ACTION
 
 
 def _plain_bisection(cfg, p):
@@ -1213,9 +1232,9 @@ def test_sparse_rescaling_changes_no_bit(nu, mass, hbar, alpha):
 
 @pytest.mark.parametrize("bracket, width", [
     # deepest: lo at -_DEEPEST, hi just short of x_match >= x_end
-    ((-5e10, -2.2e10), 633),
+    ((-1e9, -2e5), 8945),
     # shallowest: 1 percent shallower needs more than _MAX_STEPS = 65536 steps
-    ((-7.5e-7, -7.43e-7), 65515)],
+    ((-7.4e-7, -7.25e-7), 65490)],
     ids=["deepest", "shallowest"])
 def test_raw_propagator_entries_stay_below_2_to_the_14(bracket, width):
     # _RESCALE_PERIOD = 6 rests on raw entries below 2^14 on every
@@ -1323,13 +1342,18 @@ def test_shooting_far_from_unit_constants(mass, hbar, alpha):
 
 
 def test_shooting_table_is_as_wide_as_the_longer_sweep():
+    # The shorter sweep is padded: the outward one on the deepest levels,
+    # the inward one from n = 6 on; at nu = 3/4, n = 5 they are as long.
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    longer = set()
     for nu in NU_VALUES:
         for bracket in oracle.scan_level_brackets(nu, p, 20)[::5]:
             run = oracle._ShootingRun(oracle.ShootingConfig(nu, bracket), p)
             steps = np.count_nonzero(run.h, axis=1)
             assert run.h.shape == (2, max(steps))
-            assert min(steps) < max(steps)
+            if steps[0] != steps[1]:
+                longer.add(int(np.argmax(steps)))
+    assert longer == {0, 1}
 
 
 def _steps_by_octave(run, lo_x, hi_x):
@@ -1424,13 +1448,76 @@ def test_shooting_checks_node_count():
 
 
 def test_shooting_start_point_insensitivity(monkeypatch):
-    # Halving the start point halves the first step with it.
+    # Halving the start point halves the first step with it; the level
+    # moves by the RK4 error of the octave it adds (measured: 3.0e-9).
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     cfg = _level_config(0.25, 0)
     eps = oracle.shoot_anyon_energy(cfg, p, 0)
     monkeypatch.setattr(oracle, "_X_START", 0.5 * oracle._X_START)
     eps_halved = oracle.shoot_anyon_energy(cfg, p, 0)
-    assert abs(eps_halved - eps) <= 1e-6 * abs(eps)
+    assert abs(eps_halved - eps) <= 1e-8 * abs(eps)
+
+
+@pytest.mark.parametrize("nu", NU_VALUES)
+def test_series_start_is_the_x_to_the_nu_solution(nu):
+    # The x^nu solution of phi'' = (-2/x - nu(1 - nu)/x^2 - 2e) phi is the
+    # Whittaker function M_(1/kappa, nu - 1/2)(2 kappa x), kappa^2 = -2e,
+    # so the outward start phi'/phi matches it at probes from the scan's
+    # deepest (-10.8) to its shallowest at n_max = 100.
+    mpmath = pytest.importorskip("mpmath")
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    x = mpmath.mpf(oracle._X_START)
+    with mpmath.workdps(40):
+        for e in (-10.8, -8.0, -3.1, -0.9, -0.32, -0.05, -3e-3, -1e-4, -1e-5):
+            # the run the scan builds at a probe e
+            start = oracle._ShootingRun(oracle.ShootingConfig(nu, (1.01 * e, 0.5 * e)),
+                                        p)._starts(e)
+            kappa = mpmath.sqrt(-2 * mpmath.mpf(e))
+
+            def phi(y):
+                return mpmath.whitm(1 / kappa, nu - mpmath.mpf(1) / 2, 2 * kappa * y)
+            want = mpmath.diff(phi, x) / phi(x)
+            got = start[1, 0] / start[0, 0]
+            assert abs(got - want) <= 1e-13 * abs(want), e
+
+
+BUDGET_LEVELS = (0, 1, 2, 3, 5, 8, 12, 20, 30, 50, 70, 100)
+BUDGET_CASES = [(nu, consts) for consts in ((1.0, 1.0, 1.0), (2.5, 0.3, 1.7))
+                for nu in NU_VALUES]
+BUDGET_IDS = [f"{nu}-{m},{hbar},{alpha}" for nu, (m, hbar, alpha) in BUDGET_CASES]
+
+
+def _budget_solves(nu, consts):
+    """The configs of the levels n in BUDGET_LEVELS at nu and the
+    constants (m, hbar, alpha), from one scan, and a solve of them all."""
+    p = PhysicalParams(*consts[:2], alpha=consts[2])
+    brackets = oracle.scan_level_brackets(nu, p, max(BUDGET_LEVELS))
+    configs = [oracle.ShootingConfig(nu, brackets[n]) for n in BUDGET_LEVELS]
+    return p, configs, lambda: [oracle.shoot_anyon_energy(cfg, p, n)
+                                for n, cfg in zip(BUDGET_LEVELS, configs)]
+
+
+@pytest.mark.parametrize("nu, consts", BUDGET_CASES, ids=BUDGET_IDS)
+def test_tail_action_target_is_past_the_error_budget(nu, consts, monkeypatch):
+    # A longer tail moves no level: the action, not a count of decay
+    # lengths, sets the tail (measured: at most 4.1e-15; 28 decay lengths
+    # moved n = 100 by 3.2e-10).
+    _, _, solve = _budget_solves(nu, consts)
+    default = solve()
+    monkeypatch.setattr(oracle, "_TAIL_ACTION", 1.25 * oracle._TAIL_ACTION)
+    for n, a, b in zip(BUDGET_LEVELS, default, solve()):
+        assert abs(b - a) <= 1e-13 * abs(a), n
+
+
+@pytest.mark.parametrize("nu, consts", BUDGET_CASES, ids=BUDGET_IDS)
+def test_shot_levels_are_within_their_error_budget(nu, consts):
+    # What is left is the RK4 step error: the two-term start at
+    # x_start = 1e-4 put nu = 1/4, n = 0 6.6e-8 off (measured now: at most
+    # 2.9e-8, at n = 100).
+    p, _, solve = _budget_solves(nu, consts)
+    for n, got in zip(BUDGET_LEVELS, solve()):
+        expected = anyon.energy(n, nu, p)
+        assert abs(got - expected) <= 3.5e-8 * abs(expected), n
 
 
 def test_shooting_is_deterministic():
