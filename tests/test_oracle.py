@@ -1488,21 +1488,20 @@ BUDGET_IDS = [f"{nu}-{m},{hbar},{alpha}" for nu, (m, hbar, alpha) in BUDGET_CASE
 
 
 def _budget_solves(nu, consts):
-    """The configs of the levels n in BUDGET_LEVELS at nu and the
-    constants (m, hbar, alpha), from one scan, and a solve of them all."""
+    """The constants (m, hbar, alpha) as PhysicalParams, and a solve of
+    the levels n in BUDGET_LEVELS at nu on the brackets of one scan."""
     p = PhysicalParams(*consts[:2], alpha=consts[2])
     brackets = oracle.scan_level_brackets(nu, p, max(BUDGET_LEVELS))
-    configs = [oracle.ShootingConfig(nu, brackets[n]) for n in BUDGET_LEVELS]
-    return p, configs, lambda: [oracle.shoot_anyon_energy(cfg, p, n)
-                                for n, cfg in zip(BUDGET_LEVELS, configs)]
+    return p, lambda: [oracle.shoot_anyon_energy(oracle.ShootingConfig(nu, brackets[n]), p, n)
+                       for n in BUDGET_LEVELS]
 
 
 @pytest.mark.parametrize("nu, consts", BUDGET_CASES, ids=BUDGET_IDS)
 def test_tail_action_target_is_past_the_error_budget(nu, consts, monkeypatch):
     # A longer tail moves no level: the action, not a count of decay
     # lengths, sets the tail (measured: at most 4.1e-15; 28 decay lengths
-    # moved n = 100 by 3.2e-10).
-    _, _, solve = _budget_solves(nu, consts)
+    # moved n = 100 by up to 3.2e-10).
+    _, solve = _budget_solves(nu, consts)
     default = solve()
     monkeypatch.setattr(oracle, "_TAIL_ACTION", 1.25 * oracle._TAIL_ACTION)
     for n, a, b in zip(BUDGET_LEVELS, default, solve()):
@@ -1511,10 +1510,10 @@ def test_tail_action_target_is_past_the_error_budget(nu, consts, monkeypatch):
 
 @pytest.mark.parametrize("nu, consts", BUDGET_CASES, ids=BUDGET_IDS)
 def test_shot_levels_are_within_their_error_budget(nu, consts):
-    # What is left is the RK4 step error: the two-term start at
-    # x_start = 1e-4 put nu = 1/4, n = 0 6.6e-8 off (measured now: at most
-    # 2.9e-8, at n = 100).
-    p, _, solve = _budget_solves(nu, consts)
+    # What is left is the RK4 step error (measured: at most 2.9e-8, at
+    # n = 100); the two-term start at x_start = 1e-4 left nu = 1/4, n = 0
+    # 6.6e-8 off.
+    p, solve = _budget_solves(nu, consts)
     for n, got in zip(BUDGET_LEVELS, solve()):
         expected = anyon.energy(n, nu, p)
         assert abs(got - expected) <= 3.5e-8 * abs(expected), n
