@@ -99,6 +99,33 @@ def test_finite_range_quadrature_is_bit_identical(f, recorded):
     assert oracle.quadrature(f, 0.0, 1.0, tol=1e-12) == recorded
 
 
+@pytest.mark.parametrize("a, b", [(-1.0, 2.0), (0.5, math.inf)], ids=["finite", "half_line"])
+def test_each_cell_of_a_round_gets_the_bits_it_gets_alone(a, b, monkeypatch):
+    # _gk15 sums every cell of a round in the same node order, so a cell's
+    # value and estimate do not depend on the other cells it is sent with.
+    maps = []
+    gk15 = oracle._gk15
+
+    def spy(F, to_x, lo, hi):
+        maps.append(to_x)
+        return gk15(F, to_x, lo, hi)
+
+    def F(x):
+        return np.exp(-x * x) * np.cos(3.0 * x) + 1.0 / (1.0 + x * x)
+
+    monkeypatch.setattr(oracle, "_gk15", spy)
+    oracle.integrate(F, a, b)
+    # 40 cells of growing width over the range the map reads: x or t in [0, 1]
+    t_lo, t_hi = (a, b) if math.isfinite(b) else (0.0, 1.0)
+    cuts = t_lo + (t_hi - t_lo) * np.linspace(0.0, 1.0, 41) ** 2
+    lo, hi = cuts[:-1], cuts[1:]
+    val, err = gk15(F, maps[0], lo, hi)
+    for i in range(40):
+        alone = gk15(F, maps[0], lo[i:i + 1], hi[i:i + 1])
+        assert (alone[0].tobytes(), alone[1].tobytes()) == (val[i:i + 1].tobytes(),
+                                                            err[i:i + 1].tobytes()), i
+
+
 @pytest.mark.parametrize("ends, finite_end, length", [
     ((0.0, math.inf), 0.0, 1.0), ((3.0, math.inf), 3.0, 7.0),
     ((-math.inf, 0.0), 0.0, 1.0), ((-math.inf, -2.5), -2.5, 6.0)],
@@ -421,6 +448,20 @@ def test_integrate_refuses_an_integrand_of_the_wrong_shape():
         oracle.integrate(lambda t: 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="one value per point"):
         oracle.integrate(lambda t: np.ones(2), 0.0, math.inf)
+
+
+@pytest.mark.parametrize("integrate, f", [
+    (oracle.integrate, lambda x: np.exp(1j * x)),
+    (oracle.quadrature, lambda t: complex(t, 1.0))],
+    ids=["integrate", "quadrature"])
+def test_a_complex_integrand_is_refused_by_name(integrate, f):
+    # integrate() used to return the integral of the real part with only
+    # a ComplexWarning, and quadrature() raised TypeError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^integrand must return real values, got "
+                                             r"complex128 values such as \(.*j\) at x = 0\.\d+$"):
+            integrate(f, 0.0, 1.0)
 
 
 def test_ode_residual_reference_state():
@@ -1009,6 +1050,18 @@ def test_shooting_rejects_a_too_shallow_bracket():
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"too shallow"):
         oracle.shoot_anyon_energy(oracle.ShootingConfig(0.25, (-2e-8, -1e-8)), p, 0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_shooting_names_a_bracket_too_wide_for_its_shallow_end():
+    # hi = -0.5 is an ordinary level energy, and a narrow bracket ending
+    # there plans at most 385 steps a sweep; lo = -1e6 caps the step at
+    # 0.05/sqrt(2e6), so the inward sweep would take 467,649.
+    p = PhysicalParams(1.0, 1.0, alpha=1.0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^energy bracket \(-1000000\.0, -0\.5\) is too wide: "
+                                         r"its lower end sets the RK4 step"):
+        oracle.shoot_anyon_energy(oracle.ShootingConfig(0.25, (-1e6, -0.5)), p, 0)
     assert time.perf_counter() - start < 1.0
 
 

@@ -578,6 +578,20 @@ def _identity_residuals_one_point_at_a_time():
     return [dup, link, transform, asymptotic, cross, phase]
 
 
+def test_identities_suite_makes_one_kummer_series_call_per_row(monkeypatch):
+    calls = []
+
+    def counted(a, b, y):
+        calls.append((a, b, y))
+        return kummer_series(a, b, y)
+
+    monkeypatch.setattr(specfun, "kummer_series", counted)
+    verification.suite_identities()
+    # the Hermite link, the Kummer transformation, the large-y series and
+    # the Laguerre cross-check
+    assert len(calls) == 4
+
+
 def test_identities_suite_equals_its_one_point_loops():
     rows = verification.suite_identities()
     assert {r.check_name: r.residual for r in rows} == IDENTITY_RESIDUALS
