@@ -68,21 +68,17 @@ _WGK = (
     0.14065325971552592, 0.16900472663926790, 0.19035057806478540,
     0.20443294007529889, 0.20948214108472782,
 )
+# Gauss weights at the abscissas of _XGK, 0 where the node is Kronrod's only
 _WG = (
-    0.12948496616886969, 0.27970539148927664, 0.38183005050511894,
-    0.41795918367346939,
+    0.0, 0.12948496616886969, 0.0, 0.27970539148927664,
+    0.0, 0.38183005050511894, 0.0, 0.41795918367346939,
 )
 
-# full symmetric tables: node, kronrod weight, gauss weight (0 if unused)
-_NODES: list[tuple[float, float, float]] = []
-for _i, _x in enumerate(_XGK):
-    _wg = _WG[(_i - 1) // 2] if _i % 2 == 1 else 0.0
-    if _x == 0.0:
-        _NODES.append((0.0, _WGK[_i], _WG[-1]))
-    else:
-        _NODES.append((_x, _WGK[_i], _wg))
-        _NODES.append((-_x, _WGK[_i], _wg))
-_NODE_X = np.array([_x for _x, _, _ in _NODES])
+# the 15 nodes in summation order, +x and -x for each abscissa and then
+# 0, with their Kronrod and Gauss weights
+_NODE_X = np.repeat(_XGK, 2)[:15] * np.resize((1.0, -1.0), 15)
+_KRONROD_W = np.repeat(_WGK, 2)[:15]
+_GAUSS_W = np.repeat(_WG, 2)[:15]
 
 _GRADE_DEPTH = 28          # dyadic grading depth toward each finite endpoint
 _FAR_DEPTH = 8             # dyadic grading depth toward the infinite end of a half-line
@@ -104,12 +100,17 @@ def _caller_cell(x_lo: float, x_hi: float) -> str:
 
 
 def _evaluate(F, x: np.ndarray) -> np.ndarray:
-    """F at the 1-d float array x, as one float per point."""
-    v = np.asarray(F(x), dtype=float)
+    """F at the 1-d float array x, as one float per point; values of the
+    wrong shape or complex ones raise ValueError."""
+    v = np.asarray(F(x))
     if v.shape != x.shape:
         raise ValueError(f"integrand must return one value per point: "
                          f"got shape {v.shape} for {x.size} points")
-    return v
+    if v.dtype.kind == "c":
+        first = int(np.argmax(v.imag != 0.0))
+        raise ValueError(f"integrand must return real values, got {v.dtype} values "
+                         f"such as {complex(v[first])!r} at x = {float(x[first])!r}")
+    return np.asarray(v, dtype=float)
 
 
 def _gk15(F, to_x, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,9 +119,10 @@ def _gk15(F, to_x, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     to_x(c, d) maps the points t = c + d, cell midpoints c and offsets d
     passed apart, to the caller's x and gives the weights dx/dt; each
-    node's value is F(x) times its weight.  Each cell is summed node by
-    node in _NODES order, so its value and estimate do not depend on the
-    other cells of the round.  Raises ConvergenceError for the first cell
+    node's value is F(x) times its weight.  Each rule is one cumsum, which
+    adds each cell's nodes in _NODE_X order, so a cell's value and
+    estimate do not depend on the other cells of the round.  Raises
+    ConvergenceError for the first cell
     whose outermost nodes do not map strictly inside it, so no endpoint
     is ever evaluated; ValueError naming the first cell with a weight
     past _RANGE_LIMIT, before F is called; and ValueError naming the
@@ -150,14 +152,11 @@ def _gk15(F, to_x, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
             f"{_RANGE_LIMIT:.6g}, half the largest float, on the quadrature cell "
             f"{_caller_cell(x_lo[first], x_hi[first])}")
     v = _evaluate(F, x.ravel()).reshape(x.shape)
-    acc_k = np.zeros(len(lo))
-    acc_g = np.zeros(len(lo))
     with np.errstate(over="ignore", invalid="ignore"):
         v = v * weight
-        for j, (_, wk, wg) in enumerate(_NODES):
-            acc_k += wk * v[:, j]
-            if wg:
-                acc_g += wg * v[:, j]
+        # + 0.0 turns a sum of -0.0 terms into 0.0, as a sum from 0.0 gives
+        acc_k = (v * _KRONROD_W).cumsum(axis=1)[:, -1] + 0.0
+        acc_g = (v * _GAUSS_W).cumsum(axis=1)[:, -1]
         bad = ~np.isfinite(acc_k)
         if bad.any():
             first = int(np.argmax(bad))
@@ -305,7 +304,7 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     math.exp (the perfbench oracle_solve norm integrand is one); an
     array integrand should call integrate() directly.
     """
-    return integrate(lambda ts: np.array([f(t) for t in ts.tolist()], dtype=float), a, b, tol)
+    return integrate(lambda ts: np.array([f(t) for t in ts.tolist()]), a, b, tol)
 
 
 def ode_residual(xs, values, potential, epsilon: float, p: PhysicalParams) -> float:
@@ -680,21 +679,21 @@ def _tail_end(hi: float, ell: float) -> float:
     return x
 
 
-def _octaves(run: _ShootingRun, lo_x: float, hi_x: float) -> tuple[list, list, list]:
+def _octaves(run: _ShootingRun, lo_x: float, hi_x: float,
+             deep: float) -> tuple[list, list, list]:
     """Step length, step count and start of each octave of one sweep over
-    [lo_x, hi_x].
+    [lo_x, hi_x], for a bracket whose deep end is deep < 0.
 
     Step doubles per octave of x, anchored at run.x_start, from
     x_start/_START_STEPS on the first octave [x_start, 2 x_start]; the
     series start leaves nothing nearer the origin to sweep.  It is capped
-    so h times the largest local wavenumber stays below 0.05.  Raises
-    ValueError, before any array is built, when the sweep would take
-    more than _MAX_STEPS steps: the bracket is too shallow.
+    so h times the largest local wavenumber, at energy deep, stays below
+    0.05.  Only the lists are built, one entry per octave, so a sweep
+    of any length is planned at once.
     """
     vcoef = run.cfg.nu * (1.0 - run.cfg.nu)  # identical for both nu branches
-    g_energy = 2.0 * abs(run.bracket[0])
+    g_energy = 2.0 * abs(deep)
     steps, counts, starts = [], [], []
-    total = 0
     a = lo_x
     j = max(0, int(math.floor(math.log2(lo_x / run.x_start))))
     while a < hi_x:
@@ -705,11 +704,6 @@ def _octaves(run: _ShootingRun, lo_x: float, hi_x: float) -> tuple[list, list, l
         g_bound = 2.0 / a + vcoef / (a * a) + g_energy
         h = min(run.x_start / _START_STEPS * 2.0 ** j, 0.05 / math.sqrt(g_bound))
         m = max(1, int(math.ceil((edge - a) / h)))
-        total += m
-        if total > _MAX_STEPS:
-            raise ValueError(
-                f"energy bracket {run.cfg.energy_bracket} is too shallow: a sweep to "
-                f"x = {hi_x:.6g} hbar^2/(m alpha) needs more than {_MAX_STEPS} RK4 steps")
         steps.append((edge - a) / m)
         counts.append(m)
         starts.append(a)
@@ -728,13 +722,17 @@ def _steps(run: _ShootingRun, x_match: float) -> np.ndarray:
     natural units; an inward step runs from its end back to its start.
     _octaves fixes each octave's step count m and length h; the steps of
     both sweeps are then built in one array pass, step k of the octave
-    starting at a running from a + h k to a + h (k + 1).
+    starting at a running from a + h k to a + h (k + 1).  Raises
+    ValueError, before any array is built, when a sweep would take more
+    than _MAX_STEPS steps (see _too_long).
     """
     vcoef = run.cfg.nu * (1.0 - run.cfg.nu)
-    out = _octaves(run, run.x_start, x_match)
-    inward = _octaves(run, x_match, run.x_end)
-    steps, counts, starts = (o + i for o, i in zip(out, inward))
+    out = _octaves(run, run.x_start, x_match, run.bracket[0])
+    inward = _octaves(run, x_match, run.x_end, run.bracket[0])
     n_out, n_in = sum(out[1]), sum(inward[1])
+    if max(n_out, n_in) > _MAX_STEPS:
+        raise ValueError(_too_long(run, x_match if n_out > _MAX_STEPS else run.x_end))
+    steps, counts, starts = (o + i for o, i in zip(out, inward))
     h = np.repeat(steps, counts)
     a = np.repeat(starts, counts)
     k = np.arange(n_out + n_in) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -747,6 +745,21 @@ def _steps(run: _ShootingRun, x_match: float) -> np.ndarray:
     table[0, 1, :n_in] = -h[n_out:][::-1]
     table[1:, 1, :n_in] = v[::-1, n_out:][..., ::-1]
     return table
+
+
+def _too_long(run: _ShootingRun, hi_x: float) -> str:
+    """Why a sweep of run to x = hi_x needs more than _MAX_STEPS steps:
+    too wide if the narrowest bracket ending at hi, whose step hi sets,
+    would fit, else too shallow (the sweeps reach about 1/|hi|)."""
+    hi = run.bracket[1]
+    x_match = max(0.6 / -hi, 2.0 * run.x_start)
+    narrow = (_octaves(run, run.x_start, x_match, hi), _octaves(run, x_match, run.x_end, hi))
+    sweep = f"a sweep to x = {hi_x:.6g} hbar^2/(m alpha) needs more than {_MAX_STEPS} RK4 steps"
+    if max(sum(counts) for _, counts, _ in narrow) <= _MAX_STEPS:
+        return (f"energy bracket {run.cfg.energy_bracket} is too wide: its lower end sets the "
+                f"RK4 step, and {sweep}, where a narrower bracket ending at "
+                f"{run.cfg.energy_bracket[1]} would fit")
+    return f"energy bracket {run.cfg.energy_bracket} is too shallow: {sweep}"
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1047,10 +1060,10 @@ def shoot_anyon_energy(cfg: ShootingConfig, p: PhysicalParams, n: int) -> float:
     cfg.energy_bracket to relative width _SHOOTING_TOL by the
     Anderson-Bjorck method (see _anderson_bjorck), and then verifies the
     converged shape has exactly n interior nodes.  Raises ValueError
-    when the bracket is too deep for the geometry, too shallow for
-    _MAX_STEPS steps per sweep, or does not straddle a sign change, and
-    ConvergenceError when the search does not converge or the node count
-    disagrees with n.
+    when the bracket is too deep for the geometry, too shallow or too
+    wide for _MAX_STEPS steps per sweep, or does not straddle a sign
+    change, and ConvergenceError when the search does not converge or
+    the node count disagrees with n.
     """
     n = check_index(n, "node count n")
     run = _ShootingRun(cfg, p)

@@ -8,9 +8,11 @@ or in decimals; where the float sum loses too many digits to
 cancellation (alternating series at negative argument) the same loop is
 re-run on those points in 60-digit decimal arithmetic, so callers get
 close to full double precision or an error.  log_gamma, kummer_series,
-duplication_residual, hermite_kummer_residual, laguerre and hermite take
-one number or an array, and each point of an array gets the bits it
-gets alone.
+duplication_residual, laguerre and hermite take one number or an array,
+and each point of an array gets the bits it gets alone, so a caller
+checks an identity on many parameter sets with one call (the Hermite
+link H_(2n+2s)(sqrt y) ~ F(-n, 2s + 1/2, y) of verification's
+identities suite is one kummer_series call on a column of (a, b)).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .core import ConvergenceError, check_index, check_number, check_points, make_state
+from .core import ConvergenceError, check_index, check_number, check_points
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
@@ -537,25 +539,3 @@ def _scaled_recurrence(coefficients, x, log_start):
     half = np.exp(0.5 * (log_start + rescales * _LN_BIG))
     return cur * half * half
 
-
-def hermite_kummer_residual(n: int, s: float, y):
-    """Defect of the closed-form link between Hermite and confluent values.
-
-    Evaluates |H_{2n+2s}(sqrt y) - (-1)^n ((2n+2s)!/n!) (2 sqrt y)^(2s)
-    F(-n, 2s + 1/2, y)| for s = 0 or 1/2 at finite y > 0, one number or
-    an array (see core.check_points); one number gives a float.
-    ValueError names the first y outside that domain or where the
-    Hermite recurrence overflows; ConvergenceError the first where the
-    series terms do (see hermite and kummer_series).
-    """
-    state = make_state(n, s)
-    y, scalar = check_points(y, "argument y", 0.0, open_low=True)
-    root = math.sqrt(y) if scalar else np.sqrt(y)
-    lhs = hermite(state.N, root)
-    pref = math.factorial(state.N) / math.factorial(state.n)
-    if state.n % 2:
-        pref = -pref
-    if state.s == 0.5:
-        pref *= 2.0 * root
-    rhs = pref * kummer_series(-float(state.n), 2.0 * state.s + 0.5, y)
-    return abs(lhs - rhs)

@@ -31,12 +31,17 @@ def suite_identities() -> list[VerificationReport]:
     out.append(VerificationReport("gamma duplication, 1e4 random z in (0, 50]", worst, 1e-12))
 
     ys = np.linspace(0.25, 25.0, 100)
-    worst = 0.0
-    for n in range(11):
-        for s in S_VALUES:
-            scale = np.abs(specfun.hermite(make_state(n, s).N, np.sqrt(ys)))
-            r = specfun.hermite_kummer_residual(n, s, ys)
-            worst = max(worst, np.max(r / np.maximum(scale, 1.0)))
+    states = [make_state(n, s) for n in range(11) for s in S_VALUES]
+    # H_N(sqrt y) = (-1)^n (N!/n!) (2 sqrt y)^(2s) F(-n, 2s + 1/2, y), in one
+    # call: a column of (a, b) = (-n, 2s + 1/2) against the row ys
+    a, b, pref, s = np.array([(-float(st.n), 2.0 * st.s + 0.5,
+                               math.factorial(st.N) / math.factorial(st.n) * (-1.0) ** st.n, st.s)
+                              for st in states]).T[:, :, None]
+    root = np.sqrt(ys)
+    lhs = np.array([specfun.hermite(st.N, root) for st in states])
+    # (2 sqrt y)^(2s) is 1 or 2 sqrt y, exactly
+    rhs = pref * np.where(s == 0.5, 2.0 * root, 1.0) * specfun.kummer_series(a, b, ys)
+    worst = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0))
     out.append(VerificationReport("Hermite vs confluent closed form, n <= 10, y in (0, 25]",
                                   worst, 1e-9))
 

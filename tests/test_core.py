@@ -320,8 +320,6 @@ INDEX_PARAMETERS = {
         lambda v: specfun.log_kummer_polynomial(v, 0.5, 1.5), "n", 2),
     "specfun.laguerre.n": (lambda v: specfun.laguerre(v, 1.0, 1.5), "degree n", 2),
     "specfun.hermite.N": (lambda v: specfun.hermite(v, 1.5), "degree N", 2),
-    "specfun.hermite_kummer_residual.n": (
-        lambda v: specfun.hermite_kummer_residual(v, 0.5, 1.5), "radial index n", 2),
     "oracle.fd_oscillator_spectrum.points": (
         lambda v: oracle.fd_oscillator_spectrum(_UNIT_OMEGA, 8.0, v, 2), "point count", 100),
     "oracle.fd_oscillator_spectrum.count": (
@@ -368,8 +366,6 @@ LABEL_PARAMETERS = {
         lambda v: duality.constant_equality_residual(2, v), "nu", 0.75),
     "duality.reduction_chain_residual.s": (
         lambda v: duality.reduction_chain_residual(2, v, _dual(2, 0.75), _CHAIN_GRID), "s", 0.5),
-    "specfun.hermite_kummer_residual.s": (
-        lambda v: specfun.hermite_kummer_residual(2, v, 1.5), "s", 0.5),
     "oracle.ShootingConfig.nu": (lambda v: oracle.ShootingConfig(v, (-10.0, -4.0)), "nu", 0.75),
     "oracle.shooting_config_for_level.nu": (
         lambda v: oracle.shooting_config_for_level(v, _ANYON, 0, (-10.0, -4.0)), "nu", 0.75),

@@ -16,7 +16,6 @@ from anyon1d.core import NU_VALUES, S_VALUES, ConvergenceError, PhysicalParams, 
 from anyon1d.specfun import (
     duplication_residual,
     hermite,
-    hermite_kummer_residual,
     kummer_asymptotic,
     kummer_series,
     laguerre,
@@ -319,10 +318,22 @@ def test_reference_polynomials_take_any_finite_real():
                         rel_tol=1e-13)
 
 
+def _hermite_link_defect(n, s, y):
+    """|H_N(sqrt y) - (-1)^n (N!/n!) (2 sqrt y)^(2s) F(-n, 2s + 1/2, y)|,
+    N = 2n + 2s, at one y: the link of the identities suite, one point
+    at a time."""
+    big_n = make_state(n, s).N
+    root = math.sqrt(y)
+    pref = math.factorial(big_n) / math.factorial(n) * (-1.0) ** n
+    if s == 0.5:
+        pref *= 2.0 * root
+    return abs(hermite(big_n, root) - pref * kummer_series(-float(n), 2.0 * s + 0.5, y))
+
+
 def test_hermite_kummer_residual_examples():
-    assert hermite_kummer_residual(0, 0.0, 3.3) == 0.0
-    assert hermite_kummer_residual(1, 0.0, 1.0) == 0.0
-    assert hermite_kummer_residual(1, 0.5, 4.0) == 0.0
+    assert _hermite_link_defect(0, 0.0, 3.3) == 0.0
+    assert _hermite_link_defect(1, 0.0, 1.0) == 0.0
+    assert _hermite_link_defect(1, 0.5, 4.0) == 0.0
 
 
 @given(
@@ -333,7 +344,7 @@ def test_hermite_kummer_residual_examples():
 def test_hermite_kummer_identity_property(n, s, y):
     big_n = int(2 * n + 2 * s)
     scale = abs(hermite(big_n, math.sqrt(y)))
-    assert hermite_kummer_residual(n, s, y) <= 1e-9 * max(scale, 1.0)
+    assert _hermite_link_defect(n, s, y) <= 1e-9 * max(scale, 1.0)
 
 
 # Array calls: every point must get the bits it gets alone.
@@ -496,13 +507,16 @@ def test_duplication_and_hermite_link_arrays_match_one_number_calls():
     assert _same_bits(duplication_residual(zs), _one_at_a_time(duplication_residual, zs))
     with pytest.raises(ValueError, match=r"log_gamma argument z = 2e\+305"):
         duplication_residual([1.0, 2e305, 3e305])
+    # the two sides of the Hermite link, on the points of the identities suite
     ys = np.linspace(0.25, 25.0, 37)
     for n in (0, 3, 10):
         for s in S_VALUES:
-            got = hermite_kummer_residual(n, s, ys)
-            assert _same_bits(got, _one_at_a_time(lambda y: hermite_kummer_residual(n, s, y), ys))
-    with pytest.raises(ValueError, match=r"argument y must lie in \(0, .* got argument y = -1\.0"):
-        hermite_kummer_residual(1, 0.0, [1.0, -1.0, 0.0])
+            big_n = make_state(n, s).N
+            got = hermite(big_n, np.sqrt(ys))
+            assert _same_bits(got, _one_at_a_time(lambda y: hermite(big_n, math.sqrt(y)), ys))
+            got = kummer_series(-float(n), 2.0 * s + 0.5, ys)
+            assert _same_bits(got, _one_at_a_time(
+                lambda y: kummer_series(-float(n), 2.0 * s + 0.5, y), ys))
 
 
 def test_decimal_points_match_mpmath(decimal_points):
@@ -545,7 +559,7 @@ def _identity_residuals_one_point_at_a_time():
             big_n = make_state(n, s).N
             for y in np.linspace(0.25, 25.0, 100).tolist():
                 scale = abs(hermite(big_n, math.sqrt(y)))
-                link = max(link, hermite_kummer_residual(n, s, y) / max(scale, 1.0))
+                link = max(link, _hermite_link_defect(n, s, y) / max(scale, 1.0))
 
     rng = random.Random(77)
     transform = 0.0
