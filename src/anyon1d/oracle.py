@@ -223,7 +223,7 @@ def _adaptive(F, to_x, a: float, b: float, tol: float, depth_b: int) -> float:
 def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     """Integral of F over [a, b] with absolute error estimate below tol.
 
-    F takes a 1-d float array of points and returns one float per
+    F takes a 1-d float array of points and returns one real value per
     point; each round of refinement calls it once on the nodes of all
     the cells that round evaluates, at most 4096 x 15 points.  The
     rounds are global adaptive 15-point Gauss-Kronrod: the first
@@ -254,8 +254,10 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     evaluated, so integrable power singularities at the ends are fine;
     a cell too narrow to keep its nodes off its ends in x raises
     ConvergenceError.  A cell where the integrand is not finite raises
-    ValueError, and so does an endpoint that is neither +-inf nor finite
-    (NaN, bool).  Messages name cells by the x that F is called with.
+    ValueError, and so do complex values, naming the first with an
+    imaginary part and its x, and an endpoint that is neither +-inf nor
+    finite (NaN, bool).  Messages name cells by the x that F is called
+    with.
 
     Domain: every finite end must satisfy |end| <= 8.99e307, half the
     largest float, so that every cell width and midpoint is a float.  A
@@ -688,8 +690,7 @@ def _octaves(run: _ShootingRun, lo_x: float, hi_x: float,
     x_start/_START_STEPS on the first octave [x_start, 2 x_start]; the
     series start leaves nothing nearer the origin to sweep.  It is capped
     so h times the largest local wavenumber, at energy deep, stays below
-    0.05.  Only the lists are built, one entry per octave, so a sweep
-    of any length is planned at once.
+    0.05.  A sweep of any length is planned at once, one entry per octave.
     """
     vcoef = run.cfg.nu * (1.0 - run.cfg.nu)  # identical for both nu branches
     g_energy = 2.0 * abs(deep)
@@ -722,9 +723,8 @@ def _steps(run: _ShootingRun, x_match: float) -> np.ndarray:
     natural units; an inward step runs from its end back to its start.
     _octaves fixes each octave's step count m and length h; the steps of
     both sweeps are then built in one array pass, step k of the octave
-    starting at a running from a + h k to a + h (k + 1).  Raises
-    ValueError, before any array is built, when a sweep would take more
-    than _MAX_STEPS steps (see _too_long).
+    starting at a running from a + h k to a + h (k + 1).  A sweep of
+    more than _MAX_STEPS steps raises ValueError first (see _too_long).
     """
     vcoef = run.cfg.nu * (1.0 - run.cfg.nu)
     out = _octaves(run, run.x_start, x_match, run.bracket[0])
