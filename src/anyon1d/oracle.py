@@ -122,12 +122,11 @@ def _gk15(F, to_x, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     node's value is F(x) times its weight.  Each rule is one cumsum, which
     adds each cell's nodes in _NODE_X order, so a cell's value and
     estimate do not depend on the other cells of the round.  Raises
-    ConvergenceError for the first cell
-    whose outermost nodes do not map strictly inside it, so no endpoint
-    is ever evaluated; ValueError naming the first cell with a weight
-    past _RANGE_LIMIT, before F is called; and ValueError naming the
-    first cell whose Kronrod value is not finite.  Messages name the
-    cell in the caller's x.
+    ConvergenceError for the first cell whose outermost nodes do not map
+    strictly inside it, so no endpoint is ever evaluated; ValueError
+    naming the first cell with a weight past _RANGE_LIMIT, before F is
+    called; and ValueError naming the first cell whose Kronrod value is
+    not finite.  Messages name the cell in the caller's x.
     """
     c = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
@@ -256,8 +255,7 @@ def integrate(F, a: float, b: float, tol: float = 1e-10) -> float:
     ConvergenceError.  A cell where the integrand is not finite raises
     ValueError, and so do complex values, naming the first with an
     imaginary part and its x, and an endpoint that is neither +-inf nor
-    finite (NaN, bool).  Messages name cells by the x that F is called
-    with.
+    finite (NaN, bool).  Messages name cells by the x F is called with.
 
     Domain: every finite end must satisfy |end| <= 8.99e307, half the
     largest float, so that every cell width and midpoint is a float.  A

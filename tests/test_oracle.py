@@ -102,7 +102,7 @@ def test_finite_range_quadrature_is_bit_identical(f, recorded):
 @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (0.5, math.inf)], ids=["finite", "half_line"])
 def test_each_cell_of_a_round_gets_the_bits_it_gets_alone(a, b, monkeypatch):
     # _gk15 sums every cell of a round in the same node order, so a cell's
-    # value and estimate do not depend on the other cells it is sent with.
+    # value and estimate do not depend on the other cells it is sent with
     maps = []
     gk15 = oracle._gk15
 
@@ -115,7 +115,8 @@ def test_each_cell_of_a_round_gets_the_bits_it_gets_alone(a, b, monkeypatch):
 
     monkeypatch.setattr(oracle, "_gk15", spy)
     oracle.integrate(F, a, b)
-    # 40 cells of growing width over the range the map reads: x or t in [0, 1]
+    # 40 cells of growing width over the range the map reads: [a, b] in x,
+    # or [0, 1] in t on the half-line
     t_lo, t_hi = (a, b) if math.isfinite(b) else (0.0, 1.0)
     cuts = t_lo + (t_hi - t_lo) * np.linspace(0.0, 1.0, 41) ** 2
     lo, hi = cuts[:-1], cuts[1:]
@@ -124,7 +125,19 @@ def test_each_cell_of_a_round_gets_the_bits_it_gets_alone(a, b, monkeypatch):
         alone = gk15(F, maps[0], lo[i:i + 1], hi[i:i + 1])
         assert (alone[0].tobytes(), alone[1].tobytes()) == (val[i:i + 1].tobytes(),
                                                             err[i:i + 1].tobytes()), i
-    # a sum of -0.0 terms is 0.0, as the sum from 0.0 of a node loop gave
+    # and each gets the bits of a node loop: one float sum per cell and
+    # rule, node by node in _NODE_X order from 0.0
+    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x, weight = maps[0](c[:, None], r[:, None] * oracle._NODE_X)
+    v = (F(x.ravel()).reshape(x.shape) * weight).tolist()
+    for i in range(40):
+        kronrod = gauss = 0.0
+        for vj, wk, wg in zip(v[i], oracle._KRONROD_W.tolist(), oracle._GAUSS_W.tolist()):
+            kronrod += wk * vj
+            if wg:
+                gauss += wg * vj
+        assert (val[i], err[i]) == (r[i] * kronrod, abs(r[i] * (kronrod - gauss))), i
+    # a sum of -0.0 terms is 0.0, as that loop's sum from 0.0 gives
     assert not np.signbit(gk15(lambda x: np.full_like(x, -0.0), maps[0], lo, hi)).any()
 
 
