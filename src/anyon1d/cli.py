@@ -202,7 +202,8 @@ def _emit(ns, meta: dict, columns: list[str], cols: list) -> None:
 
     The bytes are those of the row-major layout: JSON as
     `json.dumps(payload, indent=2)`, CSV through `csv.writer`, the table
-    as cells `str`-formatted and left-justified to max(len(name), 24).
+    as cells `str`-formatted and left-justified to max(len(name), 24),
+    or a text column's widest cell where that is wider.
     Each chunk of each column becomes cells in one pass: numbers through
     one repr of the chunk (table, CSV) or json's C encoder (JSON); text
     (str) cells through `str` (table), the csv module's quoting (CSV) or
@@ -226,7 +227,10 @@ def _emit(ns, meta: dict, columns: list[str], cols: list) -> None:
         layout, sep, end = ",".join, "\n", "\n"
         number, text = _number_cells, _csv_text_cells
     else:
-        row = "  ".join(f"%-{max(len(col), 24)}s" for col in columns) + "\n"
+        # a text column is as wide as its widest cell, so the next column lines up
+        widths = [max(len(name), 24, *(map(len, col) if isinstance(col[0], str) else ()))
+                  for name, col in zip(columns, cols)]
+        row = "  ".join(f"%-{width}s" for width in widths) + "\n"
         head = header + row % tuple(columns)
         layout, sep, end = row.__mod__, "", ""
         number, text = _number_cells, list    # "%s" applies str

@@ -28,7 +28,7 @@ from .core import ConvergenceError, check_index, check_number, check_points
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 
-# Series cap shared by the convergent and asymptotic expansions.
+# Terms the confluent series may take before it is refused.
 _MAX_TERMS = 10_000
 
 # Stagnation threshold of the float pass: a term below this fraction of
@@ -57,33 +57,17 @@ RECURRENCE_ARG_MAX = 1e150
 # The largest float z with log Gamma(z) below the largest float.
 _LOG_GAMMA_ARG_MAX = 2.5599833278516383e305
 
-_EULER = 0.5772156649015328606065121
-# zeta(2) .. zeta(18), for the log-gamma series near its zeros
-_ZETA = (
-    1.6449340668482264365, 1.2020569031595942854, 1.0823232337111381916,
-    1.0369277551433699263, 1.0173430619844491397, 1.0083492773819228268,
-    1.0040773561979443394, 1.0020083928260822144, 1.0009945751278180853,
-    1.0004941886041194646, 1.0002460865533080483, 1.0001227133475784891,
-    1.0000612481350587048, 1.0000305882363070205, 1.0000152822594086519,
-    1.0000076371976378998, 1.0000038172932649998,
-)
-# (zero, shift) of _log_gamma_near_zero about z = 1 and z = 2, used
-# within 0.06 of the zero
-_LOG_GAMMA_ZEROS = ((1.0, 0.0), (2.0, 1.0))
-
-
 def log_gamma(z):
     """Natural log of the gamma function for 0 < z <= _LOG_GAMMA_ARG_MAX.
 
     z is one number or an array (see core.check_points); one number
-    gives a float, an array an array of its shape with the bits each
-    point gives alone.  Near z = 1 and z = 2, where log gamma crosses
-    zero and the library routine loses relative accuracy, a short
-    Taylor series in the distance from the zero keeps the relative error
-    at machine level.  NaN, infinity and z <= 0 raise ValueError naming
-    the first such point; past _LOG_GAMMA_ARG_MAX, log Gamma(z) exceeds
-    the largest float and ValueError names the first such z and the
-    limit.
+    gives math.lgamma(z), an array an array of its shape with the bits
+    each point gives alone.  Near its zeros at z = 1 and z = 2 the error
+    is absolute, within about 1.3e-15, not relative: every caller
+    exponentiates or differences the result.  NaN, infinity and z <= 0
+    raise ValueError naming the first such point; past
+    _LOG_GAMMA_ARG_MAX, log Gamma(z) exceeds the largest float and
+    ValueError names the first such z and the limit.
     """
     z, scalar = check_points(z, "log_gamma argument z", 0.0, open_low=True)
     past = z > _LOG_GAMMA_ARG_MAX
@@ -93,26 +77,8 @@ def log_gamma(z):
                          f"past which log Gamma(z) overflows the floats, got {first!r}")
     # array path: 95 us for one number, not 0.75 us; +30 ms a verify pass (2-core host)
     if scalar:
-        for zero, shift in _LOG_GAMMA_ZEROS:
-            if abs(z - zero) <= 0.06:
-                return _log_gamma_near_zero(z - zero, shift)
         return math.lgamma(z)
-    value = np.fromiter(map(math.lgamma, z.ravel().tolist()), float, z.size).reshape(z.shape)
-    for zero, shift in _LOG_GAMMA_ZEROS:
-        near = np.abs(z - zero) <= 0.06
-        value[near] = _log_gamma_near_zero(z[near] - zero, shift)
-    return value
-
-
-def _log_gamma_near_zero(t, shift: float):
-    # log Gamma(1+shift+t) = (shift-euler)*t + sum_{k>=2} (-1)^k (zeta(k)-shift) t^k / k
-    # about the zeros z = 1 (shift 0) and z = 2 (shift 1); subtracting
-    # 0.0 is exact, so shift 0 gives the bits of the plain series.  t is
-    # a float or an array, with the same operations on either.
-    acc = 0.0
-    for k in range(len(_ZETA) + 1, 1, -1):
-        acc = -t * acc + (_ZETA[k - 2] - shift) / k
-    return t * ((shift - _EULER) + t * acc)
+    return np.fromiter(map(math.lgamma, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def duplication_residual(z):
@@ -132,46 +98,11 @@ def duplication_residual(z):
     return abs(lhs - rhs)
 
 
-def _sinpi(z: float) -> float:
-    """sin(pi*z) with exact argument reduction by integers."""
-    r = z - 2.0 * round(0.5 * z)  # r in [-1, 1], z - r an even integer
-    return math.sin(math.pi * r)
-
-
 def _nonpositive_int(a):
     """True where a is 0, -1, -2, ...: the poles of Gamma, and the upper
     parameters whose confluent series is a polynomial.  a is a float or
     an array."""
     return (a <= 0) & (a == np.floor(a))
-
-
-def _log_gamma_signed(z: float) -> tuple[float, float]:
-    """(log |Gamma(z)|, sign of Gamma(z)) for any non-pole real z."""
-    if z > 0:
-        return log_gamma(z), 1.0
-    if _nonpositive_int(z):
-        raise ValueError(f"gamma pole at z = {z}")
-    # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-    s = _sinpi(z)
-    return _LNPI - math.log(abs(s)) - log_gamma(1.0 - z), math.copysign(1.0, s)
-
-
-def _log_rgamma_signed(z: float) -> tuple[float, float]:
-    """(log |1/Gamma(z)|, sign), with sign 0 at the poles of Gamma."""
-    if _nonpositive_int(z):
-        return 0.0, 0.0
-    lg, sg = _log_gamma_signed(z)
-    return -lg, sg
-
-
-def _check_b(b) -> None:
-    """ValueError naming the first point of b, a float or an array as
-    read, that is a nonpositive integer."""
-    pole = _nonpositive_int(b)
-    if np.count_nonzero(pole):
-        first = float(np.ravel(b)[np.argmax(pole)])
-        raise ValueError(
-            f"lower parameter b must not be a nonpositive integer, got {first!r}")
 
 
 def kummer_series(a, b, y):
@@ -199,7 +130,10 @@ def kummer_series(a, b, y):
     in every arithmetic.
     """
     b, b_scalar = check_points(b, "lower parameter b", -sys.float_info.max)
-    _check_b(b)
+    pole = _nonpositive_int(b)
+    if np.count_nonzero(pole):
+        raise ValueError("lower parameter b must not be a nonpositive integer, "
+                         f"got {float(np.ravel(b)[np.argmax(pole)])!r}")
     a, a_scalar = check_points(a, "upper parameter a", -sys.float_info.max)
     y, y_scalar = check_points(y, "argument y", -sys.float_info.max)
     shape = np.broadcast(a, b, y).shape
@@ -352,92 +286,6 @@ def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
             return -math.inf, 0.0
         sign = 1.0 if total > 0 else -1.0
         return float(abs(total).ln()), sign
-
-
-# Below this argument the asymptotic expansion of F is meaningless.
-_ASYMPTOTIC_Y_MIN = 30.0
-# Above this log magnitude the exponential branch overflows the floats.
-_ASYMPTOTIC_LOG_MAX = 709.0
-
-
-def kummer_asymptotic(a: float, b: float, y: float) -> complex:
-    """Large-y expansion of F(a, b, y) with optimally truncated series.
-
-    Sums both asymptotic series (the y^(-a) branch and the e^y y^(a-b)
-    branch) until the terms start growing, the standard truncation at
-    the smallest term.  The real part of the result collects the
-    algebraic branch y^(-a) cos(pi a) term plus the exponentially large
-    e^y term, and is the value of F; the imaginary part is what the
-    (-y)^(-a) branch contributes for non-integer a.  a, b and y are
-    each one real number (see core.check_number).  The domain of y
-    starts at 30, below which the expansion is meaningless, and ends
-    where the log of the exponential branch,
-    y + (a - b) ln y + ln |Gamma(b)/Gamma(a)|, passes _ASYMPTOTIC_LOG_MAX
-    = 709 and e^y overflows the floats (near y = 713.2 for a = 0.3,
-    b = 0.8).  Rejects with ValueError a non-finite a, a b that
-    kummer_series rejects, and a y outside that domain, naming the limit.
-    """
-    a = check_number(a, "upper parameter a")
-    b = check_number(b, "lower parameter b")
-    _check_b(b)
-    y = check_number(y, "argument y", 0.0, open_low=True)
-    if y < _ASYMPTOTIC_Y_MIN:
-        raise ValueError(
-            f"y = {y} is below the asymptotic threshold {_ASYMPTOTIC_Y_MIN}")
-
-    lgb = _log_gamma_signed(b)
-    lny = math.log(y)
-
-    # branch 1: Gamma(b)/Gamma(b-a) (-y)^(-a) sum_k (a)_k (a-b+1)_k / (k! (-y)^k)
-    rg, rg_sign = _log_rgamma_signed(b - a)
-    if rg_sign == 0.0:
-        alg_real = alg_imag = 0.0
-    else:
-        s1 = _truncated_sum(lambda k: (a + k) * (a - b + 1.0 + k), -1.0 / y)
-        mag = math.exp(lgb[0] + rg - a * lny) * s1 * lgb[1] * rg_sign
-        n_int = a == round(a)
-        if n_int:
-            alg_real = mag * (-1.0) ** (int(a) & 1)
-            alg_imag = 0.0
-        else:
-            # principal branch: (-y)^(-a) = y^(-a) exp(-i pi a)
-            alg_real = mag * math.cos(math.pi * a)
-            alg_imag = -mag * _sinpi(a)
-
-    # branch 2: Gamma(b)/Gamma(a) e^y y^(a-b) sum_k (b-a)_k (1-a)_k / (k! y^k)
-    rg, rg_sign = _log_rgamma_signed(a)
-    if rg_sign == 0.0:
-        exp_part = 0.0
-    else:
-        s2 = _truncated_sum(lambda k: (b - a + k) * (1.0 - a + k), 1.0 / y)
-        exponent = lgb[0] + rg + y + (a - b) * lny
-        if exponent > _ASYMPTOTIC_LOG_MAX:
-            raise ValueError(
-                f"y = {y} is past the float range of the asymptotic expansion: the log "
-                f"of its exponential branch is {exponent:.1f}, above the limit "
-                f"{_ASYMPTOTIC_LOG_MAX}")
-        exp_part = math.exp(exponent) * s2 * lgb[1] * rg_sign
-
-    return complex(alg_real + exp_part, alg_imag)
-
-
-def _truncated_sum(numerator, ratio_base: float) -> float:
-    """Sum 1 + sum_k t_k with t_{k+1} = t_k * numerator(k)/(k+1) * ratio_base,
-    stopping at the smallest term (optimal truncation) or on convergence."""
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(400):
-        term = term * numerator(k) / (k + 1.0) * ratio_base
-        if term == 0.0:
-            break
-        if abs(term) > prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total
 
 
 def _polynomial(recurrence, x, name: str, degree: str, order: int):

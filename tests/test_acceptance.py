@@ -6,6 +6,7 @@ prints its PASS/FAIL line, and the README guarantee table must list
 exactly these rows.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -20,7 +21,8 @@ from anyon1d.verification import SUITES, run_suites
 ROWS = [(suite, report) for suite in SUITES for report in run_suites(suite)]
 IDS = [f"{suite}-" + re.sub(r"\W+", "_", report.check_name).strip("_")
        for suite, report in ROWS]
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("suite, report", ROWS, ids=IDS)
@@ -40,15 +42,41 @@ def test_readme_guarantee_table_lists_every_check():
                      for suite, report in ROWS]
 
 
+def _readme_block_after(command):
+    """The README's code block under the line `$ command`, to the byte."""
+    line = f"$ {command}\n"
+    text = README.read_text()
+    start = text.index(line) + len(line)
+    return text[start:text.index("```\n", start)]
+
+
 def test_readme_dual_example_is_the_real_output(capsys):
     # The block under the command line holds its stdout to the byte,
     # trailing cell padding included.
-    command = "$ anyon1d dual --n 1 --nu 3/4 --alpha 1\n"
-    text = README.read_text()
-    start = text.index(command) + len(command)
-    shown = text[start:text.index("```\n", start)]
-    assert main(shlex.split(command)[2:]) == 0
-    assert capsys.readouterr().out == shown
+    command = "anyon1d dual --n 1 --nu 3/4 --alpha 1"
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == _readme_block_after(command)
+
+
+def test_readme_verify_example_is_the_real_output(capsys):
+    # the check column as wide as its longest name, then the summary line
+    command = "anyon1d verify --suite identities"
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == _readme_block_after(command)
+
+
+def test_each_suite_reports_at_least_the_benchmark_rows():
+    # The benchmark's verify check refuses a suite that reports fewer
+    # rows than its VERIFY_ROWS, so dropping a row fails here first.
+    # The dict is read from the source, without importing the benchmark.
+    tree = ast.parse((ROOT / "perfbench" / "checks.py").read_text())
+    (pinned,) = [ast.literal_eval(stmt.value) for stmt in tree.body
+                 if isinstance(stmt, ast.Assign)
+                 and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["VERIFY_ROWS"]]
+    assert set(pinned) == set(SUITES)
+    for suite, rows in pinned.items():
+        reported = sum(name == suite for name, _ in ROWS)
+        assert reported >= rows, f"{suite}: {reported} rows, the benchmark needs {rows}"
 
 
 def test_norm_and_oracle_suites_call_the_evaluators_on_arrays_only(monkeypatch):

@@ -244,12 +244,6 @@ SCALAR_PARAMETERS = {
         lambda v: oracle.ShootingConfig(0.25, (v, -4.0)), "energy bracket lower end", -10),
     "oracle.ShootingConfig.hi": (
         lambda v: oracle.ShootingConfig(0.25, (-10.0, v)), "energy bracket upper end", -4),
-    "specfun.kummer_asymptotic.a": (
-        lambda v: specfun.kummer_asymptotic(v, 0.75, 40.0), "upper parameter a", 0.25),
-    "specfun.kummer_asymptotic.b": (
-        lambda v: specfun.kummer_asymptotic(0.25, v, 40.0), "lower parameter b", 2),
-    "specfun.kummer_asymptotic.y": (
-        lambda v: specfun.kummer_asymptotic(0.25, 0.75, v), "argument y", 40),
     "specfun.log_kummer_polynomial.b": (
         lambda v: specfun.log_kummer_polynomial(3, v, 1.5), "lower parameter b", 2),
     "specfun.log_kummer_polynomial.y": (

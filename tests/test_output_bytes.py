@@ -1,7 +1,9 @@
 """The columnar, chunked writer against the row-major writer it replaced.
 
 The reference below builds the whole document from a list of rows with
-`json.dumps(indent=2)`, `csv.writer` and `str.ljust`. Every command, in
+`json.dumps(indent=2)`, `csv.writer` and `str.ljust`: a table column is
+as wide as its name or 24 characters, and a text column as its widest
+cell where that is wider still. Every command, in
 every format, on stdout and through `--output`, must give its bytes.
 """
 
@@ -28,7 +30,9 @@ def _row_major(fmt, meta, columns, rows):
         body = io.StringIO()
         csv.writer(body, lineterminator="\n").writerows([columns] + rows)
         return header + body.getvalue()
-    widths = [max(len(col), 24) for col in columns]
+    # a text column is as wide as its widest cell, where that passes 24
+    widths = [max(len(col), 24, *(len(cell) for cell in cells if isinstance(cell, str)))
+              for col, cells in zip(columns, zip(*rows))]
     lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths))]
     lines.extend("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths))
                  for row in rows)
@@ -73,7 +77,8 @@ _COMMANDS = [
     ["spectrum", "--system", "oscillator", "--omega", "2.5", "--n-max", "0"],
     ["dual", "--n", "2", "--s", "1/2", "--omega", "1.5"],
     ["dual", "--n", "1", "--nu", "3/4", "--alpha", "1"],
-    # check names hold commas and run past the 24-character column width
+    # check names hold commas and run past 24 characters, which widens
+    # their column
     ["verify", "--suite", "duality"],
 ] + [_wavefunction_argv(*case) for case in _WAVEFUNCTIONS]
 _IDS = ["spectrum-anyon", "spectrum-oscillator", "dual-from-omega",
