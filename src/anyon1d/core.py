@@ -93,10 +93,9 @@ def check_points(x, name: str, low: float, high: float = sys.float_info.max, *,
     # that remain are check_number, the phase-ratio check of the
     # identities suite (anyon.extended_wavefunction), the benchmark's
     # one-float Laguerre norm integrand (specfun.laguerre, its y and,
-    # through check_number, its alpha), the scalar specfun.log_gamma
-    # calls of anyon, duality and the verify suites, and the scalar a and
-    # b of their kummer_series calls.  bool and the numpy scalars fail
-    # this exact type test and go the array way.
+    # through check_number, its alpha), and the scalar specfun.log_gamma
+    # calls of anyon, duality and the verify suites.  bool and the numpy
+    # scalars fail this exact type test and go the array way.
     # Through numpy: 6.0 us a call, not 0.31 us; +50 ms an oracle_solve pass (2-core host).
     if type(x) is float or type(x) is int:
         if (low < x if open_low else low <= x) and x <= high:

@@ -1,18 +1,19 @@
 """Special functions: log-gamma, the confluent hypergeometric
-function, the classical orthogonal polynomials tied to it, and the
+polynomial, the classical orthogonal polynomials tied to it, and the
 log-scaled three-term recurrence behind both eigenfunctions.
 
-The confluent series is summed term by term with a recurrence on the
-term ratio, by one masked loop over arrays of points that runs in floats
-or in decimals; where the float sum loses too many digits to
-cancellation (alternating series at negative argument) the same loop is
-re-run on those points in 60-digit decimal arithmetic, so callers get
-close to full double precision or an error.  log_gamma, kummer_series,
-duplication_residual, laguerre and hermite take one number or an array,
-and each point of an array gets the bits it gets alone, so a caller
-checks an identity on many parameter sets with one call (the Hermite
-link H_(2n+2s)(sqrt y) ~ F(-n, 2s + 1/2, y) of verification's
-identities suite is one kummer_series call on a column of (a, b)).
+The confluent polynomial F(-n, b, y) is summed term by term with a
+recurrence on the term ratio, by one masked loop over arrays of points
+that runs in floats or in decimals; where the float sum loses too many
+digits to cancellation (its terms alternate in sign at positive y) the
+same loop is re-run on those points in 60-digit decimal arithmetic, so
+callers get close to full double precision or an error.  log_gamma,
+kummer_series, duplication_residual, laguerre and hermite take one
+number or an array, and each point of an array gets the bits it gets
+alone, so a caller checks an identity on many parameter sets with one
+call (the Hermite link H_(2n+2s)(sqrt y) ~ F(-n, 2s + 1/2, y) of
+verification's identities suite is one kummer_series call on a column
+of (a, b)).
 """
 
 from __future__ import annotations
@@ -28,22 +29,17 @@ from .core import ConvergenceError, check_index, check_number, check_points
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 
-# Terms the confluent series may take before it is refused.
+# The largest degree n of the confluent polynomial F(-n, b, y).
 _MAX_TERMS = 10_000
-
-# Stagnation threshold of the float pass: a term below this fraction of
-# the partial sum twice in a row means the sum has converged.
-_STAGNATION = 1e-17
 
 # When the largest intermediate (term or partial sum) exceeds the final
 # sum by this factor, enough digits cancelled that the float result is
 # suspect and the decimal pass takes over.
 _ESCALATE_RATIO = 300.0
 
-# The 60-digit pass stops at this fraction of the partial sum, and
-# refuses its sum once the largest intermediate exceeds it by
-# _DECIMAL_CANCEL: fewer than about 18 of its digits would be left.
-_DECIMAL_FLOOR = Decimal("1e-30")
+# The 60-digit pass refuses its sum once the largest intermediate
+# exceeds it by _DECIMAL_CANCEL: fewer than about 18 of its digits
+# would be left.
 _DECIMAL_CANCEL = Decimal("1e40")
 
 # The scaled recurrence divides its terms by _BIG, a power of two so the
@@ -98,53 +94,49 @@ def duplication_residual(z):
     return abs(lhs - rhs)
 
 
-def _nonpositive_int(a):
-    """True where a is 0, -1, -2, ...: the poles of Gamma, and the upper
-    parameters whose confluent series is a polynomial.  a is a float or
-    an array."""
-    return (a <= 0) & (a == np.floor(a))
-
-
 def kummer_series(a, b, y):
-    """Confluent hypergeometric function F(a, b, y) by direct summation.
+    """Confluent hypergeometric polynomial F(-n, b, y), a = -n, by
+    direct summation.
 
-    a, b and y are finite reals, each one number or an array (see
-    core.check_points), and broadcast against each other; b must not be
-    a nonpositive integer.  Three numbers give a float, anything else an
-    array of the broadcast shape, with the bits each point gives alone.
-    The sum 1 + (a/b) y + a(a+1)/(b(b+1)) y^2/2! + ... terminates after
-    n + 1 terms when a = -n, giving the polynomial case exactly.
-    Otherwise it stops once two consecutive terms fall below 1e-17 of
-    the partial sum, and fails with ConvergenceError past 10000 terms or
-    where a term overflows.  Heavy cancellation (the largest term or
-    partial sum above 300 times the sum, or a sum that is not finite)
-    sends the point to a second pass of the same loop in 60-digit
-    decimals, which stops at 1e-30 of the partial sum.  When even that
-    pass loses more than 40 of its digits (its largest term exceeds
-    1e40 times the sum) no digit of the result is known, and it raises
+    a is 0, -1, ..., -10000; b and y are finite reals, b not a
+    nonpositive integer.  Each is one number or an array (see
+    core.check_points), and they broadcast against each other.  Any
+    other a, b or y raises ValueError naming the first such point.
+    Three numbers give a float, anything else an array of the broadcast
+    shape, with the bits each point gives alone.  The sum
+    1 + (a/b) y + a(a+1)/(b(b+1)) y^2/2! + ... has exactly n + 1 terms,
+    and fails with ConvergenceError where a term overflows.  Heavy
+    cancellation (the largest term or partial sum above 300 times the
+    sum, or a sum that is not finite) sends the point to a second pass
+    of the same loop in 60-digit decimals.  When even that pass loses
+    more than 40 of its digits (its largest term exceeds 1e40 times the
+    sum) no digit of the result is known, and it raises
     ConvergenceError.  So does a sum whose magnitude exceeds the largest
-    float, about 1.8e308, though every term is finite, as for
-    F(1, 2, 720) = (e^720 - 1)/720.  Every error names the first failing
-    point (a, b, y) in array order.  A decimal sum of exactly 0 comes
-    back as 0.0: terms that cancel exactly, as in F(-1, 1/2, 1/2), do so
-    in every arithmetic.
+    float, about 1.8e308, though every term is finite.  Every error
+    names the first failing point (a, b, y) in array order.  A decimal
+    sum of exactly 0 comes back as 0.0: terms that cancel exactly, as in
+    F(-1, 1/2, 1/2), do so in every arithmetic.
     """
     b, b_scalar = check_points(b, "lower parameter b", -sys.float_info.max)
-    pole = _nonpositive_int(b)
+    pole = (b <= 0) & (b == np.floor(b))
     if np.count_nonzero(pole):
         raise ValueError("lower parameter b must not be a nonpositive integer, "
                          f"got {float(np.ravel(b)[np.argmax(pole)])!r}")
-    a, a_scalar = check_points(a, "upper parameter a", -sys.float_info.max)
     y, y_scalar = check_points(y, "argument y", -sys.float_info.max)
+    a, a_scalar = check_points(a, "upper parameter a", -sys.float_info.max)
+    degree = (a < -_MAX_TERMS) | (a > 0) | (a != np.floor(a))
+    if np.count_nonzero(degree):
+        raise ValueError(f"upper parameter a must be an integer in [-{_MAX_TERMS}, 0], "
+                         f"got {float(np.ravel(a)[np.argmax(degree)])!r}")
     shape = np.broadcast(a, b, y).shape
     points = np.empty((3,) + shape)
     points[0], points[1], points[2] = a, b, y
     a, b, y = points.reshape(3, -1)
-    # n + 1 terms for a = -n; past _MAX_TERMS the loop refuses the point
-    stop = np.where(_nonpositive_int(a), np.minimum(-a, _MAX_TERMS + 1), -1).astype(int)
-    # all-decimal: 135-151 ms of Kummer time a verify pass, not 42-68 ms (2-core host)
+    # n + 1 terms for a = -n
+    stop = (-a).astype(int)
+    # all-decimal: 58-65 ms of Kummer time a verify pass, not 26-29 ms (2-core host)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, peak, fail = _confluent_sum(a, b, y, stop, _STAGNATION)
+        value, peak, fail = _confluent_sum(a, b, y, stop)
         escalate = (fail == 0) & (~np.isfinite(value) | (
             peak > _ESCALATE_RATIO * np.maximum(np.abs(value), 5e-324)))
     if np.count_nonzero(escalate):
@@ -152,8 +144,7 @@ def kummer_series(a, b, y):
         with localcontext() as ctx:
             ctx.prec = 60
             total, peak, fail[at] = _confluent_sum(
-                _decimals(a[at]), _decimals(b[at]), _decimals(y[at]), stop[at],
-                _DECIMAL_FLOOR)
+                _decimals(a[at]), _decimals(b[at]), _decimals(y[at]), stop[at])
         cancelled = (fail[at] == 0) & (total != 0) & (peak > _DECIMAL_CANCEL * np.abs(total))
         fail[at[cancelled]] = _CANCELLED
         value[at] = [float(t) for t in total]
@@ -164,16 +155,10 @@ def kummer_series(a, b, y):
     return value.reshape(shape)
 
 
-# Terms between two overflow tests of _confluent_sum: a point whose terms
-# overflowed runs at most this many steps on before it stops.
-# A test at every term: +12 % Kummer time a verify pass (2-core host).
-_OVERFLOW_CHECK_STEPS = 64
-
 # Failure codes of _confluent_sum and kummer_series, with their messages.
-_OVERFLOWED, _UNSETTLED, _CANCELLED, _OUT_OF_RANGE = 1, 2, 3, 4
+_OVERFLOWED, _CANCELLED, _OUT_OF_RANGE = 1, 2, 3
 _FAILURES = {
     _OVERFLOWED: "terms overflowed",
-    _UNSETTLED: f"did not settle within {_MAX_TERMS} terms",
     _CANCELLED: "cancels past 60 digits",
     _OUT_OF_RANGE: "sum exceeds the float range",
 }
@@ -192,26 +177,20 @@ def _decimals(x):
     return np.array([Decimal(v) for v in x.tolist()], dtype=object)
 
 
-def _confluent_sum(a, b, y, stop, floor):
+def _confluent_sum(a, b, y, stop):
     """(sum, peak, fail) of F(a, b, y) = sum_k t_k at every point of the
     1-d arrays a, b, y, with t_0 = 1 and
     t_(k+1) = t_k (a + k) y / ((b + k)(k + 1)).
 
     Runs in the arithmetic of the arrays: float64, or Decimal objects
-    under the caller's context.  A point with stop >= 0 sums the
-    stop + 1 terms of its polynomial (a = -stop); any other stops once
-    two consecutive terms fall below floor times its partial sum.  Each
-    point runs the operations it would run alone and leaves the loop at
-    its own stop, so its bits do not depend on the other points.  peak
-    is the largest term or partial sum, so peak / |sum| is the factor
-    lost to cancellation.  fail is _OVERFLOWED where the last term is
-    not finite, else _UNSETTLED where a point still runs after
-    _MAX_TERMS terms, and 0 elsewhere.  A term that is not finite leaves
-    every later term so and is never small, so the loop tests for one
-    only every _OVERFLOW_CHECK_STEPS terms, stopping such a point there,
-    and once more on every stopped point at the end.  A float caller
-    ignores numpy's overflow and invalid warnings, which fail reports; a
-    Decimal overflow raises.
+    under the caller's context.  Each point sums the stop + 1 terms of
+    its polynomial (a = -stop), running the operations it would run
+    alone and leaving the loop at its own stop, so its bits do not
+    depend on the other points.  peak is the largest term or partial
+    sum, so peak / |sum| is the factor lost to cancellation.  A point
+    whose term is not finite stops there, with fail _OVERFLOWED; fail is
+    0 elsewhere.  A float caller ignores numpy's overflow and invalid
+    warnings, which fail reports; a Decimal overflow raises.
     """
     one = y ** 0
     # the last term, sum and peak of each point, written when it stops
@@ -219,58 +198,42 @@ def _confluent_sum(a, b, y, stop, floor):
     fail = np.zeros(len(y), dtype=np.int8)
     # k and infinity in the arithmetic of the sum, float or Decimal: a
     # Decimal array would otherwise convert the int k at every point
-    num = type(floor)
+    num = Decimal if y.dtype == object else float
     inf = num("inf")
-    # a polynomial point is never small (no magnitude is below 0) and
-    # no series point reaches a stop
-    series = stop < 0
-    floor = np.where(series, floor, 0 * floor)
     live = np.flatnonzero(stop)
-    stop = np.where(series, _MAX_TERMS + 1, stop)[live]
-    state = np.array([a, b, y, floor, one, one, one])[:, live]
-    a, b, y, floor, term, part, top = state
-    small = np.zeros(len(live), dtype=bool)
-    next_stop = stop.min(initial=_MAX_TERMS + 1)
+    stop = stop[live]
+    state = np.array([a, b, y, one, one, one])[:, live]
+    a, b, y, term, part, top = state
     k = 0
     while live.size:
-        if k == _MAX_TERMS:
-            out[:, live] = state[4:]
-            fail[live] = _UNSETTLED
-            break
         at_k = num(k)
         term *= (a + at_k) * y / ((b + at_k) * num(k + 1))
         part += term
         k += 1
-        mag_t = abs(term)
-        mag_s = abs(part)
-        np.maximum(top, np.maximum(mag_s, mag_t), out=top)
-        was_small, small = small, mag_t < floor * mag_s
-        done = small & was_small
-        if k == next_stop:
-            done |= stop == k
-        if k % _OVERFLOW_CHECK_STEPS == 0:
-            done |= ~(mag_t < inf)
+        size = abs(term)
+        np.maximum(top, np.maximum(abs(part), size), out=top)
+        # inf and NaN fail the < test
+        done = (stop == k) | ~(size < inf)
         if np.count_nonzero(done):
-            out[:, live[done]] = state[4:, done]
+            out[:, live[done]] = state[3:, done]
             keep = ~done
-            state, live, stop, small = state[:, keep], live[keep], stop[keep], small[keep]
-            a, b, y, floor, term, part, top = state
-            next_stop = stop.min(initial=_MAX_TERMS + 1)
+            state, live, stop = state[:, keep], live[keep], stop[keep]
+            a, b, y, term, part, top = state
     last, total, peak = out
-    # inf and NaN fail the < test
     fail[~(abs(last) < inf)] = _OVERFLOWED
     return total, peak, fail
 
 
 def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
-    """(log |F(-n, b, y)|, sign) for the terminating case with b > 0, y > 0,
-    each one real number (see core.check_number).
+    """(log |F(-n, b, y)|, sign) for the terminating case with
+    0 <= n <= 10000, b > 0, y > 0, each one number (see core.check_index
+    and core.check_number).
 
     The n + 1 terms are summed in 60-digit decimals, whose exponent range
     is wide enough that no rescaling is needed even where y**n overflows
     binary floats.
     """
-    n = check_index(n, "n")
+    n = check_index(n, "n", high=_MAX_TERMS)
     b = check_number(b, "lower parameter b", 0.0, open_low=True)
     y = check_number(y, "argument y", 0.0, open_low=True)
     with localcontext() as ctx:
@@ -278,10 +241,8 @@ def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
         ctx.Emax = 10 ** 9
         ctx.Emin = -(10 ** 9)
         point = [np.array([Decimal(v)], dtype=object) for v in (-n, b, y)]
-        total, _, fail = _confluent_sum(*point, np.array([min(n, _MAX_TERMS + 1)]),
-                                        _DECIMAL_FLOOR)
-        _raise_first_failure(fail, *point)
-        total = total[0]
+        # no term leaves this exponent range, so none fails
+        total = _confluent_sum(*point, np.array([n]))[0][0]
         if total == 0:
             return -math.inf, 0.0
         sign = 1.0 if total > 0 else -1.0

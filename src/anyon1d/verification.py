@@ -18,23 +18,10 @@ from .core import NU_VALUES, S_VALUES, Grid, PhysicalParams, VerificationReport,
 _UNIT = PhysicalParams(mass=1.0, hbar=1.0, alpha=1.0, omega=1.0)
 
 
-def _euler_confluent(a: float, y: float) -> float:
-    """F(a, a + 1/2, y) for a > 0 from Euler's integral (DLMF 13.4.1),
-    Gamma(b)/(Gamma(a) Gamma(b - a)) int_0^1 e^(y t) t^(a-1) (1-t)^(b-a-1) dt,
-    by the quadrature oracle.  With t = 1 - w^2 the endpoint power
-    (1-t)^(b-a-1) = 1/w cancels against dt = -2w dw for b - a = 1/2, which
-    leaves e^y int_0^1 e^(-y w^2) 2 (1 - w^2)^(a-1) dw."""
-    total = oracle.integrate(lambda w: 2.0 * np.exp(-y * w * w) * (1.0 - w * w) ** (a - 1.0),
-                             0.0, 1.0, tol=1e-12)
-    log_ratio = (specfun.log_gamma(a + 0.5) - specfun.log_gamma(a)
-                 - specfun.log_gamma(0.5))
-    return math.exp(log_ratio + y) * total
-
-
 def suite_identities() -> list[VerificationReport]:
-    """Special-function identities: duplication, Hermite link, Kummer
-    transformation, the series at large y against Euler's integral, and
-    the Laguerre cross-check."""
+    """Special-function identities: duplication, the Hermite link, both
+    eigenfunctions against their confluent closed forms, the Laguerre
+    cross-check and the parity phase."""
     out = []
 
     # One array call per row of inputs; each point gets the bits it
@@ -59,24 +46,38 @@ def suite_identities() -> list[VerificationReport]:
     out.append(VerificationReport("Hermite vs confluent closed form, n <= 10, y in (0, 25]",
                                   worst, 1e-9))
 
-    rng = random.Random(77)
-    a, b, y = np.array([(rng.uniform(-8.0, 8.0), rng.uniform(0.3, 8.0),
-                         rng.uniform(-30.0, 30.0)) for _ in range(200)]).T
-    # both sides in one call, on the stacked (a, b - a) and (y, -y)
-    lhs, flipped = specfun.kummer_series(np.stack([a, b - a]), b, np.stack([y, -y]))
-    # math.exp per point, as the scalar check had it; np.exp may round differently
-    rhs = np.array([math.exp(v) for v in y.tolist()]) * flipped
-    worst = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs)))
-    out.append(VerificationReport("Kummer transformation, 200 random (a, b, y), |y| <= 30",
-                                  worst, 1e-10))
+    ys = np.linspace(0.5, 40.0, 40)
+    levels = [(n, nu) for n in range(11) for nu in NU_VALUES]
+    # Phi_n(y / beta) = C_n y^nu e^(-y/2) F(-n, 2 nu, y), in one call: a
+    # column of (a, b) = (-n, 2 nu) against the row ys
+    a, b, nu, log_c = np.array([(-float(n), 2.0 * nu, nu,
+                                 anyon.log_normalization(n, nu, _UNIT))
+                                for n, nu in levels]).T[:, :, None]
+    direct = np.array([anyon.wavefunction(n, nu, _UNIT, ys / anyon.beta(n, nu, _UNIT))
+                       for n, nu in levels])
+    confluent = np.exp(log_c + nu * np.log(ys) - 0.5 * ys) * specfun.kummer_series(a, b, ys)
+    worst = np.max(np.max(np.abs(direct - confluent), axis=1) / np.max(np.abs(direct), axis=1))
+    out.append(VerificationReport(
+        "anyon eigenfunction vs C_n y^nu e^(-y/2) F(-n, 2nu, y), n <= 10", worst, 1e-12))
 
-    direct = specfun.kummer_series(0.3, 0.8, 40.0)
-    out.append(VerificationReport("large-y series vs Euler integral at (0.3, 0.8, 40)",
-                                  abs(_euler_confluent(0.3, 40.0) - direct) / abs(direct),
-                                  1e-10))
+    us = np.linspace(0.1, 7.0, 40)
+    # Psi_N(u) = (-1)^n e^(c - u^2/2) (2u)^(2s) F(-n, 2s + 1/2, u^2), with
+    # c = ln(sqrt 2 pi^(-1/4)) - (N ln 2 + ln N!)/2 + ln(N!/n!), in one
+    # call: a column of (a, b) = (-n, 2s + 1/2) against the row u^2
+    a, b, sign, log_c, s = np.array([
+        (-float(st.n), 2.0 * st.s + 0.5, (-1.0) ** st.n,
+         0.5 * math.log(2.0) - 0.25 * math.log(math.pi) - 0.5 * st.N * math.log(2.0)
+         + 0.5 * specfun.log_gamma(st.N + 1.0) - specfun.log_gamma(st.n + 1.0), st.s)
+        for st in states]).T[:, :, None]
+    direct = np.array([oscillator.wavefunction(st.N, _UNIT, us) for st in states])
+    # (2u)^(2s) is 1 or 2u, exactly
+    confluent = (sign * np.exp(log_c - 0.5 * us * us) * np.where(s == 0.5, 2.0 * us, 1.0)
+                 * specfun.kummer_series(a, b, us * us))
+    worst = np.max(np.max(np.abs(direct - confluent), axis=1) / np.max(np.abs(direct), axis=1))
+    out.append(VerificationReport("oscillator eigenfunction vs its confluent form, N <= 21",
+                                  worst, 1e-12))
 
     ys = np.linspace(0.5, 20.0, 40)
-    levels = [(n, nu) for n in range(11) for nu in NU_VALUES]
     # one call: a column of (a, b) = (-n, 2 nu) against the row ys
     a, b = np.array([(-float(n), 2.0 * nu) for n, nu in levels]).T[:, :, None]
     f = specfun.kummer_series(a, b, ys)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anyon1d import anyon, duality, specfun, verification
+from anyon1d import anyon, duality, oscillator, specfun, verification
 from anyon1d.core import NU_VALUES, S_VALUES, ConvergenceError, PhysicalParams, make_state
 from anyon1d.specfun import (
     duplication_residual,
@@ -99,7 +99,8 @@ def test_duplication_residual_property(z):
 
 
 def test_kummer_series_examples():
-    assert kummer_series(3.7, 2.1, 0.0) == 1.0
+    assert kummer_series(-3.0, 2.1, 0.0) == 1.0
+    assert kummer_series(0.0, 2.1, 5.0) == 1.0
     assert kummer_series(-1.0, 0.5, 1.0) == -1.0
     assert math.isclose(kummer_series(-2.0, 1.5, 1.0), -1.0 / 15.0,
                         rel_tol=1e-14)
@@ -107,17 +108,23 @@ def test_kummer_series_examples():
 
 def test_kummer_series_rejects_nonpositive_integer_b():
     with pytest.raises(ValueError):
-        kummer_series(0.3, 0.0, 1.0)
+        kummer_series(-2.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        kummer_series(0.3, -3.0, 1.0)
+        kummer_series(-2.0, -3.0, 1.0)
     for b in (-math.inf, math.nan, True):
         with pytest.raises(ValueError, match="lower parameter b"):
-            kummer_series(0.3, b, 1.0)
+            kummer_series(-2.0, b, 1.0)
 
 
-def test_kummer_series_reports_nonconvergence():
-    with pytest.raises(ConvergenceError):
-        kummer_series(1.0, 2.0, 1e5)
+def test_kummer_series_takes_only_the_polynomial_case():
+    # a = -n for n = 0 .. 10000; anything else is refused by name, the
+    # degree past 10000 included
+    assert kummer_series(-10000.0, 0.5, 1e-3) > 0.0
+    for a, first in [(0.3, "0.3"), (1.0, "1.0"), (-2.5, "-2.5"), (-20000.0, "-20000.0"),
+                     ([-1.0, -2.5, 0.3], "-2.5"), ([-1.0, 0.3, -2.5], "0.3")]:
+        with pytest.raises(ValueError, match=r"^upper parameter a must be an integer in "
+                                             rf"\[-10000, 0\], got {first}$"):
+            kummer_series(a, 0.5, 1.0)
 
 
 def test_kummer_series_terminates_for_negative_integer_a():
@@ -134,47 +141,37 @@ def test_kummer_series_terminates_for_negative_integer_a():
 
 
 def test_kummer_series_matches_reference_under_cancellation():
-    # Large negative arguments cancel catastrophically in float64; the
-    # series must still come back close to the true value.
-    for a, b, y in [(3.2, 1.5, -30.0), (0.7, 0.4, -25.0), (5.5, 2.25, -18.0)]:
-        exact = float(mpmath.hyp1f1(a, b, y))
-        assert math.isclose(kummer_series(a, b, y), exact, rel_tol=1e-12)
-
-
-def test_kummer_series_decimal_pass_stops_relative_to_the_sum():
-    # The largest term here is 3.4e39 times the sum; a 60-digit pass that
-    # stops relative to that peak instead of the sum is 1.2e-7 off.
-    exact = float(mpmath.hyp1f1(10, 1, -45))
-    assert abs(kummer_series(10.0, 1.0, -45.0) - exact) <= 1e-14 * abs(exact)
+    # At positive y the terms alternate in sign: the largest partial sum
+    # of F(-60, 1/2, 30) is 1.3e25 times the sum, so float64 keeps no
+    # digit of it; the series must still come back close to the true value.
+    assert math.isclose(kummer_series(-60.0, 0.5, 30.0), 70815.8754952494, rel_tol=1e-14)
+    with mpmath.workdps(80):
+        for a, b, y in [(-60.0, 0.5, 30.0), (-40.0, 1.5, 25.0), (-25.0, 0.25, 12.5)]:
+            exact = float(mpmath.hyp1f1(a, b, y))
+            assert math.isclose(kummer_series(a, b, y), exact, rel_tol=1e-12)
 
 
 def test_kummer_series_refuses_a_sum_with_no_correct_digits():
-    # The largest term is 4.9e57 times F(20, 2, -60) = -9.34e-17, so even
-    # 60 digits cancel away; returning what is left gave -1.46e-5.
-    with pytest.raises(ConvergenceError, match=r"a=20\.0, b=2\.0, y=-60\.0"):
-        kummer_series(20.0, 2.0, -60.0)
+    # The largest partial sum is 2.1e46 times F(-100, 1/2, 150) = -3.9e32,
+    # so even 60 digits cancel away.
+    with pytest.raises(ConvergenceError, match=r"a=-100\.0, b=0\.5, y=150\.0"):
+        kummer_series(-100.0, 0.5, 150.0)
 
 
 @given(
-    a=st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
-    b=st.floats(min_value=0.25, max_value=12.0, allow_nan=False),
-    y=st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
-)
-def test_kummer_transformation_property(a, b, y):
-    lhs = kummer_series(a, b, y)
-    rhs = math.exp(y) * kummer_series(b - a, b, -y)
-    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
-
-
-@given(
-    a=st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+    n=st.integers(min_value=1, max_value=10),
     b=st.floats(min_value=0.5, max_value=8.0, allow_nan=False),
-    y=st.floats(min_value=-6.0, max_value=6.0, allow_nan=False),
+    # The polynomials have exact zeros at simple floats, F(-2, 3, 2) = 0
+    # among them, where no relative digit is known and kummer_series
+    # refuses the point; y on a grid of eighths could land on one.
+    y=st.floats(min_value=-6.0, max_value=6.0, allow_nan=False).filter(
+        lambda y: 8.0 * y != math.floor(8.0 * y)),
 )
-def test_kummer_derivative_property(a, b, y):
+def test_kummer_derivative_property(n, b, y):
+    # F'(-n, b, y) = (-n/b) F(-(n - 1), b + 1, y)
     h = 6e-6 * max(1.0, abs(y))
-    fd = (kummer_series(a, b, y + h) - kummer_series(a, b, y - h)) / (2.0 * h)
-    exact = (a / b) * kummer_series(a + 1.0, b + 1.0, y)
+    fd = (kummer_series(-float(n), b, y + h) - kummer_series(-float(n), b, y - h)) / (2.0 * h)
+    exact = (-n / b) * kummer_series(-(n - 1.0), b + 1.0, y)
     assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
@@ -188,6 +185,13 @@ def test_log_kummer_polynomial_matches_series():
                 value = sign * math.exp(logmag)
                 assert math.isclose(value, direct, rel_tol=1e-11)
     assert log_kummer_polynomial(0, 0.5, 5.0) == (0.0, 1.0)
+
+
+def test_log_kummer_polynomial_takes_degrees_up_to_10000():
+    logmag, sign = log_kummer_polynomial(10_000, 0.5, 1e-3)
+    assert math.isfinite(logmag) and sign == 1.0
+    with pytest.raises(ValueError, match=r"^n must be an integer in \[0, 10000\], got 10001"):
+        log_kummer_polynomial(10_001, 0.5, 1e-3)
 
 
 def test_laguerre_examples():
@@ -309,20 +313,20 @@ def decimal_points(monkeypatch):
     seen = []
     loop = specfun._confluent_sum
 
-    def recorded(a, b, y, stop, floor):
+    def recorded(a, b, y, stop):
         if a.dtype == object:
             seen.extend(zip(*(map(float, v) for v in (a, b, y))))
-        return loop(a, b, y, stop, floor)
+        return loop(a, b, y, stop)
 
     monkeypatch.setattr(specfun, "_confluent_sum", recorded)
     return seen
 
 
 def test_kummer_series_arrays_match_one_number_calls(decimal_points):
-    # polynomial (a = 0, -3, -10) and non-polynomial a in one call,
-    # broadcast over b and y, with cancelling points that take the
-    # decimal pass (positive a at negative y)
-    a = np.array([-3.0, 0.7, -0.0, 2.5, -10.0, 3.2, 5.5])[:, None, None]
+    # degrees 0 to 60 in one call, broadcast over b and y, with
+    # cancelling points that take the decimal pass (high degrees at
+    # positive y)
+    a = np.array([-3.0, -12.0, -0.0, -25.0, -10.0, -40.0, -60.0])[:, None, None]
     b = np.array([0.5, 1.5, 2.25])[None, :, None]
     y = np.array([-25.0, -5.0, 0.0, 0.3, 7.0, 28.0])
     got = kummer_series(a, b, y)
@@ -334,49 +338,46 @@ def test_kummer_series_arrays_match_one_number_calls(decimal_points):
     assert len(decimal_points) == 2 * in_array
     # one number, a numpy scalar or a 0-d array included, gives a float;
     # a list gives an array
-    assert type(kummer_series(3.2, 1.5, -30.0)) is float
-    assert type(kummer_series(np.float64(3.2), 1.5, np.array(-30.0))) is float
-    assert _same_bits(kummer_series([3.2, -2.0], 1.5, -30.0),
-                      np.array([kummer_series(3.2, 1.5, -30.0), kummer_series(-2.0, 1.5, -30.0)]))
+    assert type(kummer_series(-40.0, 1.5, 28.0)) is float
+    assert type(kummer_series(np.float64(-40.0), 1.5, np.array(28.0))) is float
+    assert _same_bits(kummer_series([-40.0, -2.0], 1.5, 28.0),
+                      np.array([kummer_series(-40.0, 1.5, 28.0), kummer_series(-2.0, 1.5, 28.0)]))
     assert kummer_series(np.array([]), 0.5, 1.0).shape == (0,)
 
 
 def _reference_kummer(a, b, y):
     """The one-point float and 60-digit decimal sums kummer_series ran
     before it took arrays, kept as the reference for its bits."""
-    def series(a, b, y, floor):
-        n_stop = -int(a) if a <= 0 and a == round(a) else None
+    def series(a, b, y):
         term = total = peak = y ** 0
-        quiet = k = 0
-        while n_stop is None or k < n_stop:
+        for k in range(-int(a)):
             term *= (a + k) * y / ((b + k) * (k + 1))
-            assert not term - term and k < 10_000
+            assert not term - term
             total += term
-            k += 1
             peak = max(peak, abs(total), abs(term))
-            if n_stop is None:
-                quiet = quiet + 1 if abs(term) < floor * abs(total) else 0
-                if quiet == 2:
-                    break
         return total, peak
 
-    value, peak = series(a, b, y, 1e-17)
+    value, peak = series(a, b, y)
     if not math.isfinite(value) or peak > 300.0 * max(abs(value), 5e-324):
         with decimal.localcontext() as ctx:
             ctx.prec = 60
-            total, peak = series(*map(decimal.Decimal, (a, b, y)), decimal.Decimal("1e-30"))
+            total, peak = series(*map(decimal.Decimal, (a, b, y)))
         assert not total or peak <= decimal.Decimal("1e40") * abs(total)
         value = float(total)
     return value
 
 
-def test_kummer_series_equals_the_one_point_reference_sums(decimal_points):
+def _polynomial_draws():
+    """(a, b, y) of random degrees up to 60, then a grid of low degrees."""
     rng = random.Random(77)
-    draws = [(rng.uniform(-8.0, 8.0), rng.uniform(0.3, 8.0), rng.uniform(-30.0, 30.0))
-             for _ in range(200)]
-    draws += [(b - a, b, -y) for a, b, y in draws]
-    draws += [(-float(n), b, y) for n in range(12) for b in (0.5, 1.5)
-              for y in (-20.0, 0.7, 6.25, 25.0)]
+    draws = [(-float(rng.randrange(0, 61)), rng.uniform(0.3, 8.0), rng.uniform(-30.0, 60.0))
+             for _ in range(400)]
+    return draws + [(-float(n), b, y) for n in range(12) for b in (0.5, 1.5)
+                    for y in (-20.0, 0.7, 6.25, 25.0)]
+
+
+def test_kummer_series_equals_the_one_point_reference_sums(decimal_points):
+    draws = _polynomial_draws()
     a, b, y = np.array(draws).T
     got = kummer_series(a, b, y)
     assert len(decimal_points) >= 120
@@ -384,17 +385,15 @@ def test_kummer_series_equals_the_one_point_reference_sums(decimal_points):
 
 
 @pytest.mark.parametrize("a, b, y, first, match", [
-    ([0.5, 1.0, 20.0], [1.5, 2.0, 2.0], [2.0, 1e5, -60.0], 1,
-     r"terms overflowed \(a=1\.0, b=2\.0, y=100000\.0\)"),
-    ([0.5, 20.0, 1.0], [1.5, 2.0, 2.0], [2.0, -60.0, 1e5], 1,
-     r"cancels past 60 digits \(a=20\.0, b=2\.0, y=-60\.0\)"),
-    ([-3.0, -20000.0, 1.0], [1.0, 1.0, 2.0], [1e-3, 1e-3, 1e5], 1,
-     r"did not settle within 10000 terms \(a=-20000\.0, b=1\.0, y=0\.001\)"),
-    # F(1, 2, y) = (e^y - 1)/y: at y = 720 every term is finite (the
-    # largest is about 7e307), but the sum, about 4.7e309, is not a float
-    ([0.5, 1.0, 1.0], [1.5, 2.0, 2.0], [2.0, 720.0, 1e5], 1,
-     r"sum exceeds the float range \(a=1\.0, b=2\.0, y=720\.0\)"),
-], ids=["overflow", "cancellation", "unsettled", "sum_out_of_range"])
+    ([-1.0, -2.0, -100.0], [1.5, 0.5, 0.5], [2.0, 1e200, 150.0], 1,
+     r"terms overflowed \(a=-2\.0, b=0\.5, y=1e\+200\)"),
+    ([-1.0, -100.0, -2.0], [1.5, 0.5, 0.5], [2.0, 150.0, 1e200], 1,
+     r"cancels past 60 digits \(a=-100\.0, b=0\.5, y=150\.0\)"),
+    # F(-200, 1/2, -2380) is about 3.64e308: every term is finite (the
+    # largest is about 4.1e307), but the sum is not a float
+    ([-1.0, -200.0, -2.0], [1.5, 0.5, 0.5], [2.0, -2380.0, 1e200], 1,
+     r"sum exceeds the float range \(a=-200\.0, b=0\.5, y=-2380\.0\)"),
+], ids=["overflow", "cancellation", "sum_out_of_range"])
 def test_kummer_series_names_the_first_failing_point(a, b, y, first, match):
     # the float pass ignores numpy's overflow warnings itself, so a point
     # whose terms overflow raises the one-number error and no warning
@@ -406,13 +405,15 @@ def test_kummer_series_names_the_first_failing_point(a, b, y, first, match):
             kummer_series(a[first], b[first], y[first])
 
 
+# b and y are read before a, so the a = 0.3 of the b and y rows, itself
+# outside a's domain, does not mask the error each names
 @pytest.mark.parametrize("a, b, y, match", [
     (0.3, [0.5, -2.0, 0.0], 1.0, "lower parameter b must not be a nonpositive integer, got -2.0"),
     (0.3, [0.5, math.nan], 1.0, "lower parameter b must lie in .* got lower parameter b = nan"),
-    ([0.3, math.inf], 0.5, 1.0, "upper parameter a must lie in .* got upper parameter a = inf"),
+    ([-1.0, math.inf], 0.5, 1.0, "upper parameter a must lie in .* got upper parameter a = inf"),
     (0.3, 0.5, [1.0, -math.inf, math.nan], "argument y must lie in .* got argument y = -inf"),
     (0.3, 0.5, [True, False], "argument y must be real"),
-    ([0.3, 0.4], 0.5, [1.0, 2.0, 3.0], "shape mismatch"),
+    ([-1.0, -2.0], 0.5, [1.0, 2.0, 3.0], "shape mismatch"),
 ])
 def test_kummer_series_domain_errors_name_the_first_bad_point(a, b, y, match):
     with pytest.raises(ValueError, match=match):
@@ -463,19 +464,17 @@ def test_duplication_and_hermite_link_arrays_match_one_number_calls():
 
 
 def test_decimal_points_match_mpmath(decimal_points):
-    # The Kummer-transformation draws of the identities suite at y < 0,
-    # where the alternating series cancels and the decimal pass sums it.
-    rng = random.Random(77)
-    draws = [(rng.uniform(-8.0, 8.0), rng.uniform(0.3, 8.0), rng.uniform(-30.0, 30.0))
-             for _ in range(200)]
-    a, b, y = np.array([d for d in draws if d[2] < 0.0]).T
+    # The random polynomial draws at y > 0, where the alternating terms
+    # cancel and the decimal pass sums them.
+    a, b, y = np.array([d for d in _polynomial_draws() if d[2] > 0.0]).T
     kummer_series(a, b, y)
     flagged = np.array(decimal_points).T
-    assert flagged.shape[1] >= 40
+    assert flagged.shape[1] >= 120
     got = kummer_series(*flagged)
-    for (pa, pb, py), value in zip(flagged.T.tolist(), got.tolist()):
-        exact = float(mpmath.hyp1f1(pa, pb, py))
-        assert abs(value - exact) <= 1e-12 * abs(exact)
+    with mpmath.workdps(80):
+        for (pa, pb, py), value in zip(flagged.T.tolist(), got.tolist()):
+            exact = float(mpmath.hyp1f1(pa, pb, py))
+            assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 # The six special-function residuals of `anyon1d verify --suite
@@ -483,11 +482,48 @@ def test_decimal_points_match_mpmath(decimal_points):
 IDENTITY_RESIDUALS = {
     "gamma duplication, 1e4 random z in (0, 50]": 1.1368683772161603e-13,
     "Hermite vs confluent closed form, n <= 10, y in (0, 25]": 2.8294244232539473e-12,
-    "Kummer transformation, 200 random (a, b, y), |y| <= 30": 3.4474240168739415e-14,
-    "large-y series vs Euler integral at (0.3, 0.8, 40)": 3.284288703116124e-15,
+    "anyon eigenfunction vs C_n y^nu e^(-y/2) F(-n, 2nu, y), n <= 10": 2.5353979803687988e-14,
+    "oscillator eigenfunction vs its confluent form, N <= 21": 2.4185883914754222e-14,
     "confluent polynomial vs Laguerre, n <= 10": 3.0102349593721695e-14,
     "parity extension phase ratio e^(i pi nu)": 0.0,
 }
+
+
+def _eigenfunction_defects(dn=0, swap=False, db=0.0):
+    """Per-state residuals of the identities suite's two eigenfunction
+    rows, one point at a time: max |direct - confluent| / max |direct|
+    for each (n, nu), then for each (n, s).  The confluent side takes F
+    at degree n + dn, at the other nu or s where swap, and at b + db."""
+    unit = PhysicalParams(mass=1.0, hbar=1.0, alpha=1.0, omega=1.0)
+    anyon_rows = []
+    for n in range(11):
+        for nu in NU_VALUES:
+            beta = anyon.beta(n, nu, unit)
+            log_c = anyon.log_normalization(n, nu, unit)
+            b = 2.0 * (1.0 - nu if swap else nu) + db
+            error = scale = 0.0
+            for y in np.linspace(0.5, 40.0, 40).tolist():
+                direct = anyon.wavefunction(n, nu, unit, y / beta)
+                confluent = (np.exp(log_c + nu * np.log(y) - 0.5 * y)
+                             * kummer_series(-float(n + dn), b, y))
+                error, scale = max(error, abs(direct - confluent)), max(scale, abs(direct))
+            anyon_rows.append(error / scale)
+    oscillator_rows = []
+    for n in range(11):
+        for s in S_VALUES:
+            big_n = make_state(n, s).N
+            log_c = (0.5 * math.log(2.0) - 0.25 * math.log(math.pi) - 0.5 * big_n * math.log(2.0)
+                     + 0.5 * log_gamma(big_n + 1.0) - log_gamma(n + 1.0))
+            b = 2.0 * (0.5 - s if swap else s) + 0.5 + db
+            error = scale = 0.0
+            for u in np.linspace(0.1, 7.0, 40).tolist():
+                direct = oscillator.wavefunction(big_n, unit, u)
+                confluent = ((-1.0) ** n * np.exp(log_c - 0.5 * u * u)
+                             * (2.0 * u if s == 0.5 else 1.0)
+                             * kummer_series(-float(n + dn), b, u * u))
+                error, scale = max(error, abs(direct - confluent)), max(scale, abs(direct))
+            oscillator_rows.append(error / scale)
+    return anyon_rows, oscillator_rows
 
 
 def _identity_residuals_one_point_at_a_time():
@@ -504,16 +540,7 @@ def _identity_residuals_one_point_at_a_time():
                 scale = abs(hermite(big_n, math.sqrt(y)))
                 link = max(link, _hermite_link_defect(n, s, y) / max(scale, 1.0))
 
-    rng = random.Random(77)
-    transform = 0.0
-    for _ in range(200):
-        a, b, y = rng.uniform(-8.0, 8.0), rng.uniform(0.3, 8.0), rng.uniform(-30.0, 30.0)
-        lhs = kummer_series(a, b, y)
-        rhs = math.exp(y) * kummer_series(b - a, b, -y)
-        transform = max(transform, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-
-    direct = kummer_series(0.3, 0.8, 40.0)
-    large_y = abs(verification._euler_confluent(0.3, 40.0) - direct) / abs(direct)
+    anyon_rows, oscillator_rows = _eigenfunction_defects()
 
     cross = 0.0
     for n in range(11):
@@ -532,7 +559,7 @@ def _identity_residuals_one_point_at_a_time():
             got = (anyon.extended_wavefunction(3, nu, unit, -y)
                    / anyon.extended_wavefunction(3, nu, unit, y))
             phase = max(phase, abs(got - complex(math.cos(math.pi * nu), math.sin(math.pi * nu))))
-    return [dup, link, transform, large_y, cross, phase]
+    return [dup, link, max(anyon_rows), max(oscillator_rows), cross, phase]
 
 
 def test_identities_suite_makes_one_kummer_series_call_per_row(monkeypatch):
@@ -544,23 +571,22 @@ def test_identities_suite_makes_one_kummer_series_call_per_row(monkeypatch):
 
     monkeypatch.setattr(specfun, "kummer_series", counted)
     verification.suite_identities()
-    # the Hermite link, the Kummer transformation, the large-y series and
-    # the Laguerre cross-check
+    # the Hermite link, the two eigenfunction rows and the Laguerre
+    # cross-check
     assert len(calls) == 4
 
 
-def test_euler_integral_reference_matches_mpmath():
-    # the reference of the large-y row, F(0.3, 0.8, 40) of about 1.5e16,
-    # from the quadrature oracle alone
-    exact = float(mpmath.hyp1f1(0.3, 0.8, 40))
-    assert abs(verification._euler_confluent(0.3, 40.0) - exact) <= 1e-13 * exact
-
-
-def test_euler_integral_row_tells_a_wrong_value():
-    # control: the integral at a = 0.31 (so b = 0.81) misses the series at
-    # (0.3, 0.8, 40) by 2.5e-2, far past the row's 1e-10
-    direct = kummer_series(0.3, 0.8, 40.0)
-    assert abs(verification._euler_confluent(0.31, 40.0) - direct) > 1e-3 * abs(direct)
+def test_eigenfunction_rows_tell_a_wrong_confluent_form():
+    # controls, each far past the rows' 1e-12: F one degree too high
+    # misses at every state, by at least 1.27 ...
+    for rows in _eigenfunction_defects(dn=1):
+        assert min(rows) > 1.27
+    # ... F at the other nu (or s) by up to 37.6 (at n = 0, F = 1 for
+    # any b), and F at b + 1e-6 by up to 4.9e-6
+    for rows in _eigenfunction_defects(swap=True):
+        assert max(rows) > 37.0
+    for rows in _eigenfunction_defects(db=1e-6):
+        assert max(rows) > 4.5e-6
 
 
 def test_identities_suite_equals_its_one_point_loops():
