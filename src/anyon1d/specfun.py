@@ -30,7 +30,7 @@ _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 
 # The largest degree n of the confluent polynomial F(-n, b, y).
-_MAX_TERMS = 10_000
+_MAX_DEGREE = 10_000
 
 # When the largest intermediate (term or partial sum) exceeds the final
 # sum by this factor, enough digits cancelled that the float result is
@@ -124,9 +124,9 @@ def kummer_series(a, b, y):
                          f"got {float(np.ravel(b)[np.argmax(pole)])!r}")
     y, y_scalar = check_points(y, "argument y", -sys.float_info.max)
     a, a_scalar = check_points(a, "upper parameter a", -sys.float_info.max)
-    degree = (a < -_MAX_TERMS) | (a > 0) | (a != np.floor(a))
+    degree = (a < -_MAX_DEGREE) | (a > 0) | (a != np.floor(a))
     if np.count_nonzero(degree):
-        raise ValueError(f"upper parameter a must be an integer in [-{_MAX_TERMS}, 0], "
+        raise ValueError(f"upper parameter a must be an integer in [-{_MAX_DEGREE}, 0], "
                          f"got {float(np.ravel(a)[np.argmax(degree)])!r}")
     shape = np.broadcast(a, b, y).shape
     points = np.empty((3,) + shape)
@@ -233,7 +233,7 @@ def log_kummer_polynomial(n: int, b: float, y: float) -> tuple[float, float]:
     is wide enough that no rescaling is needed even where y**n overflows
     binary floats.
     """
-    n = check_index(n, "n", high=_MAX_TERMS)
+    n = check_index(n, "n", high=_MAX_DEGREE)
     b = check_number(b, "lower parameter b", 0.0, open_low=True)
     y = check_number(y, "argument y", 0.0, open_low=True)
     with localcontext() as ctx:

@@ -119,7 +119,7 @@ def test_kummer_series_rejects_nonpositive_integer_b():
 def test_kummer_series_takes_only_the_polynomial_case():
     # a = -n for n = 0 .. 10000; anything else is refused by name, the
     # degree past 10000 included
-    assert kummer_series(-10000.0, 0.5, 1e-3) > 0.0
+    assert math.isfinite(kummer_series(-10000.0, 0.5, 1e-3))
     for a, first in [(0.3, "0.3"), (1.0, "1.0"), (-2.5, "-2.5"), (-20000.0, "-20000.0"),
                      ([-1.0, -2.5, 0.3], "-2.5"), ([-1.0, 0.3, -2.5], "0.3")]:
         with pytest.raises(ValueError, match=r"^upper parameter a must be an integer in "
@@ -141,9 +141,9 @@ def test_kummer_series_terminates_for_negative_integer_a():
 
 
 def test_kummer_series_matches_reference_under_cancellation():
-    # At positive y the terms alternate in sign: the largest partial sum
-    # of F(-60, 1/2, 30) is 1.3e25 times the sum, so float64 keeps no
-    # digit of it; the series must still come back close to the true value.
+    # At positive y the terms alternate in sign: the largest term of
+    # F(-60, 1/2, 30) is 1.3e25 times the sum, so float64 keeps no digit
+    # of it; the series must still come back close to the true value.
     assert math.isclose(kummer_series(-60.0, 0.5, 30.0), 70815.8754952494, rel_tol=1e-14)
     with mpmath.workdps(80):
         for a, b, y in [(-60.0, 0.5, 30.0), (-40.0, 1.5, 25.0), (-25.0, 0.25, 12.5)]:
@@ -152,8 +152,8 @@ def test_kummer_series_matches_reference_under_cancellation():
 
 
 def test_kummer_series_refuses_a_sum_with_no_correct_digits():
-    # The largest partial sum is 2.1e46 times F(-100, 1/2, 150) = -3.9e32,
-    # so even 60 digits cancel away.
+    # The largest term is 2.1e46 times F(-100, 1/2, 150) = -3.9e32, so
+    # even 60 digits cancel away.
     with pytest.raises(ConvergenceError, match=r"a=-100\.0, b=0\.5, y=150\.0"):
         kummer_series(-100.0, 0.5, 150.0)
 
