@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -145,6 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
     # the constants every suite runs at, for the header
     ve.set_defaults(mu=1.0, hbar=1.0)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses: each parse_args call starts from a new
+    namespace, so no call sees what an earlier one parsed."""
+    return build_parser()
 
 
 # Rows per write: large enough that the per-chunk calls cost little,
@@ -374,8 +382,9 @@ def cmd_verify(ns) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    # One build per process: in-process callers such as the tests and the
+    # benchmark call main many times, and a build takes about 0.8 ms.
+    ns = _parser().parse_args(argv)
     handlers = {
         "spectrum": cmd_spectrum,
         "wavefunction": cmd_wavefunction,

@@ -43,9 +43,13 @@ _ESCALATE_RATIO = 300.0
 _DECIMAL_CANCEL = Decimal("1e40")
 
 # The scaled recurrence divides its terms by _BIG, a power of two so the
-# division is exact, whenever one exceeds it.  One step multiplies a term
-# by less than 1.5 x + 4, which stays below _BIG for arguments up to
-# RECURRENCE_ARG_MAX; every eigenfunction is exactly 0.0 long before.
+# division is exact, when one has exceeded it.  One step multiplies the
+# larger of the two live terms by at most |a + b x| + |c| < 1.5 x + 4
+# (the Laguerre and Hermite steps of anyon and oscillator both stay under
+# it), so the check runs once every _check_period(x) steps, the most steps
+# in which terms at most _BIG stay below _BIG**2.  One step stays below
+# _BIG for arguments up to RECURRENCE_ARG_MAX; every eigenfunction is
+# exactly 0.0 long before.
 _BIG = 2.0 ** 500
 _LN_BIG = 500.0 * _LN2
 RECURRENCE_ARG_MAX = 1e150
@@ -320,26 +324,55 @@ def hermite(N: int, z):
     return _polynomial(recurrence, z, "z", "N", N)
 
 
+def _check_period(x) -> int:
+    """Steps between overflow checks of _scaled_recurrence on
+    0 <= x <= RECURRENCE_ARG_MAX: the largest P with
+    (1.5 max x + 4)**P <= _BIG, which is 1 past about x = 1.2e75."""
+    # one number without numpy's call overhead
+    top = x if type(x) is float else float(np.max(x, initial=0.0))
+    return int(500.0 / math.log2(1.5 * top + 4.0))
+
+
 def _scaled_recurrence(coefficients, x, log_start):
     """f_n(x) of f_{k+1} = (a_k + b_k x) f_k - c_k f_{k-1} with
     f_0 = exp(log_start) and f_{-1} = 0, for 0 <= x <= RECURRENCE_ARG_MAX.
 
     coefficients holds (a_k, b_k, c_k) for k = 0 .. n-1.  The terms run
-    as f_k / exp(scale), starting from 1 with scale = log_start; when a
-    term exceeds _BIG both live terms are divided by it and scale grows
-    by ln _BIG.  exp(scale) is applied last, in two halves so that a
-    large term meets a tiny factor without underflowing early: nothing
-    overflows, and the result underflows to 0.0 only where the true
-    value does.  x and log_start are floats or arrays of one shape, and the
-    same float operations run on either, so a point gives the same bits
-    alone or inside an array.
+    as f_k / exp(scale), starting from 1 with scale = log_start.  Every
+    P = _check_period(x) steps, and at the last step, each point whose
+    term exceeded _BIG at any step since the last check has both live
+    terms divided by _BIG and its scale grown by ln _BIG; a flag per
+    point, set when |f_k| > _BIG, is that test on the running peak of
+    |f_k|.  exp(scale) is applied last, in
+    two halves so that a large term meets a tiny factor without
+    underflowing early: nothing overflows, and the result underflows to
+    0.0 only where the true value does.  x and log_start are floats or
+    arrays of one shape, and the same float operations run on either, so
+    a point gives the same bits alone or inside an array.
+
+    Checking every step gives the same bits.  At a check both live terms
+    are at most _BIG, and one step grows the larger by less than
+    1.5 x + 4, so within P steps every term stays below _BIG**2: none
+    overflows, and a check every step would divide at most once, at the
+    first term past _BIG.  Dividing by a power of two is exact, so it
+    commutes with the steps between that term and the periodic check,
+    and both rules leave the same terms and the same count of divisions,
+    the number of times the running maximum of |f_k| passed a power
+    _BIG**m.  A check on the period's last term alone would miss a term
+    that passed _BIG and fell back.  P comes from the largest x, so one
+    number takes its own period, and the bits it has inside an array.
+    Near RECURRENCE_ARG_MAX one step can grow a term by nearly _BIG, so
+    P = 1 and every step is checked.
     """
+    period = _check_period(x)
     prev = 0.0
     cur = 1.0
     rescales = 0
-    for a, b, c in coefficients:
-        prev, cur = cur, (a + b * x) * cur - c * prev
-        big = abs(cur) > _BIG
+    for start in range(0, len(coefficients), period):
+        big = False
+        for a, b, c in coefficients[start:start + period]:
+            prev, cur = cur, (a + b * x) * cur - c * prev
+            big |= abs(cur) > _BIG
         # 1 + _BIG rounds to _BIG, so grow is exactly 1 or _BIG
         grow = 1.0 + big * _BIG
         prev = prev / grow
@@ -347,4 +380,3 @@ def _scaled_recurrence(coefficients, x, log_start):
         rescales = rescales + big
     half = np.exp(0.5 * (log_start + rescales * _LN_BIG))
     return cur * half * half
-

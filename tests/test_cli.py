@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import anyon1d
 from anyon1d import verification
-from anyon1d.cli import main
+from anyon1d.cli import build_parser, main
 from anyon1d.core import VerificationReport
 
 
@@ -428,6 +428,38 @@ def test_verify_output_is_byte_identical_across_processes(fmt):
     assert first.returncode == second.returncode == 0, first.stderr
     assert first.stdout
     assert first.stdout == second.stdout
+
+
+def test_main_reuses_one_parser_and_prints_what_fresh_processes_print(capsys, monkeypatch):
+    # main builds its parser once per process.  A mixed sequence in one
+    # process must print, byte for byte, what each call prints alone in a
+    # fresh interpreter: the repeated --suite (an append action) starts
+    # empty each time, and an argparse error or --version exits as usual.
+    # COLUMNS fixes argparse's wrapping width on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    verify = ["verify", "--suite", "duality", "--suite", "identities"]
+    grid = ["wavefunction", "--system", "anyon", "--n", "3", "--nu", "3/4",
+            "--x-min", "0.5", "--x-max", "20", "--points", "9"]
+    calls = [verify, verify,
+             grid, grid + ["--format", "csv"], grid + ["--format", "json"],
+             ["spectrum", "--system", "anyon", "--n-max", "x"],
+             ["--version"],
+             ["spectrum", "--system", "oscillator", "--n-max", "4"],
+             ["dual", "--n", "1", "--nu", "3/4", "--alpha", "1"]]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out.encode(), captured.err.encode()))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 0, 2, 0, 0, 0]
+    assert in_process[0] == in_process[1]
+    for argv, got in zip(calls, in_process):
+        done = run_process(*argv, timeout=120)
+        assert got == (done.returncode, done.stdout, done.stderr), argv
+    assert build_parser() is not build_parser()
 
 
 @pytest.mark.parametrize("argv", [

@@ -593,3 +593,106 @@ def test_identities_suite_equals_its_one_point_loops():
     rows = verification.suite_identities()
     assert {r.check_name: r.residual for r in rows} == IDENTITY_RESIDUALS
     assert [r.residual for r in rows] == _identity_residuals_one_point_at_a_time()
+
+
+# The eigenfunction kernel checks for overflow once per period of steps.
+# The reference is the kernel as it stood when it checked every step;
+# both rules must give the same bits.
+
+def _per_step_recurrence(coefficients, x, log_start):
+    """_scaled_recurrence with the overflow check after every step, and
+    its count of divisions by _BIG."""
+    prev = 0.0
+    cur = 1.0
+    rescales = 0
+    for a, b, c in coefficients:
+        prev, cur = cur, (a + b * x) * cur - c * prev
+        big = abs(cur) > specfun._BIG
+        # 1 + _BIG rounds to _BIG, so grow is exactly 1 or _BIG
+        grow = 1.0 + big * specfun._BIG
+        prev = prev / grow
+        cur = cur / grow
+        rescales = rescales + big
+    half = np.exp(0.5 * (log_start + rescales * specfun._LN_BIG))
+    return cur * half * half, rescales
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _sweep():
+    """(evaluator, grid) over the eigenfunctions at unit constants: each
+    grid reaches a multiple of the state's classical turning point."""
+    unit = PhysicalParams(1.0, 1.0, alpha=1.0, omega=1.0)
+    for N in [*range(30), *range(50, 401, 50)]:
+        for reach in (1.5, 4.0, 12.0, 60.0):
+            yield (lambda u, N=N: oscillator.wavefunction(N, unit, u),
+                   np.linspace(0.0, reach * math.sqrt(2 * N + 1), 401))
+    for n in [*range(20), *range(30, 101, 10)]:
+        for nu in NU_VALUES:
+            turning = 2.0 * (n + nu) ** 2
+            for reach in (1.5, 12.0, 200.0):
+                yield (lambda x, n=n, nu=nu: anyon.wavefunction(n, nu, unit, x),
+                       np.linspace(1e-3, reach * turning, 401))
+            # an even count leaves y = 0 out of the symmetric grid
+            yield (lambda y, n=n, nu=nu: anyon.extended_wavefunction(n, nu, unit, y),
+                   np.linspace(-50.0 * (n + 1), 50.0 * (n + 1), 400))
+
+
+def test_periodic_overflow_check_gives_the_per_step_bits(monkeypatch):
+    sweep = list(_sweep())
+    periodic = [f(grid) for f, grid in sweep]
+    singles = [[f(u) for u in grid[::37].tolist()] for f, grid in sweep]
+    for module in (anyon, oscillator):
+        monkeypatch.setattr(module, "_scaled_recurrence",
+                            lambda *args: _per_step_recurrence(*args)[0])
+    for (f, grid), got, alone in zip(sweep, periodic, singles):
+        expected = f(grid)
+        assert np.array_equal(_bits(got.real), _bits(expected.real))
+        assert np.array_equal(_bits(got.imag), _bits(expected.imag))
+        # one number takes its own period, and still the bits of the array
+        assert np.array_equal(_bits(np.real(alone)), _bits(got.real[::37]))
+        assert np.array_equal(_bits(np.imag(alone)), _bits(got.imag[::37]))
+
+
+def test_periodic_overflow_check_near_the_argument_bound():
+    # Past about 1.2e75 one step can grow a term by nearly _BIG, so the
+    # period is 1; at 1e75 it is 2.
+    x = np.array([1e75, 2e75, 1e100, 1e149, 5e149, specfun.RECURRENCE_ARG_MAX])
+    assert specfun._check_period(1e75) == 2
+    assert [specfun._check_period(v) for v in x[1:].tolist()] == [1] * 5
+    for N in (1, 5, 40, 400):
+        steps = oscillator._hermite_coefficients(N)
+        # f_N is close to the product of the b_k x, so this start makes it about 1
+        log_start = -sum(np.log(b * x) for _, b, _ in steps)
+        expected, rescales = _per_step_recurrence(steps, x, log_start)
+        assert np.all(np.isfinite(expected)) and np.all(expected != 0.0)
+        # a term passes _BIG at least once every three steps
+        assert rescales.min() >= N // 3
+        assert np.array_equal(_bits(specfun._scaled_recurrence(steps, x, log_start)),
+                              _bits(expected))
+        alone = [specfun._scaled_recurrence(steps, v, s)
+                 for v, s in zip(x.tolist(), log_start.tolist())]
+        assert np.array_equal(_bits(alone), _bits(expected))
+
+
+def test_periodic_overflow_check_sees_a_term_that_passes_big_and_falls_back():
+    # At x = 0 the bound 1.5 x + 4 gives a period of 250 steps.  Steps
+    # that grow by 3.9 carry the term past _BIG at step 255, inside the
+    # second period; halving brings it back below _BIG before that
+    # period's check at step 500.  Checking every step divides once, so
+    # a check on the period's last term alone would not divide, and the
+    # result would take other bits.
+    assert specfun._check_period(0.0) == 250
+    steps = [(3.9, 1.0, 0.0)] * 255 + [(0.5, 1.0, 0.0)] * 20 + [(1.0, 1.0, 0.0)] * 245
+    x = np.zeros(3)
+    log_start = np.array([0.0, -300.0, -700.0])
+    expected, rescales = _per_step_recurrence(steps, x, log_start)
+    assert rescales.tolist() == [1, 1, 1]
+    # with log_start = 0 the value is the unscaled term, below _BIG at the check
+    assert 0.0 < expected[0] < specfun._BIG
+    assert np.array_equal(_bits(specfun._scaled_recurrence(steps, x, log_start)),
+                          _bits(expected))
+    alone = [specfun._scaled_recurrence(steps, 0.0, s) for s in log_start.tolist()]
+    assert np.array_equal(_bits(alone), _bits(expected))
