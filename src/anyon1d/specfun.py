@@ -343,12 +343,12 @@ def _scaled_recurrence(coefficients, x, log_start):
     term exceeded _BIG at any step since the last check has both live
     terms divided by _BIG and its scale grown by ln _BIG; a flag per
     point, set when |f_k| > _BIG, is that test on the running peak of
-    |f_k|.  exp(scale) is applied last, in
-    two halves so that a large term meets a tiny factor without
-    underflowing early: nothing overflows, and the result underflows to
-    0.0 only where the true value does.  x and log_start are floats or
-    arrays of one shape, and the same float operations run on either, so
-    a point gives the same bits alone or inside an array.
+    |f_k|.  exp(scale) is applied last, in two halves so that a large
+    term meets a tiny factor without underflowing early: nothing
+    overflows, and the result underflows to 0.0 only where the true
+    value does.  x and log_start are floats or arrays of one shape, and
+    the same float operations run on either, so a point gives the same
+    bits alone or inside an array.
 
     Checking every step gives the same bits.  At a check both live terms
     are at most _BIG, and one step grows the larger by less than
