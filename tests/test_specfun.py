@@ -106,6 +106,13 @@ def test_kummer_series_examples():
                         rel_tol=1e-14)
 
 
+def test_kummer_series_returns_an_exact_zero():
+    # F(-2, 3, 2) = 1 - 4/3 + 1/3 = 0, though 4/3 and 1/3 are not floats
+    assert kummer_series(-2.0, 3.0, 2.0) == 0.0
+    assert _same_bits(kummer_series([-1.0, -2.0, 0.0], 3.0, 2.0),
+                      np.array([1.0 / 3.0, 0.0, 1.0]))
+
+
 def test_kummer_series_rejects_nonpositive_integer_b():
     with pytest.raises(ValueError):
         kummer_series(-2.0, 0.0, 1.0)
