@@ -1,8 +1,8 @@
 """Special-function kernels: log-gamma, Kummer series, Laguerre, Hermite."""
 
-import decimal
 import math
 import random
+from fractions import Fraction
 import warnings
 
 import mpmath
@@ -111,6 +111,8 @@ def test_kummer_series_returns_an_exact_zero():
     assert kummer_series(-2.0, 3.0, 2.0) == 0.0
     assert _same_bits(kummer_series([-1.0, -2.0, 0.0], 3.0, 2.0),
                       np.array([1.0 / 3.0, 0.0, 1.0]))
+    # F(-1, -1/2, -1/2) = 1 + 2y = 0 at b < 0 is +0.0 too, as float(Fraction(0))
+    assert math.copysign(1.0, kummer_series(-1.0, -0.5, -0.5)) == 1.0
 
 
 def test_kummer_series_rejects_nonpositive_integer_b():
@@ -124,14 +126,24 @@ def test_kummer_series_rejects_nonpositive_integer_b():
 
 
 def test_kummer_series_takes_only_the_polynomial_case():
-    # a = -n for n = 0 .. 10000; anything else is refused by name, the
-    # degree past 10000 included
-    assert math.isfinite(kummer_series(-10000.0, 0.5, 1e-3))
-    for a, first in [(0.3, "0.3"), (1.0, "1.0"), (-2.5, "-2.5"), (-20000.0, "-20000.0"),
-                     ([-1.0, -2.5, 0.3], "-2.5"), ([-1.0, 0.3, -2.5], "0.3")]:
+    # a = -n for n = 0 .. 200, the largest degree of an eigenfunction's
+    # confluent form; anything else is refused by name, the degree past
+    # 200 included
+    assert math.isfinite(kummer_series(-200.0, 0.5, 1e-3))
+    for a, first in [(0.3, "0.3"), (1.0, "1.0"), (-2.5, "-2.5"), (-201.0, "-201.0"),
+                     (201.0, "201.0"), ([-1.0, -2.5, 0.3], "-2.5"), ([-1.0, 0.3, -2.5], "0.3")]:
         with pytest.raises(ValueError, match=r"^upper parameter a must be an integer in "
-                                             rf"\[-10000, 0\], got {first}$"):
+                                             rf"\[-200, 0\], got {first}$"):
             kummer_series(a, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("b", [0.5, 1.7, 3.0])
+def test_kummer_series_at_the_largest_degree_matches_mpmath(b):
+    # y at the smallest subnormal, small, moderate, and tiny below zero:
+    # each value is the float nearest the 80-digit reference
+    with mpmath.workdps(80):
+        for y in (5e-324, 1e-3, 30.0, -1e-300):
+            assert kummer_series(-200.0, b, y) == float(mpmath.hyp1f1(-200, b, y))
 
 
 def test_kummer_series_terminates_for_negative_integer_a():
@@ -158,21 +170,16 @@ def test_kummer_series_matches_reference_under_cancellation():
             assert math.isclose(kummer_series(a, b, y), exact, rel_tol=1e-12)
 
 
-def test_kummer_series_refuses_a_sum_with_no_correct_digits():
-    # The largest term is 2.1e46 times F(-100, 1/2, 150) = -3.9e32, so
-    # even 60 digits cancel away.
-    with pytest.raises(ConvergenceError, match=r"a=-100\.0, b=0\.5, y=150\.0"):
-        kummer_series(-100.0, 0.5, 150.0)
+def test_kummer_series_keeps_a_sum_whose_terms_cancel_46_digits():
+    # The largest term is 2.1e46 times F(-100, 1/2, 150) = -3.9e32; the
+    # exact sum loses no digit to it.
+    assert kummer_series(-100.0, 0.5, 150.0) == -3.912998600778173e+32
 
 
 @given(
     n=st.integers(min_value=1, max_value=10),
     b=st.floats(min_value=0.5, max_value=8.0, allow_nan=False),
-    # The polynomials have exact zeros at simple floats, F(-2, 3, 2) = 0
-    # among them, where no relative digit is known and kummer_series
-    # refuses the point; y on a grid of eighths could land on one.
-    y=st.floats(min_value=-6.0, max_value=6.0, allow_nan=False).filter(
-        lambda y: 8.0 * y != math.floor(8.0 * y)),
+    y=st.floats(min_value=-6.0, max_value=6.0, allow_nan=False),
 )
 def test_kummer_derivative_property(n, b, y):
     # F'(-n, b, y) = (-n/b) F(-(n - 1), b + 1, y)
@@ -194,11 +201,15 @@ def test_log_kummer_polynomial_matches_series():
     assert log_kummer_polynomial(0, 0.5, 5.0) == (0.0, 1.0)
 
 
-def test_log_kummer_polynomial_takes_degrees_up_to_10000():
-    logmag, sign = log_kummer_polynomial(10_000, 0.5, 1e-3)
+def test_log_kummer_polynomial_takes_degrees_up_to_200():
+    logmag, sign = log_kummer_polynomial(200, 0.5, 1e-3)
     assert math.isfinite(logmag) and sign == 1.0
-    with pytest.raises(ValueError, match=r"^n must be an integer in \[0, 10000\], got 10001"):
-        log_kummer_polynomial(10_001, 0.5, 1e-3)
+    # F(-200, 1/2, 1e300) is about e^137295, far past the float range
+    with mpmath.workdps(80):
+        exact = float(mpmath.log(abs(mpmath.hyp1f1(-200, 0.5, 1e300))))
+    assert log_kummer_polynomial(200, 0.5, 1e300) == (pytest.approx(exact, rel=1e-15), 1.0)
+    with pytest.raises(ValueError, match=r"^n must be an integer in \[0, 200\], got 201"):
+        log_kummer_polynomial(201, 0.5, 1e-3)
 
 
 def test_laguerre_examples():
@@ -314,35 +325,15 @@ def _same_bits(got, expected):
     return got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
-@pytest.fixture
-def decimal_points(monkeypatch):
-    """The (a, b, y) of every point summed in decimals while the test runs."""
-    seen = []
-    loop = specfun._confluent_sum
-
-    def recorded(a, b, y, stop):
-        if a.dtype == object:
-            seen.extend(zip(*(map(float, v) for v in (a, b, y))))
-        return loop(a, b, y, stop)
-
-    monkeypatch.setattr(specfun, "_confluent_sum", recorded)
-    return seen
-
-
-def test_kummer_series_arrays_match_one_number_calls(decimal_points):
+def test_kummer_series_arrays_match_one_number_calls():
     # degrees 0 to 60 in one call, broadcast over b and y, with
-    # cancelling points that take the decimal pass (high degrees at
-    # positive y)
+    # cancelling points (high degrees at positive y)
     a = np.array([-3.0, -12.0, -0.0, -25.0, -10.0, -40.0, -60.0])[:, None, None]
     b = np.array([0.5, 1.5, 2.25])[None, :, None]
     y = np.array([-25.0, -5.0, 0.0, 0.3, 7.0, 28.0])
     got = kummer_series(a, b, y)
     assert got.shape == (7, 3, 6) and got.dtype == float
-    in_array = len(decimal_points)
-    assert in_array >= 20
-    expected = _one_at_a_time(kummer_series, a, b, y)
-    assert _same_bits(got, expected)
-    assert len(decimal_points) == 2 * in_array
+    assert _same_bits(got, _one_at_a_time(kummer_series, a, b, y))
     # one number, a numpy scalar or a 0-d array included, gives a float;
     # a list gives an array
     assert type(kummer_series(-40.0, 1.5, 28.0)) is float
@@ -353,25 +344,14 @@ def test_kummer_series_arrays_match_one_number_calls(decimal_points):
 
 
 def _reference_kummer(a, b, y):
-    """The one-point float and 60-digit decimal sums kummer_series ran
-    before it took arrays, kept as the reference for its bits."""
-    def series(a, b, y):
-        term = total = peak = y ** 0
-        for k in range(-int(a)):
-            term *= (a + k) * y / ((b + k) * (k + 1))
-            assert not term - term
-            total += term
-            peak = max(peak, abs(total), abs(term))
-        return total, peak
-
-    value, peak = series(a, b, y)
-    if not math.isfinite(value) or peak > 300.0 * max(abs(value), 5e-324):
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            total, peak = series(*map(decimal.Decimal, (a, b, y)))
-        assert not total or peak <= decimal.Decimal("1e40") * abs(total)
-        value = float(total)
-    return value
+    """F(a, b, y) as float() of the exact Fraction sum of its terms,
+    t_0 = 1, t_(k+1) = t_k (a + k) y / ((b + k)(k + 1)), summed forward."""
+    n, b, y = -int(a), Fraction(b), Fraction(y)
+    term = total = Fraction(1)
+    for k in range(n):
+        term *= (k - n) * y / ((b + k) * (k + 1))
+        total += term
+    return float(total)
 
 
 def _polynomial_draws():
@@ -383,27 +363,25 @@ def _polynomial_draws():
                     for y in (-20.0, 0.7, 6.25, 25.0)]
 
 
-def test_kummer_series_equals_the_one_point_reference_sums(decimal_points):
+def test_kummer_series_equals_the_one_point_reference_sums():
     draws = _polynomial_draws()
     a, b, y = np.array(draws).T
     got = kummer_series(a, b, y)
-    assert len(decimal_points) >= 120
     assert _same_bits(got, np.array([_reference_kummer(*d) for d in draws]))
 
 
 @pytest.mark.parametrize("a, b, y, first, match", [
+    # F(-2, 1/2, 1e200) is about 1.3e400, its last term past the floats too
     ([-1.0, -2.0, -100.0], [1.5, 0.5, 0.5], [2.0, 1e200, 150.0], 1,
-     r"terms overflowed \(a=-2\.0, b=0\.5, y=1e\+200\)"),
-    ([-1.0, -100.0, -2.0], [1.5, 0.5, 0.5], [2.0, 150.0, 1e200], 1,
-     r"cancels past 60 digits \(a=-100\.0, b=0\.5, y=150\.0\)"),
+     r"sum exceeds the float range \(a=-2\.0, b=0\.5, y=1e\+200\)"),
     # F(-200, 1/2, -2380) is about 3.64e308: every term is finite (the
     # largest is about 4.1e307), but the sum is not a float
     ([-1.0, -200.0, -2.0], [1.5, 0.5, 0.5], [2.0, -2380.0, 1e200], 1,
      r"sum exceeds the float range \(a=-200\.0, b=0\.5, y=-2380\.0\)"),
-], ids=["overflow", "cancellation", "sum_out_of_range"])
+], ids=["overflow", "sum_out_of_range"])
 def test_kummer_series_names_the_first_failing_point(a, b, y, first, match):
-    # the float pass ignores numpy's overflow warnings itself, so a point
-    # whose terms overflow raises the one-number error and no warning
+    # a point past the float range raises the one-number error and no
+    # warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match=match):
@@ -470,18 +448,24 @@ def test_duplication_and_hermite_link_arrays_match_one_number_calls():
                 lambda y: kummer_series(-float(n), 2.0 * s + 0.5, y), ys))
 
 
-def test_decimal_points_match_mpmath(decimal_points):
-    # The random polynomial draws at y > 0, where the alternating terms
-    # cancel and the decimal pass sums them.
-    a, b, y = np.array([d for d in _polynomial_draws() if d[2] > 0.0]).T
-    kummer_series(a, b, y)
-    flagged = np.array(decimal_points).T
-    assert flagged.shape[1] >= 120
-    got = kummer_series(*flagged)
+def test_cancelling_draws_are_correctly_rounded():
+    # The random polynomial draws at y > 0 whose alternating terms cancel
+    # more than 2.5 digits: the largest term exceeds 300 times the sum.
+    def cancels(a, b, y):
+        n, b, y = -int(a), Fraction(b), Fraction(y)
+        term = total = peak = Fraction(1)
+        for k in range(n):
+            term *= (k - n) * y / ((b + k) * (k + 1))
+            total += term
+            peak = max(peak, abs(term))
+        return peak > 300 * abs(total)
+
+    draws = np.array([d for d in _polynomial_draws() if d[2] > 0.0 and cancels(*d)])
+    assert len(draws) >= 120
+    got = kummer_series(*draws.T)
     with mpmath.workdps(80):
-        for (pa, pb, py), value in zip(flagged.T.tolist(), got.tolist()):
-            exact = float(mpmath.hyp1f1(pa, pb, py))
-            assert abs(value - exact) <= 1e-12 * abs(exact)
+        for (a, b, y), value in zip(draws.tolist(), got.tolist()):
+            assert value == float(mpmath.hyp1f1(a, b, y))
 
 
 # The six special-function residuals of `anyon1d verify --suite
@@ -489,9 +473,9 @@ def test_decimal_points_match_mpmath(decimal_points):
 IDENTITY_RESIDUALS = {
     "gamma duplication, 1e4 random z in (0, 50]": 1.1368683772161603e-13,
     "Hermite vs confluent closed form, n <= 10, y in (0, 25]": 2.8294244232539473e-12,
-    "anyon eigenfunction vs C_n y^nu e^(-y/2) F(-n, 2nu, y), n <= 10": 2.5353979803687988e-14,
-    "oscillator eigenfunction vs its confluent form, N <= 21": 2.4185883914754222e-14,
-    "confluent polynomial vs Laguerre, n <= 10": 3.0102349593721695e-14,
+    "anyon eigenfunction vs C_n y^nu e^(-y/2) F(-n, 2nu, y), n <= 10": 3.62199711481257e-15,
+    "oscillator eigenfunction vs its confluent form, N <= 21": 4.091041985258849e-15,
+    "confluent polynomial vs Laguerre, n <= 10": 2.64382529027243e-14,
     "parity extension phase ratio e^(i pi nu)": 0.0,
 }
 
