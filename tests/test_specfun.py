@@ -2,8 +2,8 @@
 
 import math
 import random
-from fractions import Fraction
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -343,15 +343,19 @@ def test_kummer_series_arrays_match_one_number_calls():
     assert kummer_series(np.array([]), 0.5, 1.0).shape == (0,)
 
 
-def _reference_kummer(a, b, y):
-    """F(a, b, y) as float() of the exact Fraction sum of its terms,
-    t_0 = 1, t_(k+1) = t_k (a + k) y / ((b + k)(k + 1)), summed forward."""
+def _exact_terms(a, b, y):
+    """The terms t_0 = 1, t_(k+1) = t_k (a + k) y / ((b + k)(k + 1)) of
+    F(a, b, y) as exact Fractions of the floats a, b and y."""
     n, b, y = -int(a), Fraction(b), Fraction(y)
-    term = total = Fraction(1)
+    terms = [Fraction(1)]
     for k in range(n):
-        term *= (k - n) * y / ((b + k) * (k + 1))
-        total += term
-    return float(total)
+        terms.append(terms[-1] * (k - n) * y / ((b + k) * (k + 1)))
+    return terms
+
+
+def _reference_kummer(a, b, y):
+    """F(a, b, y) as float() of the exact forward sum of its terms."""
+    return float(sum(_exact_terms(a, b, y)))
 
 
 def _polynomial_draws():
@@ -452,13 +456,8 @@ def test_cancelling_draws_are_correctly_rounded():
     # The random polynomial draws at y > 0 whose alternating terms cancel
     # more than 2.5 digits: the largest term exceeds 300 times the sum.
     def cancels(a, b, y):
-        n, b, y = -int(a), Fraction(b), Fraction(y)
-        term = total = peak = Fraction(1)
-        for k in range(n):
-            term *= (k - n) * y / ((b + k) * (k + 1))
-            total += term
-            peak = max(peak, abs(term))
-        return peak > 300 * abs(total)
+        terms = _exact_terms(a, b, y)
+        return max(map(abs, terms)) > 300 * abs(sum(terms))
 
     draws = np.array([d for d in _polynomial_draws() if d[2] > 0.0 and cancels(*d)])
     assert len(draws) >= 120
