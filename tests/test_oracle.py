@@ -988,6 +988,10 @@ def test_shooting_config_validation():
         oracle.ShootingConfig(**{**good, "energy_bracket": (-7.0, -9.0)})
     with pytest.raises(ValueError):
         oracle.ShootingConfig(**{**good, "energy_bracket": (-7.0, 1.0)})
+    # anything but two items is refused by name, not by a bare unpack error
+    for bracket in (None, -1.0, (-9.0,), (-9.0, -8.0, -7.0)):
+        with pytest.raises(ValueError, match="energy bracket must be two real numbers"):
+            oracle.ShootingConfig(**{**good, "energy_bracket": bracket})
 
 
 # The ids are the ones these cases had while the list still held the
