@@ -613,7 +613,11 @@ class ShootingConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", check_nu(self.nu))
-        lo, hi = self.energy_bracket
+        try:
+            lo, hi = self.energy_bracket
+        except (TypeError, ValueError):
+            raise ValueError(f"energy bracket must be two real numbers (lo, hi), "
+                             f"got {self.energy_bracket!r}") from None
         lo = check_number(lo, "energy bracket lower end")
         hi = check_number(hi, "energy bracket upper end")
         if not (lo < hi < 0.0):
