@@ -25,14 +25,14 @@ It offers four ways to check them from first principles:
   no pivot can change sign, and each Newton step is one full sweep
   that also counts,
 * a shooting eigensolver for the attractive half-line problem, whose
-  RK4 steps are 2x2 propagators multiplied pairwise with numpy; the
-  outward sweep starts on the x^nu Frobenius series at x_start = 1e-2,
-  the inward one where the WKB action of the tail past the turning
-  point of the bracket's shallow end reaches 12; each propagator entry
-  is a quadratic in the energy, tabulated once per run, and the
-  products need a power-of-two rescale only every sixth pass; the node
-  count samples the solution at the ends of 32-step blocks, the
-  products of the tree's first five passes; each level is one
+  RK4 steps are 2x2 propagators; the outward sweep starts on the x^nu
+  Frobenius series at x_start = 1e-2, the inward one where the WKB
+  action of the tail past the turning point of the bracket's shallow
+  end reaches 12; each propagator entry is a quadratic in the energy,
+  tabulated once per run; five pairwise passes with numpy multiply the
+  steps into 32-step blocks, and one loop walks each sweep block by
+  block, which gives both the matching defect, from the sweeps' final
+  states, and the node count, from phi at every block end; each level is one
   Anderson-Bjorck (modified regula falsi) solve of the matching defect,
   and the energy scan walks the Coulomb variable t = (2 |e|)^(-1/2) in
   half steps, one table per energy window (1.01 e, 0.5 e) of its probes.
@@ -644,8 +644,10 @@ _MAX_STEPS = 2 ** 16
 # of the run; lo >= -1e9 keeps that below 2,300.  On the octave from a,
 # h <= 0.05 sqrt(a/2), and the octave [a/2, a] before it takes at least
 # 20 sqrt(a) of the two sweeps' 2 _MAX_STEPS steps, so a < 4.3e7 and
-# h < 240.  Every raw entry is then below 2^14, the bound _RESCALE_PERIOD
-# rests on.
+# h < 240.  Every raw entry is then below 2^14.  A 2x2 product obeys
+# max|AB| <= 2 max|A| max|B|, so the _BLOCK_PASSES = 5 pairwise passes
+# that form the 32-step blocks grow the entries to at most 2^29, 2^59,
+# 2^119, 2^239 and 2^479: below overflow, with no rescale.
 _DEEPEST = 1e9
 
 
@@ -718,7 +720,8 @@ def _octaves(run: _ShootingRun, lo_x: float, hi_x: float,
 def _steps(run: _ShootingRun, x_match: float) -> np.ndarray:
     """RK4 step table of both sweeps, shape (4, 2, width): rows h, v_start,
     v_mid, v_end, sweep 0 outward x_start -> x_match and sweep 1 inward
-    x_end -> x_match (h < 0), the shorter one padded with zeros.
+    x_end -> x_match (h < 0), both padded with zeros to the next multiple
+    of 2^_BLOCK_PASSES steps.
 
     v is the e-free part of the coefficient g(x) = 2 (V(x) - e) =
     vpart(x) - 2e at the start, midpoint and end of each step, in
@@ -741,7 +744,8 @@ def _steps(run: _ShootingRun, x_match: float) -> np.ndarray:
     x0 = a + h * k
     x = np.stack([x0, x0 + 0.5 * h, a + h * (k + 1)])
     v = -2.0 / x - vcoef / (x * x)
-    table = np.zeros((4, 2, max(n_out, n_in)))
+    block = 2 ** _BLOCK_PASSES
+    table = np.zeros((4, 2, -(-max(n_out, n_in) // block) * block))
     table[0, 0, :n_out] = h[:n_out]
     table[1:, 0, :n_out] = v[:, :n_out]
     table[0, 1, :n_in] = -h[n_out:][::-1]
@@ -771,57 +775,14 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product
 
 
-# one identity matrix per sweep, entry-first as the step propagators
-_IDENTITY = np.eye(2)[:, :, None, None].repeat(2, axis=2)
+_BLOCK_PASSES = 5          # pairwise passes that form the 32-step blocks of the walk
 
 
-def _rescaled(m: np.ndarray) -> np.ndarray:
-    """Each matrix of m divided by the power of two that brings its
-    largest entry into [0.5, 1): exact, and it keeps every sign."""
-    return np.ldexp(m, -np.frexp(np.abs(m).max(axis=(0, 1)))[1])
-
-
-# Product passes between two rescales.  A 2x2 product obeys
-# max|AB| <= 2 max|A| max|B|, so entries below 2^14 (every raw step
-# propagator of a run, see _DEEPEST) grow to at most 2^29, 2^59, 2^119,
-# 2^239, 2^479 and 2^959 over six passes, and entries below 1 (after a
-# rescale; an appended identity column has entries of at most 1) to at
-# most 2^63: below overflow either way.  Every rescale is by a power of
-# two, so the products carry the same bits as with a rescale after
-# every pass.
-_RESCALE_PERIOD = 6
-_BLOCK_PASSES = 5          # pairwise passes that form the 32-step blocks nodes() samples
-
-
-def _pairwise(m: np.ndarray, passes: int) -> np.ndarray:
-    """Pairwise products of m, entry-first 2x2 matrices in step order
-    along the last axis, for `passes` passes or until one is left.
-
-    Each pass replaces the blocks 2i and 2i + 1 by their product, later
-    times earlier, an odd last block times the identity, and the blocks
-    are rescaled after every _RESCALE_PERIOD-th pass.  After p passes
-    block i is the product of steps 2^p i to 2^p (i + 1) - 1, up to a
-    power of two per matrix.
-    """
-    for done in range(1, passes + 1):
-        if m.shape[-1] == 1:
-            break
-        if m.shape[-1] % 2:
-            m = np.concatenate([m, _IDENTITY], axis=-1)
-        m = _matmul(m[..., 1::2], m[..., 0::2])
-        if done % _RESCALE_PERIOD == 0:
-            m = _rescaled(m)
-    return m
-
-
-def _sign_changes(phi: np.ndarray) -> int:
-    """Sign changes along each row of phi, summed over the rows; exact
-    zeros are skipped, so (+, 0, -) counts one change and (+, 0, +) none."""
-    changes = 0
-    for row in phi:
-        positive = row[row != 0.0] > 0.0
-        changes += int(np.count_nonzero(positive[1:] != positive[:-1]))
-    return changes
+def _sign_changes(phi: list) -> int:
+    """Sign changes along the list phi; exact zeros are skipped, so
+    (+, 0, -) counts one change and (+, 0, +) none."""
+    positive = [value > 0.0 for value in phi if value != 0.0]
+    return sum(a != b for a, b in zip(positive, positive[1:]))
 
 
 def _quadratic_propagators(h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -881,14 +842,13 @@ class _ShootingRun:
 
     Row 0 of the step table (h, and v = the e-free coefficient values)
     is the outward sweep x_start -> x_match, row 1 the inward sweep
-    x_end -> x_match (h < 0); the shorter one is padded with h = 0
-    steps, whose propagator is exactly the identity.  One RK4 step of
-    the linear ODE is a 2x2 propagator whose entries are quadratics in
-    2e (see _quadratic_propagators); coef holds their coefficients, so a
-    propagator table at any energy is c0 + 2e (c1 + 2e c2).  At every
-    energy in the bracket its entries are below 2^14 (see _DEEPEST), so
-    mismatch and nodes multiply the raw table, and one tree of pairwise
-    products (_pairwise) serves both.
+    x_end -> x_match (h < 0); both are padded with h = 0 steps, whose
+    propagator is exactly the identity, to a width that is a multiple of
+    32.  One RK4 step of the linear ODE is a 2x2 propagator whose entries
+    are quadratics in 2e (see _quadratic_propagators); coef holds their
+    coefficients, so a propagator table at any energy is
+    c0 + 2e (c1 + 2e c2).  mismatch and nodes both read one walk over
+    32-step blocks of that table (see _block_ends).
     """
 
     def __init__(self, cfg: ShootingConfig, p: PhysicalParams):
@@ -950,56 +910,56 @@ class _ShootingRun:
         return np.array([[1.0, 1.0],
                          [weighted / (x0 * total), -kappa + 1.0 / (kappa * self.x_end)]])
 
+    def _block_ends(self, e: float) -> tuple[list, list]:
+        """phi at the start and at every 32-step block end of each sweep
+        at e, one list per sweep, and the final (phi, phi') of each.
+
+        _BLOCK_PASSES pairwise passes over the raw propagators, later
+        step times earlier, form the product of each block of 32 steps
+        (entries below 2^479, see _DEEPEST).  A loop applies the blocks
+        in order to each sweep's start and divides (phi, phi') by
+        |phi| + |phi'| after every block, which keeps every sign; a state
+        that collapses to zero raises ConvergenceError.
+        """
+        m = self._propagators(e)
+        for _ in range(_BLOCK_PASSES):
+            m = _matmul(m[..., 1::2], m[..., 0::2])
+        ends, finals = [], []
+        for (phi, dphi), *entries in zip(self._starts(e).T.tolist(), *m.reshape(4, 2, -1).tolist()):
+            row = [phi]
+            try:
+                for m00, m01, m10, m11 in zip(*entries):
+                    phi, dphi = m00 * phi + m01 * dphi, m10 * phi + m11 * dphi
+                    scale = abs(phi) + abs(dphi)
+                    phi /= scale
+                    dphi /= scale
+                    row.append(phi)
+            except ZeroDivisionError:
+                raise ConvergenceError("shooting state collapsed to zero") from None
+            ends.append(row)
+            finals.append((phi, dphi))
+        return ends, finals
+
     def mismatch(self, eps: float) -> float:
         """Scaled Wronskian of the outward and inward solutions at x_match.
 
         Zero exactly at eigenvalues; its sign flips when eps crosses one.
-        The raw step propagators are multiplied pairwise down to one
-        product per sweep (see _pairwise), ceil(log2(width)) passes; the
-        scaled Wronskian is homogeneous in each solution, so the
-        power-of-two rescales cannot change it.
+        It is homogeneous in each solution, so the walk's scaling of the
+        final states cannot change it.
         """
-        e = eps / self.energy_unit
-        # width.bit_length() >= ceil(log2(width)) passes leave one block
-        m = _pairwise(self._propagators(e), self.h.shape[1].bit_length())
-        return self._wronskian(m[..., 0], e)
-
-    def _wronskian(self, m: np.ndarray, e: float) -> float:
-        """Scaled Wronskian at x_match at e from the product m of every
-        step propagator, shape (2, 2, 2)."""
-        start = self._starts(e)
-        (left, right), (dleft, dright) = m[:, 0] * start[0] + m[:, 1] * start[1]
-        w = dleft * right - left * dright
-        norm = math.sqrt((left * left + dleft * dleft)
-                         * (right * right + dright * dright))
-        if norm == 0.0:
-            raise ConvergenceError("shooting state collapsed to zero")
-        return float(w / norm)
+        (left, dleft), (right, dright) = self._block_ends(eps / self.energy_unit)[1]
+        norm = math.sqrt((left * left + dleft * dleft) * (right * right + dright * dright))
+        return (dleft * right - left * dright) / norm
 
     def nodes(self, eps: float) -> int:
         """Interior node count of the matched shape at eps: the sign
         changes of phi across the 32-step block ends of both sweeps.
 
-        The first _BLOCK_PASSES passes of mismatch's pairwise tree give
-        the product of each block of 32 steps; the blocks, rescaled, are
-        prefix-multiplied by doubling, with a rescale every
-        _RESCALE_PERIOD-th pass, and give phi at every block end.  The
-        block ends see every node: h k <= 0.05 for the local wavenumber
-        k, so by Sturm comparison two zeros of phi lie at least
-        pi/0.05 > 62 steps apart, and no block holds two of them.
+        The block ends see every node: h k <= 0.05 for the local
+        wavenumber k, so by Sturm comparison two zeros of phi lie at
+        least pi/0.05 > 62 steps apart, and no block holds two of them.
         """
-        e = eps / self.energy_unit
-        m = _rescaled(_pairwise(self._propagators(e), _BLOCK_PASSES))
-        d = 1
-        passes = 0
-        while d < m.shape[-1]:
-            m[..., d:] = _matmul(m[..., d:], m[..., :-d])
-            passes += 1
-            if passes % _RESCALE_PERIOD == 0:
-                m = _rescaled(m)
-            d *= 2
-        phi0, dphi0 = self._starts(e)[:, :, None]
-        return _sign_changes(np.concatenate([phi0, m[0, 0] * phi0 + m[0, 1] * dphi0], axis=1))
+        return sum(_sign_changes(row) for row in self._block_ends(eps / self.energy_unit)[0])
 
 
 _SHOOTING_TOL = 1e-9       # relative width at which a shooting solve stops

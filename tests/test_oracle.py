@@ -1220,17 +1220,25 @@ def _rk4_reference(run, eps):
     return (dleft * right - left * dright) / norm, nodes
 
 
+# unit constants and two sets whose length unit hbar^2/(m alpha) is
+# 1e-20 and 1e-30
+FAR_CONSTANTS = [(1e-50, 1e-20, 1e30), (1e30, 1e-10, 1e-20)]
+
+
 @pytest.mark.parametrize("nu", NU_VALUES)
 def test_propagator_products_match_sequential_rk4(nu):
-    p = PhysicalParams(1.0, 1.0, alpha=1.0)
-    brackets = oracle.scan_level_brackets(nu, p, 20)
-    for n in (0, 5, 12, 20):
-        lo, hi = brackets[n]
-        run = oracle._ShootingRun(oracle.ShootingConfig(nu, brackets[n]), p)
-        for eps in np.linspace(lo, hi, 5).tolist():
-            mismatch, nodes = _rk4_reference(run, eps)
-            assert abs(run.mismatch(eps) - mismatch) <= 1e-10
-            assert run.nodes(eps) == nodes
+    # The block walk against a step-by-step sweep of the run's own
+    # table, at unit constants and at the two far sets.
+    for mass, hbar, alpha in [(1.0, 1.0, 1.0)] + FAR_CONSTANTS:
+        p = PhysicalParams(mass, hbar, alpha=alpha)
+        brackets = oracle.scan_level_brackets(nu, p, 20)
+        for n in (0, 5, 12, 20):
+            lo, hi = brackets[n]
+            run = oracle._ShootingRun(oracle.ShootingConfig(nu, brackets[n]), p)
+            for eps in np.linspace(lo, hi, 5).tolist():
+                mismatch, nodes = _rk4_reference(run, eps)
+                assert abs(run.mismatch(eps) - mismatch) <= 1e-10
+                assert run.nodes(eps) == nodes
 
 
 @pytest.mark.parametrize("phi, changes", [
@@ -1244,7 +1252,7 @@ def test_propagator_products_match_sequential_rk4(nu):
 def test_a_node_on_a_step_end_is_counted(phi, changes):
     # np.sign gives 0 at an exact zero, and 0 * x < 0 is false, so a
     # product-of-signs count misses a node that falls on a step end.
-    assert oracle._sign_changes(np.array(phi)) == changes
+    assert sum(oracle._sign_changes(row) for row in phi) == changes
 
 
 def _reference_propagators(h, a, b, c):
@@ -1259,11 +1267,6 @@ def _reference_propagators(h, a, b, c):
     m[1, 0] = h / 6.0 * (a + 4.0 * b + c + h2 * b * (a + c) / 2.0)
     m[1, 1] = 1.0 + h2 * (2.0 * b + c) / 6.0 + h2 * h2 * b * c / 24.0
     return m
-
-
-# unit constants and two sets whose length unit hbar^2/(m alpha) is
-# 1e-20 and 1e-30
-FAR_CONSTANTS = [(1e-50, 1e-20, 1e30), (1e30, 1e-10, 1e-20)]
 
 
 @pytest.mark.parametrize("mass, hbar, alpha", [(1.0, 1.0, 1.0)] + FAR_CONSTANTS)
@@ -1284,41 +1287,25 @@ def test_coefficient_table_is_the_per_step_formula(nu, mass, hbar, alpha):
             assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
-@pytest.mark.parametrize("mass, hbar, alpha", [(1.0, 1.0, 1.0)] + FAR_CONSTANTS)
-@pytest.mark.parametrize("nu", NU_VALUES)
-def test_sparse_rescaling_changes_no_bit(nu, mass, hbar, alpha):
-    # mismatch rescales every _RESCALE_PERIOD-th pass; rescaling after
-    # every pass, as below, differs from it by powers of two only.
-    p = PhysicalParams(mass, hbar, alpha=alpha)
-    brackets = oracle.scan_level_brackets(nu, p, 20)
-    for n in (0, 5, 12, 20):
-        run = oracle._ShootingRun(oracle.ShootingConfig(nu, brackets[n]), p)
-        for eps in np.linspace(*brackets[n], 5).tolist():
-            e = eps / run.energy_unit
-            m = oracle._rescaled(run._propagators(e))
-            while m.shape[-1] > 1:
-                if m.shape[-1] % 2:
-                    m = np.concatenate([m, np.eye(2)[:, :, None, None].repeat(2, axis=2)],
-                                       axis=-1)
-                m = oracle._rescaled(oracle._matmul(m[..., 1::2], m[..., 0::2]))
-            assert run.mismatch(eps) == run._wronskian(m[..., 0], e)
-
-
 @pytest.mark.parametrize("bracket, width", [
-    # deepest: lo at -_DEEPEST, hi just short of x_match >= x_end
-    ((-1e9, -2e5), 8945),
-    # shallowest: 1 percent shallower needs more than _MAX_STEPS = 65536 steps
-    ((-7.4e-7, -7.25e-7), 65490)],
+    # deepest: lo at -_DEEPEST, hi just short of x_match >= x_end; 8945 steps
+    ((-1e9, -2e5), 8960),
+    # shallowest: 1 percent shallower needs more than _MAX_STEPS = 65536
+    # steps; 65490 steps, the longest walk any run can take
+    ((-7.4e-7, -7.25e-7), 65504)],
     ids=["deepest", "shallowest"])
 def test_raw_propagator_entries_stay_below_2_to_the_14(bracket, width):
-    # _RESCALE_PERIOD = 6 rests on raw entries below 2^14 on every
-    # bracket a run accepts; these two sit at the edges of that domain.
+    # The block passes need no rescale because raw entries stay below
+    # 2^14 on every bracket a run accepts; these two sit at the edges of
+    # that domain, where the walk still gives the step-by-step sweep.
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     run = oracle._ShootingRun(oracle.ShootingConfig(0.25, bracket), p)
     assert run.h.shape[1] == width
     for eps in np.linspace(*bracket, 5).tolist():
         assert np.abs(run._propagators(eps)).max() < 2.0 ** 14
-        assert math.isfinite(run.mismatch(eps))
+        mismatch, nodes = _rk4_reference(run, eps)
+        assert abs(run.mismatch(eps) - mismatch) <= 1e-10
+        assert run.nodes(eps) == nodes
     lo, hi = bracket
     past = [((lo * 1.0001, hi), "too deep"), ((lo, hi * 1.05), "too deep")] if lo < -1.0 \
         else [((lo * 0.99, hi * 0.99), "too shallow")]
@@ -1330,11 +1317,17 @@ def test_raw_propagator_entries_stay_below_2_to_the_14(bracket, width):
 def _phi_at_step_ends(run, eps):
     """phi at every step end of both sweeps, from per-step prefix
     products of the propagators formed by doubling, each pass rescaled."""
+
+    def _rescaled(m):
+        # each matrix divided by the power of two that brings its largest
+        # entry into [0.5, 1): exact, and it keeps every sign
+        return np.ldexp(m, -np.frexp(np.abs(m).max(axis=(0, 1)))[1])
+
     e = eps / run.energy_unit
-    m = oracle._rescaled(run._propagators(e))
+    m = _rescaled(run._propagators(e))
     d = 1
     while d < m.shape[-1]:
-        m[..., d:] = oracle._rescaled(oracle._matmul(m[..., d:], m[..., :-d]))
+        m[..., d:] = _rescaled(oracle._matmul(m[..., d:], m[..., :-d]))
         d *= 2
     phi0, dphi0 = run._starts(e)[:, :, None]
     return np.concatenate([phi0, m[0, 0] * phi0 + m[0, 1] * dphi0], axis=1)
@@ -1354,7 +1347,7 @@ def test_block_node_count_is_the_per_step_count(nu, mass, hbar, alpha):
         run = oracle._ShootingRun(oracle.ShootingConfig(nu, bracket), p)
         for eps in (bracket[0], 0.5 * (bracket[0] + bracket[1]), bracket[1]):
             phi = _phi_at_step_ends(run, eps)
-            assert run.nodes(eps) == oracle._sign_changes(phi)
+            assert run.nodes(eps) == sum(oracle._sign_changes(row) for row in phi.tolist())
             for row in phi:
                 ends = np.flatnonzero(row)
                 positive = row[ends] > 0.0
@@ -1366,10 +1359,9 @@ def test_block_node_count_is_the_per_step_count(nu, mass, hbar, alpha):
 
 
 def test_node_count_multiplies_at_most_twice_what_mismatch_does(monkeypatch):
-    # The block products come from the first passes of mismatch's own
-    # tree, so one node count costs about one mismatch; prefix products
-    # over every step, W log2 W matrices, would cost 10 to 12 of them
-    # (measured: 1.12 to 1.19 at n = 0, 12 and 100).
+    # A node count and a mismatch read the same block walk, so they
+    # multiply the same matrices; prefix products over every step,
+    # W log2 W matrices, would cost 10 to 12 mismatches.
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     brackets = oracle.scan_level_brackets(0.25, p, 100)
     elements = []
@@ -1389,7 +1381,7 @@ def test_node_count_multiplies_at_most_twice_what_mismatch_does(monkeypatch):
         tree = sum(elements)
         elements.clear()
         run.nodes(eps)
-        assert sum(elements) <= 2 * tree
+        assert sum(elements) == tree
 
 
 @functools.cache
@@ -1416,15 +1408,19 @@ def test_shooting_far_from_unit_constants(mass, hbar, alpha):
 
 
 def test_shooting_table_is_as_wide_as_the_longer_sweep():
-    # The shorter sweep is padded: the outward one on the deepest levels,
-    # the inward one from n = 6 on; at nu = 3/4, n = 5 they are as long.
+    # Both sweeps are padded with all-zero columns to the next multiple
+    # of 32 steps above the longer one; the shorter one is the outward
+    # sweep on the deepest levels, the inward one from n = 6 on, and at
+    # nu = 3/4, n = 5 they are as long.
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     longer = set()
     for nu in NU_VALUES:
         for bracket in oracle.scan_level_brackets(nu, p, 20)[::5]:
             run = oracle._ShootingRun(oracle.ShootingConfig(nu, bracket), p)
             steps = np.count_nonzero(run.h, axis=1)
-            assert run.h.shape == (2, max(steps))
+            assert run.h.shape == (2, -(-max(steps) // 32) * 32)
+            for row, count in enumerate(steps):
+                assert not run.h[row, count:].any() and not run.v[:, row, count:].any()
             if steps[0] != steps[1]:
                 longer.add(int(np.argmax(steps)))
     assert longer == {0, 1}
@@ -1461,8 +1457,8 @@ def _steps_by_octave(run, lo_x, hi_x):
 def test_step_table_equals_the_octave_by_octave_build(nu):
     # _steps builds the rows of both sweeps in one array pass from the
     # per-octave step lengths and starts; every entry has the bits of the
-    # octave-by-octave build, the inward sweep reversed and padded as the
-    # run's table holds it, for every level n <= 30.
+    # octave-by-octave build, the inward sweep reversed and both padded
+    # with zeros to the next multiple of 32 steps, for every level n <= 30.
     p = PhysicalParams(1.0, 1.0, alpha=1.0)
     for bracket in oracle.scan_level_brackets(nu, p, 30):
         run = oracle._ShootingRun(oracle.ShootingConfig(nu, bracket), p)
@@ -1470,7 +1466,7 @@ def test_step_table_equals_the_octave_by_octave_build(nu):
         out = _steps_by_octave(run, run.x_start, x_match)
         h, v_start, v_mid, v_end = _steps_by_octave(run, x_match, run.x_end)[:, ::-1]
         inward = np.stack([-h, v_end, v_mid, v_start])
-        want = np.zeros((4, 2, max(out.shape[1], inward.shape[1])))
+        want = np.zeros((4, 2, -(-max(out.shape[1], inward.shape[1]) // 32) * 32))
         want[:, 0, :out.shape[1]] = out
         want[:, 1, :inward.shape[1]] = inward
         got = oracle._steps(run, x_match)
@@ -1791,7 +1787,7 @@ def test_the_eigensolvers_read_the_constants_once():
     assert not _constant_reads(defs["_steps"])
     methods = {node.name: node for node in defs["_ShootingRun"].body
                if isinstance(node, ast.FunctionDef)}
-    assert {"_propagators", "_starts", "_wronskian", "mismatch", "nodes"} <= set(methods)
+    assert {"_propagators", "_starts", "_block_ends", "mismatch", "nodes"} <= set(methods)
     for name, method in methods.items():
         if name != "__init__":
             assert not _constant_reads(method), name
