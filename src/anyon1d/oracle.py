@@ -31,8 +31,8 @@ It offers four ways to check them from first principles:
   end reaches 12; each propagator entry is a quadratic in the energy,
   tabulated once per run; five pairwise passes with numpy multiply the
   steps into 32-step blocks, and one loop walks each sweep block by
-  block, which gives both the matching defect, from the sweeps' final
-  states, and the node count, from phi at every block end; each level is one
+  block, which gives the matching defect from the sweeps' final states
+  and the node count from phi at every block end; each level is one
   Anderson-Bjorck (modified regula falsi) solve of the matching defect,
   and the energy scan walks the Coulomb variable t = (2 |e|)^(-1/2) in
   half steps, one table per energy window (1.01 e, 0.5 e) of its probes.

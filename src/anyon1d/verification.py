@@ -108,9 +108,8 @@ def suite_normalization() -> list[VerificationReport]:
     worst = 0.0
     for nu in NU_VALUES:
         for n in range(11):
-            p = _UNIT.with_omega(duality.dual_frequency(n, nu, _UNIT))
             norm = oracle.integrate(
-                lambda x: anyon.wavefunction(n, nu, p, x) ** 2, 0.0, math.inf,
+                lambda x: anyon.wavefunction(n, nu, _UNIT, x) ** 2, 0.0, math.inf,
                 tol=1e-10)
             worst = max(worst, abs(norm - 1.0))
     out.append(VerificationReport("anyon norm over (0, inf), n <= 10, both nu", worst, 1e-8))
@@ -134,9 +133,8 @@ def suite_normalization() -> list[VerificationReport]:
 
     worst = 0.0
     for nu in NU_VALUES:
-        p = _UNIT.with_omega(duality.dual_frequency(2, nu, _UNIT))
         norm = oracle.integrate(
-            lambda y: abs(anyon.extended_wavefunction(2, nu, p, y)) ** 2,
+            lambda y: abs(anyon.extended_wavefunction(2, nu, _UNIT, y)) ** 2,
             -math.inf, math.inf, tol=1e-10)
         worst = max(worst, abs(norm - 1.0))
     out.append(VerificationReport("parity extension full-line norm", worst, 1e-8))
@@ -235,12 +233,11 @@ def suite_oracle() -> list[VerificationReport]:
                                   worst, 1e-8))
 
     def anyon_residual(n, nu, grid, detune=1.0):
-        p = _UNIT.with_omega(duality.dual_frequency(n, nu, _UNIT))
         xs = grid.points()
-        phi = anyon.wavefunction(n, nu, p, xs)
-        eps = detune * anyon.energy(n, nu, p)
-        return oracle.ode_residual(xs, phi, lambda x: anyon.potential(x, nu, p),
-                                   eps, p)
+        phi = anyon.wavefunction(n, nu, _UNIT, xs)
+        eps = detune * anyon.energy(n, nu, _UNIT)
+        return oracle.ode_residual(xs, phi, lambda x: anyon.potential(x, nu, _UNIT),
+                                   eps, _UNIT)
 
     def osc_residual(big_n, detune=1.0):
         us = Grid(0.1, 6.0, 5901).points()
