@@ -635,6 +635,7 @@ _TAIL_NEWTON = 6           # Newton steps that place x_end
 # RK4 steps one sweep may take; the scan and the level solves for
 # n <= 100 take at most 8257
 _MAX_STEPS = 2 ** 16
+_BLOCK_PASSES = 5          # pairwise passes that form the 32-step blocks of the walk
 # Deepest lower bracket end, in natural units.  _starts sums a series
 # that grows as e^(kappa x_start), to e^447 at lo = -1e9, well inside the
 # floats (e^709 would overflow).  The step rule keeps h^2 |g| <= 0.0025,
@@ -773,9 +774,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     product = a[:, :1] * b[:1]
     product += a[:, 1:] * b[1:]
     return product
-
-
-_BLOCK_PASSES = 5          # pairwise passes that form the 32-step blocks of the walk
 
 
 def _sign_changes(phi: list) -> int:
@@ -924,12 +922,13 @@ class _ShootingRun:
         m = self._propagators(e)
         for _ in range(_BLOCK_PASSES):
             m = _matmul(m[..., 1::2], m[..., 0::2])
+        m00, m01, m10, m11 = m.reshape(4, 2, -1).tolist()
         ends, finals = [], []
-        for (phi, dphi), *entries in zip(self._starts(e).T.tolist(), *m.reshape(4, 2, -1).tolist()):
+        for sweep, (phi, dphi) in enumerate(self._starts(e).T.tolist()):
             row = [phi]
             try:
-                for m00, m01, m10, m11 in zip(*entries):
-                    phi, dphi = m00 * phi + m01 * dphi, m10 * phi + m11 * dphi
+                for a, b, c, d in zip(m00[sweep], m01[sweep], m10[sweep], m11[sweep]):
+                    phi, dphi = a * phi + b * dphi, c * phi + d * dphi
                     scale = abs(phi) + abs(dphi)
                     phi /= scale
                     dphi /= scale
