@@ -1378,10 +1378,21 @@ def test_node_count_multiplies_at_most_twice_what_mismatch_does(monkeypatch):
         eps = 0.5 * (brackets[n][0] + brackets[n][1])
         elements.clear()
         run.mismatch(eps)
-        tree = sum(elements)
+        walk = sum(elements)
         elements.clear()
         run.nodes(eps)
-        assert sum(elements) == tree
+        assert sum(elements) == walk
+
+
+def test_a_state_collapsed_to_zero_is_a_convergence_error(monkeypatch):
+    # The walk divides each block's state by |phi| + |phi'|; a zero state
+    # is reported by name, not as a ZeroDivisionError.
+    run = oracle._ShootingRun(oracle.ShootingConfig(0.25, (-9.0, -7.0)),
+                              PhysicalParams(1.0, 1.0, alpha=1.0))
+    monkeypatch.setattr(run, "_propagators", lambda e: np.zeros((2, 2, 2, run.h.shape[1])))
+    for probe in (run.mismatch, run.nodes):
+        with pytest.raises(ConvergenceError, match="collapsed to zero"):
+            probe(-8.0)
 
 
 @functools.cache
